@@ -20,7 +20,7 @@ import (
 // values, map writes, string concatenation and string<->[]byte conversions,
 // interface boxing (arguments, assignments, returns, conversions),
 // non-spread variadic calls, and calls to functions whose body the walk
-// cannot see and that are not on the allowlist (sync/atomic, math/bits,
+// cannot see and that are not on the allowlist (sync/atomic, math, math/bits,
 // mutex lock/unlock, slices.Sort, runtime.Gosched/GOMAXPROCS).
 //
 // //wikisearch:coldpath on a callee stops the walk (slow branch, documented
@@ -57,6 +57,7 @@ var allowedCalls = map[string]bool{
 var allowedCallPkgs = map[string]bool{
 	"sync/atomic": true,
 	"math/bits":   true,
+	"math":        true, // pure float functions (the score's Pow)
 }
 
 func runHotPathAlloc(pass *Pass) {

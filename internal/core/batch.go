@@ -192,9 +192,11 @@ func (ss *SearchState) SearchBatch(bin BatchInput, p Params) ([]*Result, error) 
 			Answers:           answers[gi],
 			DepthD:            gr.depth,
 			CentralCandidates: len(gr.centrals),
-			// The profile describes the shared run; every member reports it.
+			// The profile describes the shared run; every member reports it,
+			// except for the truncation count, which is the member's own.
 			Profile: s.prof,
 		}
+		out[gi].Profile.TruncatedGraphs = gr.truncated
 	}
 	s.dropBatchRefs()
 	return out, nil

@@ -10,7 +10,13 @@ import (
 )
 
 // benchScenario builds a mid-size random scenario once per benchmark.
-func benchScenario(b *testing.B) (Input, Params) {
+func benchScenario(b testing.TB) (Input, Params) {
+	return benchScenarioSized(b, 20)
+}
+
+// benchScenarioSized is benchScenario with perKeyword source nodes per
+// keyword: more sources make a level identify more Central Nodes at once.
+func benchScenarioSized(b testing.TB, perKeyword int) (Input, Params) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	const n, m = 20000, 120000
@@ -35,7 +41,7 @@ func benchScenario(b *testing.B) (Input, Params) {
 	q := 4
 	sources := make([][]graph.NodeID, q)
 	for i := range sources {
-		for len(sources[i]) < 20 {
+		for len(sources[i]) < perKeyword {
 			sources[i] = append(sources[i], graph.NodeID(rng.Intn(n)))
 		}
 	}
@@ -132,5 +138,81 @@ func BenchmarkExpandFlat(b *testing.B) {
 func BenchmarkExpandReference(b *testing.B) {
 	for _, tn := range []int{1, 4} {
 		b.Run(fmt.Sprintf("Tnum=%d", tn), func(b *testing.B) { benchmarkKernel(b, KernelReference, tn) })
+	}
+}
+
+// giantScenario is a query whose single Central Graph fills the default
+// MaxGraphNodes: two keyword sources joined by 5000 parallel two-hop paths,
+// every midpoint a Central Node candidate's parent.
+func giantScenario(b testing.TB) (Input, Params) {
+	b.Helper()
+	gb := graph.NewBuilder()
+	s0 := gb.AddNode("s0", "")
+	s1 := gb.AddNode("s1", "")
+	hub := gb.AddNode("hub", "")
+	r := gb.Rel("e")
+	for i := 0; i < 5000; i++ {
+		a := gb.AddNode("a", "")
+		c := gb.AddNode("c", "")
+		gb.AddEdge(s0, a, r)
+		gb.AddEdge(a, hub, r)
+		gb.AddEdge(s1, c, r)
+		gb.AddEdge(c, hub, r)
+	}
+	g, err := gb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	in := Input{G: g, Weights: make([]float64, n), Levels: make([]uint8, n),
+		Terms: []string{"t0", "t1"}, Sources: [][]graph.NodeID{{s0}, {s1}}}
+	return in, Params{TopK: 1, Threads: 1, MaxLevel: 16}
+}
+
+// BenchmarkTopDown measures stage two alone on a warm state: ≥ 500 Central
+// Graphs scored, k = 20 assembled. The after-giant variant first runs one
+// search whose extraction fills MaxGraphNodes on the same state — retained
+// scratch must not make the small extractions that follow any slower. With
+// -benchmem, allocs/op is what the ≤ k answers cost, not the candidates.
+func BenchmarkTopDown(b *testing.B) {
+	for _, giantFirst := range []bool{false, true} {
+		name := "warm"
+		if giantFirst {
+			name = "after-giant"
+		}
+		b.Run(name, func(b *testing.B) {
+			ss := NewSearchState()
+			defer ss.Close()
+			if giantFirst {
+				gin, gp := giantScenario(b)
+				res, err := ss.Search(gin, gp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Profile.TruncatedGraphs == 0 {
+					b.Fatal("giant scenario did not reach the cap")
+				}
+			}
+			in, p := benchScenarioSized(b, 5)
+			p.Threads = 1
+			if _, err := ss.BottomUp(in, p); err != nil {
+				b.Fatal(err)
+			}
+			s := &ss.st
+			if n := len(s.groups[0].centrals); n < 500 {
+				b.Fatalf("%d centrals, want ≥ 500", n)
+			}
+			if _, err := s.topDown(); err != nil { // warm the scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.topDown(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(s.groups[0].centrals)), "centrals")
+		})
 	}
 }

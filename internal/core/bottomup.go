@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -53,6 +54,7 @@ type group struct {
 	centralAt []int32        // BFS level at which v was identified central for this query, -1 otherwise
 	centrals  []graph.NodeID // identification order
 	front     int            // frontier entries owned by this group at the current level (multi only)
+	truncated int            // Central Graphs of this query the MaxGraphNodes cap truncated (set by stage two)
 }
 
 // state carries the shared structures of one two-stage search: the
@@ -95,13 +97,8 @@ type state struct {
 	frontier     []int32
 	touchedWords []int32 // merged per-worker touched-word lists (enqueue scratch)
 	scratch      []workerScratch
-	// td is sliced per worker inside topDownGroup (the annotated owner);
-	// worker w touches only td[w], so the slots need no synchronization
-	// beyond the pool's fork/join barrier.
-	//
-	//wikisearch:singlewriter
-	td    []tdScratch // per-worker top-down buffers (see tdScratch)
-	level int
+	tdr          tdRun // retained stage-two memory (see tdRun)
+	level        int
 
 	// localN windows the kernel onto a shard: local node ids below localN
 	// are owned, ids at or above are ghost copies of remote nodes. A hit
@@ -890,9 +887,12 @@ func (s *state) centralCount() int64 {
 }
 
 // cancelled reports the context error, if a context was set and fired.
-func cancelled(p Params) error {
-	if p.Ctx == nil {
+func cancelled(p Params) error { return ctxErr(p.Ctx) }
+
+// ctxErr is ctx.Err() for a context that may be nil (a detached search).
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
 		return nil
 	}
-	return p.Ctx.Err()
+	return ctx.Err()
 }

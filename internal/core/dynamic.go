@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -227,33 +228,23 @@ func (s *dynState) bottomUp() (int, error) {
 	return s.level, nil
 }
 
-// recover rebuilds the Central Graph at vc from the recorded parents — a
-// walk over stored paths rather than a re-traversal of the data graph.
-func (s *dynState) recover(vc graph.NodeID) *extraction {
-	q := len(s.in.Sources)
-	ex := &extraction{
-		central:   vc,
-		onPaths:   map[graph.NodeID]uint64{vc: allMask(q)},
-		order:     []graph.NodeID{vc},
-		edgeIndex: map[edgeKey]int{},
-	}
+// extract rebuilds the Central Graph at vc from the recorded parents — a
+// walk over stored paths rather than a re-traversal of the data graph —
+// keyword-major from each popped node, parents in recorded order.
+func (s *dynState) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
 	depth := 0
-	for i := 0; i < q; i++ {
+	for i := 0; i < qc.q; i++ {
 		if h, ok := s.hitLevel(vc, i); ok && int(h) > depth {
 			depth = int(h)
 		}
 	}
-	ex.depth = depth
-	work := []workItem{{vc, allMask(q)}}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		vf := it.node
-		nd := &s.nodes[vf]
-		for i := 0; i < q; i++ {
-			if it.bits&(1<<uint(i)) == 0 {
-				continue
-			}
+	sc.begin(qc, vc)
+	for len(sc.work) > 0 {
+		it := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		nd := &s.nodes[sc.ids[it.node]]
+		for b := it.bits; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros64(b)
 			nd.mu.Lock()
 			var parents []dynParent
 			if nd.rec != nil {
@@ -261,62 +252,43 @@ func (s *dynState) recover(vc graph.NodeID) *extraction {
 			}
 			nd.mu.Unlock()
 			for _, p := range parents {
-				ex.addEdge(p.node, vf, p.rel, p.forward, uint64(1)<<uint(i))
-				prev, known := ex.onPaths[p.node]
-				fresh := (uint64(1) << uint(i)) &^ prev
-				if fresh == 0 {
-					continue
-				}
-				if !known {
-					if len(ex.order) >= s.p.MaxGraphNodes {
-						ex.truncated = true
-						continue
-					}
-					ex.order = append(ex.order, p.node)
-				}
-				ex.onPaths[p.node] = prev | fresh
-				work = append(work, workItem{p.node, fresh})
+				sc.addParent(qc, p.node, it.node, p.rel, p.forward, uint64(1)<<uint(i))
 			}
 		}
 	}
-	return ex
+	return depth
 }
 
-func (s *dynState) env() *assembleEnv {
+// row reads v's hitting levels under its lock.
+func (s *dynState) row(qc *tdQuery, v graph.NodeID, dst []uint8) {
+	for i := range dst {
+		if h, ok := s.hitLevel(v, i); ok {
+			dst[i] = h
+		} else {
+			dst[i] = Infinity
+		}
+	}
+}
+
+// topDown ranks and assembles the recorded Central Graphs through the one
+// stage-two implementation (see tdRun); only the extraction differs.
+func (s *dynState) topDown() ([]*Answer, error) {
 	q := len(s.in.Sources)
-	return &assembleEnv{
+	var r tdRun
+	r.qc = tdQuery{
 		q:            q,
-		contains:     func(v graph.NodeID) uint64 { return s.contains[v] },
+		all:          allMask(q),
+		contains:     s.contains,
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
 		noLevelCover: s.p.DisableLevelCover,
-		row: func(v graph.NodeID, dst []uint8) {
-			for i := 0; i < q; i++ {
-				if h, ok := s.hitLevel(v, i); ok {
-					dst[i] = h
-				} else {
-					dst[i] = Infinity
-				}
-			}
-		},
+		maxNodes:     s.p.MaxGraphNodes,
+		topK:         s.p.TopK,
+		ctx:          s.p.Ctx,
 	}
-}
-
-func (s *dynState) topDown() ([]*Answer, error) {
-	env := s.env()
-	td := make([]tdScratch, s.pool.Workers())
-	cands := make([]*candidate, len(s.centrals))
-	s.pool.ForWorker(len(s.centrals), func(w, i int) {
-		if cancelled(s.p) != nil {
-			return
-		}
-		ex := s.recover(s.centrals[i])
-		cands[i] = env.assemble(ex, i, &td[w])
-	})
-	if err := cancelled(s.p); err != nil {
-		return nil, err
-	}
-	return selectTopK(cands, s.p.TopK), nil
+	answers, capped, err := r.run(s.pool, s, s.centrals)
+	s.prof.TruncatedGraphs = capped
+	return answers, err
 }
 
 // SearchDynamic runs the CPU-Par-d variant of the two-stage algorithm.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -362,17 +363,17 @@ func TestLevelCoverFig5(t *testing.T) {
 // TestSupersetAnswersRemoved: an answer whose node set strictly contains a
 // better-ranked answer's node set is dropped from the top-k.
 func TestSupersetAnswersRemoved(t *testing.T) {
-	cands := []*candidate{
-		mkCand(0, 1.0, []graph.NodeID{1, 2, 3}, 0),
-		mkCand(1, 2.0, []graph.NodeID{1, 2, 3, 4, 5}, 1), // superset of first
-		mkCand(2, 3.0, []graph.NodeID{6, 7}, 2),
+	recs := []tdRecord{
+		mkRec(0, 1.0, []graph.NodeID{1, 2, 3}),
+		mkRec(1, 2.0, []graph.NodeID{1, 2, 3, 4, 5}), // superset of first
+		mkRec(2, 3.0, []graph.NodeID{6, 7}),
 	}
-	out := selectTopK(cands, 10)
+	out := selectTopK(recs, nil, 10)
 	if len(out) != 2 {
 		t.Fatalf("kept %d answers, want 2", len(out))
 	}
-	if out[0].Central != 0 || out[1].Central != 2 {
-		t.Fatalf("kept centrals %d,%d", out[0].Central, out[1].Central)
+	if out[0] != 0 || out[1] != 2 {
+		t.Fatalf("kept records %d,%d", out[0], out[1])
 	}
 }
 
@@ -383,7 +384,7 @@ func TestSelectTopKProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(20)
-		cands := make([]*candidate, 0, n+1)
+		recs := make([]tdRecord, 0, n+1)
 		for i := 0; i < n; i++ {
 			size := 1 + rng.Intn(5)
 			seen := map[graph.NodeID]bool{}
@@ -395,57 +396,52 @@ func TestSelectTopKProperties(t *testing.T) {
 					ids = append(ids, v)
 				}
 			}
-			c := mkCand(graph.NodeID(i), float64(rng.Intn(6)), ids, i)
-			c.covers = rng.Intn(5) > 0
-			cands = append(cands, c)
+			rec := mkRec(graph.NodeID(i), float64(rng.Intn(6)), ids)
+			rec.covers = rng.Intn(5) > 0
+			recs = append(recs, rec)
 		}
-		cands = append(cands, nil) // cancelled extraction slot
+		recs = append(recs, tdRecord{}) // cancelled extraction slot
 		k := 1 + rng.Intn(6)
-		out := selectTopK(cands, k)
+		out := selectTopK(recs, nil, k)
 		if len(out) > k {
 			t.Fatalf("trial %d: %d answers > k=%d", trial, len(out), k)
 		}
-		for i := 1; i < len(out); i++ {
-			if out[i].Score < out[i-1].Score {
+		for i, ri := range out {
+			if !recs[ri].covers {
+				t.Fatalf("trial %d: kept a non-covering or cancelled record", trial)
+			}
+			if i > 0 && recs[ri].score < recs[out[i-1]].score {
 				t.Fatalf("trial %d: scores not ascending", trial)
 			}
 		}
-		for i, a := range out {
+		for i, ri := range out {
 			aset := map[graph.NodeID]bool{}
-			for _, v := range a.NodeIDs() {
+			for _, v := range recs[ri].ids {
 				aset[v] = true
 			}
-			for j := 0; j < i; j++ {
-				b := out[j]
-				if len(b.Nodes) >= len(a.Nodes) {
+			for _, rj := range out[:i] {
+				b := recs[rj].ids
+				if len(b) >= len(recs[ri].ids) {
 					continue
 				}
 				subset := true
-				for _, v := range b.NodeIDs() {
+				for _, v := range b {
 					if !aset[v] {
 						subset = false
 						break
 					}
 				}
 				if subset {
-					t.Fatalf("trial %d: answer %d strictly contains answer %d", trial, i, j)
+					t.Fatalf("trial %d: answer %d strictly contains answer %d", trial, ri, rj)
 				}
 			}
 		}
 	}
 }
 
-func mkCand(central graph.NodeID, score float64, ids []graph.NodeID, rank int) *candidate {
-	set := map[graph.NodeID]struct{}{}
-	var nodes []AnswerNode
-	for _, id := range ids {
-		set[id] = struct{}{}
-		nodes = append(nodes, AnswerNode{ID: id, Contains: 1})
-	}
-	return &candidate{
-		answer:  &Answer{Central: central, Score: score, Nodes: nodes, Depth: 1},
-		nodeSet: set,
-		covers:  true,
-		rank:    rank,
-	}
+// mkRec builds a covering scored record over ids (in any order).
+func mkRec(central graph.NodeID, score float64, ids []graph.NodeID) tdRecord {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return tdRecord{central: central, depth: 1, covers: true, score: score, ids: ids}
 }

@@ -1,15 +1,10 @@
 package core
 
-import (
-	"math/bits"
-	"slices"
-
-	"wikisearch/internal/graph"
-)
+import "math/bits"
 
 // levelCover applies the keyword-co-occurrence level-cover strategy (§V-C)
-// to an extracted Central Graph and returns the kept nodes in extraction
-// order. The returned slice lives in sc and is valid until sc's next use.
+// to the extraction in sc and leaves the verdict in sc.keep, indexed by
+// extraction-local node.
 //
 // Keyword nodes are classified into levels by the number of query keywords
 // they contain; the Central Node is always at the top. Walking levels from
@@ -21,92 +16,87 @@ import (
 // are pruned. Finally the hitting paths that served only pruned keyword
 // nodes are dropped: a path node survives iff it is reachable from a kept
 // keyword node (or is the Central Node or on a kept node's downstream path).
-func (env *assembleEnv) levelCover(ex *extraction, sc *tdScratch) []graph.NodeID {
-	all := allMask(env.q)
+//
+// Both halves are linear in the extraction: the levels come from a counting
+// sort on containment count, the reachability pass walks a child list
+// counting-sorted from the edge records.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) levelCover(all uint64) {
+	n := len(sc.ids)
+	sc.keep = fit(sc.keep, n)
+	keep := sc.keep
 
 	// Classify keyword nodes (nodes containing ≥1 query keyword) by
-	// containment count. The central node seeds coverage unconditionally.
-	covered := env.contains(ex.central)
-	kws := sc.kws[:0]
-	for _, v := range ex.order {
-		if v == ex.central {
-			continue
-		}
-		if m := env.contains(v); m != 0 {
-			kws = append(kws, kwNode{v, m})
+	// containment count, most keywords first. The Central Node seeds
+	// coverage unconditionally and is not classified.
+	var at [MaxKeywords + 1]int32 // by containment count
+	nkw := 0
+	for _, m := range sc.has[1:] {
+		if m != 0 {
+			at[bits.OnesCount64(m)]++
+			nkw++
 		}
 	}
-	sc.kws = kws
-	slices.SortStableFunc(kws, func(a, b kwNode) int {
-		return bits.OnesCount64(b.mask) - bits.OnesCount64(a.mask)
-	})
+	for c, sum := MaxKeywords, int32(0); c >= 1; c-- {
+		at[c], sum = sum, sum+at[c] // where level c starts: after every higher level
+	}
+	sc.kws = fit(sc.kws, nkw)
+	kws := sc.kws
+	for l, m := range sc.has[1:] {
+		if m != 0 {
+			c := bits.OnesCount64(m)
+			kws[at[c]] = int32(l + 1)
+			at[c]++ // ends as where level c ends
+		}
+	}
 
-	keptKw := sc.keptKw
-	if keptKw == nil {
-		keptKw = map[graph.NodeID]struct{}{}
-		sc.keptKw = keptKw
-	} else {
-		clear(keptKw)
-	}
-	for lo := 0; lo < len(kws); {
-		cnt := bits.OnesCount64(kws[lo].mask)
-		hi := lo
-		for hi < len(kws) && bits.OnesCount64(kws[hi].mask) == cnt {
-			hi++
-		}
-		if covered == all {
-			break // prune all remaining (lower) levels
-		}
-		levelCoverage := covered
-		for _, kn := range kws[lo:hi] {
-			if kn.mask&^covered != 0 { // contributes an uncovered keyword
-				keptKw[kn.v] = struct{}{}
-				levelCoverage |= kn.mask
+	keep[0] = true
+	stack := sc.stack[:0]
+	stack = append(stack, 0)
+	covered := sc.has[0]
+	for lo := 0; lo < nkw && covered != all; {
+		hi := int(at[bits.OnesCount64(sc.has[kws[lo]])])
+		level := covered
+		for _, l := range kws[lo:hi] {
+			if m := sc.has[l]; m&^covered != 0 { // contributes an uncovered keyword
+				keep[l] = true
+				stack = append(stack, l)
+				level |= m
 			}
 		}
-		covered = levelCoverage
+		covered = level
 		lo = hi
 	}
 
-	// Keep path nodes reachable from kept keyword nodes (and the central
-	// node) along expansion edges — everything else served only pruned
-	// keyword nodes. Extractions are small, so the BFS rescans the edge
-	// list per popped node instead of building an adjacency map.
-	kept := sc.kept
-	if kept == nil {
-		kept = map[graph.NodeID]struct{}{}
-		sc.kept = kept
-	} else {
-		clear(kept)
+	// Keep path nodes reachable from kept keyword nodes (and the Central
+	// Node) along expansion steps parent → child — everything else served
+	// only pruned keyword nodes.
+	sc.childOff = fit(sc.childOff, n+2)
+	off := sc.childOff
+	for i := range sc.edges {
+		off[sc.edges[i].from+2]++
 	}
-	kept[ex.central] = struct{}{}
-	queue := append(sc.covOut[:0], ex.central)
-	for v := range keptKw {
-		if _, ok := kept[v]; !ok {
-			kept[v] = struct{}{}
-			queue = append(queue, v)
-		}
+	for l := 0; l < n; l++ {
+		off[l+2] += off[l+1]
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, e := range ex.edges {
-			if e.From != v {
-				continue
-			}
-			if _, ok := kept[e.To]; !ok {
-				kept[e.To] = struct{}{}
-				queue = append(queue, e.To)
+	// off[l+1] is where l's children start; filling advances it to where
+	// they end, which is where l+1's start: off becomes the CSR offsets.
+	sc.child = fit(sc.child, len(sc.edges))
+	for i := range sc.edges {
+		e := &sc.edges[i]
+		sc.child[off[e.from+1]] = e.to
+		off[e.from+1]++
+	}
+	for len(stack) > 0 {
+		l := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range sc.child[off[l]:off[l+1]] {
+			if !keep[c] {
+				keep[c] = true
+				stack = append(stack, c)
 			}
 		}
 	}
-
-	out := queue[:0] // reuse the drained queue's backing array
-	for _, v := range ex.order {
-		if _, ok := kept[v]; ok {
-			out = append(out, v)
-		}
-	}
-	sc.covOut = out
-	return out
+	sc.stack = stack
 }

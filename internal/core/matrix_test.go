@@ -113,6 +113,71 @@ func TestMaxGraphNodesCap(t *testing.T) {
 	}
 }
 
+// TestTruncatedGraphsReported: a capped Central Graph is never returned as
+// if complete — every search path counts it in Profile.TruncatedGraphs (per
+// member on a batch), Profile.Add sums the count, and searches the default
+// cap does not touch report zero.
+func TestTruncatedGraphsReported(t *testing.T) {
+	ss := NewSearchState()
+	defer ss.Close()
+	var sum Profile
+	want := 0
+	for seed := int64(500); seed < 520; seed++ {
+		in, p := randomScenario(t, seed)
+		res, err := ss.Search(in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Profile.TruncatedGraphs; n != 0 {
+			t.Fatalf("seed %d: default cap reports %d truncated graphs", seed, n)
+		}
+		p.MaxGraphNodes = 3
+		res, err = ss.Search(in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn, err := SearchDynamic(in, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dyn.Profile.TruncatedGraphs != res.Profile.TruncatedGraphs {
+			t.Fatalf("seed %d: CPU-Par-d reports %d truncated graphs, CPU-Par %d",
+				seed, dyn.Profile.TruncatedGraphs, res.Profile.TruncatedGraphs)
+		}
+		sum.Add(&res.Profile)
+		want += res.Profile.TruncatedGraphs
+	}
+	if want == 0 {
+		t.Fatal("MaxGraphNodes = 3 truncated nothing on 20 random scenarios")
+	}
+	if sum.TruncatedGraphs != want {
+		t.Fatalf("Profile.Add summed %d truncated graphs, want %d", sum.TruncatedGraphs, want)
+	}
+
+	// A batch member reports its own count, not the batch's.
+	bin, solos, params := batchScenario(t, 403, 3, false)
+	got, err := ss.SearchBatch(bin, Params{MaxLevel: 16, MaxGraphNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for j := range got {
+		params[j].MaxGraphNodes = 3
+		solo, err := Search(solos[j], params[j])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[j].Profile.TruncatedGraphs != solo.Profile.TruncatedGraphs {
+			t.Fatalf("member %d reports %d truncated graphs, its solo search %d",
+				j, got[j].Profile.TruncatedGraphs, solo.Profile.TruncatedGraphs)
+		}
+		total += solo.Profile.TruncatedGraphs
+	}
+	if total == 0 {
+		t.Fatal("batch scenario truncated nothing")
+	}
+}
+
 func TestDisableLevelCoverKeepsEverything(t *testing.T) {
 	// Fig. 5 scenario: with pruning, decoys vanish; without, they stay.
 	b := graph.NewBuilder()

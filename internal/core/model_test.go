@@ -8,6 +8,9 @@ package core
 // it on random graphs.
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"wikisearch/internal/graph"
@@ -134,7 +137,157 @@ func (m *modelState) run(k, maxLevel int) int {
 	}
 }
 
+// answersEqual holds production stage two to the naive model: complete
+// answer lists — nodes, edges, OnPaths, HitLevels, Score, PrunedNodes,
+// order — must be deeply equal.
+func answersEqual(t *testing.T, label string, got, want []*Answer) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, model %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: answer %d differs:\n  got   %+v\n  model %+v", label, i, *got[i], *want[i])
+		}
+	}
+	t.Fatalf("%s: answer lists differ (nil vs empty?): %v vs %v", label, got, want)
+}
+
+// stageTwoThreads are the Tnum values the stage-two oracle runs at.
+func stageTwoThreads() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
+// TestModelCrossCheck cross-checks both stages against the naive model on
+// random graphs: hitting levels and Central Nodes from the bottom-up stage,
+// then complete answer lists from stage two — solo at Tnum = 1 and
+// GOMAXPROCS, k ∈ {1, 2, 20}, level-cover on and off, with the default
+// MaxGraphNodes and one small enough that the cap bites — plus batched
+// column groups (single- and multi-word matrix rows) and CPU-Par-d.
 func TestModelCrossCheck(t *testing.T) {
+	t.Run("BottomUp", testModelBottomUp)
+	t.Run("StageTwo", testModelStageTwo)
+	t.Run("StageTwoBatched", testModelStageTwoBatched)
+	t.Run("StageTwoDynamic", testModelStageTwoDynamic)
+}
+
+func testModelStageTwo(t *testing.T) {
+	capped := 0
+	for seed := int64(500); seed < 540; seed++ {
+		in, base := randomScenario(t, seed)
+		for _, threads := range stageTwoThreads() {
+			pool := newSearchPool(threads)
+			for _, k := range []int{1, 2, 20} {
+				for _, noCover := range []bool{false, true} {
+					for _, maxNodes := range []int{0, 4} {
+						p := Params{TopK: k, Threads: threads, MaxLevel: base.MaxLevel,
+							DisableLevelCover: noCover, MaxGraphNodes: maxNodes}.Defaults()
+						s := newState(in, p, pool)
+						if _, err := s.bottomUp(); err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("seed %d T=%d k=%d noCover=%v cap=%d", seed, threads, k, noCover, maxNodes)
+						got, err := s.topDown()
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, truncated := modelTopDown(s, &s.groups[0])
+						answersEqual(t, label, got, want)
+						if s.prof.TruncatedGraphs != truncated {
+							t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, s.prof.TruncatedGraphs, truncated)
+						}
+						if maxNodes == 0 && truncated != 0 {
+							t.Fatalf("%s: default cap truncated %d graphs", label, truncated)
+						}
+						capped += truncated
+					}
+				}
+			}
+			pool.Close()
+		}
+	}
+	if capped == 0 {
+		t.Fatal("MaxGraphNodes = 4 never bit: the capped path went untested")
+	}
+}
+
+func testModelStageTwoBatched(t *testing.T) {
+	ss := NewSearchState()
+	defer ss.Close()
+	capped := 0
+	for seed := int64(400); seed < 424; seed++ {
+		for _, wide := range []bool{false, true} {
+			nq := 2
+			if wide {
+				nq = 4 // 12 columns: matrix rows span two words
+			}
+			bin, _, _ := batchScenario(t, seed, nq, wide)
+			for qi := range bin.Queries {
+				bin.Queries[qi].DisableLevelCover = qi%2 == 1
+			}
+			for _, threads := range stageTwoThreads() {
+				for _, maxNodes := range []int{0, 4} {
+					if err := ss.BottomUpBatch(bin, Params{Threads: threads, MaxLevel: 16, MaxGraphNodes: maxNodes}); err != nil {
+						t.Fatal(err)
+					}
+					s := &ss.st
+					for gi := range s.groups {
+						gr := &s.groups[gi]
+						label := fmt.Sprintf("seed %d wide=%v T=%d cap=%d group %d", seed, wide, threads, maxNodes, gi)
+						got, err := s.topDownGroup(gr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, truncated := modelTopDown(s, gr)
+						answersEqual(t, label, got, want)
+						if gr.truncated != truncated {
+							t.Fatalf("%s: truncated = %d, model %d", label, gr.truncated, truncated)
+						}
+						capped += truncated
+					}
+				}
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatal("MaxGraphNodes = 4 never bit on a batched state")
+	}
+}
+
+func testModelStageTwoDynamic(t *testing.T) {
+	for seed := int64(500); seed < 540; seed++ {
+		in, base := randomScenario(t, seed)
+		for _, threads := range stageTwoThreads() {
+			pool := newSearchPool(threads)
+			for _, maxNodes := range []int{0, 4} {
+				if maxNodes != 0 && threads > 1 {
+					// CPU-Par-d records parents in arrival order, so which
+					// nodes a capped recovery admits is scheduling-dependent.
+					continue
+				}
+				p := Params{TopK: base.TopK, Threads: threads, MaxLevel: base.MaxLevel, MaxGraphNodes: maxNodes}.Defaults()
+				s := newDynState(in, p, pool)
+				if _, err := s.bottomUp(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.topDown()
+				if err != nil {
+					t.Fatal(err)
+				}
+				answersEqual(t, fmt.Sprintf("seed %d CPU-Par-d T=%d cap=%d", seed, threads, maxNodes), got, modelTopDownDynamic(s))
+			}
+			pool.Close()
+		}
+	}
+}
+
+func testModelBottomUp(t *testing.T) {
 	for seed := int64(500); seed < 540; seed++ {
 		in, p := randomScenario(t, seed)
 		p = p.Defaults()

@@ -1,297 +1,617 @@
 package core
 
 import (
+	"context"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
-// extraction is one Central Graph being recovered from the node-keyword
-// matrix (Algorithm 3). Nodes carry the mask of keywords whose hitting
-// paths traverse them; edges are expansion steps (parent → child, flowing
-// keyword sources → Central Node). All keyword masks are local to the
-// owning query's column group: bit i means group column off+i.
-type extraction struct {
-	central   graph.NodeID
-	depth     int
-	order     []graph.NodeID          // insertion order, central first
-	onPaths   map[graph.NodeID]uint64 // keyword-path membership masks
-	edges     []AnswerEdge            // deduplicated expansion steps
-	edgeIndex map[edgeKey]int         // dedup: (from,to,rel,forward) → edges index
-	truncated bool                    // hit the MaxGraphNodes cap
+// Stage two of Algorithm 1 runs score first, assemble last. Every Central
+// Node the bottom-up stage identified is extracted into per-worker scratch,
+// level-cover-pruned and reduced to a compact tdRecord (score, depth, kept
+// node ids); selectTopK ranks the records and applies the superset rule;
+// only the ≤ k winners are extracted again — same matrix, same result — and
+// built into Answers. A search with hundreds of centrals and k = 20 so
+// allocates for twenty answers, not for hundreds of discarded ones.
+
+// tdQuery is one query's view of a finished bottom-up stage: its keyword
+// column window and the knobs stage two needs. A batched group carries its
+// own window, so it extracts and scores exactly as its solo search would.
+type tdQuery struct {
+	q            int
+	off          uint     // first matrix column of the window
+	all          uint64   // allMask(q): every keyword, window-local
+	contains     []uint64 // per node; window-local bits are (contains[v]>>off)&all
+	centralAt    []int32  // identification level per node, −1 if none (matrix source only)
+	weights      []float64
+	lambda       float64
+	noLevelCover bool
+	maxNodes     int // MaxGraphNodes
+	topK         int
+	ctx          context.Context
 }
 
-// reset prepares ex for a new Central Graph, reusing its maps and slices.
-func (ex *extraction) reset(central graph.NodeID, local uint64) {
-	ex.central = central
-	ex.depth = 0
-	ex.truncated = false
-	ex.order = append(ex.order[:0], central)
-	ex.edges = ex.edges[:0]
-	if ex.onPaths == nil {
-		ex.onPaths = map[graph.NodeID]uint64{}
-		ex.edgeIndex = map[edgeKey]int{}
-	} else {
-		clear(ex.onPaths)
-		clear(ex.edgeIndex)
-	}
-	ex.onPaths[central] = local
+// cgSource is a finished bottom-up stage as stage two reads it. The matrix
+// search recovers hitting paths from hitting levels (Theorem V.4); CPU-Par-d
+// replays the parents it recorded under locks.
+type cgSource interface {
+	// extract recovers the Central Graph centered at vc into sc and
+	// returns its depth d(C).
+	extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int
+	// row copies v's hitting levels for the query's q columns into dst.
+	row(qc *tdQuery, v graph.NodeID, dst []uint8)
 }
 
-type edgeKey struct {
-	from, to graph.NodeID
+// tdEdge is one expansion step parent → child of an extraction, in
+// extraction-local node indices. The same step may be recorded once per
+// visit of its child with disjoint keyword sets; assembly merges them.
+type tdEdge struct {
+	from, to int32
 	rel      graph.RelID
-	forward  bool
+	forward  bool   // the stored directed edge runs parent → child
+	kw       uint64 // keywords whose hitting paths take the step
 }
 
-// workItem is a (node, fresh keyword bits) pair on the extraction worklist.
+// workItem is a (local node, fresh keyword bits) pair on the worklist.
 type workItem struct {
-	node graph.NodeID
+	node int32
 	bits uint64
 }
 
-// kwNode is a keyword node with its containment mask, the unit the
-// level-cover strategy classifies.
-type kwNode struct {
-	v    graph.NodeID
-	mask uint64
+// idSlot is one cell of the extraction's node-id table; it is live iff its
+// gen equals the table's current generation.
+type idSlot struct {
+	key graph.NodeID
+	gen uint32
+	val int32
 }
 
-// tdScratch is one worker's reusable top-down buffers: everything the
-// extraction and assembly of a Central Graph touches that does not escape
-// into the returned Answer. A state keeps one per worker so a warm
-// top-down stage only allocates what the caller keeps (the answers
-// themselves).
+const (
+	// tdMinSlots is the id-table window every extraction starts with.
+	tdMinSlots = 128
+	// fibHash spreads dense node ids over the window (multiplicative
+	// hashing by 2^32/φ).
+	fibHash = 0x9E3779B1
+	// tdArenaKeep is the largest per-worker id arena (in ids; 256 KB) a
+	// state retains between searches — room for some 2000 Central Graphs of
+	// 30 kept nodes each, three times what solo-deep's queries average.
+	tdArenaKeep = 1 << 16
+)
+
+// tdScratch is one worker's stage-two memory. An extraction lives in flat
+// arrays indexed by extraction-local node index (discovery order, the
+// Central Node at 0) plus an open-addressed id → index table; level-cover
+// and scoring work on the same indices. Nothing is keyed by |V|: every
+// array is sized by the largest extraction this worker has seen, and a new
+// extraction pays only for what it uses itself — the arrays are re-sliced
+// to the new length, and the table starts over in a tdMinSlots window under
+// a fresh generation stamp (doubling, with a rehash, as the extraction
+// grows), so a 4096-node extraction leaves nothing behind for the next
+// 40-node one to clear. The scratch is retained across searches; what a
+// warm top-down stage allocates is the ≤ k answers it returns. A tdScratch
+// must not be copied: a copy aliases every buffer.
+//
+//wikisearch:nocopy
 type tdScratch struct {
-	ex     extraction
-	work   []workItem
-	kws    []kwNode                  // levelCover: keyword nodes by containment
-	keptKw map[graph.NodeID]struct{} // levelCover: surviving keyword nodes
-	kept   map[graph.NodeID]struct{} // levelCover: surviving nodes
-	covOut []graph.NodeID            // levelCover: kept nodes, extraction order
-	rowBuf []uint8                   // assemble: one row before it is kept
+	// The extraction.
+	ids       []graph.NodeID // local → node id
+	has       []uint64       // local → window-local containment mask
+	onPaths   []uint64       // local → keywords whose hitting paths traverse it
+	edges     []tdEdge
+	work      []workItem
+	truncated bool // the MaxGraphNodes cap refused a node
+
+	slots []idSlot
+	mask  uint32 // window size − 1
+	shift uint8  // 32 − log2(window size)
+	gen   uint32
+
+	// Level-cover (see levelCover).
+	kws      []int32 // keyword nodes by containment count, descending
+	keep     []bool  // local → survives pruning
+	childOff []int32 // CSR over edges by parent: children of l are child[childOff[l]:childOff[l+1]]
+	child    []int32
+	stack    []int32
+
+	arena    []graph.NodeID // kept-id slices of this run's records
+	ansEdges []AnswerEdge   // assemble: edges before merge and copy-out
+	_        [64]byte       // keep neighbouring workers off one cache line
 }
 
-// extract recovers gr's Central Graph centered at vc using the hitting-level
-// heuristics of Theorem V.4: vn is a parent of vf on keyword i's hitting
-// path iff h_i(vf) = 1 + max(a_n, h_i(vn)) when vf contains keywords, or
-// 1 + max(a_n, h_i(vn), a_f − 1) when it does not. All qualifying parents
-// are collected, which is what yields multi-path answers. Every matrix read
-// and keyword test is confined to the group's column window, so extraction
-// from a batched state is identical to the query's solo extraction. The
-// returned extraction lives in sc and is valid until sc's next use.
-func (s *state) extract(sc *tdScratch, gr *group, vc graph.NodeID) *extraction {
-	q := gr.q
-	off := gr.off
-	local := allMask(q)
-	ex := &sc.ex
-	ex.reset(vc, local)
-	for i := 0; i < q; i++ {
-		if h := s.m.Get(vc, off+i); h != Infinity && int(h) > ex.depth {
-			ex.depth = int(h) // d(C), Eq. 1: the largest hitting level
+// fit returns s re-sliced to n zeroed elements, reallocating only to grow.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2) //wikisearch:allocok grows to the worker's largest extraction, then never
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// begin starts a new extraction centered at vc.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) begin(qc *tdQuery, vc graph.NodeID) {
+	sc.ids = sc.ids[:0]
+	sc.has = sc.has[:0]
+	sc.onPaths = sc.onPaths[:0]
+	sc.edges = sc.edges[:0]
+	sc.work = sc.work[:0]
+	sc.truncated = false
+	sc.window(tdMinSlots)
+	slot, _ := sc.find(vc)
+	sc.insert(qc, slot, vc)
+	sc.onPaths[0] = qc.all
+	sc.work = append(sc.work, workItem{0, qc.all})
+}
+
+// window re-opens the id table empty with n slots (a power of two): a new
+// generation invalidates every cell at once, so no cell is ever cleared
+// except when the 32-bit stamp wraps.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) window(n int) {
+	if len(sc.slots) < n {
+		sc.slots = make([]idSlot, n) //wikisearch:allocok doubles up to 2×MaxGraphNodes, then never
+		sc.gen = 0
+	}
+	sc.mask = uint32(n - 1)
+	sc.shift = uint8(32 - bits.TrailingZeros32(uint32(n)))
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.slots)
+		sc.gen = 1
+	}
+}
+
+// find probes the id table for v: local is v's index, or −1 with slot the
+// cell where v belongs.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) find(v graph.NodeID) (slot uint32, local int32) {
+	i := (uint32(v) * fibHash) >> sc.shift
+	for {
+		sl := &sc.slots[i]
+		if sl.gen != sc.gen {
+			return i, -1
+		}
+		if sl.key == v {
+			return i, sl.val
+		}
+		i = (i + 1) & sc.mask
+	}
+}
+
+// insert admits v, absent from the table, at the cell find returned. The
+// window doubles before it is half full, so probes stay short.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) insert(qc *tdQuery, slot uint32, v graph.NodeID) int32 {
+	l := int32(len(sc.ids))
+	sc.slots[slot] = idSlot{key: v, gen: sc.gen, val: l}
+	sc.ids = append(sc.ids, v)
+	sc.has = append(sc.has, (qc.contains[v]>>qc.off)&qc.all)
+	sc.onPaths = append(sc.onPaths, 0)
+	if 2*len(sc.ids) > int(sc.mask)+1 {
+		sc.window(2 * (int(sc.mask) + 1))
+		for j, id := range sc.ids {
+			s, _ := sc.find(id)
+			sc.slots[s] = idSlot{key: id, gen: sc.gen, val: int32(j)}
 		}
 	}
-	work := append(sc.work[:0], workItem{vc, local})
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		vf := it.node
-		af := int(s.in.Levels[vf])
-		fHasKeywords := s.contains[vf]&gr.mask != 0
-		for i := 0; i < q; i++ {
-			if it.bits&(1<<uint(i)) == 0 {
-				continue
+	return l
+}
+
+// addParent records that vn expanded into the local node child on the
+// hitting paths of the keywords in pm: the step becomes an edge, and
+// keywords new to vn put it (back) on the worklist. A vn the extraction has
+// not seen is admitted unless the MaxGraphNodes cap is reached; a refused
+// node marks the extraction truncated and leaves no trace in it.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) addParent(qc *tdQuery, vn graph.NodeID, child int32, rel graph.RelID, forward bool, pm uint64) {
+	slot, l := sc.find(vn)
+	if l < 0 {
+		if len(sc.ids) >= qc.maxNodes {
+			sc.truncated = true
+			return
+		}
+		l = sc.insert(qc, slot, vn)
+	}
+	sc.edges = append(sc.edges, tdEdge{from: l, to: child, rel: rel, forward: forward, kw: pm})
+	if fresh := pm &^ sc.onPaths[l]; fresh != 0 {
+		sc.onPaths[l] |= fresh
+		sc.work = append(sc.work, workItem{l, fresh})
+	}
+}
+
+// extract recovers the Central Graph centered at vc from the node-keyword
+// matrix (Algorithm 3) and returns its depth. An un-capped Central Graph is
+// a fixpoint — the nodes, path masks and steps reachable from vc by the
+// parent rule — and does not depend on the order nodes are discovered in,
+// so the walk takes each popped node's adjacency once for all of its fresh
+// keywords. When MaxGraphNodes bites, which nodes got in does depend on the
+// order, and the cap rule is pinned to the order the per-keyword walk
+// yields: keyword-major from each popped node, out- then in-neighbours,
+// last-found first. A walk that hits the cap is therefore abandoned and
+// redone one keyword at a time, which reproduces that order; it depends on
+// the matrix alone, never on Tnum or scheduling.
+//
+//wikisearch:hotpath
+func (s *state) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
+	depth := 0
+	for i := 0; i < qc.q; i++ {
+		if h := s.m.Get(vc, int(qc.off)+i); h != Infinity && int(h) > depth {
+			depth = int(h) // d(C), Eq. 1: the largest hitting level
+		}
+	}
+	sc.begin(qc, vc)
+	for len(sc.work) > 0 && !sc.truncated {
+		it := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		s.parents(sc, qc, it.node, it.bits)
+	}
+	if !sc.truncated {
+		return depth
+	}
+	sc.begin(qc, vc)
+	for len(sc.work) > 0 {
+		it := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		for b := it.bits; b != 0; b &= b - 1 {
+			s.parents(sc, qc, it.node, b&-b)
+		}
+	}
+	return depth
+}
+
+// parents finds, in one pass over the adjacency of the local node vfl, its
+// parents on the hitting paths of the keywords in kws, by the hitting-level
+// heuristics of Theorem V.4: vn is a parent of vf for keyword i iff
+// h_i(vf) = 1 + max(a_n, h_i(vn)) when vf contains query keywords, or
+// 1 + max(a_n, h_i(vn), a_f − 1) when it does not. All qualifying parents
+// are taken, which is what yields multi-path answers. Matrix reads stay
+// inside the query's column window.
+//
+//wikisearch:hotpath
+func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
+	vf := sc.ids[vfl]
+	off := int(qc.off)
+	// want[i] = h_i(vf) − 1: what max(a_n, h_i(vn)[, a_f − 1]) must equal.
+	var want [MaxKeywords]uint8
+	for b := kws; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(b)
+		h := s.m.Get(vf, off+i)
+		if h == 0 {
+			kws &^= 1 << uint(i) // keyword source: hitting paths for i start here
+			continue
+		}
+		want[i] = h - 1
+	}
+	if kws == 0 {
+		return
+	}
+	floor := 0 // a_f − 1 binds only when vf contains no query keyword
+	if sc.has[vfl] == 0 {
+		floor = int(s.in.Levels[vf]) - 1
+	}
+	var words []uint64 // non-nil iff a matrix row is a single word (≤ 8 columns)
+	if s.m.WordsPerRow() == 1 {
+		words = s.m.Words()
+	}
+	nbrs, rels := s.in.G.OutEdges(vf)
+	for dir := 0; dir < 2; dir++ {
+		if dir == 1 {
+			nbrs, rels = s.in.G.InEdges(vf)
+		}
+		for k, vn := range nbrs {
+			var row uint64
+			if words != nil {
+				row = atomic.LoadUint64(&words[vn]) >> (8 * qc.off)
 			}
-			hif := int(s.m.Get(vf, off+i))
-			if hif == 0 {
-				continue // keyword source: hitting paths for i start here
-			}
-			s.in.G.ForEachNeighbor(vf, func(vn graph.NodeID, rel graph.RelID, out bool) {
-				hin := s.m.Get(vn, off+i)
-				if hin == Infinity {
-					return
+			lvl := -1 // max(a_n, floor), read on first use
+			var pm uint64
+			for b := kws; b != 0; b &= b - 1 {
+				i := bits.TrailingZeros64(b)
+				var hin uint8
+				if words != nil {
+					hin = uint8(row >> (8 * uint(i)))
+				} else {
+					hin = s.m.Get(vn, off+i)
 				}
-				an := int(s.in.Levels[vn])
-				target := 1 + max(an, int(hin))
-				if !fHasKeywords {
-					target = 1 + max(target-1, af-1)
+				w := want[i]
+				if hin > w {
+					continue // never hit (∞), or hit too late to be a parent
 				}
-				if hif != target {
-					return
+				if lvl < 0 {
+					lvl = max(int(s.in.Levels[vn]), floor)
+				}
+				if lvl > int(w) || (lvl < int(w) && hin < w) {
+					continue // max(lvl, hin) ≠ w
 				}
 				// A node identified central before the expansion level
 				// became unavailable for expansion (§III-B), so it cannot
 				// have been a real parent; without this filter extraction
 				// could claim paths the search never traversed.
-				if ca := gr.centralAt[vn]; ca >= 0 && int(ca) <= hif-1 {
-					return
+				if ca := qc.centralAt[vn]; ca >= 0 && int(ca) <= int(w) {
+					continue
 				}
-				ex.addEdge(vn, vf, rel, !out, uint64(1)<<uint(i))
-				prev, known := ex.onPaths[vn]
-				fresh := (uint64(1) << uint(i)) &^ prev
-				if fresh == 0 {
-					return
-				}
-				if !known {
-					if len(ex.order) >= s.p.MaxGraphNodes {
-						ex.truncated = true
-						return
-					}
-					ex.order = append(ex.order, vn)
-				}
-				ex.onPaths[vn] = prev | fresh
-				work = append(work, workItem{vn, fresh})
-			})
+				pm |= 1 << uint(i)
+			}
+			if pm != 0 {
+				// An in-edge of vf is stored vn → vf: parent → child.
+				sc.addParent(qc, vn, vfl, rels[k], dir == 1, pm)
+			}
 		}
 	}
-	sc.work = work[:0] // keep the grown capacity
-	return ex
 }
 
-// addEdge records one expansion step parent → child, merging keyword masks
-// of duplicate steps. forward tells whether the underlying directed edge is
-// stored parent → child.
-func (ex *extraction) addEdge(from, to graph.NodeID, rel graph.RelID, forward bool, bits uint64) {
-	k := edgeKey{from, to, rel, forward}
-	if i, ok := ex.edgeIndex[k]; ok {
-		ex.edges[i].Keywords |= bits
+// row copies v's hitting levels for the query's columns into dst.
+func (s *state) row(qc *tdQuery, v graph.NodeID, dst []uint8) { s.m.RowSlice(v, int(qc.off), dst) }
+
+// tdRecord is one scored Central Graph awaiting selection: everything
+// ranking and the superset rule need, and nothing an Answer is built from.
+// Its rank — identification order, the final tie-break — is its index.
+type tdRecord struct {
+	central   graph.NodeID
+	depth     int32
+	pruned    int32 // nodes removed by level-cover
+	covers    bool  // kept nodes contain every keyword; false also marks a cancelled slot
+	truncated bool  // the extraction hit the MaxGraphNodes cap
+	score     float64
+	ids       []graph.NodeID // kept node ids, ascending; aliases a worker's arena
+}
+
+// score prunes the extraction in sc (level-cover, unless ablated) and
+// reduces it to rec. The weights are summed Central Node first, then
+// ascending node id — the node order of the assembled Answer — so the score
+// is bit-stable across thread counts and scheduling.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) score(qc *tdQuery, rec *tdRecord, depth int) {
+	sc.prune(qc)
+	start := len(sc.arena)
+	var covered uint64
+	for l, k := range sc.keep {
+		if k {
+			sc.arena = append(sc.arena, sc.ids[l])
+			covered |= sc.has[l]
+		}
+	}
+	kept := sc.arena[start:len(sc.arena):len(sc.arena)]
+	slices.Sort(kept)
+	central := sc.ids[0]
+	sumW := qc.weights[central]
+	for _, v := range kept {
+		if v != central {
+			sumW += qc.weights[v]
+		}
+	}
+	rec.central = central
+	rec.depth = int32(depth)
+	rec.pruned = int32(len(sc.ids) - len(kept))
+	rec.covers = covered == qc.all
+	rec.truncated = sc.truncated
+	rec.score = Score(depth, sumW, qc.lambda)
+	rec.ids = kept
+}
+
+// prune fills sc.keep for the extraction in sc: level-cover, or everything
+// when the query ablates it.
+//
+//wikisearch:hotpath
+func (sc *tdScratch) prune(qc *tdQuery) {
+	if !qc.noLevelCover {
+		sc.levelCover(qc.all)
 		return
 	}
-	ex.edgeIndex[k] = len(ex.edges)
-	ex.edges = append(ex.edges, AnswerEdge{From: from, To: to, Rel: rel, Forward: forward, Keywords: bits})
-}
-
-// candidate is a pruned, scored Central Graph awaiting final selection.
-type candidate struct {
-	answer  *Answer
-	nodeSet map[graph.NodeID]struct{}
-	covers  bool
-	rank    int // identification order, for deterministic ties
-}
-
-// assembleEnv carries the per-query context the top-down stage needs to
-// prune and score an extracted Central Graph. Both the matrix-based and the
-// dynamic (lock-based) variants assemble answers through it; contains and
-// row present the query's own column window, so a batched group assembles
-// exactly as its solo search would.
-type assembleEnv struct {
-	q            int
-	contains     func(v graph.NodeID) uint64 // query-local keyword mask
-	weights      []float64
-	lambda       float64
-	row          func(v graph.NodeID, dst []uint8) // hitting levels of v
-	noLevelCover bool
-}
-
-// envGroup builds gr's assembly context over the shared state.
-func (s *state) envGroup(gr *group) *assembleEnv {
-	off := uint(gr.off)
-	local := allMask(gr.q)
-	return &assembleEnv{
-		q:            gr.q,
-		contains:     func(v graph.NodeID) uint64 { return (s.contains[v] >> off) & local },
-		weights:      s.in.Weights,
-		lambda:       s.p.Lambda,
-		row:          func(v graph.NodeID, dst []uint8) { s.m.RowSlice(v, gr.off, dst) },
-		noLevelCover: gr.noLevelCover,
+	sc.keep = fit(sc.keep, len(sc.ids))
+	for l := range sc.keep {
+		sc.keep[l] = true
 	}
 }
 
-// assemble applies the level-cover strategy to an extraction and builds the
-// scored Answer. Only the answer and its node set are freshly allocated;
-// everything transient lives in sc.
-func (env *assembleEnv) assemble(ex *extraction, rank int, sc *tdScratch) *candidate {
-	kept := ex.order
-	if !env.noLevelCover {
-		kept = env.levelCover(ex, sc)
-	}
-	q := env.q
-	var (
-		nodes  = make([]AnswerNode, 0, len(kept))
-		rows   = make([]uint8, len(kept)*q) // one backing array for all rows
-		sumW   float64
-		ids    = make(map[graph.NodeID]struct{}, len(kept))
-		pruned = len(ex.order) - len(kept)
-	)
-	for ki, v := range kept {
+// assemble builds the Answer of a selected record from its Central Graph,
+// extracted again into sc. Nodes come Central Node first, then ascending id;
+// edges by (From, To, Rel, Forward) — so answers are identical regardless
+// of thread count or scheduling.
+func (sc *tdScratch) assemble(qc *tdQuery, rec *tdRecord, src cgSource) *Answer {
+	sc.prune(qc)
+	q := qc.q
+	nodes := make([]AnswerNode, 0, len(rec.ids))
+	rows := make([]uint8, len(rec.ids)*q) // one backing array for all rows
+	add := func(v graph.NodeID) {
+		_, l := sc.find(v)
+		ki := len(nodes)
 		row := rows[ki*q : (ki+1)*q : (ki+1)*q]
-		env.row(v, row)
-		nodes = append(nodes, AnswerNode{
-			ID:        v,
-			Contains:  env.contains(v),
-			OnPaths:   ex.onPaths[v],
-			HitLevels: row,
-		})
-		ids[v] = struct{}{}
+		src.row(qc, v, row)
+		nodes = append(nodes, AnswerNode{ID: v, Contains: sc.has[l], OnPaths: sc.onPaths[l], HitLevels: row})
 	}
-	// Canonical order — central node first, then ascending id; edges by
-	// (From, To, Rel) — so answers are identical regardless of thread count
-	// or scheduling.
-	central := ex.central
-	slices.SortFunc(nodes, func(a, b AnswerNode) int {
-		switch {
-		case a.ID == b.ID:
-			return 0
-		case a.ID == central:
-			return -1
-		case b.ID == central:
-			return 1
-		case a.ID < b.ID:
-			return -1
+	add(rec.central)
+	for _, v := range rec.ids {
+		if v != rec.central {
+			add(v)
 		}
-		return 1
-	})
-	for _, n := range nodes {
-		sumW += env.weights[n.ID] // summed in canonical order: bit-stable
 	}
-	edges := make([]AnswerEdge, 0, len(ex.edges))
-	for _, e := range ex.edges {
-		if _, ok := ids[e.From]; !ok {
+	es := sc.ansEdges[:0]
+	for _, e := range sc.edges {
+		if sc.keep[e.from] && sc.keep[e.to] {
+			es = append(es, AnswerEdge{From: sc.ids[e.from], To: sc.ids[e.to], Rel: e.rel, Forward: e.forward, Keywords: e.kw})
+		}
+	}
+	slices.SortFunc(es, cmpAnswerEdge)
+	n := 0
+	for _, e := range es {
+		if n > 0 && cmpAnswerEdge(es[n-1], e) == 0 {
+			es[n-1].Keywords |= e.Keywords // the same step, found for other keywords
 			continue
 		}
-		if _, ok := ids[e.To]; !ok {
-			continue
-		}
-		edges = append(edges, e)
+		es[n] = e
+		n++
 	}
-	slices.SortFunc(edges, func(a, b AnswerEdge) int {
-		switch {
-		case a.From != b.From:
-			if a.From < b.From {
-				return -1
-			}
-			return 1
-		case a.To != b.To:
-			if a.To < b.To {
-				return -1
-			}
-			return 1
-		case a.Rel != b.Rel:
-			if a.Rel < b.Rel {
-				return -1
-			}
-			return 1
-		case a.Forward == b.Forward:
-			return 0
-		case a.Forward:
-			return -1
-		}
-		return 1
-	})
-	a := &Answer{
-		Central:     ex.central,
-		Depth:       ex.depth,
-		Score:       Score(ex.depth, sumW, env.lambda),
+	sc.ansEdges = es
+	edges := make([]AnswerEdge, n)
+	copy(edges, es)
+	return &Answer{
+		Central:     rec.central,
+		Depth:       int(rec.depth),
+		Score:       rec.score,
 		Nodes:       nodes,
 		Edges:       edges,
-		PrunedNodes: pruned,
+		PrunedNodes: int(rec.pruned),
 	}
-	return &candidate{
-		answer:  a,
-		nodeSet: ids,
-		covers:  a.ContainsAllKeywords(q),
-		rank:    rank,
+}
+
+// cmpAnswerEdge orders edges by (From, To, Rel), forward before backward.
+func cmpAnswerEdge(a, b AnswerEdge) int {
+	switch {
+	case a.From != b.From:
+		return int(a.From) - int(b.From)
+	case a.To != b.To:
+		return int(a.To) - int(b.To)
+	case a.Rel != b.Rel:
+		return int(a.Rel) - int(b.Rel)
+	case a.Forward == b.Forward:
+		return 0
+	case a.Forward:
+		return -1
 	}
+	return 1
+}
+
+// tdRun is the stage-two memory a state retains across searches — one
+// scratch per worker, the record table, the selection order — plus the
+// context of the run in progress, which the prebound scoring body reads so
+// a warm scoring pass dispatches through the pool without allocating a
+// closure. A tdRun must not be copied: a copy aliases every buffer.
+//
+//wikisearch:nocopy
+type tdRun struct {
+	// td is sliced per worker: worker w touches only td[w], so the slots
+	// need no synchronization beyond the pool's fork/join barrier.
+	//
+	//wikisearch:singlewriter
+	td    []tdScratch
+	recs  []tdRecord // recs[i] scores centrals[i]
+	order []int32    // selectTopK: record indices, ranked
+
+	qc       tdQuery
+	src      cgSource
+	centrals []graph.NodeID
+	out      []*Answer // out[j] answers the j-th selected record, order[j]
+
+	scoreFn func(w, i int) // scoreOne, bound once per tdRun
+}
+
+// begin opens a run over centrals for the query already set in r.qc.
+//
+//wikisearch:writer
+func (r *tdRun) begin(pool *parallel.Pool, src cgSource, centrals []graph.NodeID) {
+	if w := pool.Workers(); cap(r.td) < w {
+		r.td = make([]tdScratch, w)
+	} else {
+		r.td = r.td[:w]
+	}
+	r.recs = fit(r.recs, len(centrals))
+	r.src, r.centrals = src, centrals
+	if r.scoreFn == nil {
+		r.scoreFn = r.scoreOne
+	}
+}
+
+// end drops the run's references so a pooled state does not pin the
+// caller's graph, sources or answers between queries, and lets go of an
+// arena only an outsized query needed: a worker's arena holds the kept ids
+// of every Central Graph it scored, so a query with tens of thousands of
+// centrals grows it by megabytes that an ordinary query (hundreds of
+// centrals, tens of ids each) never touches again.
+//
+//wikisearch:writer
+func (r *tdRun) end() {
+	r.qc = tdQuery{}
+	r.src, r.centrals, r.out = nil, nil, nil
+	clear(r.recs) // their id slices would pin every arena block they alias
+	for w := range r.td {
+		if cap(r.td[w].arena) > tdArenaKeep {
+			r.td[w].arena = nil
+		}
+	}
+}
+
+// scoreOne extracts, prunes and scores centrals[i] on worker w's scratch.
+//
+//wikisearch:hotpath
+//wikisearch:writer
+func (r *tdRun) scoreOne(w, i int) {
+	if ctxErr(r.qc.ctx) != nil {
+		return // drained quickly; the zero record covers nothing, so selectTopK skips it
+	}
+	sc := &r.td[w]
+	depth := r.src.extract(sc, &r.qc, r.centrals[i])
+	sc.score(&r.qc, &r.recs[i], depth)
+}
+
+// scoreAll runs the scoring pass: every Central Graph extracted, pruned and
+// scored in parallel with dynamic scheduling ("we let one thread recover
+// one or more Central Graphs", §V-C), each worker on its own scratch. On a
+// warm state it allocates nothing.
+//
+//wikisearch:hotpath
+//wikisearch:writer
+func (r *tdRun) scoreAll(pool *parallel.Pool) {
+	for w := range r.td {
+		r.td[w].arena = r.td[w].arena[:0]
+	}
+	pool.ForWorker(len(r.centrals), r.scoreFn)
+}
+
+// assembleOne re-extracts the j-th selected Central Graph — the walk is
+// deterministic, so it recovers exactly what was scored — and builds its
+// Answer.
+//
+//wikisearch:writer
+func (r *tdRun) assembleOne(w, j int) {
+	if ctxErr(r.qc.ctx) != nil {
+		return
+	}
+	sc := &r.td[w]
+	rec := &r.recs[r.order[j]]
+	r.src.extract(sc, &r.qc, rec.central)
+	r.out[j] = sc.assemble(&r.qc, rec, r.src)
+}
+
+// run is stage two of Algorithm 1 for the query in r.qc: score every
+// Central Graph, select the top-k, assemble the winners. It returns the
+// answers and the number of Central Graphs the MaxGraphNodes cap truncated.
+//
+//wikisearch:writer
+func (r *tdRun) run(pool *parallel.Pool, src cgSource, centrals []graph.NodeID) ([]*Answer, int, error) {
+	r.begin(pool, src, centrals)
+	defer r.end()
+	r.scoreAll(pool)
+	if err := ctxErr(r.qc.ctx); err != nil {
+		return nil, 0, err
+	}
+	capped := 0
+	for i := range r.recs {
+		if r.recs[i].truncated {
+			capped++
+		}
+	}
+	r.order = selectTopK(r.recs, r.order[:0], r.qc.topK)
+	if len(r.order) == 0 {
+		return nil, capped, nil
+	}
+	r.out = make([]*Answer, len(r.order))
+	pool.ForWorker(len(r.order), r.assembleOne)
+	if err := ctxErr(r.qc.ctx); err != nil {
+		return nil, 0, err
+	}
+	return r.out, capped, nil
 }
 
 // topDown runs stage two of Algorithm 1 for a solo search.
@@ -299,92 +619,91 @@ func (s *state) topDown() ([]*Answer, error) {
 	return s.topDownGroup(&s.groups[0])
 }
 
-// topDownGroup runs stage two of Algorithm 1 for one query's column group:
-// extract, prune and rank every Central Graph its bottom-up stage found,
-// then select the final top-k. Extraction and pruning of different Central
-// Graphs run in parallel with dynamic scheduling ("we let one thread
-// recover one or more Central Graphs", §V-C), each worker on its own
-// retained scratch. topDownGroup owns the per-worker td scratch slots:
-// worker w dereferences only td[w], and the pool join publishes the
-// results before anyone else runs.
-//
-//wikisearch:writer
+// topDownGroup runs stage two of Algorithm 1 for one query's column group
+// and counts the group's truncated Central Graphs into the profile.
 func (s *state) topDownGroup(gr *group) ([]*Answer, error) {
-	env := s.envGroup(gr)
-	if w := s.pool.Workers(); cap(s.td) < w {
-		s.td = make([]tdScratch, w)
-	} else {
-		s.td = s.td[:w]
-	}
-	cands := make([]*candidate, len(gr.centrals))
-	s.pool.ForWorker(len(gr.centrals), func(w, i int) {
-		if cancelled(s.p) != nil {
-			return // drained quickly; the nil candidate is dropped below
-		}
-		sc := &s.td[w]
-		ex := s.extract(sc, gr, gr.centrals[i])
-		cands[i] = env.assemble(ex, i, sc)
-	})
-	if err := cancelled(s.p); err != nil {
-		return nil, err
-	}
-	return selectTopK(cands, gr.topK), nil
+	s.tdr.qc = s.queryOf(gr)
+	answers, capped, err := s.tdr.run(s.pool, s, gr.centrals)
+	gr.truncated = capped
+	s.prof.TruncatedGraphs += capped
+	return answers, err
 }
 
-// selectTopK ranks candidates by score and drops (a) candidates that do not
-// cover every keyword (defensive: only possible under extraction caps) and
-// (b) Central Graphs that completely contain a better-ranked, smaller
-// answer ("we remove the Central Graph that completely contains smaller
-// ones", §VI-B), then returns the best k.
-func selectTopK(cands []*candidate, k int) []*Answer {
-	ordered := make([]*candidate, 0, len(cands))
-	for _, c := range cands {
-		if c != nil && c.covers {
-			ordered = append(ordered, c)
+// queryOf is gr's view of the finished bottom-up stage.
+func (s *state) queryOf(gr *group) tdQuery {
+	return tdQuery{
+		q:            gr.q,
+		off:          uint(gr.off),
+		all:          allMask(gr.q),
+		contains:     s.contains,
+		centralAt:    gr.centralAt,
+		weights:      s.in.Weights,
+		lambda:       s.p.Lambda,
+		noLevelCover: gr.noLevelCover,
+		maxNodes:     s.p.MaxGraphNodes,
+		topK:         gr.topK,
+		ctx:          s.p.Ctx,
+	}
+}
+
+// selectTopK ranks the records by (score, depth, identification order) into
+// order and keeps the best k, dropping (a) records that do not cover every
+// keyword (defensive: only possible under extraction caps) and cancelled
+// slots, and (b) Central Graphs that completely contain a better-ranked,
+// smaller answer ("we remove the Central Graph that completely contains
+// smaller ones", §VI-B). It returns the selected record indices, best
+// first, in order's backing array.
+func selectTopK(recs []tdRecord, order []int32, k int) []int32 {
+	for i := range recs {
+		if recs[i].covers {
+			order = append(order, int32(i))
 		}
 	}
-	slices.SortFunc(ordered, func(a, b *candidate) int {
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := &recs[a], &recs[b]
 		switch {
-		case a.answer.Score != b.answer.Score:
-			if a.answer.Score < b.answer.Score {
+		case ra.score != rb.score:
+			if ra.score < rb.score {
 				return -1
 			}
 			return 1
-		case a.answer.Depth != b.answer.Depth:
-			return a.answer.Depth - b.answer.Depth
+		case ra.depth != rb.depth:
+			return int(ra.depth - rb.depth)
 		}
-		return a.rank - b.rank
+		return int(a - b)
 	})
-	var out []*Answer
-	var keptSets []map[graph.NodeID]struct{}
-	for _, c := range ordered {
-		if len(out) >= k {
+	n := 0 // order[:n] is selected; the compaction never overtakes the scan
+	for _, c := range order {
+		if n >= k {
 			break
 		}
 		superset := false
-		for _, ks := range keptSets {
-			if len(ks) >= len(c.nodeSet) {
-				continue
-			}
-			if containsAll(c.nodeSet, ks) {
+		for _, kept := range order[:n] {
+			if sub := recs[kept].ids; len(sub) < len(recs[c].ids) && containsSorted(recs[c].ids, sub) {
 				superset = true
 				break
 			}
 		}
-		if superset {
-			continue
+		if !superset {
+			order[n] = c
+			n++
 		}
-		out = append(out, c.answer)
-		keptSets = append(keptSets, c.nodeSet)
 	}
-	return out
+	return order[:n]
 }
 
-func containsAll(super, sub map[graph.NodeID]struct{}) bool {
-	for v := range sub {
-		if _, ok := super[v]; !ok {
+// containsSorted reports whether every id of sub occurs in super; both are
+// ascending, so one merge pass decides.
+func containsSorted(super, sub []graph.NodeID) bool {
+	i := 0
+	for _, v := range sub {
+		for i < len(super) && super[i] < v {
+			i++
+		}
+		if i == len(super) || super[i] != v {
 			return false
 		}
+		i++
 	}
 	return true
 }

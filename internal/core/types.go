@@ -177,6 +177,10 @@ type Profile struct {
 	// once (one pass covers all columns); KernelReference re-walks the
 	// adjacency per active column and is charged accordingly.
 	EdgesScanned int64
+	// TruncatedGraphs counts Central Graphs whose extraction hit the
+	// MaxGraphNodes cap: their answers, if any survive, are built from a
+	// partial graph. Zero on every search the cap did not touch.
+	TruncatedGraphs int
 }
 
 // Total returns the summed phase time (the "Total time" panel).
@@ -196,6 +200,7 @@ func (pr *Profile) Add(o *Profile) {
 	pr.Levels += o.Levels
 	pr.FrontierTotal += o.FrontierTotal
 	pr.EdgesScanned += o.EdgesScanned
+	pr.TruncatedGraphs += o.TruncatedGraphs
 }
 
 // AnswerEdge is one hitting-path step inside an answer graph. From expanded

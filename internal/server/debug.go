@@ -114,6 +114,7 @@ func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
 		"lambda", qt.Lambda,
 		"duration_ms", ms(int64(qt.Duration)),
 		"answers", qt.Answers,
+		"truncated_graphs", qt.TruncatedGraphs,
 		"err", qt.Err,
 		"batched", qt.Batched,
 		"batch_queries", qt.BatchQueries,

@@ -442,7 +442,9 @@ func (c *Coordinator) Search(in core.Input, p core.Params, tracing bool) (*core.
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	r.prof.Phases[core.PhaseTopDown] = r.merge.Profile().Phases[core.PhaseTopDown]
+	mp := r.merge.Profile()
+	r.prof.Phases[core.PhaseTopDown] = mp.Phases[core.PhaseTopDown]
+	r.prof.TruncatedGraphs = mp.TruncatedGraphs
 	res.Profile = r.prof
 
 	info := &RunInfo{

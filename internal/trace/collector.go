@@ -32,6 +32,8 @@ type QueryTrace struct {
 	Duration time.Duration `json:"duration_ns"`
 	Err      string        `json:"error,omitempty"`
 	Answers  int           `json:"answers"`
+	// TruncatedGraphs counts Central Graphs the extraction cap cut short.
+	TruncatedGraphs int `json:"truncated_graphs,omitempty"`
 
 	// Batched marks a query served by a shared multi-query execution;
 	// Solo marks one that went through the batcher but degenerated to the

@@ -171,6 +171,10 @@ type Result struct {
 	Depth int
 	// Candidates counts Central Nodes found by the bottom-up stage.
 	Candidates int
+	// TruncatedGraphs counts Central Graphs whose extraction hit the
+	// engine's per-graph node cap, so answers built from them may be
+	// partial. Zero unless the cap was reached.
+	TruncatedGraphs int
 	// Phases maps phase name → duration; Total sums them.
 	Phases map[string]time.Duration
 	Total  time.Duration
@@ -353,6 +357,7 @@ func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) 
 		Terms:           terms,
 		Depth:           res.DepthD,
 		Candidates:      res.CentralCandidates,
+		TruncatedGraphs: res.Profile.TruncatedGraphs,
 		Phases:          map[string]time.Duration{},
 		Total:           res.Profile.Total(),
 		TransferSeconds: transfer,

@@ -112,6 +112,7 @@ func (e *Engine) collectTrace(ctx context.Context, q Query, terms []string, res 
 		qt.Err = err.Error()
 	} else if res != nil {
 		qt.Answers = len(res.Answers)
+		qt.TruncatedGraphs = res.TruncatedGraphs
 	}
 	e.tracer.Add(qt)
 }
