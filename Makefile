@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint lint-cold race bench allocguard fuzzsmoke fmt fmtcheck
+.PHONY: check build test vet lint lint-cold race bench allocguard fuzzsmoke fmt fmtcheck loc
 
 check: fmtcheck vet lint race allocguard fuzzsmoke
 
@@ -21,7 +21,7 @@ vet:
 # wikilint runs the engine-specific analyzers (atomicfield, hotpathalloc,
 # nocopy, ctxhandler, mmapview, singlewriter, lifecycle, durability and the
 # directives validator) over the whole module; see internal/analysis and
-# DESIGN.md §8/§13. Warm runs replay from the content-hash result cache;
+# DESIGN.md §8/§12. Warm runs replay from the content-hash result cache;
 # lint-cold forces a fresh analysis.
 lint:
 	$(GO) run ./cmd/wikilint ./...
@@ -36,23 +36,22 @@ race:
 # detector's instrumentation would break, so they skip under -race and run
 # here without it.
 allocguard:
-	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/parallel ./internal/trace ./internal/shard
+	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/parallel ./internal/trace
 
 # A short coverage-guided fuzz pass over every dump decoder generation
 # (v1/v2 streams, v3 mmap images): corrupt dumps must never panic or
-# over-allocate. A second pass round-trips random partitions through the
-# per-shard segment format: reload must reconstruct the exact original CSR.
-# (go test accepts one -fuzz pattern per invocation, hence two lines.)
-# The full corpus lives under testdata/fuzz via go test.
+# over-allocate. The full corpus lives under testdata/fuzz via go test.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadDump -fuzztime=20s ./internal/storage
-	$(GO) test -run=^$$ -fuzz=FuzzPartitionRoundTrip -fuzztime=20s ./internal/storage
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 	$(GO) run ./cmd/benchrunner -exp core -core-out BENCH_core.json
 	$(GO) run ./cmd/benchrunner -exp startup -startup-out BENCH_startup.json
-	$(GO) run ./cmd/benchrunner -exp shard -shard-out BENCH_shard.json
+
+# Non-test Go line count, the number least-code PRs report before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 fmt:
 	gofmt -l -w .

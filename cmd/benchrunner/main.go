@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -24,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp           = flag.String("exp", "all", "comma-separated experiments: table2,fig3,exp1,exp2,exp3,exp4,table4,table5,fig11,fig12,ablation,blinks,scaling,core,batch,obs,startup,shard,mutate or 'all' (blinks, scaling, core, batch, obs, startup, shard and mutate are opt-in)")
+		exp           = flag.String("exp", "all", "comma-separated experiments: table2,fig3,exp1,exp2,exp3,exp4,table4,table5,fig11,fig12,ablation,blinks,scaling,core,batch,obs,startup,mutate or 'all' (blinks, scaling, core, batch, obs, startup and mutate are opt-in)")
 		dataset       = flag.String("dataset", "wiki2017-sim", "dataset for single-dataset experiments (exp1..exp4)")
 		queries       = flag.Int("queries", 10, "queries averaged per setting (paper: 50)")
 		threads       = flag.Int("threads", 8, "Tnum for efficiency experiments (paper default: 30)")
@@ -36,9 +35,6 @@ func main() {
 		clients       = flag.Int("clients", 32, "concurrent clients for -exp batch, -exp obs and -exp mutate")
 		startupOut    = flag.String("startup-out", "BENCH_startup.json", "output path for the cold-start benchmark (-exp startup)")
 		startupPreset = flag.String("startup-preset", "wiki2018-sim", "dataset preset for -exp startup")
-		shardOut      = flag.String("shard-out", "BENCH_shard.json", "output path for the sharded-search benchmark (-exp shard)")
-		shardPreset   = flag.String("shard-preset", "", "dataset preset for -exp shard (default wiki2017-sim)")
-		shardCounts   = flag.String("shard-counts", "", "comma-separated shard counts for -exp shard (default 2,4,8)")
 		mutateOut     = flag.String("mutate-out", "BENCH_mutate.json", "output path for the live-mutation benchmark (-exp mutate)")
 	)
 	flag.Parse()
@@ -261,28 +257,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *startupOut)
-	}
-	if want["shard"] { // opt-in sharded-search benchmark (not part of 'all')
-		fmt.Fprintln(os.Stderr, "running sharded-search benchmark...")
-		scfg := bench.ShardBenchConfig{Preset: *shardPreset, Seed: *seed}
-		if *shardCounts != "" {
-			for _, s := range strings.Split(*shardCounts, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || n < 1 {
-					fatal(fmt.Errorf("bad -shard-counts entry %q", s))
-				}
-				scfg.Shards = append(scfg.Shards, n)
-			}
-		}
-		rep, err := bench.ShardBench(scfg)
-		if err != nil {
-			fatal(err)
-		}
-		show(bench.ShardBenchTable(rep))
-		if err := bench.WriteShardBench(*shardOut, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *shardOut)
 	}
 	if want["mutate"] { // opt-in live-mutation benchmark (not part of 'all')
 		fmt.Fprintln(os.Stderr, "running live-mutation benchmark...")

@@ -4,6 +4,7 @@ package wikisearch_test
 // drive the wikigen → wikisearch / wikiserve pipeline on a tiny dataset.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,14 +12,18 @@ import (
 	"testing"
 )
 
-// buildTools compiles the cmds once into a shared temp dir.
-func buildTools(t *testing.T) string {
+// buildTools compiles the named cmds (default: the pipeline's three) once
+// into a shared temp dir.
+func buildTools(t *testing.T, tools ...string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping cmd e2e in -short mode")
 	}
+	if len(tools) == 0 {
+		tools = []string{"wikigen", "wikisearch", "benchrunner"}
+	}
 	dir := t.TempDir()
-	for _, tool := range []string{"wikigen", "wikisearch", "benchrunner"} {
+	for _, tool := range tools {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -136,5 +141,19 @@ func TestCmdBenchrunnerFig3(t *testing.T) {
 	s := string(out)
 	if !strings.Contains(s, "== fig3") || !strings.Contains(s, "alpha-0.05") {
 		t.Fatalf("fig3 output: %s", s)
+	}
+}
+
+// TestCmdWikiserveCompactAfterNeedsMutate: -compact-after without -mutate
+// is a usage error (exit 2) before anything is loaded, not silently ignored.
+func TestCmdWikiserveCompactAfterNeedsMutate(t *testing.T) {
+	bin := filepath.Join(buildTools(t, "wikiserve"), "wikiserve")
+	out, err := exec.Command(bin, "-kb", "none.wskb", "-compact-after", "8").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("err = %v, want exit 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-compact-after requires -mutate") {
+		t.Fatalf("output: %s", out)
 	}
 }

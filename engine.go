@@ -10,7 +10,6 @@ import (
 	"wikisearch/internal/core"
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
-	"wikisearch/internal/shard"
 	"wikisearch/internal/storage"
 	"wikisearch/internal/text"
 	"wikisearch/internal/trace"
@@ -80,15 +79,13 @@ type Engine struct {
 	// pubMu serializes epoch publication (mutator publishes, compaction).
 	pubMu sync.Mutex
 
-	// mut (guarded by mu) is the active Mutator; at most one may exist,
-	// and mutation is mutually exclusive with sharding.
+	// mut (guarded by mu) is the active Mutator; at most one may exist.
 	mut *Mutator
 	// publishObs, when set, is invoked after every epoch publication; the
 	// serving layer uses it to purge its result cache and update gauges.
 	publishObs atomic.Pointer[PublishObserver]
 
-	// mu guards the cross-cutting cold-path engine state: oldEpochs, mut,
-	// shardDumps and shardCache.
+	// mu guards the cross-cutting cold-path engine state: oldEpochs and mut.
 	mu sync.Mutex
 
 	// levelComputes counts level-vector computations (observability and
@@ -110,20 +107,6 @@ type Engine struct {
 	// batcher, when set (EnableBatching), coalesces concurrent compatible
 	// searches into shared bottom-up expansions.
 	batcher atomic.Pointer[batcher]
-
-	// sharding, when set (EnableSharding), routes CPU-Par/Sequential
-	// searches through the in-process sharded runtime: edge-cut CSR
-	// partitions, per-level frontier exchange, monotone global top-k merge.
-	// shardDumps (guarded by mu) retains the per-shard segment dumps when
-	// the topology came off disk (EnableShardingFrom); their mappings back
-	// the shard subgraphs and are closed on the next setSharding.
-	// shardCache (guarded by mu) keeps in-memory coordinators per shard
-	// count so toggling sharding on/off or between counts reuses the
-	// already-built partition and warm Run pools instead of repartitioning;
-	// Close releases every cached coordinator.
-	sharding   atomic.Pointer[shard.Coordinator]
-	shardDumps []*storage.Dump
-	shardCache map[int]*shard.Coordinator
 
 	// tracer retains per-query trace trees assembled from the kernel's
 	// span rings; traceOff is inverted so the zero value means tracing is
@@ -172,7 +155,7 @@ type levelEntry struct {
 	lv   []uint8
 }
 
-// SearchObserver receives the outcome of every SearchContext call: the
+// SearchObserver receives the outcome of every Search call: the
 // query, the result (nil on error) and the error (nil on success). It must
 // be safe for concurrent use.
 type SearchObserver func(q Query, res *Result, err error)
@@ -312,17 +295,13 @@ func (e *Engine) LoadInfo() LoadInfo {
 // and index views are invalid. Close on an in-memory or v2-loaded engine
 // is a no-op; it is idempotent.
 func (e *Engine) Close() error {
-	// Stop the mutator's compactor first (no-op when none is active), then
-	// release the sharded runtime's worker pools and segment mappings, and
-	// every cached coordinator.
+	// Stop the mutator's compactor first (no-op when none is active).
 	e.mu.Lock()
 	m := e.mut
 	e.mu.Unlock()
 	if m != nil {
 		m.Close()
 	}
-	e.setSharding(nil, nil)
-	e.closeShardCache()
 	if e.dump == nil {
 		return nil
 	}

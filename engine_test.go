@@ -153,6 +153,12 @@ func TestSearchFig1Scenario(t *testing.T) {
 	if res.Total <= 0 || len(res.Phases) != 5 {
 		t.Fatalf("profile missing: total=%v phases=%v", res.Total, res.Phases)
 	}
+	// Exactly the paper's five phases (Fig. 6/7 panels), nothing else.
+	for _, name := range []string{"Initialization", "Enqueuing Frontiers", "Identifying Central Nodes", "Expansion", "Top-down Processing"} {
+		if _, ok := res.Phases[name]; !ok {
+			t.Fatalf("phase %q missing: %v", name, res.Phases)
+		}
+	}
 	if a.Nodes[0].IsCentral != true {
 		t.Fatal("first node must be the central node")
 	}

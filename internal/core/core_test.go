@@ -408,8 +408,11 @@ func TestProfilePhasesPopulated(t *testing.T) {
 	if res.Profile.Total() <= 0 {
 		t.Fatal("total time not positive")
 	}
-	// Phase names for the harness.
+	// Phase names for the harness: the paper's five and no others.
 	want := []string{"Initialization", "Enqueuing Frontiers", "Identifying Central Nodes", "Expansion", "Top-down Processing"}
+	if len(res.Profile.Phases) != len(want) {
+		t.Fatalf("profile has %d phases, want %d", len(res.Profile.Phases), len(want))
+	}
 	for i, w := range want {
 		if Phase(i).String() != w {
 			t.Errorf("Phase(%d) = %q, want %q", i, Phase(i), w)

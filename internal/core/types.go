@@ -138,11 +138,6 @@ const (
 	PhaseIdentify
 	PhaseExpand
 	PhaseTopDown
-	// PhaseExchange and PhaseMerge exist only on sharded searches: the
-	// per-level cross-shard boundary application and the global central
-	// merge plus matrix absorption (solo profiles leave them zero).
-	PhaseExchange
-	PhaseMerge
 	numPhases
 )
 
@@ -159,10 +154,6 @@ func (p Phase) String() string {
 		return "Expansion"
 	case PhaseTopDown:
 		return "Top-down Processing"
-	case PhaseExchange:
-		return "Frontier Exchange"
-	case PhaseMerge:
-		return "Global Merge"
 	}
 	return "Unknown"
 }

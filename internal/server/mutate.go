@@ -96,9 +96,9 @@ type v1Envelope struct {
 
 // EnableMutation opens the engine's single-writer mutator and arms the
 // POST /v1/mutate endpoint. Call it once, before serving; it fails if the
-// engine cannot mutate (e.g. sharding is enabled). Every publication —
-// from this server or the background compactor — purges the query-result
-// cache and feeds the publish metrics.
+// engine already has an open mutator. Every publication — from this server
+// or the background compactor — purges the query-result cache and feeds the
+// publish metrics.
 func (s *Server) EnableMutation(o wikisearch.MutatorOptions) error {
 	m, err := s.eng.NewMutator(o)
 	if err != nil {

@@ -300,10 +300,6 @@ type StatsResponse struct {
 	// Mutation describes the live-mutation subsystem (absent on read-only
 	// servers).
 	Mutation *MutationPayload `json:"mutation,omitempty"`
-	// Sharding describes the sharded runtime's topology and cumulative
-	// serving totals, including the per-shard phase breakdown (absent when
-	// the engine serves solo).
-	Sharding *wikisearch.ShardStats `json:"sharding,omitempty"`
 }
 
 // MutationPayload is the mutation block of the stats payload: delta size
@@ -568,9 +564,6 @@ func (s *Server) statsResponse() StatsResponse {
 		LoadMode:    info.Mode,
 		MappedBytes: info.MappedBytes,
 		Epoch:       s.eng.Epoch(),
-	}
-	if st, ok := s.eng.ShardStats(); ok {
-		resp.Sharding = &st
 	}
 	if s.mut != nil {
 		ms := s.mut.Stats()

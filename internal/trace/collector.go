@@ -47,12 +47,6 @@ type QueryTrace struct {
 	GroupOff     int           `json:"group_off"`  // first matrix column owned
 	GroupCols    int           `json:"group_cols"` // keyword columns owned
 
-	// Sharded-runtime attribution (zero on solo searches): topology size,
-	// boundary activations exchanged, and per-shard busy-time imbalance.
-	Shards         int     `json:"shards,omitempty"`
-	ShardMessages  int64   `json:"shard_messages,omitempty"`
-	ShardImbalance float64 `json:"shard_imbalance,omitempty"`
-
 	Dropped int     `json:"dropped_events,omitempty"` // lost to ring overflow
 	Events  []Event `json:"-"`                        // sorted by (Start asc, End desc)
 }

@@ -55,21 +55,12 @@ const (
 	// the chunk-scheduling stall signal: a long join under a short own span
 	// means the dynamic chunks were skewed across helpers.
 	KindPoolJoin
-	// KindExchange is one level's cross-shard boundary application on a
-	// sharded search: remote activation messages applied to owner shards
-	// before the level's enqueue.
-	KindExchange
-	// KindMerge is the sharded coordinator's global merge work: per level
-	// the k-way Central Node merge, and once at the end the owned-row
-	// matrix absorption.
-	KindMerge
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"batch-wait", "batch-run", "bottom-up", "init", "level",
 	"enqueue", "identify", "expand", "top-down", "pool-work", "pool-join",
-	"exchange", "merge",
 }
 
 // String names the kind for trace trees and Chrome trace events.
@@ -91,8 +82,6 @@ func (k Kind) String() string {
 //	KindIdentify:                  A=frontier size,  B=centrals found
 //	KindTopDown:                   A=answers,        B=central candidates
 //	KindPoolWork / KindPoolJoin:   A=phase items,    B=helpers woken
-//	KindExchange:                  A=messages applied
-//	KindMerge:                     A=centrals merged or rows absorbed, B=total centrals
 type Event struct {
 	Start int64 // trace-clock ns
 	End   int64 // trace-clock ns

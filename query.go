@@ -185,9 +185,6 @@ type Result struct {
 	GST *GSTResult
 	// Banks holds the BANKS variant's trees (nil otherwise).
 	Banks *BanksResult
-	// Shard describes the sharded execution when the search ran on the
-	// sharded runtime (EnableSharding); nil on the solo path.
-	Shard *ShardInfo
 }
 
 // Search answers a keyword query; it is the engine's single entry point for
@@ -228,9 +225,6 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (*Result, error) {
 	in, terms, err := sn.prepare(q.Text)
 	if err != nil {
 		return nil, err
-	}
-	if co := e.sharding.Load(); co != nil && shardEligible(q.Variant) {
-		return e.runSharded(ctx, co, ep, q, in, terms, start)
 	}
 	if b := e.batcher.Load(); b != nil && b.eligible(q, len(terms)) {
 		return b.do(ctx, ep, q, in, terms, start)
@@ -363,11 +357,7 @@ func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) 
 		TransferSeconds: transfer,
 	}
 	for ph := core.Phase(0); int(ph) < len(res.Profile.Phases); ph++ {
-		// The sharded-only phases (exchange, merge) appear only when a
-		// sharded run spent time in them, so solo responses are unchanged.
-		if d := res.Profile.Phases[ph]; d > 0 || ph <= core.PhaseTopDown {
-			out.Phases[ph.String()] = d
-		}
+		out.Phases[ph.String()] = res.Profile.Phases[ph]
 	}
 	for _, a := range res.Answers {
 		pa := Answer{

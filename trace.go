@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"wikisearch/internal/shard"
 	"wikisearch/internal/trace"
 )
 
@@ -68,7 +67,6 @@ type traceMeta struct {
 	groupCols    int
 	events       []trace.Event
 	dropped      int
-	shard        *shard.RunInfo
 }
 
 // collectTrace assembles and retains one completed query's trace. Cold
@@ -102,11 +100,6 @@ func (e *Engine) collectTrace(ctx context.Context, q Query, terms []string, res 
 	if m.batched {
 		qt.BatchQueries = m.batchQueries
 		qt.BatchColumns = m.batchColumns
-	}
-	if m.shard != nil {
-		qt.Shards = m.shard.Shards
-		qt.ShardMessages = m.shard.Messages
-		qt.ShardImbalance = m.shard.Imbalance
 	}
 	if err != nil {
 		qt.Err = err.Error()
