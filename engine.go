@@ -92,13 +92,19 @@ type Engine struct {
 	// the singleflight regression test).
 	levelComputes atomic.Int64
 
-	// states recycles per-query search state (matrix, bitsets, frontier
-	// buffers, worker pool) across CPU-Par/Sequential searches, so
-	// steady-state serving does not re-allocate the O(n·q) kernel arrays
-	// per query. stateNews/stateReuses expose the pool's effectiveness.
-	states      sync.Pool
-	stateNews   atomic.Int64
-	stateReuses atomic.Int64
+	// states (guarded by statesMu) is a LIFO free list of idle per-query
+	// search states (matrix, bitsets, frontier buffers, worker pool) shared
+	// by CPU-Par/Sequential searches and batches, so steady-state serving
+	// does not re-allocate the O(n·q) kernel arrays per query. It keeps at
+	// most GOMAXPROCS states — retained memory follows the cores, not the
+	// peak concurrency a burst once reached — and a state released beyond
+	// that, or after Close, is closed at once. stateNews/stateReuses expose
+	// the list's effectiveness.
+	statesMu     sync.Mutex
+	states       []*core.SearchState
+	statesClosed bool
+	stateNews    atomic.Int64
+	stateReuses  atomic.Int64
 
 	// observer, when set, is invoked after every Search call with the
 	// outcome; the serving layer uses it to feed latency metrics.
@@ -205,6 +211,7 @@ func LoadEngine(path string, o EngineOptions) (*Engine, error) {
 		name:   d.Name,
 		tracer: trace.NewCollector(),
 		dump:   d,
+		states: newStateList(),
 	}
 	ix := d.Index
 	if ix == nil {
@@ -229,6 +236,7 @@ func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions) (*Engine
 	e := &Engine{
 		name:   name,
 		tracer: trace.NewCollector(),
+		states: newStateList(),
 	}
 	var avgDist, stddev float64
 	if o.AvgDistance > 0 {
@@ -290,10 +298,12 @@ func (e *Engine) LoadInfo() LoadInfo {
 	return LoadInfo{Format: s.Format, Mode: s.Mode, MappedBytes: s.MappedBytes, FileBytes: s.Bytes}
 }
 
-// Close releases the memory mapping backing a v3-loaded engine. The caller
-// must guarantee no search is in flight — after Close, the graph, weights
-// and index views are invalid. Close on an in-memory or v2-loaded engine
-// is a no-op; it is idempotent.
+// Close stops the mutator's compactor, closes the idle search states (and
+// with them their worker goroutines) and releases the memory mapping backing
+// a v3-loaded engine. The caller must guarantee no search is in flight —
+// after Close, the graph, weights and index views of a v3-loaded engine are
+// invalid; an in-memory or v2-loaded engine keeps serving, without state
+// reuse. Close is idempotent.
 func (e *Engine) Close() error {
 	// Stop the mutator's compactor first (no-op when none is active).
 	e.mu.Lock()
@@ -301,6 +311,13 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	if m != nil {
 		m.Close()
+	}
+	e.statesMu.Lock()
+	idle := e.states
+	e.states, e.statesClosed = nil, true
+	e.statesMu.Unlock()
+	for _, st := range idle {
+		st.Close()
 	}
 	if e.dump == nil {
 		return nil
@@ -353,24 +370,48 @@ func (e *Engine) activationLevels(alpha float64, threads int) []uint8 {
 	return e.snap().activationLevels(alpha, threads, &e.levelComputes)
 }
 
-// acquireState takes a reusable search state from the engine's pool, or
-// creates one on first use / after GC eviction.
+// newStateList returns an empty free list with room for GOMAXPROCS states,
+// so releasing a state never allocates.
+func newStateList() []*core.SearchState {
+	return make([]*core.SearchState, 0, runtime.GOMAXPROCS(0))
+}
+
+// acquireState takes the most recently released idle search state — the
+// one whose buffers are likeliest still in cache — or creates one when none
+// is idle.
 func (e *Engine) acquireState() *core.SearchState {
-	if st, ok := e.states.Get().(*core.SearchState); ok {
+	e.statesMu.Lock()
+	if n := len(e.states); n > 0 {
+		st := e.states[n-1]
+		e.states[n-1] = nil
+		e.states = e.states[:n-1]
+		e.statesMu.Unlock()
 		e.stateReuses.Add(1)
 		return st
 	}
+	e.statesMu.Unlock()
 	e.stateNews.Add(1)
 	return core.NewSearchState()
 }
 
-// releaseState returns a search state to the pool for the next query.
-// States evicted by the GC release their worker goroutines via finalizer.
-func (e *Engine) releaseState(st *core.SearchState) { e.states.Put(st) }
+// releaseState returns a search state to the free list for the next query,
+// or closes it when GOMAXPROCS states are already idle or the engine is
+// closed.
+func (e *Engine) releaseState(st *core.SearchState) {
+	e.statesMu.Lock()
+	keep := !e.statesClosed && len(e.states) < runtime.GOMAXPROCS(0)
+	if keep {
+		e.states = append(e.states, st)
+	}
+	e.statesMu.Unlock()
+	if !keep {
+		st.Close()
+	}
+}
 
-// SearchStateStats reports how many pooled search states have been created
-// versus reused — at steady state reuses dominate, meaning searches run on
-// warm, allocation-free kernel buffers.
+// SearchStateStats reports how many search states have been created versus
+// reused — at steady state reuses dominate, meaning searches run on warm,
+// allocation-free kernel buffers.
 func (e *Engine) SearchStateStats() (created, reused int64) {
 	return e.stateNews.Load(), e.stateReuses.Load()
 }

@@ -3,10 +3,13 @@ package wikisearch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wikisearch/internal/core"
 )
@@ -219,6 +222,134 @@ func TestEngineStatePoolReuse(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("sequential searches never reused a pooled state")
+	}
+}
+
+// idleStates is the number of search states the engine's free list holds.
+func (e *Engine) idleStates() int {
+	e.statesMu.Lock()
+	defer e.statesMu.Unlock()
+	return len(e.states)
+}
+
+// waitGoroutines polls until at most limit goroutines run: a closed worker
+// pool's helpers exit asynchronously, so the count settles shortly after.
+func waitGoroutines(t *testing.T, limit int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > limit {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want ≤ %d", what, runtime.NumGoroutine(), limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once the helpers of pools
+// closed earlier have finished exiting.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return m
+		}
+		n = m
+	}
+}
+
+// TestEngineStateRetentionBounded: rounds of 4×GOMAXPROCS concurrent
+// searches (batching off) leave at most GOMAXPROCS idle states behind,
+// every search is counted as exactly one create or reuse, the worker
+// goroutines of the states the free list turned away stop at once — the
+// count does not grow across rounds — and Close stops the rest, all without
+// a GC run to trigger finalizers. Each client first searches on a state it
+// holds until every client holds one, so a round really needs 4×GOMAXPROCS
+// states at once, then searches once more through Engine.Search.
+func TestEngineStateRetentionBounded(t *testing.T) {
+	eng := newTestEngine(t)
+	procs := runtime.GOMAXPROCS(0)
+	clients := 4 * procs
+	const rounds, threads = 10, 2
+	q := Query{Text: "xml rdf sql", TopK: 5, Threads: threads}
+	in, _, err := eng.snap().prepare(q.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{TopK: q.TopK, AvgDist: eng.AvgDistance(), Threads: threads}.Defaults()
+	in.Levels = eng.activationLevels(p.Alpha, p.Threads)
+	base := settledGoroutines()
+	// Each idle state parks threads−1 pool helpers.
+	bound := base + procs*(threads-1)
+	for r := 0; r < rounds; r++ {
+		var held, wg sync.WaitGroup
+		held.Add(clients)
+		start := make(chan struct{})
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st := eng.acquireState()
+				held.Done()
+				<-start
+				_, err := st.Search(in, p)
+				eng.releaseState(st)
+				if err == nil {
+					_, err = eng.Search(context.Background(), q)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		held.Wait()
+		close(start)
+		wg.Wait()
+		if idle := eng.idleStates(); idle > procs {
+			t.Fatalf("round %d: %d idle states retained, want ≤ GOMAXPROCS = %d", r, idle, procs)
+		}
+		waitGoroutines(t, bound, fmt.Sprintf("round %d", r))
+	}
+	created, reused := eng.SearchStateStats()
+	if searches := int64(2 * rounds * clients); created+reused != searches {
+		t.Fatalf("state stats: created %d + reused %d != %d searches", created, reused, searches)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if idle := eng.idleStates(); idle != 0 {
+		t.Fatalf("%d idle states survive Close", idle)
+	}
+	waitGoroutines(t, base, "after Close")
+}
+
+// TestEngineCloseStopsStateReuse: an in-memory engine keeps answering after
+// Close, identically, but no longer retains the states its searches use.
+func TestEngineCloseStopsStateReuse(t *testing.T) {
+	eng := newTestEngine(t)
+	q := Query{Text: "xml rdf sql", TopK: 5}
+	want, err := eng.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Search(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Answers) != len(want.Answers) {
+		t.Fatalf("%d answers after Close, %d before", len(got.Answers), len(want.Answers))
+	}
+	for i := range got.Answers {
+		if got.Answers[i].Central != want.Answers[i].Central || got.Answers[i].Score != want.Answers[i].Score {
+			t.Fatalf("answer %d differs after Close", i)
+		}
+	}
+	if idle := eng.idleStates(); idle != 0 {
+		t.Fatalf("closed engine retained %d states", idle)
 	}
 }
 

@@ -49,11 +49,17 @@ type group struct {
 	done  bool
 	depth int // d of the query's top-(k,d) problem, set when the group finishes
 
-	centralAt []int32        // BFS level at which v was identified central for this query, -1 otherwise
+	// centralAt[v] is the BFS level at which v was identified central for
+	// this query, notCentral otherwise; levels never exceed MaxLevel ≤ 250,
+	// so one byte per node holds them.
+	centralAt []uint8
 	centrals  []graph.NodeID // identification order
 	front     int            // frontier entries owned by this group at the current level (multi only)
 	truncated int            // Central Graphs of this query the MaxGraphNodes cap truncated (set by stage two)
 }
+
+// notCentral marks a node not (yet) identified central in group.centralAt.
+const notCentral = 0xFF
 
 // state carries the shared structures of one two-stage search: the
 // lock-free arrays of §V-B (node-keyword matrix M, FIdentifier) plus
@@ -71,11 +77,6 @@ type state struct {
 
 	m   *Matrix
 	fid *parallel.Bitset // FIdentifier: frontier flags for the next level
-
-	// contains[v] is the mask of query keywords node v contains (v ∈ T_i).
-	// Nonzero within a group's submask means "keyword node" for that query
-	// in the sense of §IV-B.
-	contains []uint64
 
 	// groups partitions the matrix columns per query; solo searches use a
 	// single group spanning all columns. Backed by groupsBuf so a pooled
@@ -140,12 +141,6 @@ func (s *state) prepareShared(in Input, p Params, pool *parallel.Pool) {
 	} else {
 		s.fid.Resize(n)
 	}
-	if cap(s.contains) < n {
-		s.contains = make([]uint64, n)
-	} else {
-		s.contains = s.contains[:n]
-		clear(s.contains)
-	}
 	s.frontier = s.frontier[:0]
 	s.touchedWords = s.touchedWords[:0]
 	w := pool.Workers()
@@ -184,13 +179,11 @@ func (s *state) resetGroupRuntime(n int) {
 		gr.depth = 0
 		gr.front = 0
 		if cap(gr.centralAt) < n {
-			gr.centralAt = make([]int32, n)
+			gr.centralAt = make([]uint8, n)
 		} else {
 			gr.centralAt = gr.centralAt[:n]
 		}
-		for i := range gr.centralAt {
-			gr.centralAt[i] = -1
-		}
+		fillBytes(gr.centralAt, notCentral)
 		gr.centrals = gr.centrals[:0]
 		s.live |= 1 << uint(gi)
 		s.liveCols |= gr.mask
@@ -202,6 +195,18 @@ func (s *state) resetGroupRuntime(n int) {
 			s.gfid.Resize(n, 0)
 		}
 		s.fgroups = s.fgroups[:0]
+	}
+}
+
+// fillBytes sets every byte of b to v by doubling copies, so the fill runs
+// at memmove speed rather than a byte store per node.
+func fillBytes(b []uint8, v uint8) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = v
+	for i := 1; i < len(b); i *= 2 {
+		copy(b[i:], b[:i])
 	}
 }
 
@@ -222,24 +227,17 @@ func (s *state) prepareCommon(in Input, p Params, pool *parallel.Pool) {
 // prepare runs the Initialization phase of Algorithm 1 on a (re)used state:
 // reset M and FIdentifier, set m_ij = 0 for keyword nodes and flag them as
 // level-0 frontiers — one fork/join task per keyword, each writing disjoint
-// columns (contains[] is merged sequentially to stay race-free at
-// negligible cost).
+// columns. The zero cells are the query's containment record from then on
+// (see Matrix.KeywordMask).
 func (s *state) prepare(in Input, p Params, pool *parallel.Pool) {
 	s.prepareCommon(in, p, pool)
 	s.initSources()
 }
 
-// initSources runs the parallel per-keyword init tasks and the sequential
-// contains merge over whatever groups are laid out.
+// initSources runs the parallel per-keyword init tasks over whatever groups
+// are laid out.
 func (s *state) initSources() {
-	q := len(s.in.Sources)
-	s.pool.ForWorker(q, s.initFn)
-	for i := 0; i < q; i++ {
-		bit := uint64(1) << uint(i)
-		for _, v := range s.in.Sources[i] {
-			s.contains[v] |= bit
-		}
-	}
+	s.pool.ForWorker(len(s.in.Sources), s.initFn)
 }
 
 // newState allocates a fresh single-use state (tests and the one-shot Search
@@ -367,11 +365,11 @@ func (s *state) enqueueFrontiers() {
 func (s *state) identifyOne(i int) {
 	v := graph.NodeID(s.frontier[i])
 	gr := &s.groups[0]
-	if gr.centralAt[v] >= 0 {
+	if gr.centralAt[v] != notCentral {
 		return
 	}
 	if s.m.AllHit(v) {
-		gr.centralAt[v] = int32(s.level) // each frontier entry is unique: no race
+		gr.centralAt[v] = uint8(s.level) // each frontier entry is unique: no race
 	}
 }
 
@@ -392,11 +390,11 @@ func (s *state) identifyBatchOne(i int) {
 	miss := s.m.MissMask(v)
 	for ; owners != 0; owners &= owners - 1 {
 		gr := &s.groups[bits.TrailingZeros8(owners)]
-		if gr.centralAt[v] >= 0 {
+		if gr.centralAt[v] != notCentral {
 			continue
 		}
 		if miss&gr.mask == 0 {
-			gr.centralAt[v] = int32(s.level) // each frontier entry is unique: no race
+			gr.centralAt[v] = uint8(s.level) // each frontier entry is unique: no race
 		}
 	}
 }
@@ -407,7 +405,7 @@ func (s *state) identifyBatchOne(i int) {
 // Graph. Collection runs sequentially in frontier order so results are
 // deterministic regardless of the number of threads.
 func (s *state) identifyCentrals() {
-	lvl := int32(s.level)
+	lvl := uint8(s.level)
 	if s.multi {
 		s.pool.For(len(s.frontier), s.identifyBatchFn)
 		for fi, f := range s.frontier {
@@ -469,7 +467,7 @@ func (s *state) expandChunk(w, start, end int) {
 	}
 	for fi := start; fi < end; fi++ {
 		vf := graph.NodeID(s.frontier[fi])
-		if centralAt[vf] >= 0 {
+		if centralAt[vf] != notCentral {
 			continue // central nodes are unavailable for expansion
 		}
 		if int(s.in.Levels[vf]) > l {
@@ -509,16 +507,19 @@ func (s *state) expandChunk(w, start, end int) {
 			// q ≤ 8: a row is one aligned word, so the miss filter — the
 			// dominant work in saturated regions, where nearly every
 			// neighbor is already hit in every active column — runs inline
-			// with a single atomic load and no per-edge calls.
+			// with a single atomic load and no per-edge calls, and the same
+			// word's zero cells say whether the neighbor is a keyword node.
 			for _, vn := range g.OutNeighbors(vf) {
-				todo := active & parallel.MatchFlags(atomic.LoadUint64(&words[vn]), Infinity)
-				if todo != 0 && s.visitTodo(sc, vn, todo, l) {
+				wd := atomic.LoadUint64(&words[vn])
+				todo := active & parallel.MatchFlags(wd, Infinity)
+				if todo != 0 && s.visitTodo(sc, vn, todo, parallel.MatchFlags(wd, 0), l) {
 					retry = true
 				}
 			}
 			for _, vn := range g.InNeighbors(vf) {
-				todo := active & parallel.MatchFlags(atomic.LoadUint64(&words[vn]), Infinity)
-				if todo != 0 && s.visitTodo(sc, vn, todo, l) {
+				wd := atomic.LoadUint64(&words[vn])
+				todo := active & parallel.MatchFlags(wd, Infinity)
+				if todo != 0 && s.visitTodo(sc, vn, todo, parallel.MatchFlags(wd, 0), l) {
 					retry = true
 				}
 			}
@@ -564,7 +565,7 @@ func (s *state) expandBatchChunk(w, start, end int) {
 		avail := s.groupCols(owners)
 		for ob := owners; ob != 0; ob &= ob - 1 {
 			gr := &s.groups[bits.TrailingZeros8(ob)]
-			if gr.centralAt[vf] >= 0 {
+			if gr.centralAt[vf] != notCentral {
 				avail &^= gr.mask // central for this query: unavailable for expansion
 			}
 		}
@@ -594,28 +595,28 @@ func (s *state) expandBatchChunk(w, start, end int) {
 		var retry uint8
 		if words != nil {
 			for _, vn := range g.OutNeighbors(vf) {
-				todo := active & parallel.MatchFlags(atomic.LoadUint64(&words[vn]), Infinity)
-				if todo != 0 {
-					retry |= s.visitTodoBatch(sc, vn, todo, l)
+				wd := atomic.LoadUint64(&words[vn])
+				if todo := active & parallel.MatchFlags(wd, Infinity); todo != 0 {
+					retry |= s.visitTodoBatch(sc, vn, todo, parallel.MatchFlags(wd, 0), l)
 				}
 			}
 			for _, vn := range g.InNeighbors(vf) {
-				todo := active & parallel.MatchFlags(atomic.LoadUint64(&words[vn]), Infinity)
-				if todo != 0 {
-					retry |= s.visitTodoBatch(sc, vn, todo, l)
+				wd := atomic.LoadUint64(&words[vn])
+				if todo := active & parallel.MatchFlags(wd, Infinity); todo != 0 {
+					retry |= s.visitTodoBatch(sc, vn, todo, parallel.MatchFlags(wd, 0), l)
 				}
 			}
 		} else {
 			for _, vn := range g.OutNeighbors(vf) {
 				todo := active & s.m.MissMask(vn)
 				if todo != 0 {
-					retry |= s.visitTodoBatch(sc, vn, todo, l)
+					retry |= s.visitTodoBatch(sc, vn, todo, s.m.KeywordMask(vn), l)
 				}
 			}
 			for _, vn := range g.InNeighbors(vf) {
 				todo := active & s.m.MissMask(vn)
 				if todo != 0 {
-					retry |= s.visitTodoBatch(sc, vn, todo, l)
+					retry |= s.visitTodoBatch(sc, vn, todo, s.m.KeywordMask(vn), l)
 				}
 			}
 		}
@@ -633,7 +634,9 @@ func (s *state) visitOne(sc *workerScratch, vn graph.NodeID, i, l int) (retry bo
 	if s.m.Get(vn, i) != Infinity {
 		return false
 	}
-	if s.contains[vn] == 0 && int(s.in.Levels[vn]) > l+1 {
+	// The activation level is the cheaper read (one byte per node); the row
+	// word is needed only for a node not yet active.
+	if int(s.in.Levels[vn]) > l+1 && s.m.KeywordMask(vn) == 0 {
 		return true
 	}
 	s.m.MarkHit(vn, i, uint8(l+1))
@@ -653,15 +656,16 @@ func (s *state) visit(sc *workerScratch, vn graph.NodeID, active uint64, l int) 
 	if todo == 0 {
 		return false // already hit in every active instance
 	}
-	return s.visitTodo(sc, vn, todo, l)
+	return s.visitTodo(sc, vn, todo, s.m.KeywordMask(vn), l)
 }
 
 // visitTodo finishes a visit whose not-yet-hit active columns (todo, non-
-// empty) have already been computed.
+// empty) and keyword columns (kw, see Matrix.KeywordMask) have already been
+// computed.
 //
 //wikisearch:hotpath
-func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo uint64, l int) (retry bool) {
-	if s.contains[vn] == 0 && int(s.in.Levels[vn]) > l+1 {
+func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo, kw uint64, l int) (retry bool) {
+	if kw == 0 && int(s.in.Levels[vn]) > l+1 {
 		return true
 	}
 	hit := uint8(l + 1)
@@ -678,19 +682,18 @@ func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo uint64, l int
 
 // visitTodoBatch is visitTodo with the §IV-B activation gate evaluated per
 // owner group: a not-yet-active neighbor may only be hit by the queries for
-// which it is a keyword node (its contains bits within that group's
+// which it is a keyword node (its keyword columns kw within that group's
 // submask); every other query retains its frontier and retries — exactly
 // the decision its solo search would make against its own q-column matrix.
 // Returns the groups that must retry.
 //
 //wikisearch:hotpath
-func (s *state) visitTodoBatch(sc *workerScratch, vn graph.NodeID, todo uint64, l int) (retry uint8) {
+func (s *state) visitTodoBatch(sc *workerScratch, vn graph.NodeID, todo, kw uint64, l int) (retry uint8) {
 	if int(s.in.Levels[vn]) > l+1 {
-		c := s.contains[vn]
 		var ok uint64
 		for ob := s.colGroups(todo); ob != 0; ob &= ob - 1 {
 			gi := bits.TrailingZeros8(ob)
-			if c&s.groups[gi].mask != 0 {
+			if kw&s.groups[gi].mask != 0 {
 				ok |= s.groups[gi].mask
 			} else {
 				retry |= 1 << uint(gi)
@@ -726,7 +729,7 @@ func (s *state) expandRefChunk(w, start, end int) {
 	centralAt := s.groups[0].centralAt
 	for fi := start; fi < end; fi++ {
 		vf := graph.NodeID(s.frontier[fi])
-		if centralAt[vf] >= 0 {
+		if centralAt[vf] != notCentral {
 			continue
 		}
 		if int(s.in.Levels[vf]) > l {
@@ -744,7 +747,7 @@ func (s *state) expandRefChunk(w, start, end int) {
 				if s.m.Get(vn, i) != Infinity {
 					return // already hit in B_i
 				}
-				if s.contains[vn] == 0 && int(s.in.Levels[vn]) > l+1 {
+				if s.m.KeywordMask(vn) == 0 && int(s.in.Levels[vn]) > l+1 {
 					s.markFrontier(sc, vf)
 					return
 				}

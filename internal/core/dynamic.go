@@ -270,15 +270,20 @@ func (s *dynState) row(qc *tdQuery, v graph.NodeID, dst []uint8) {
 	}
 }
 
+// keywords reads v's containment from the array CPU-Par-d keeps itself.
+func (s *dynState) keywords(qc *tdQuery, v graph.NodeID) uint64 {
+	return (s.contains[v] >> qc.off) & qc.all
+}
+
 // topDown ranks and assembles the recorded Central Graphs through the one
 // stage-two implementation (see tdRun); only the extraction differs.
 func (s *dynState) topDown() ([]*Answer, error) {
 	q := len(s.in.Sources)
 	var r tdRun
 	r.qc = tdQuery{
+		src:          s,
 		q:            q,
 		all:          allMask(q),
-		contains:     s.contains,
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
 		noLevelCover: s.p.DisableLevelCover,
@@ -286,7 +291,7 @@ func (s *dynState) topDown() ([]*Answer, error) {
 		topK:         s.p.TopK,
 		ctx:          s.p.Ctx,
 	}
-	answers, capped, err := r.run(s.pool, s, s.centrals)
+	answers, capped, err := r.run(s.pool, s.centrals)
 	s.prof.TruncatedGraphs = capped
 	return answers, err
 }

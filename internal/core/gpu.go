@@ -98,12 +98,6 @@ func newGPUState(in Input, p Params, pool *parallel.Pool, dev *device.Device) *g
 		s.m.Set(v, i, 0)
 		s.fid.Set(int(v))
 	})
-	for i := 0; i < q; i++ {
-		bit := uint64(1) << uint(i)
-		for _, v := range in.Sources[i] {
-			s.contains[v] |= bit
-		}
-	}
 	return &gpuState{state: s, dev: dev, queue: device.NewQueue(n)}
 }
 
@@ -128,10 +122,10 @@ func (s *gpuState) enqueueFrontiersGPU() {
 // identifyCentralsGPU is a flat kernel over frontiers.
 func (s *gpuState) identifyCentralsGPU() {
 	gr := &s.groups[0]
-	lvl := int32(s.level)
+	lvl := uint8(s.level)
 	s.dev.Launch1D(len(s.frontier), func(i int) {
 		v := graph.NodeID(s.frontier[i])
-		if gr.centralAt[v] >= 0 {
+		if gr.centralAt[v] != notCentral {
 			return
 		}
 		if s.m.AllHit(v) {
@@ -159,7 +153,7 @@ func (s *gpuState) expandGPU() {
 	s.dev.Launch(warps, func(w, lane int) {
 		vf := graph.NodeID(s.frontier[w/q])
 		i := w % q
-		if centralAt[vf] >= 0 {
+		if centralAt[vf] != notCentral {
 			return
 		}
 		af := int(s.in.Levels[vf])
@@ -178,7 +172,7 @@ func (s *gpuState) expandGPU() {
 			if s.m.Get(vn, i) != Infinity {
 				continue
 			}
-			if s.contains[vn] == 0 && int(s.in.Levels[vn]) > l+1 {
+			if s.m.KeywordMask(vn) == 0 && int(s.in.Levels[vn]) > l+1 {
 				s.fid.Set(int(vf))
 				continue
 			}

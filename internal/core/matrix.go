@@ -142,11 +142,24 @@ func (m *Matrix) RowSlice(v graph.NodeID, off int, dst []uint8) {
 // instances of a neighbor in one or two loads instead of q point reads.
 //
 //wikisearch:hotpath
-func (m *Matrix) MissMask(v graph.NodeID) uint64 {
+func (m *Matrix) MissMask(v graph.NodeID) uint64 { return m.matchRow(v, Infinity) }
+
+// KeywordMask returns a bitmask with bit j set iff node v contains keyword
+// j (v ∈ T_j). Only Initialization writes a 0 and every hit writes l+1 ≥ 1,
+// so a row's zero cells are exactly its keyword columns at any point of a
+// search, and the matrix doubles as the containment array.
+//
+//wikisearch:hotpath
+func (m *Matrix) KeywordMask(v graph.NodeID) uint64 { return m.matchRow(v, 0) }
+
+// matchRow returns the columns of node v's row whose cell equals b.
+//
+//wikisearch:hotpath
+func (m *Matrix) matchRow(v graph.NodeID, b uint8) uint64 {
 	wi := int(v) * (m.stride >> 3)
-	mask := m.cells.MatchWord(wi, Infinity)
+	mask := m.cells.MatchWord(wi, b)
 	for k := 1; k < m.stride>>3; k++ {
-		mask |= m.cells.MatchWord(wi+k, Infinity) << uint(k*8)
+		mask |= m.cells.MatchWord(wi+k, b) << uint(k*8)
 	}
 	return mask & m.colMask
 }

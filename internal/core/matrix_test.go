@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +257,74 @@ func TestVariantsEquivalentWithoutLevelCover(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsEqual(t, "no-levelcover CPU-Par-d", ref, dyn)
+	}
+}
+
+// checkKeywordMasks asserts that the finished bottom-up stage in s reports,
+// for every node, exactly the keywords its source lists give it: the
+// matrix's zero cells over all columns, and every group's window-local view
+// as stage two reads it.
+func checkKeywordMasks(t *testing.T, label string, s *state) {
+	t.Helper()
+	contains := sourceContains(s.in)
+	for v := range contains {
+		id := graph.NodeID(v)
+		if got := s.m.KeywordMask(id); got != contains[v] {
+			t.Fatalf("%s: node %d keyword mask %#x, sources %#x", label, v, got, contains[v])
+		}
+		for gi := range s.groups {
+			gr := &s.groups[gi]
+			qc := s.queryOf(gr)
+			want := (contains[v] >> uint(gr.off)) & allMask(gr.q)
+			if got := qc.src.keywords(&qc, id); got != want {
+				t.Fatalf("%s: group %d (off %d) node %d keywords %#x, sources %#x", label, gi, gr.off, v, got, want)
+			}
+		}
+	}
+}
+
+// TestKeywordMaskMatchesSources: the containment the kernel and stage two
+// derive from the matrix's zero cells equals T_i membership — after solo
+// searches with one- and two-word rows, after batched searches whose later
+// groups own windows at off > 0, and after the GPU path's device-side
+// initialization.
+func TestKeywordMaskMatchesSources(t *testing.T) {
+	ss := NewSearchState()
+	defer ss.Close()
+	pool := newSearchPool(2)
+	defer pool.Close()
+	for seed := int64(600); seed < 630; seed++ {
+		in, p := randomScenario(t, seed)
+		p = p.Defaults()
+		s := newState(in, p, pool)
+		if _, err := s.bottomUp(); err != nil {
+			t.Fatal(err)
+		}
+		checkKeywordMasks(t, fmt.Sprintf("seed %d solo", seed), s)
+
+		gs := newGPUState(in, p, pool, device.GTX1080Ti())
+		if _, err := gs.bottomUpGPU(); err != nil {
+			t.Fatal(err)
+		}
+		checkKeywordMasks(t, fmt.Sprintf("seed %d GPU", seed), gs.state)
+
+		for _, wide := range []bool{false, true} {
+			nq := 2
+			if wide {
+				nq = 4 // 12 columns: rows span two words
+			}
+			bin, _, _ := batchScenario(t, seed, nq, wide)
+			if err := ss.BottomUpBatch(bin, Params{Threads: 2, MaxLevel: 16}); err != nil {
+				t.Fatal(err)
+			}
+			checkKeywordMasks(t, fmt.Sprintf("seed %d batch wide=%v", seed, wide), &ss.st)
+
+			// The batch's flattened query searched solo: a wide one-group state.
+			wideSolo := newState(ss.st.in, p, pool)
+			if _, err := wideSolo.bottomUp(); err != nil {
+				t.Fatal(err)
+			}
+			checkKeywordMasks(t, fmt.Sprintf("seed %d flattened solo wide=%v", seed, wide), wideSolo)
+		}
 	}
 }

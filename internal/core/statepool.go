@@ -8,14 +8,16 @@ import (
 )
 
 // SearchState owns every allocation of the two-stage search — the
-// node-keyword matrix, both identifier bitsets, the contains/centralAt
-// arrays, frontier buffers, per-worker scratch, and a persistent worker
-// pool. A state is reused across queries: after the first few searches warm
+// node-keyword matrix (whose zero cells double as the keyword containment
+// record), the FIdentifier bitset, the centralAt bytes, frontier buffers,
+// per-worker scratch, and a persistent worker pool. A state is reused
+// across queries: after the first few searches warm
 // its buffers to the graph's size, the bottom-up stage runs without
 // allocating at all (the top-down stage still allocates the answers it
 // returns). A SearchState is not safe for concurrent use; serve concurrent
-// queries from a pool of states (see the engine's sync.Pool). A SearchState
-// must not be copied: a copy aliases the owned search structures.
+// queries from a set of states (the engine keeps a free list bounded by
+// GOMAXPROCS). A SearchState must not be copied: a copy aliases the owned
+// search structures.
 //
 //wikisearch:nocopy
 type SearchState struct {
@@ -33,9 +35,9 @@ type SearchState struct {
 // pool are sized lazily by the first Search.
 func NewSearchState() *SearchState { return &SearchState{} }
 
-// Close releases the worker pool's goroutines. A dropped SearchState is
-// also cleaned up by the pool's finalizer, so sync.Pool eviction does not
-// leak goroutines; Close just makes teardown deterministic.
+// Close releases the worker pool's goroutines. Whoever drops a state closes
+// it: the engine does so for every state its free list does not keep, so
+// no search state waits on the pool's finalizer to stop its workers.
 func (ss *SearchState) Close() {
 	if ss.pool != nil {
 		ss.pool.Close()

@@ -136,3 +136,47 @@ func TestSearchStateClose(t *testing.T) {
 	}
 	resultsEqual(t, "after close", want, got)
 }
+
+// nodeBytes sums the capacities, in bytes, of the state's arrays that scale
+// with |V|: the matrix, FIdentifier, every group slot's centralAt, the
+// frontier and touched-word lists, and the batch owner-group arrays.
+func (s *state) nodeBytes() int {
+	b := 8*cap(s.m.Words()) + 8*((s.fid.Len()+63)/64)
+	for gi := range s.groupsBuf {
+		b += cap(s.groupsBuf[gi].centralAt)
+	}
+	b += 4 * (cap(s.frontier) + cap(s.touchedWords))
+	for _, sc := range s.scratch[:cap(s.scratch)] {
+		b += 4 * cap(sc.touched)
+	}
+	if s.gfid != nil {
+		b += 8 * cap(s.gfid.Words())
+	}
+	return b + cap(s.fgroups)
+}
+
+// maxSoloBytesPerNode is the per-node budget of a warm solo state at q ≤ 8:
+// an 8-byte matrix row, a 1-byte centralAt, a frontier list of at most 4 B
+// per node, and an eighth of a byte of FIdentifier plus touched-word lists.
+const maxSoloBytesPerNode = 14
+
+// TestSearchStateBytesPerNode: a warm solo state at q ≤ 8 keeps at most
+// maxSoloBytesPerNode bytes per graph node in |V|-sized arrays — there is
+// no per-node containment array, since the matrix's zero cells carry it.
+func TestSearchStateBytesPerNode(t *testing.T) {
+	in, p := benchScenario(t)
+	ss := NewSearchState()
+	defer ss.Close()
+	for _, tn := range []int{1, 4, 1, 4} {
+		p.Threads = tn
+		if _, err := ss.Search(in, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := in.G.NumNodes()
+	perNode := float64(ss.st.nodeBytes()) / float64(n)
+	t.Logf("q = %d, %d nodes: %.2f B/node", len(in.Sources), n, perNode)
+	if perNode > maxSoloBytesPerNode {
+		t.Fatalf("warm solo state keeps %.2f B/node in |V|-sized arrays, want ≤ %d", perNode, maxSoloBytesPerNode)
+	}
+}

@@ -18,15 +18,16 @@ import (
 // built into Answers. A search with hundreds of centrals and k = 20 so
 // allocates for twenty answers, not for hundreds of discarded ones.
 
-// tdQuery is one query's view of a finished bottom-up stage: its keyword
-// column window and the knobs stage two needs. A batched group carries its
-// own window, so it extracts and scores exactly as its solo search would.
+// tdQuery is one query's view of a finished bottom-up stage: the stage
+// itself, its keyword column window and the knobs stage two needs. A batched
+// group carries its own window, so it extracts and scores exactly as its
+// solo search would.
 type tdQuery struct {
+	src          cgSource
 	q            int
-	off          uint     // first matrix column of the window
-	all          uint64   // allMask(q): every keyword, window-local
-	contains     []uint64 // per node; window-local bits are (contains[v]>>off)&all
-	centralAt    []int32  // identification level per node, −1 if none (matrix source only)
+	off          uint    // first matrix column of the window
+	all          uint64  // allMask(q): every keyword, window-local
+	centralAt    []uint8 // identification level per node, notCentral if none (matrix source only)
 	weights      []float64
 	lambda       float64
 	noLevelCover bool
@@ -44,6 +45,8 @@ type cgSource interface {
 	extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int
 	// row copies v's hitting levels for the query's q columns into dst.
 	row(qc *tdQuery, v graph.NodeID, dst []uint8)
+	// keywords returns the query keywords v contains, window-local.
+	keywords(qc *tdQuery, v graph.NodeID) uint64
 }
 
 // tdEdge is one expansion step parent → child of an extraction, in
@@ -80,6 +83,10 @@ const (
 	// state retains between searches — room for some 2000 Central Graphs of
 	// 30 kept nodes each, three times what solo-deep's queries average.
 	tdArenaKeep = 1 << 16
+	// tdRecordsKeep is the largest record table and selection order (in
+	// entries; 384 KB of records) a state retains between searches — twelve
+	// times the 664 centrals solo-deep's queries average.
+	tdRecordsKeep = 1 << 13
 )
 
 // tdScratch is one worker's stage-two memory. An extraction lives in flat
@@ -194,7 +201,7 @@ func (sc *tdScratch) insert(qc *tdQuery, slot uint32, v graph.NodeID) int32 {
 	l := int32(len(sc.ids))
 	sc.slots[slot] = idSlot{key: v, gen: sc.gen, val: l}
 	sc.ids = append(sc.ids, v)
-	sc.has = append(sc.has, (qc.contains[v]>>qc.off)&qc.all)
+	sc.has = append(sc.has, qc.src.keywords(qc, v))
 	sc.onPaths = append(sc.onPaths, 0)
 	if 2*len(sc.ids) > int(sc.mask)+1 {
 		sc.window(2 * (int(sc.mask) + 1))
@@ -337,7 +344,7 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 				// became unavailable for expansion (§III-B), so it cannot
 				// have been a real parent; without this filter extraction
 				// could claim paths the search never traversed.
-				if ca := qc.centralAt[vn]; ca >= 0 && int(ca) <= int(w) {
+				if qc.centralAt[vn] <= w {
 					continue
 				}
 				pm |= 1 << uint(i)
@@ -352,6 +359,13 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 
 // row copies v's hitting levels for the query's columns into dst.
 func (s *state) row(qc *tdQuery, v graph.NodeID, dst []uint8) { s.m.RowSlice(v, int(qc.off), dst) }
+
+// keywords reads v's containment from the zero cells of its matrix row.
+//
+//wikisearch:hotpath
+func (s *state) keywords(qc *tdQuery, v graph.NodeID) uint64 {
+	return (s.m.KeywordMask(v) >> qc.off) & qc.all
+}
 
 // tdRecord is one scored Central Graph awaiting selection: everything
 // ranking and the superset rule need, and nothing an Answer is built from.
@@ -419,7 +433,7 @@ func (sc *tdScratch) prune(qc *tdQuery) {
 // extracted again into sc. Nodes come Central Node first, then ascending id;
 // edges by (From, To, Rel, Forward) — so answers are identical regardless
 // of thread count or scheduling.
-func (sc *tdScratch) assemble(qc *tdQuery, rec *tdRecord, src cgSource) *Answer {
+func (sc *tdScratch) assemble(qc *tdQuery, rec *tdRecord) *Answer {
 	sc.prune(qc)
 	q := qc.q
 	nodes := make([]AnswerNode, 0, len(rec.ids))
@@ -428,7 +442,7 @@ func (sc *tdScratch) assemble(qc *tdQuery, rec *tdRecord, src cgSource) *Answer 
 		_, l := sc.find(v)
 		ki := len(nodes)
 		row := rows[ki*q : (ki+1)*q : (ki+1)*q]
-		src.row(qc, v, row)
+		qc.src.row(qc, v, row)
 		nodes = append(nodes, AnswerNode{ID: v, Contains: sc.has[l], OnPaths: sc.onPaths[l], HitLevels: row})
 	}
 	add(rec.central)
@@ -500,7 +514,6 @@ type tdRun struct {
 	order []int32    // selectTopK: record indices, ranked
 
 	qc       tdQuery
-	src      cgSource
 	centrals []graph.NodeID
 	out      []*Answer // out[j] answers the j-th selected record, order[j]
 
@@ -510,31 +523,38 @@ type tdRun struct {
 // begin opens a run over centrals for the query already set in r.qc.
 //
 //wikisearch:writer
-func (r *tdRun) begin(pool *parallel.Pool, src cgSource, centrals []graph.NodeID) {
+func (r *tdRun) begin(pool *parallel.Pool, centrals []graph.NodeID) {
 	if w := pool.Workers(); cap(r.td) < w {
 		r.td = make([]tdScratch, w)
 	} else {
 		r.td = r.td[:w]
 	}
 	r.recs = fit(r.recs, len(centrals))
-	r.src, r.centrals = src, centrals
+	r.centrals = centrals
 	if r.scoreFn == nil {
 		r.scoreFn = r.scoreOne
 	}
 }
 
 // end drops the run's references so a pooled state does not pin the
-// caller's graph, sources or answers between queries, and lets go of an
-// arena only an outsized query needed: a worker's arena holds the kept ids
-// of every Central Graph it scored, so a query with tens of thousands of
-// centrals grows it by megabytes that an ordinary query (hundreds of
+// caller's graph, sources or answers between queries, and lets go of the
+// tables only an outsized query needed: the record table and the selection
+// order hold one entry per central, and a worker's arena the kept ids of
+// every Central Graph it scored, so a query with tens of thousands of
+// centrals grows them by megabytes that an ordinary query (hundreds of
 // centrals, tens of ids each) never touches again.
 //
 //wikisearch:writer
 func (r *tdRun) end() {
 	r.qc = tdQuery{}
-	r.src, r.centrals, r.out = nil, nil, nil
+	r.centrals, r.out = nil, nil
 	clear(r.recs) // their id slices would pin every arena block they alias
+	if cap(r.recs) > tdRecordsKeep {
+		r.recs = nil
+	}
+	if cap(r.order) > tdRecordsKeep {
+		r.order = nil
+	}
 	for w := range r.td {
 		if cap(r.td[w].arena) > tdArenaKeep {
 			r.td[w].arena = nil
@@ -551,7 +571,7 @@ func (r *tdRun) scoreOne(w, i int) {
 		return // drained quickly; the zero record covers nothing, so selectTopK skips it
 	}
 	sc := &r.td[w]
-	depth := r.src.extract(sc, &r.qc, r.centrals[i])
+	depth := r.qc.src.extract(sc, &r.qc, r.centrals[i])
 	sc.score(&r.qc, &r.recs[i], depth)
 }
 
@@ -580,8 +600,8 @@ func (r *tdRun) assembleOne(w, j int) {
 	}
 	sc := &r.td[w]
 	rec := &r.recs[r.order[j]]
-	r.src.extract(sc, &r.qc, rec.central)
-	r.out[j] = sc.assemble(&r.qc, rec, r.src)
+	r.qc.src.extract(sc, &r.qc, rec.central)
+	r.out[j] = sc.assemble(&r.qc, rec)
 }
 
 // run is stage two of Algorithm 1 for the query in r.qc: score every
@@ -589,8 +609,8 @@ func (r *tdRun) assembleOne(w, j int) {
 // answers and the number of Central Graphs the MaxGraphNodes cap truncated.
 //
 //wikisearch:writer
-func (r *tdRun) run(pool *parallel.Pool, src cgSource, centrals []graph.NodeID) ([]*Answer, int, error) {
-	r.begin(pool, src, centrals)
+func (r *tdRun) run(pool *parallel.Pool, centrals []graph.NodeID) ([]*Answer, int, error) {
+	r.begin(pool, centrals)
 	defer r.end()
 	r.scoreAll(pool)
 	if err := ctxErr(r.qc.ctx); err != nil {
@@ -623,7 +643,7 @@ func (s *state) topDown() ([]*Answer, error) {
 // and counts the group's truncated Central Graphs into the profile.
 func (s *state) topDownGroup(gr *group) ([]*Answer, error) {
 	s.tdr.qc = s.queryOf(gr)
-	answers, capped, err := s.tdr.run(s.pool, s, gr.centrals)
+	answers, capped, err := s.tdr.run(s.pool, gr.centrals)
 	gr.truncated = capped
 	s.prof.TruncatedGraphs += capped
 	return answers, err
@@ -632,10 +652,10 @@ func (s *state) topDownGroup(gr *group) ([]*Answer, error) {
 // queryOf is gr's view of the finished bottom-up stage.
 func (s *state) queryOf(gr *group) tdQuery {
 	return tdQuery{
+		src:          s,
 		q:            gr.q,
 		off:          uint(gr.off),
 		all:          allMask(gr.q),
-		contains:     s.contains,
 		centralAt:    gr.centralAt,
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,

@@ -80,9 +80,23 @@ func (ex *modelExtraction) admit(vn graph.NodeID, bit uint64, maxNodes int) bool
 	return true
 }
 
+// sourceContains is every node's keyword mask over all of in's columns,
+// read from the source lists: the model never derives containment from the
+// matrix it checks.
+func sourceContains(in Input) []uint64 {
+	contains := make([]uint64, in.G.NumNodes())
+	for i, src := range in.Sources {
+		for _, v := range src {
+			contains[v] |= 1 << uint(i)
+		}
+	}
+	return contains
+}
+
 // modelExtract recovers gr's Central Graph centered at vc by the
-// hitting-level heuristics of Theorem V.4, one keyword at a time.
-func modelExtract(s *state, gr *group, vc graph.NodeID) *modelExtraction {
+// hitting-level heuristics of Theorem V.4, one keyword at a time; contains
+// is sourceContains(s.in).
+func modelExtract(s *state, gr *group, contains []uint64, vc graph.NodeID) *modelExtraction {
 	q, off := gr.q, gr.off
 	ex := newModelExtraction(vc, allMask(q))
 	for i := 0; i < q; i++ {
@@ -96,7 +110,7 @@ func modelExtract(s *state, gr *group, vc graph.NodeID) *modelExtraction {
 		work = work[:len(work)-1]
 		vf := it.node
 		af := int(s.in.Levels[vf])
-		fHasKeywords := s.contains[vf]&gr.mask != 0
+		fHasKeywords := contains[vf]&gr.mask != 0
 		for i := 0; i < q; i++ {
 			if it.bits&(1<<uint(i)) == 0 {
 				continue
@@ -118,7 +132,7 @@ func modelExtract(s *state, gr *group, vc graph.NodeID) *modelExtraction {
 				if hif != target {
 					return
 				}
-				if ca := gr.centralAt[vn]; ca >= 0 && int(ca) <= hif-1 {
+				if ca := gr.centralAt[vn]; ca != notCentral && int(ca) <= hif-1 {
 					return // central before the expansion level: never expanded
 				}
 				bit := uint64(1) << uint(i)
@@ -378,9 +392,10 @@ func modelSelectTopK(cands []*modelCandidate, k int) []*Answer {
 // stage, for one column group. The second result counts capped extractions.
 func modelTopDown(s *state, gr *group) ([]*Answer, int) {
 	off := uint(gr.off)
+	contains := sourceContains(s.in)
 	env := &modelEnv{
 		q:            gr.q,
-		contains:     func(v graph.NodeID) uint64 { return (s.contains[v] >> off) & allMask(gr.q) },
+		contains:     func(v graph.NodeID) uint64 { return (contains[v] >> off) & allMask(gr.q) },
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
 		row:          func(v graph.NodeID, dst []uint8) { s.m.RowSlice(v, gr.off, dst) },
@@ -389,7 +404,7 @@ func modelTopDown(s *state, gr *group) ([]*Answer, int) {
 	cands := make([]*modelCandidate, len(gr.centrals))
 	truncated := 0
 	for i, vc := range gr.centrals {
-		ex := modelExtract(s, gr, vc)
+		ex := modelExtract(s, gr, contains, vc)
 		if ex.truncated {
 			truncated++
 		}

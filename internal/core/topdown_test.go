@@ -73,14 +73,16 @@ func TestTopDownScratchOnlyPaysForItself(t *testing.T) {
 }
 
 // TestTopDownRunEndsWithoutPinningArenas: between searches a pooled state
-// keeps an ordinary arena for reuse, lets an outsized one go, and holds no
-// record that still points into either.
+// keeps an ordinary arena, record table and selection order for reuse, lets
+// outsized ones go, and holds no record that still points into an arena.
 func TestTopDownRunEndsWithoutPinningArenas(t *testing.T) {
 	var r tdRun
 	r.td = make([]tdScratch, 2)
 	r.td[0].arena = make([]graph.NodeID, 8, tdArenaKeep)
 	r.td[1].arena = make([]graph.NodeID, 8, tdArenaKeep+1)
-	r.recs = []tdRecord{{ids: r.td[0].arena[:4]}, {ids: r.td[1].arena[4:8]}}
+	r.recs = make([]tdRecord, 2, tdRecordsKeep)
+	r.recs[0].ids, r.recs[1].ids = r.td[0].arena[:4], r.td[1].arena[4:8]
+	r.order = make([]int32, 2, tdRecordsKeep)
 	r.end()
 	if cap(r.td[0].arena) != tdArenaKeep {
 		t.Fatalf("ordinary arena not retained: cap %d", cap(r.td[0].arena))
@@ -88,10 +90,21 @@ func TestTopDownRunEndsWithoutPinningArenas(t *testing.T) {
 	if r.td[1].arena != nil {
 		t.Fatalf("outsized arena (cap %d) retained", cap(r.td[1].arena))
 	}
+	if cap(r.recs) != tdRecordsKeep || cap(r.order) != tdRecordsKeep {
+		t.Fatalf("ordinary tables not retained: recs cap %d, order cap %d", cap(r.recs), cap(r.order))
+	}
 	for i := range r.recs {
 		if r.recs[i].ids != nil {
 			t.Fatalf("record %d still aliases an arena", i)
 		}
+	}
+
+	// A one-keyword query with tens of thousands of centrals.
+	r.recs = make([]tdRecord, 20000, 30000)
+	r.order = make([]int32, 0, 30000)
+	r.end()
+	if r.recs != nil || r.order != nil {
+		t.Fatalf("outsized tables retained: recs cap %d, order cap %d", cap(r.recs), cap(r.order))
 	}
 }
 
@@ -129,7 +142,7 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 				}
 
 				s.tdr.qc = s.queryOf(gr)
-				s.tdr.begin(s.pool, s, gr.centrals)
+				s.tdr.begin(s.pool, gr.centrals)
 				// Scheduling is dynamic, so a worker's scratch is only warm
 				// for every schedule once it has seen every Central Graph.
 				for w := range s.tdr.td {

@@ -57,6 +57,13 @@ type inflightCall struct {
 // deduplication: at most one engine search runs per key at a time, and
 // results are shared. Search results are immutable once returned, so
 // sharing the *Result across requests is safe.
+//
+// purge fences searches that straddle it. It bumps gen, and a leader stores
+// its result only if gen is unchanged since the leader started, so a search
+// that began before a publish can never repopulate the cache after the
+// publish's purge. purge also detaches calls, so a request that arrives
+// after the purge never coalesces onto a pre-purge search; waiters already
+// parked on such a search still receive its result.
 type resultCache struct {
 	max int
 
@@ -64,6 +71,7 @@ type resultCache struct {
 	ll    *list.List // front = most recently used
 	items map[cacheKey]*list.Element
 	calls map[cacheKey]*inflightCall
+	gen   uint64 // purges so far
 }
 
 func newResultCache(max int) *resultCache {
@@ -115,13 +123,16 @@ func (c *resultCache) do(ctx context.Context, key cacheKey, fn func() (*wikisear
 		}
 		call := &inflightCall{done: make(chan struct{})}
 		c.calls[key] = call
+		gen := c.gen
 		c.mu.Unlock()
 
 		call.res, call.err = fn()
 
 		c.mu.Lock()
-		delete(c.calls, key)
-		if call.err == nil {
+		if c.calls[key] == call { // a purge may have detached it, and a new leader taken the key
+			delete(c.calls, key)
+		}
+		if call.err == nil && c.gen == gen {
 			c.store(key, call.res)
 		}
 		c.mu.Unlock()
@@ -165,10 +176,14 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// purge drops every cached entry (in-flight searches are unaffected).
+// purge drops every cached entry and fences the in-flight searches: they
+// still answer their own waiters, but neither store their results nor take
+// new waiters.
 func (c *resultCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	c.ll.Init()
 	c.items = map[cacheKey]*list.Element{}
+	c.calls = map[cacheKey]*inflightCall{}
 }

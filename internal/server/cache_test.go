@@ -247,3 +247,87 @@ func TestSingleflightNoStampedeAfterLeaderCancel(t *testing.T) {
 		t.Fatalf("fn ran %d times, want 2 (stampede)", n)
 	}
 }
+
+// TestResultCachePurgeFencesLateStore: a search blocked across PurgeCache —
+// a publish landing mid-search — still answers its own request but stores
+// nothing, so the next identical request misses instead of reading the
+// pre-purge result.
+func TestResultCachePurgeFencesLateStore(t *testing.T) {
+	srv := testServerWith(t, Config{CacheSize: 4})
+	c := srv.cache
+	stale := &wikisearch.Result{Candidates: 1}
+	gate := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			<-gate
+			return stale, nil
+		})
+		if err != nil || hit || got != stale {
+			t.Errorf("leader: res %p hit %v err %v", got, hit, err)
+		}
+	}()
+	waitForWaiter(t, c, key("q"))
+
+	srv.PurgeCache()
+	close(gate)
+	<-leaderDone
+	if _, ok := c.get(key("q")); ok || c.len() != 0 {
+		t.Fatalf("search that straddled the purge left %d entries", c.len())
+	}
+	fresh := &wikisearch.Result{Candidates: 2}
+	if got, hit, err := c.do(context.Background(), key("q"), fixed(fresh)); err != nil || hit || got != fresh {
+		t.Fatalf("next request: res %p hit %v err %v, want a miss returning the fresh result", got, hit, err)
+	}
+}
+
+// TestResultCachePurgeDetachesInflight: a request arriving after a purge
+// runs its own search instead of coalescing onto a pre-purge one, and the
+// pre-purge search, finishing last, neither overwrites the fresh entry nor
+// unregisters the fresh leader.
+func TestResultCachePurgeDetachesInflight(t *testing.T) {
+	c := newResultCache(4)
+	stale := &wikisearch.Result{Candidates: 1}
+	gate := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			<-gate
+			return stale, nil
+		})
+	}()
+	waitForWaiter(t, c, key("q"))
+	c.purge()
+
+	// A post-purge leader, itself blocked, must own the key's call entry
+	// when the stale leader finishes.
+	fresh := &wikisearch.Result{Candidates: 2}
+	gate2 := make(chan struct{})
+	freshDone := make(chan struct{})
+	go func() {
+		defer close(freshDone)
+		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			<-gate2
+			return fresh, nil
+		})
+		if err != nil || hit || got != fresh {
+			t.Errorf("post-purge request coalesced onto the pre-purge search: res %p hit %v err %v", got, hit, err)
+		}
+	}()
+	waitForWaiter(t, c, key("q"))
+	close(gate)
+	<-leaderDone
+	c.mu.Lock()
+	_, registered := c.calls[key("q")]
+	c.mu.Unlock()
+	if !registered {
+		t.Fatal("the pre-purge leader deleted the post-purge leader's call")
+	}
+	close(gate2)
+	<-freshDone
+	if got, ok := c.get(key("q")); !ok || got != fresh {
+		t.Fatalf("cache holds %p, want the post-purge result %p", got, fresh)
+	}
+}

@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,6 +48,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -239,7 +241,9 @@ func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // PurgeCache drops every cached query result (for when the engine's
-// underlying data is swapped).
+// underlying data is swapped). A search already running when it is called
+// still answers its own requests but caches nothing, and later identical
+// requests run a search of their own.
 func (s *Server) PurgeCache() {
 	if s.cache != nil {
 		s.cache.purge()
@@ -636,12 +640,33 @@ func renderAnswers(w io.Writer, res *wikisearch.Result) {
 	fmt.Fprint(w, "</ol>")
 }
 
+// jsonEncoder is an indented JSON encoder writing into its own buffer. Both
+// the buffer and the encoder's indentation scratch keep their capacity
+// between responses, so a response's encoded bytes are no longer garbage
+// for the collector; the body goes out in the one Write Encode made.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := &jsonEncoder{}
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
+
 func (s *Server) json(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer jsonEncoders.Put(je)
+	je.buf.Reset()
+	err := je.enc.Encode(v)
+	if err == nil {
+		_, err = w.Write(je.buf.Bytes())
+	}
+	if err != nil {
 		s.log.Printf("server: encode: %v", err)
 	}
 }
