@@ -46,8 +46,6 @@ fuzzsmoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-	$(GO) run ./cmd/benchrunner -exp core -core-out BENCH_core.json
-	$(GO) run ./cmd/benchrunner -exp startup -startup-out BENCH_startup.json
 
 # Non-test Go line count, the number least-code PRs report before and after.
 loc:

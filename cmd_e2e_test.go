@@ -144,6 +144,22 @@ func TestCmdBenchrunnerFig3(t *testing.T) {
 	}
 }
 
+// TestCmdBenchrunnerUnknownExperiment: an -exp name that selects nothing is
+// a usage error (exit 2) naming the valid experiments, not a silent no-op.
+func TestCmdBenchrunnerUnknownExperiment(t *testing.T) {
+	bin := filepath.Join(buildTools(t, "benchrunner"), "benchrunner")
+	for _, exp := range []string{"nope", "exp5", "fig3,core"} {
+		out, err := exec.Command(bin, "-exp", exp).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("-exp %s: err = %v, want exit 2\n%s", exp, err, out)
+		}
+		if s := string(out); !strings.Contains(s, "unknown experiment") || !strings.Contains(s, "fig3, exp1") {
+			t.Fatalf("-exp %s output: %s", exp, s)
+		}
+	}
+}
+
 // TestCmdWikiserveCompactAfterNeedsMutate: -compact-after without -mutate
 // is a usage error (exit 2) before anything is loaded, not silently ignored.
 func TestCmdWikiserveCompactAfterNeedsMutate(t *testing.T) {

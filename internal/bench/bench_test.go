@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -269,56 +267,6 @@ func TestScaling(t *testing.T) {
 		if p.TotalMs <= 0 || p.Answers <= 0 {
 			t.Fatalf("point = %+v", p)
 		}
-	}
-}
-
-func TestCoreBenchTinyShape(t *testing.T) {
-	cfg := CoreBenchConfig{
-		Nodes: 600, Edges: 4000, Qs: []int{3}, Tnums: []int{1, 2},
-		Kwf: 20, TopK: 30, MaxLevel: 32, Repeats: 1, Seed: 7,
-	}
-	rep, err := CoreBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * len(cfg.Qs) * len(cfg.Tnums); len(rep.Points) != want {
-		t.Fatalf("points = %d, want %d", len(rep.Points), want)
-	}
-	if want := len(cfg.Qs) * len(cfg.Tnums); len(rep.Speedups) != want {
-		t.Fatalf("speedups = %d, want %d", len(rep.Speedups), want)
-	}
-	for _, p := range rep.Points {
-		if p.NsPerOp <= 0 || p.ExpandNsPerOp <= 0 || p.EdgesScanned <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-		// The per-column reference kernel never scans fewer edges than the
-		// flattened kernel on the same query.
-		if p.Kernel == "reference" && p.EdgesScanned < rep.Points[0].EdgesScanned {
-			t.Fatalf("reference scanned fewer edges than flat: %+v", p)
-		}
-	}
-	for _, s := range rep.Speedups {
-		if s.Total <= 0 || s.Expand <= 0 {
-			t.Fatalf("empty speedup: %+v", s)
-		}
-	}
-	if len(rep.Table().Rows) != len(rep.Points) || len(rep.SpeedupTable().Rows) != len(rep.Speedups) {
-		t.Fatal("table rows do not match measurements")
-	}
-	path := t.TempDir() + "/core.json"
-	if err := WriteCoreBench(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back CoreBenchReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Points) != len(rep.Points) || back.Config.Nodes != cfg.Nodes {
-		t.Fatal("report did not round-trip")
 	}
 }
 

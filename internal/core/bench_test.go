@@ -104,11 +104,9 @@ func BenchmarkSearchSequential(b *testing.B) {
 // benchmarkKernel measures the kernel path only (state reset + bottom-up
 // stage) on a warm reusable state, reporting the true edge-scan throughput.
 // With -benchmem, allocs/op must read 0 — the zero-allocation steady state.
-func benchmarkKernel(b *testing.B, kernel KernelKind, threads int) {
+func benchmarkKernel(b *testing.B, ss *SearchState, threads int) {
 	in, p := benchScenario(b)
 	p.Threads = threads
-	p.Kernel = kernel
-	ss := NewSearchState()
 	defer ss.Close()
 	if _, err := ss.BottomUp(in, p); err != nil { // warm buffers and workers
 		b.Fatal(err)
@@ -129,7 +127,7 @@ func benchmarkKernel(b *testing.B, kernel KernelKind, threads int) {
 // BenchmarkExpandFlat: the flattened one-pass-per-node expansion kernel.
 func BenchmarkExpandFlat(b *testing.B) {
 	for _, tn := range []int{1, 4} {
-		b.Run(fmt.Sprintf("Tnum=%d", tn), func(b *testing.B) { benchmarkKernel(b, KernelFlat, tn) })
+		b.Run(fmt.Sprintf("Tnum=%d", tn), func(b *testing.B) { benchmarkKernel(b, NewSearchState(), tn) })
 	}
 }
 
@@ -137,7 +135,7 @@ func BenchmarkExpandFlat(b *testing.B) {
 // the comparison point for the flat kernel's speedup.
 func BenchmarkExpandReference(b *testing.B) {
 	for _, tn := range []int{1, 4} {
-		b.Run(fmt.Sprintf("Tnum=%d", tn), func(b *testing.B) { benchmarkKernel(b, KernelReference, tn) })
+		b.Run(fmt.Sprintf("Tnum=%d", tn), func(b *testing.B) { benchmarkKernel(b, newReferenceState(), tn) })
 	}
 }
 

@@ -111,7 +111,6 @@ type state struct {
 	identifyBatchFn func(i int)
 	expandFn        func(w, start, end int)
 	expandBatchFn   func(w, start, end int)
-	expandRefFn     func(w, start, end int)
 
 	// buf is the owning SearchState's trace buffer (nil on the one-shot
 	// state path); the bottom-up loop records per-level phase spans into
@@ -157,13 +156,19 @@ func (s *state) prepareShared(in Input, p Params, pool *parallel.Pool) {
 		s.scratch[i].edges = 0
 	}
 	if s.initFn == nil {
-		s.initFn = s.initKeyword
-		s.identifyFn = s.identifyOne
-		s.identifyBatchFn = s.identifyBatchOne
-		s.expandFn = s.expandChunk
-		s.expandBatchFn = s.expandBatchChunk
-		s.expandRefFn = s.expandRefChunk
+		s.bindPhases()
 	}
+}
+
+// bindPhases creates the prebound phase bodies. prepareShared calls it only
+// while they are unbound, so a body set afterwards holds for the state's
+// lifetime.
+func (s *state) bindPhases() {
+	s.initFn = s.initKeyword
+	s.identifyFn = s.identifyOne
+	s.identifyBatchFn = s.identifyBatchOne
+	s.expandFn = s.expandChunk
+	s.expandBatchFn = s.expandBatchChunk
 }
 
 // resetGroupRuntime resets the per-group runtime bookkeeping (central
@@ -435,8 +440,6 @@ func (s *state) expand() {
 	fn := s.expandFn
 	if s.multi {
 		fn = s.expandBatchFn
-	} else if s.p.Kernel == KernelReference {
-		fn = s.expandRefFn
 	}
 	s.pool.ForChunksWorker(len(s.frontier), fn)
 	for i := range s.scratch {
@@ -445,7 +448,7 @@ func (s *state) expand() {
 	}
 }
 
-// expandChunk is the flattened expansion kernel (KernelFlat): each frontier
+// expandChunk is the flattened expansion kernel: each frontier
 // node's CSR adjacency is walked exactly once, with all q keyword columns
 // processed per neighbor through word-wide matrix reads, instead of one
 // adjacency pass per column. The node's row is snapshotted once into
@@ -714,48 +717,6 @@ func (s *state) visitTodoBatch(sc *workerScratch, vn graph.NodeID, todo, kw uint
 	}
 	s.markFrontierG(sc, vn, s.colGroups(todo))
 	return retry
-}
-
-// expandRefChunk is the per-keyword-column reference kernel — the shape the
-// paper's pseudocode suggests and this engine originally shipped: each
-// active column walks the closure-based adjacency separately. Kept as the
-// equivalence baseline and the benchmark comparison point; it must return
-// byte-identical results to expandChunk. Solo only: batches always run the
-// flattened kernel.
-func (s *state) expandRefChunk(w, start, end int) {
-	sc := &s.scratch[w]
-	l := s.level
-	q := s.m.Q()
-	centralAt := s.groups[0].centralAt
-	for fi := start; fi < end; fi++ {
-		vf := graph.NodeID(s.frontier[fi])
-		if centralAt[vf] != notCentral {
-			continue
-		}
-		if int(s.in.Levels[vf]) > l {
-			s.markFrontier(sc, vf)
-			continue
-		}
-		for i := 0; i < q; i++ {
-			if int(s.m.Get(vf, i)) > l {
-				continue // not (yet) a frontier of B_i
-			}
-			// This kernel genuinely re-walks the adjacency per column, so
-			// charging the degree per active column is its true scan count.
-			sc.edges += int64(s.in.G.Degree(vf))
-			s.in.G.ForEachNeighbor(vf, func(vn graph.NodeID, _ graph.RelID, _ bool) {
-				if s.m.Get(vn, i) != Infinity {
-					return // already hit in B_i
-				}
-				if s.m.KeywordMask(vn) == 0 && int(s.in.Levels[vn]) > l+1 {
-					s.markFrontier(sc, vf)
-					return
-				}
-				s.m.MarkHit(vn, i, uint8(l+1))
-				s.markFrontier(sc, vn)
-			})
-		}
-	}
 }
 
 // finishGroup retires group gi at the current level: its depth d is fixed

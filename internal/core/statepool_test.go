@@ -7,23 +7,20 @@ import (
 )
 
 // TestKernelsEquivalent: the flattened expansion kernel and the per-column
-// reference kernel return byte-identical results, at Tnum=1 and at
-// Tnum=GOMAXPROCS.
+// reference kernel (expandRefChunk) return byte-identical results, at
+// Tnum=1 and at Tnum=GOMAXPROCS, and the flat kernel never scans more edges.
 func TestKernelsEquivalent(t *testing.T) {
 	threads := []int{1, runtime.GOMAXPROCS(0)}
+	fewer := 0 // searches on which the flat kernel scanned strictly fewer edges
 	for seed := int64(400); seed < 440; seed++ {
 		in, p := randomScenario(t, seed)
 		for _, tn := range threads {
-			pf := p
-			pf.Threads = tn
-			pf.Kernel = KernelFlat
-			flat, err := Search(in, pf)
+			p.Threads = tn
+			flat, err := Search(in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr := pf
-			pr.Kernel = KernelReference
-			ref, err := Search(in, pr)
+			ref, err := searchReference(in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +29,15 @@ func TestKernelsEquivalent(t *testing.T) {
 				t.Fatalf("seed %d T=%d: flat kernel scanned %d edges > reference %d",
 					seed, tn, flat.Profile.EdgesScanned, ref.Profile.EdgesScanned)
 			}
+			if flat.Profile.EdgesScanned < ref.Profile.EdgesScanned {
+				fewer++
+			}
 		}
+	}
+	// The reference kernel re-walks the adjacency per active column, so a
+	// run where it never scanned more than the flat kernel did not run it.
+	if fewer == 0 {
+		t.Fatal("reference kernel never scanned more edges than the flat kernel")
 	}
 }
 
@@ -59,29 +64,6 @@ func TestPooledStateReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsEqual(t, fmt.Sprintf("query %d (seed %d, T=%d)", i, seed, p.Threads), fresh, got)
-	}
-}
-
-// TestPooledStateKernelReuse repeats the reuse property with the reference
-// kernel interleaved, so kernel switching on a warm state is also covered.
-func TestPooledStateKernelReuse(t *testing.T) {
-	ss := NewSearchState()
-	defer ss.Close()
-	for i := 0; i < 40; i++ {
-		in, p := randomScenario(t, int64(700+i%10))
-		p.Threads = 1 + i%4
-		if i%2 == 1 {
-			p.Kernel = KernelReference
-		}
-		got, err := ss.Search(in, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Search(in, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, fmt.Sprintf("query %d", i), fresh, got)
 	}
 }
 

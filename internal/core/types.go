@@ -17,20 +17,6 @@ import (
 // are stored in a uint64.
 const MaxKeywords = 64
 
-// KernelKind selects the expansion kernel of the bottom-up stage.
-type KernelKind int
-
-const (
-	// KernelFlat (the default) walks each frontier node's CSR adjacency
-	// exactly once, processing all q keyword columns per neighbor with
-	// word-wide matrix reads.
-	KernelFlat KernelKind = iota
-	// KernelReference is the original per-keyword-column kernel: one
-	// closure-based adjacency pass per active column. Retained as the
-	// equivalence baseline and benchmark comparison point.
-	KernelReference
-)
-
 // Params are the runtime knobs of a search (Table III of the paper).
 type Params struct {
 	TopK    int     // k: answers to return (paper default 20)
@@ -53,10 +39,6 @@ type Params struct {
 	// between levels and the top-down stage between extractions. A
 	// cancelled search returns the context's error.
 	Ctx context.Context
-	// Kernel selects the expansion kernel (default KernelFlat). Both
-	// kernels return byte-identical results; KernelReference exists for
-	// equivalence testing and speedup measurement.
-	Kernel KernelKind
 }
 
 // Defaults fills unset parameters with the paper's defaults.
@@ -164,9 +146,8 @@ type Profile struct {
 	Levels        int   // BFS levels executed
 	FrontierTotal int64 // Σ frontier sizes over all levels
 	// EdgesScanned counts adjacency entries actually walked during
-	// expansion: KernelFlat charges each expanded frontier node's degree
-	// once (one pass covers all columns); KernelReference re-walks the
-	// adjacency per active column and is charged accordingly.
+	// expansion: each expanded frontier node's degree, charged once (one
+	// pass covers all columns).
 	EdgesScanned int64
 	// TruncatedGraphs counts Central Graphs whose extraction hit the
 	// MaxGraphNodes cap: their answers, if any survive, are built from a
