@@ -21,7 +21,7 @@ vet:
 # wikilint runs the engine-specific analyzers (atomicfield, hotpathalloc,
 # nocopy, ctxhandler, mmapview, singlewriter, lifecycle, durability and the
 # directives validator) over the whole module; see internal/analysis and
-# DESIGN.md §8/§12. Warm runs replay from the content-hash result cache;
+# DESIGN.md §8/§11. Warm runs replay from the content-hash result cache;
 # lint-cold forces a fresh analysis.
 lint:
 	$(GO) run ./cmd/wikilint ./...

@@ -33,10 +33,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request search deadline (<=0 disables)")
 		maxInFlight = flag.Int("max-inflight", 64, "max concurrent searches before fast-fail 503 (<=0 disables)")
 		cacheSize   = flag.Int("cache", 256, "query-result cache entries (<=0 disables)")
-		batchWindow = flag.Duration("batch-window", 200*time.Microsecond,
-			"coalescing window for shared-frontier query batching (<=0 disables)")
-		batchCols = flag.Int("batch-columns", 8, "max keyword columns per batch")
-		slowQuery = flag.Duration("slow-query", 500*time.Millisecond,
+		slowQuery   = flag.Duration("slow-query", 500*time.Millisecond,
 			"searches slower than this get a structured slow-query log line and land in the /v1/debug/traces slow ring (<=0 disables)")
 		mutate = flag.Bool("mutate", false,
 			"accept live graph mutations via POST /v1/mutate (single-writer, epoch-snapshotted)")
@@ -70,13 +67,11 @@ func main() {
 		*kbPath, time.Since(t0).Round(time.Millisecond), info.Format, info.Mode,
 		float64(info.MappedBytes)/(1<<20), float64(info.FileBytes)/(1<<20))
 	cfg := server.Config{
-		Timeout:      *timeout,
-		MaxInFlight:  *maxInFlight,
-		CacheSize:    *cacheSize,
-		BatchWindow:  *batchWindow,
-		BatchColumns: *batchCols,
-		SlowQuery:    *slowQuery,
-		Logger:       log.Default(),
+		Timeout:     *timeout,
+		MaxInFlight: *maxInFlight,
+		CacheSize:   *cacheSize,
+		SlowQuery:   *slowQuery,
+		Logger:      log.Default(),
 	}
 	// The flag convention is <=0 disables; Config uses negative for that
 	// and 0 for defaults, so map explicitly.
@@ -88,9 +83,6 @@ func main() {
 	}
 	if *cacheSize <= 0 {
 		cfg.CacheSize = -1
-	}
-	if *batchWindow <= 0 {
-		cfg.BatchWindow = -1
 	}
 	if *slowQuery <= 0 {
 		cfg.SlowQuery = -1
@@ -111,9 +103,9 @@ func main() {
 			}
 		}()
 	}
-	log.Printf("wikiserve: %s (%d nodes, %d edges) on %s (timeout=%v max-inflight=%d cache=%d batch-window=%v)",
+	log.Printf("wikiserve: %s (%d nodes, %d edges) on %s (timeout=%v max-inflight=%d cache=%d)",
 		eng.Name(), eng.Graph().NumNodes(), eng.Graph().NumEdges(), *addr,
-		*timeout, *maxInFlight, *cacheSize, *batchWindow)
+		*timeout, *maxInFlight, *cacheSize)
 	h := server.NewWithConfig(eng, cfg)
 	if *mutate {
 		after := *compactAfter

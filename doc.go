@@ -30,7 +30,7 @@
 //
 // Search is the single entry point for every variant (Query.Variant selects
 // CPUPar, Sequential, GPU, the lock-based CPU-Par-d, or the ExactGST and
-// BANKS baselines). Under concurrent load, EnableBatching coalesces
-// compatible searches into one shared bottom-up expansion with answers
-// bit-identical to solo execution; see DESIGN.md §9.
+// BANKS baselines). Concurrent searches each run on their own pooled
+// search state; one search parallelizes across Query.Threads workers, the
+// paper's Tnum (§V-B).
 package wikisearch

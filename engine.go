@@ -94,8 +94,8 @@ type Engine struct {
 
 	// states (guarded by statesMu) is a LIFO free list of idle per-query
 	// search states (matrix, bitsets, frontier buffers, worker pool) shared
-	// by CPU-Par/Sequential searches and batches, so steady-state serving
-	// does not re-allocate the O(n·q) kernel arrays per query. It keeps at
+	// by CPU-Par/Sequential searches, so steady-state serving does not
+	// re-allocate the O(n·q) kernel arrays per query. It keeps at
 	// most GOMAXPROCS states — retained memory follows the cores, not the
 	// peak concurrency a burst once reached — and a state released beyond
 	// that, or after Close, is closed at once. stateNews/stateReuses expose
@@ -109,10 +109,6 @@ type Engine struct {
 	// observer, when set, is invoked after every Search call with the
 	// outcome; the serving layer uses it to feed latency metrics.
 	observer atomic.Pointer[SearchObserver]
-
-	// batcher, when set (EnableBatching), coalesces concurrent compatible
-	// searches into shared bottom-up expansions.
-	batcher atomic.Pointer[batcher]
 
 	// tracer retains per-query trace trees assembled from the kernel's
 	// span rings; traceOff is inverted so the zero value means tracing is
@@ -175,6 +171,11 @@ func (e *Engine) SetSearchObserver(obs SearchObserver) {
 	}
 	e.observer.Store(&obs)
 }
+
+// DisableBatching does nothing. Every search runs on its own pooled search
+// state; the method remains only for callers written when the engine could
+// coalesce concurrent searches.
+func (e *Engine) DisableBatching() {}
 
 // observe reports a search outcome to the installed observer, if any.
 func (e *Engine) observe(q Query, res *Result, err error) {

@@ -260,9 +260,9 @@ func settledGoroutines() int {
 }
 
 // TestEngineStateRetentionBounded: rounds of 4×GOMAXPROCS concurrent
-// searches (batching off) leave at most GOMAXPROCS idle states behind,
-// every search is counted as exactly one create or reuse, the worker
-// goroutines of the states the free list turned away stop at once — the
+// searches leave at most GOMAXPROCS idle states behind, every search is
+// counted as exactly one create or reuse, the worker goroutines of the
+// states the free list turned away stop at once — the
 // count does not grow across rounds — and Close stops the rest, all without
 // a GC run to trigger finalizers. Each client first searches on a state it
 // holds until every client holds one, so a round really needs 4×GOMAXPROCS

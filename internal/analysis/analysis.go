@@ -9,7 +9,7 @@
 // The driver is built on the standard library only (go/parser, go/types and
 // the go/importer source importer) — the repository's stdlib-only rule
 // excludes golang.org/x/tools. Source directives recognized by the suite
-// are documented in DESIGN.md §8 and §12:
+// are documented in DESIGN.md §8 and §11:
 //
 //	//wikisearch:atomic       struct field: elements only via sync/atomic
 //	//wikisearch:atomicalias  func: result aliases atomic storage

@@ -7,7 +7,7 @@ import (
 )
 
 // LifecycleAnalyzer requires every goroutine launched in non-test code to be
-// tied to a shutdown mechanism, so the server, coordinator and batcher paths
+// tied to a shutdown mechanism, so the server and compactor paths
 // cannot leak workers past Engine.Close / graceful shutdown. A go statement
 // is accepted when:
 //

@@ -197,7 +197,7 @@ func BenchmarkTopDown(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := &ss.st
-			if n := len(s.groups[0].centrals); n < 500 {
+			if n := len(s.gr.centrals); n < 500 {
 				b.Fatalf("%d centrals, want ≥ 500", n)
 			}
 			if _, err := s.topDown(); err != nil { // warm the scratch
@@ -210,7 +210,7 @@ func BenchmarkTopDown(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(s.groups[0].centrals)), "centrals")
+			b.ReportMetric(float64(len(s.gr.centrals)), "centrals")
 		})
 	}
 }

@@ -272,7 +272,7 @@ func (s *dynState) row(qc *tdQuery, v graph.NodeID, dst []uint8) {
 
 // keywords reads v's containment from the array CPU-Par-d keeps itself.
 func (s *dynState) keywords(qc *tdQuery, v graph.NodeID) uint64 {
-	return (s.contains[v] >> qc.off) & qc.all
+	return s.contains[v] & qc.all
 }
 
 // topDown ranks and assembles the recorded Central Graphs through the one

@@ -17,6 +17,18 @@ import (
 // multi-keyword query, all deterministic in seed.
 func randomScenario(t testing.TB, seed int64) (Input, Params) {
 	t.Helper()
+	return scenario(t, seed, false)
+}
+
+// wideScenario is randomScenario with 10–12 keywords, so every matrix row
+// spans two words and the kernels leave their one-word fast paths.
+func wideScenario(t testing.TB, seed int64) (Input, Params) {
+	t.Helper()
+	return scenario(t, seed, true)
+}
+
+func scenario(t testing.TB, seed int64, wide bool) (Input, Params) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 20 + rng.Intn(60)
 	m := n + rng.Intn(3*n)
@@ -39,6 +51,9 @@ func randomScenario(t testing.TB, seed int64) (Input, Params) {
 		weights[i] = float64(rng.Intn(1024)) / 1024
 	}
 	q := 2 + rng.Intn(3)
+	if wide {
+		q += 8
+	}
 	sources := make([][]graph.NodeID, q)
 	for i := range sources {
 		sz := 1 + rng.Intn(4)

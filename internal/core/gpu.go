@@ -64,7 +64,7 @@ func SearchGPU(in Input, p Params, dev *device.Device) (*GPUResult, error) {
 		Result: Result{
 			Answers:           answers,
 			DepthD:            d,
-			CentralCandidates: len(s.groups[0].centrals),
+			CentralCandidates: len(s.gr.centrals),
 			Profile:           s.prof,
 		},
 		TransferSeconds: dev.TransferTime(s.m.ByteSize()),
@@ -121,7 +121,7 @@ func (s *gpuState) enqueueFrontiersGPU() {
 
 // identifyCentralsGPU is a flat kernel over frontiers.
 func (s *gpuState) identifyCentralsGPU() {
-	gr := &s.groups[0]
+	gr := &s.gr
 	lvl := uint8(s.level)
 	s.dev.Launch1D(len(s.frontier), func(i int) {
 		v := graph.NodeID(s.frontier[i])
@@ -148,7 +148,7 @@ func (s *gpuState) expandGPU() {
 	if ws <= 0 {
 		ws = 32
 	}
-	centralAt := s.groups[0].centralAt
+	centralAt := s.gr.centralAt
 	warps := len(s.frontier) * q
 	s.dev.Launch(warps, func(w, lane int) {
 		vf := graph.NodeID(s.frontier[w/q])
@@ -198,7 +198,7 @@ func (s *gpuState) bottomUpGPU() (int, error) {
 		s.identifyCentralsGPU()
 		s.prof.Phases[PhaseIdentify] += time.Since(t0)
 		s.prof.Levels++
-		if len(s.groups[0].centrals) >= k {
+		if len(s.gr.centrals) >= k {
 			break
 		}
 		if s.level >= s.p.MaxLevel {

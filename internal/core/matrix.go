@@ -81,7 +81,7 @@ func (m *Matrix) MarkHit(v graph.NodeID, j int, level uint8) {
 
 // MarkHitsWord stores level into every column of node v named by colMask
 // (bit j → column j) with one atomic AND — the whole visit of a neighbor,
-// across all multiplexed queries, in a single operation. Valid only under
+// across all keyword columns, in a single operation. Valid only under
 // MarkHit's ∞ → level precondition and only when the row fits one word
 // (q ≤ 8, i.e. WordsPerRow() == 1).
 //
@@ -126,14 +126,6 @@ func (m *Matrix) MaxHit(v graph.NodeID) (uint8, bool) {
 //wikisearch:hotpath
 func (m *Matrix) Row(v graph.NodeID, dst []uint8) {
 	m.cells.LoadRow(int(v)*m.stride, dst)
-}
-
-// RowSlice copies node v's hitting levels for columns [off, off+len(dst))
-// into dst — the column-group view a batched query's top-down stage reads.
-//
-//wikisearch:hotpath
-func (m *Matrix) RowSlice(v graph.NodeID, off int, dst []uint8) {
-	m.cells.LoadRow(int(v)*m.stride+off, dst)
 }
 
 // MissMask returns a bitmask with bit j set iff node v has not been hit by

@@ -115,8 +115,8 @@ func TestMaxGraphNodesCap(t *testing.T) {
 }
 
 // TestTruncatedGraphsReported: a capped Central Graph is never returned as
-// if complete — every search path counts it in Profile.TruncatedGraphs (per
-// member on a batch), Profile.Add sums the count, and searches the default
+// if complete — every search path counts it in Profile.TruncatedGraphs,
+// Profile.Add sums the count, and searches the default
 // cap does not touch report zero.
 func TestTruncatedGraphsReported(t *testing.T) {
 	ss := NewSearchState()
@@ -153,29 +153,6 @@ func TestTruncatedGraphsReported(t *testing.T) {
 	}
 	if sum.TruncatedGraphs != want {
 		t.Fatalf("Profile.Add summed %d truncated graphs, want %d", sum.TruncatedGraphs, want)
-	}
-
-	// A batch member reports its own count, not the batch's.
-	bin, solos, params := batchScenario(t, 403, 3, false)
-	got, err := ss.SearchBatch(bin, Params{MaxLevel: 16, MaxGraphNodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for j := range got {
-		params[j].MaxGraphNodes = 3
-		solo, err := Search(solos[j], params[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[j].Profile.TruncatedGraphs != solo.Profile.TruncatedGraphs {
-			t.Fatalf("member %d reports %d truncated graphs, its solo search %d",
-				j, got[j].Profile.TruncatedGraphs, solo.Profile.TruncatedGraphs)
-		}
-		total += solo.Profile.TruncatedGraphs
-	}
-	if total == 0 {
-		t.Fatal("batch scenario truncated nothing")
 	}
 }
 
@@ -262,8 +239,7 @@ func TestVariantsEquivalentWithoutLevelCover(t *testing.T) {
 
 // checkKeywordMasks asserts that the finished bottom-up stage in s reports,
 // for every node, exactly the keywords its source lists give it: the
-// matrix's zero cells over all columns, and every group's window-local view
-// as stage two reads it.
+// matrix's zero cells, and the view stage two reads.
 func checkKeywordMasks(t *testing.T, label string, s *state) {
 	t.Helper()
 	contains := sourceContains(s.in)
@@ -272,25 +248,18 @@ func checkKeywordMasks(t *testing.T, label string, s *state) {
 		if got := s.m.KeywordMask(id); got != contains[v] {
 			t.Fatalf("%s: node %d keyword mask %#x, sources %#x", label, v, got, contains[v])
 		}
-		for gi := range s.groups {
-			gr := &s.groups[gi]
-			qc := s.queryOf(gr)
-			want := (contains[v] >> uint(gr.off)) & allMask(gr.q)
-			if got := qc.src.keywords(&qc, id); got != want {
-				t.Fatalf("%s: group %d (off %d) node %d keywords %#x, sources %#x", label, gi, gr.off, v, got, want)
-			}
+		qc := s.queryOf()
+		if got := qc.src.keywords(&qc, id); got != contains[v] {
+			t.Fatalf("%s: node %d stage-two keywords %#x, sources %#x", label, v, got, contains[v])
 		}
 	}
 }
 
 // TestKeywordMaskMatchesSources: the containment the kernel and stage two
-// derive from the matrix's zero cells equals T_i membership — after solo
-// searches with one- and two-word rows, after batched searches whose later
-// groups own windows at off > 0, and after the GPU path's device-side
+// derive from the matrix's zero cells equals T_i membership — after searches
+// with one- and two-word rows, and after the GPU path's device-side
 // initialization.
 func TestKeywordMaskMatchesSources(t *testing.T) {
-	ss := NewSearchState()
-	defer ss.Close()
 	pool := newSearchPool(2)
 	defer pool.Close()
 	for seed := int64(600); seed < 630; seed++ {
@@ -308,23 +277,11 @@ func TestKeywordMaskMatchesSources(t *testing.T) {
 		}
 		checkKeywordMasks(t, fmt.Sprintf("seed %d GPU", seed), gs.state)
 
-		for _, wide := range []bool{false, true} {
-			nq := 2
-			if wide {
-				nq = 4 // 12 columns: rows span two words
-			}
-			bin, _, _ := batchScenario(t, seed, nq, wide)
-			if err := ss.BottomUpBatch(bin, Params{Threads: 2, MaxLevel: 16}); err != nil {
-				t.Fatal(err)
-			}
-			checkKeywordMasks(t, fmt.Sprintf("seed %d batch wide=%v", seed, wide), &ss.st)
-
-			// The batch's flattened query searched solo: a wide one-group state.
-			wideSolo := newState(ss.st.in, p, pool)
-			if _, err := wideSolo.bottomUp(); err != nil {
-				t.Fatal(err)
-			}
-			checkKeywordMasks(t, fmt.Sprintf("seed %d flattened solo wide=%v", seed, wide), wideSolo)
+		win, wp := wideScenario(t, seed)
+		ws := newState(win, wp.Defaults(), pool)
+		if _, err := ws.bottomUp(); err != nil {
+			t.Fatal(err)
 		}
+		checkKeywordMasks(t, fmt.Sprintf("seed %d wide", seed), ws)
 	}
 }

@@ -168,12 +168,12 @@ func stageTwoThreads() []int {
 // random graphs: hitting levels and Central Nodes from the bottom-up stage,
 // then complete answer lists from stage two — solo at Tnum = 1 and
 // GOMAXPROCS, k ∈ {1, 2, 20}, level-cover on and off, with the default
-// MaxGraphNodes and one small enough that the cap bites — plus batched
-// column groups (single- and multi-word matrix rows) and CPU-Par-d.
+// MaxGraphNodes and one small enough that the cap bites — on queries whose
+// matrix rows span one word and two — plus CPU-Par-d.
 func TestModelCrossCheck(t *testing.T) {
 	t.Run("BottomUp", testModelBottomUp)
 	t.Run("StageTwo", testModelStageTwo)
-	t.Run("StageTwoBatched", testModelStageTwoBatched)
+	t.Run("StageTwoWide", testModelStageTwoWide)
 	t.Run("StageTwoDynamic", testModelStageTwoDynamic)
 }
 
@@ -197,7 +197,7 @@ func testModelStageTwo(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, truncated := modelTopDown(s, &s.groups[0])
+						want, truncated := modelTopDown(s)
 						answersEqual(t, label, got, want)
 						if s.prof.TruncatedGraphs != truncated {
 							t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, s.prof.TruncatedGraphs, truncated)
@@ -217,46 +217,40 @@ func testModelStageTwo(t *testing.T) {
 	}
 }
 
-func testModelStageTwoBatched(t *testing.T) {
-	ss := NewSearchState()
-	defer ss.Close()
+// testModelStageTwoWide is testModelStageTwo over queries of 10–12
+// keywords, whose matrix rows span two words.
+func testModelStageTwoWide(t *testing.T) {
 	capped := 0
 	for seed := int64(400); seed < 424; seed++ {
-		for _, wide := range []bool{false, true} {
-			nq := 2
-			if wide {
-				nq = 4 // 12 columns: matrix rows span two words
-			}
-			bin, _, _ := batchScenario(t, seed, nq, wide)
-			for qi := range bin.Queries {
-				bin.Queries[qi].DisableLevelCover = qi%2 == 1
-			}
-			for _, threads := range stageTwoThreads() {
+		in, base := wideScenario(t, seed)
+		for _, threads := range stageTwoThreads() {
+			pool := newSearchPool(threads)
+			for _, noCover := range []bool{false, true} {
 				for _, maxNodes := range []int{0, 4} {
-					if err := ss.BottomUpBatch(bin, Params{Threads: threads, MaxLevel: 16, MaxGraphNodes: maxNodes}); err != nil {
+					p := Params{TopK: base.TopK, Threads: threads, MaxLevel: base.MaxLevel,
+						DisableLevelCover: noCover, MaxGraphNodes: maxNodes}.Defaults()
+					s := newState(in, p, pool)
+					if _, err := s.bottomUp(); err != nil {
 						t.Fatal(err)
 					}
-					s := &ss.st
-					for gi := range s.groups {
-						gr := &s.groups[gi]
-						label := fmt.Sprintf("seed %d wide=%v T=%d cap=%d group %d", seed, wide, threads, maxNodes, gi)
-						got, err := s.topDownGroup(gr)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, truncated := modelTopDown(s, gr)
-						answersEqual(t, label, got, want)
-						if gr.truncated != truncated {
-							t.Fatalf("%s: truncated = %d, model %d", label, gr.truncated, truncated)
-						}
-						capped += truncated
+					label := fmt.Sprintf("seed %d T=%d noCover=%v cap=%d", seed, threads, noCover, maxNodes)
+					got, err := s.topDown()
+					if err != nil {
+						t.Fatal(err)
 					}
+					want, truncated := modelTopDown(s)
+					answersEqual(t, label, got, want)
+					if s.prof.TruncatedGraphs != truncated {
+						t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, s.prof.TruncatedGraphs, truncated)
+					}
+					capped += truncated
 				}
 			}
+			pool.Close()
 		}
 	}
 	if capped == 0 {
-		t.Fatal("MaxGraphNodes = 4 never bit on a batched state")
+		t.Fatal("MaxGraphNodes = 4 never bit on a wide query")
 	}
 }
 
@@ -309,17 +303,17 @@ func testModelBottomUp(t *testing.T) {
 			t.Fatalf("seed %d: d = %d, model d = %d", seed, d, md)
 		}
 		// Central sets and identification levels agree.
-		if len(s.groups[0].centrals) != len(model.centrals) {
+		if len(s.gr.centrals) != len(model.centrals) {
 			t.Fatalf("seed %d: %d centrals vs model %d (%v vs %v)",
-				seed, len(s.groups[0].centrals), len(model.centrals), s.groups[0].centrals, model.centrals)
+				seed, len(s.gr.centrals), len(model.centrals), s.gr.centrals, model.centrals)
 		}
-		for _, v := range s.groups[0].centrals {
+		for _, v := range s.gr.centrals {
 			ml, ok := model.central[v]
 			if !ok {
 				t.Fatalf("seed %d: central %d not in model", seed, v)
 			}
-			if int(s.groups[0].centralAt[v]) != ml {
-				t.Fatalf("seed %d: central %d at level %d, model %d", seed, v, s.groups[0].centralAt[v], ml)
+			if int(s.gr.centralAt[v]) != ml {
+				t.Fatalf("seed %d: central %d at level %d, model %d", seed, v, s.gr.centralAt[v], ml)
 			}
 		}
 		// Hitting levels agree everywhere the model ran: the real search

@@ -25,13 +25,12 @@ func searchReference(in Input, p Params) (*Result, error) {
 // paper's pseudocode suggests and this engine originally shipped: each
 // active column walks the closure-based adjacency separately. Kept as the
 // equivalence baseline and the benchmark comparison point; it must return
-// byte-identical results to expandChunk. Solo only: batches always run the
-// flattened kernel.
+// byte-identical results to expandChunk.
 func (s *state) expandRefChunk(w, start, end int) {
 	sc := &s.scratch[w]
 	l := s.level
 	q := s.m.Q()
-	centralAt := s.groups[0].centralAt
+	centralAt := s.gr.centralAt
 	for fi := start; fi < end; fi++ {
 		vf := graph.NodeID(s.frontier[fi])
 		if centralAt[vf] != notCentral {

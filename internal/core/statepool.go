@@ -88,9 +88,9 @@ func (ss *SearchState) BottomUp(in Input, p Params) (int, error) {
 	s.prepare(in, p, ss.pool)
 	t1 := trace.Now()
 	s.prof.Phases[PhaseInit] = time.Duration(t1 - t0)
-	ss.buf.Record(0, trace.KindInit, t0, t1, -1, 0, int64(len(in.Sources)), 0)
+	ss.buf.Record(0, trace.KindInit, t0, t1, -1, int64(len(in.Sources)), 0)
 	d, err := s.bottomUp()
-	ss.buf.Record(0, trace.KindBottomUp, t0, trace.Now(), -1, 0, s.prof.FrontierTotal, s.prof.EdgesScanned)
+	ss.buf.Record(0, trace.KindBottomUp, t0, trace.Now(), -1, s.prof.FrontierTotal, s.prof.EdgesScanned)
 	return d, err
 }
 
@@ -119,12 +119,12 @@ func (ss *SearchState) Search(in Input, p Params) (*Result, error) {
 		return nil, err
 	}
 	s.prof.Phases[PhaseTopDown] = time.Duration(t1 - t0)
-	ss.buf.Record(0, trace.KindTopDown, t0, t1, -1, 1, int64(len(answers)), int64(len(s.groups[0].centrals)))
+	ss.buf.Record(0, trace.KindTopDown, t0, t1, -1, int64(len(answers)), int64(len(s.gr.centrals)))
 
 	res := &Result{
 		Answers:           answers,
 		DepthD:            d,
-		CentralCandidates: len(s.groups[0].centrals),
+		CentralCandidates: len(s.gr.centrals),
 		Profile:           s.prof,
 	}
 	// Drop the query's input references so a pooled state does not pin the

@@ -120,21 +120,15 @@ func TestSearchStateClose(t *testing.T) {
 }
 
 // nodeBytes sums the capacities, in bytes, of the state's arrays that scale
-// with |V|: the matrix, FIdentifier, every group slot's centralAt, the
-// frontier and touched-word lists, and the batch owner-group arrays.
+// with |V|: the matrix, FIdentifier, centralAt, and the frontier and
+// touched-word lists.
 func (s *state) nodeBytes() int {
-	b := 8*cap(s.m.Words()) + 8*((s.fid.Len()+63)/64)
-	for gi := range s.groupsBuf {
-		b += cap(s.groupsBuf[gi].centralAt)
-	}
+	b := 8*cap(s.m.Words()) + 8*((s.fid.Len()+63)/64) + cap(s.gr.centralAt)
 	b += 4 * (cap(s.frontier) + cap(s.touchedWords))
 	for _, sc := range s.scratch[:cap(s.scratch)] {
 		b += 4 * cap(sc.touched)
 	}
-	if s.gfid != nil {
-		b += 8 * cap(s.gfid.Words())
-	}
-	return b + cap(s.fgroups)
+	return b
 }
 
 // maxSoloBytesPerNode is the per-node budget of a warm solo state at q ≤ 8:

@@ -19,14 +19,11 @@ import (
 // allocates for twenty answers, not for hundreds of discarded ones.
 
 // tdQuery is one query's view of a finished bottom-up stage: the stage
-// itself, its keyword column window and the knobs stage two needs. A batched
-// group carries its own window, so it extracts and scores exactly as its
-// solo search would.
+// itself, its keyword columns and the knobs stage two needs.
 type tdQuery struct {
 	src          cgSource
 	q            int
-	off          uint    // first matrix column of the window
-	all          uint64  // allMask(q): every keyword, window-local
+	all          uint64  // allMask(q): every keyword
 	centralAt    []uint8 // identification level per node, notCentral if none (matrix source only)
 	weights      []float64
 	lambda       float64
@@ -45,7 +42,7 @@ type cgSource interface {
 	extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int
 	// row copies v's hitting levels for the query's q columns into dst.
 	row(qc *tdQuery, v graph.NodeID, dst []uint8)
-	// keywords returns the query keywords v contains, window-local.
+	// keywords returns the query keywords v contains.
 	keywords(qc *tdQuery, v graph.NodeID) uint64
 }
 
@@ -252,7 +249,7 @@ func (sc *tdScratch) addParent(qc *tdQuery, vn graph.NodeID, child int32, rel gr
 func (s *state) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
 	depth := 0
 	for i := 0; i < qc.q; i++ {
-		if h := s.m.Get(vc, int(qc.off)+i); h != Infinity && int(h) > depth {
+		if h := s.m.Get(vc, i); h != Infinity && int(h) > depth {
 			depth = int(h) // d(C), Eq. 1: the largest hitting level
 		}
 	}
@@ -281,18 +278,16 @@ func (s *state) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
 // heuristics of Theorem V.4: vn is a parent of vf for keyword i iff
 // h_i(vf) = 1 + max(a_n, h_i(vn)) when vf contains query keywords, or
 // 1 + max(a_n, h_i(vn), a_f − 1) when it does not. All qualifying parents
-// are taken, which is what yields multi-path answers. Matrix reads stay
-// inside the query's column window.
+// are taken, which is what yields multi-path answers.
 //
 //wikisearch:hotpath
 func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 	vf := sc.ids[vfl]
-	off := int(qc.off)
 	// want[i] = h_i(vf) − 1: what max(a_n, h_i(vn)[, a_f − 1]) must equal.
 	var want [MaxKeywords]uint8
 	for b := kws; b != 0; b &= b - 1 {
 		i := bits.TrailingZeros64(b)
-		h := s.m.Get(vf, off+i)
+		h := s.m.Get(vf, i)
 		if h == 0 {
 			kws &^= 1 << uint(i) // keyword source: hitting paths for i start here
 			continue
@@ -318,7 +313,7 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 		for k, vn := range nbrs {
 			var row uint64
 			if words != nil {
-				row = atomic.LoadUint64(&words[vn]) >> (8 * qc.off)
+				row = atomic.LoadUint64(&words[vn])
 			}
 			lvl := -1 // max(a_n, floor), read on first use
 			var pm uint64
@@ -328,7 +323,7 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 				if words != nil {
 					hin = uint8(row >> (8 * uint(i)))
 				} else {
-					hin = s.m.Get(vn, off+i)
+					hin = s.m.Get(vn, i)
 				}
 				w := want[i]
 				if hin > w {
@@ -358,13 +353,13 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 }
 
 // row copies v's hitting levels for the query's columns into dst.
-func (s *state) row(qc *tdQuery, v graph.NodeID, dst []uint8) { s.m.RowSlice(v, int(qc.off), dst) }
+func (s *state) row(qc *tdQuery, v graph.NodeID, dst []uint8) { s.m.Row(v, dst) }
 
 // keywords reads v's containment from the zero cells of its matrix row.
 //
 //wikisearch:hotpath
 func (s *state) keywords(qc *tdQuery, v graph.NodeID) uint64 {
-	return (s.m.KeywordMask(v) >> qc.off) & qc.all
+	return s.m.KeywordMask(v) & qc.all
 }
 
 // tdRecord is one scored Central Graph awaiting selection: everything
@@ -634,34 +629,28 @@ func (r *tdRun) run(pool *parallel.Pool, centrals []graph.NodeID) ([]*Answer, in
 	return r.out, capped, nil
 }
 
-// topDown runs stage two of Algorithm 1 for a solo search.
+// topDown runs stage two of Algorithm 1 and counts the truncated Central
+// Graphs into the profile.
 func (s *state) topDown() ([]*Answer, error) {
-	return s.topDownGroup(&s.groups[0])
-}
-
-// topDownGroup runs stage two of Algorithm 1 for one query's column group
-// and counts the group's truncated Central Graphs into the profile.
-func (s *state) topDownGroup(gr *group) ([]*Answer, error) {
-	s.tdr.qc = s.queryOf(gr)
-	answers, capped, err := s.tdr.run(s.pool, gr.centrals)
-	gr.truncated = capped
+	s.tdr.qc = s.queryOf()
+	answers, capped, err := s.tdr.run(s.pool, s.gr.centrals)
 	s.prof.TruncatedGraphs += capped
 	return answers, err
 }
 
-// queryOf is gr's view of the finished bottom-up stage.
-func (s *state) queryOf(gr *group) tdQuery {
+// queryOf is the query's view of the finished bottom-up stage.
+func (s *state) queryOf() tdQuery {
+	q := len(s.in.Sources)
 	return tdQuery{
 		src:          s,
-		q:            gr.q,
-		off:          uint(gr.off),
-		all:          allMask(gr.q),
-		centralAt:    gr.centralAt,
+		q:            q,
+		all:          allMask(q),
+		centralAt:    s.gr.centralAt,
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
-		noLevelCover: gr.noLevelCover,
+		noLevelCover: s.p.DisableLevelCover,
 		maxNodes:     s.p.MaxGraphNodes,
-		topK:         gr.topK,
+		topK:         s.p.TopK,
 		ctx:          s.p.Ctx,
 	}
 }

@@ -93,14 +93,14 @@ func sourceContains(in Input) []uint64 {
 	return contains
 }
 
-// modelExtract recovers gr's Central Graph centered at vc by the
+// modelExtract recovers the Central Graph centered at vc by the
 // hitting-level heuristics of Theorem V.4, one keyword at a time; contains
 // is sourceContains(s.in).
-func modelExtract(s *state, gr *group, contains []uint64, vc graph.NodeID) *modelExtraction {
-	q, off := gr.q, gr.off
+func modelExtract(s *state, contains []uint64, vc graph.NodeID) *modelExtraction {
+	q := len(s.in.Sources)
 	ex := newModelExtraction(vc, allMask(q))
 	for i := 0; i < q; i++ {
-		if h := s.m.Get(vc, off+i); h != Infinity && int(h) > ex.depth {
+		if h := s.m.Get(vc, i); h != Infinity && int(h) > ex.depth {
 			ex.depth = int(h)
 		}
 	}
@@ -110,17 +110,17 @@ func modelExtract(s *state, gr *group, contains []uint64, vc graph.NodeID) *mode
 		work = work[:len(work)-1]
 		vf := it.node
 		af := int(s.in.Levels[vf])
-		fHasKeywords := contains[vf]&gr.mask != 0
+		fHasKeywords := contains[vf] != 0
 		for i := 0; i < q; i++ {
 			if it.bits&(1<<uint(i)) == 0 {
 				continue
 			}
-			hif := int(s.m.Get(vf, off+i))
+			hif := int(s.m.Get(vf, i))
 			if hif == 0 {
 				continue // keyword source
 			}
 			s.in.G.ForEachNeighbor(vf, func(vn graph.NodeID, rel graph.RelID, out bool) {
-				hin := s.m.Get(vn, off+i)
+				hin := s.m.Get(vn, i)
 				if hin == Infinity {
 					return
 				}
@@ -132,7 +132,7 @@ func modelExtract(s *state, gr *group, contains []uint64, vc graph.NodeID) *mode
 				if hif != target {
 					return
 				}
-				if ca := gr.centralAt[vn]; ca != notCentral && int(ca) <= hif-1 {
+				if ca := s.gr.centralAt[vn]; ca != notCentral && int(ca) <= hif-1 {
 					return // central before the expansion level: never expanded
 				}
 				bit := uint64(1) << uint(i)
@@ -389,28 +389,28 @@ func modelSelectTopK(cands []*modelCandidate, k int) []*Answer {
 }
 
 // modelTopDown is the model's stage two over a finished matrix bottom-up
-// stage, for one column group. The second result counts capped extractions.
-func modelTopDown(s *state, gr *group) ([]*Answer, int) {
-	off := uint(gr.off)
+// stage. The second result counts capped extractions.
+func modelTopDown(s *state) ([]*Answer, int) {
+	gr := &s.gr
 	contains := sourceContains(s.in)
 	env := &modelEnv{
-		q:            gr.q,
-		contains:     func(v graph.NodeID) uint64 { return (contains[v] >> off) & allMask(gr.q) },
+		q:            len(s.in.Sources),
+		contains:     func(v graph.NodeID) uint64 { return contains[v] },
 		weights:      s.in.Weights,
 		lambda:       s.p.Lambda,
-		row:          func(v graph.NodeID, dst []uint8) { s.m.RowSlice(v, gr.off, dst) },
-		noLevelCover: gr.noLevelCover,
+		row:          func(v graph.NodeID, dst []uint8) { s.m.Row(v, dst) },
+		noLevelCover: s.p.DisableLevelCover,
 	}
 	cands := make([]*modelCandidate, len(gr.centrals))
 	truncated := 0
 	for i, vc := range gr.centrals {
-		ex := modelExtract(s, gr, contains, vc)
+		ex := modelExtract(s, contains, vc)
 		if ex.truncated {
 			truncated++
 		}
 		cands[i] = env.modelAssemble(ex, i)
 	}
-	return modelSelectTopK(cands, gr.topK), truncated
+	return modelSelectTopK(cands, s.p.TopK), truncated
 }
 
 // modelTopDownDynamic is the model's stage two over a finished CPU-Par-d

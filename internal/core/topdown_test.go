@@ -29,9 +29,9 @@ func TestTopDownScratchOnlyPaysForItself(t *testing.T) {
 	if _, err := gs.bottomUp(); err != nil {
 		t.Fatal(err)
 	}
-	gq := gs.queryOf(&gs.groups[0])
+	gq := gs.queryOf()
 	giant := 0
-	for _, vc := range gs.groups[0].centrals {
+	for _, vc := range gs.gr.centrals {
 		gs.extract(&used, &gq, vc)
 		giant = max(giant, len(used.ids))
 	}
@@ -47,8 +47,8 @@ func TestTopDownScratchOnlyPaysForItself(t *testing.T) {
 		if _, err := s.bottomUp(); err != nil {
 			t.Fatal(err)
 		}
-		qc := s.queryOf(&s.groups[0])
-		for _, vc := range s.groups[0].centrals {
+		qc := s.queryOf()
+		for _, vc := range s.gr.centrals {
 			var fresh tdScratch
 			var rec, freshRec tdRecord
 			used.score(&qc, &rec, s.extract(&used, &qc, vc))
@@ -134,14 +134,14 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := &ss.st
-				gr := &s.groups[0]
+				gr := &s.gr
 				for i := 0; i < 3; i++ { // warm scratch, records and arenas
 					if _, err := s.topDown(); err != nil {
 						t.Fatal(err)
 					}
 				}
 
-				s.tdr.qc = s.queryOf(gr)
+				s.tdr.qc = s.queryOf()
 				s.tdr.begin(s.pool, gr.centrals)
 				// Scheduling is dynamic, so a worker's scratch is only warm
 				// for every schedule once it has seen every Central Graph.

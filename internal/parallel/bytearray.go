@@ -79,26 +79,6 @@ func (a *ByteArray) Set(i int, v byte) {
 	}
 }
 
-// Or atomically ORs v into cell i without disturbing neighbors — a single
-// atomic OR, no CAS loop. The batch kernel uses it to attribute a frontier
-// node to the queries that reached it: each query's bit is set at most once
-// per level and concurrent ORs of different bits commute.
-//
-//wikisearch:hotpath
-func (a *ByteArray) Or(i int, v byte) {
-	shift := uint(i&7) * 8
-	atomic.OrUint64(&a.data[i>>3], uint64(v)<<shift)
-}
-
-// ClearByte atomically resets cell i to zero with a single atomic AND. The
-// sequential frontier drain uses it to consume a node's owner-group byte.
-//
-//wikisearch:hotpath
-func (a *ByteArray) ClearByte(i int) {
-	shift := uint(i&7) * 8
-	atomic.AndUint64(&a.data[i>>3], ^(uint64(0xFF) << shift))
-}
-
 // SetMonotone stores v into cell i with a single atomic AND instead of a CAS
 // loop. It requires that the cell's current value has every bit of v set —
 // which holds for the search's only write, the one-shot ∞ (0xFF) → level
@@ -131,8 +111,7 @@ func SpreadFlags(flags uint64) uint64 {
 // with a single atomic AND. Each selected cell must satisfy SetMonotone's
 // precondition (current value has every bit of v set); unselected cells are
 // untouched. The expansion kernel uses it to commit a whole visit — all
-// not-yet-hit columns of a neighbor, across every multiplexed query — in
-// one atomic operation.
+// not-yet-hit columns of a neighbor — in one atomic operation.
 //
 //wikisearch:hotpath
 func (a *ByteArray) SetMonotoneFlags(wi int, flags uint64, v byte) {

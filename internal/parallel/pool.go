@@ -138,7 +138,7 @@ func poolWorker(w int, work <-chan *poolTask, done chan<- struct{}) {
 			t.run(w)
 			// The ring is the helper's own and the done token below
 			// publishes the write to the drain: single-writer, race-free.
-			t.tr.Record(w, trace.KindPoolWork, t0, trace.Now(), -1, 0, int64(t.n), 0)
+			t.tr.Record(w, trace.KindPoolWork, t0, trace.Now(), -1, int64(t.n), 0)
 		} else {
 			t.run(w)
 		}
@@ -182,8 +182,8 @@ func (p *Pool) dispatch(helpers int) {
 			for i := 0; i < helpers; i++ {
 				<-p.done
 			}
-			p.tr.Record(0, trace.KindPoolWork, t0, own, -1, 0, int64(p.task.n), int64(helpers))
-			p.tr.Record(0, trace.KindPoolJoin, own, trace.Now(), -1, 0, int64(p.task.n), int64(helpers))
+			p.tr.Record(0, trace.KindPoolWork, t0, own, -1, int64(p.task.n), int64(helpers))
+			p.tr.Record(0, trace.KindPoolJoin, own, trace.Now(), -1, int64(p.task.n), int64(helpers))
 		} else {
 			p.task.run(0)
 			for i := 0; i < helpers; i++ {

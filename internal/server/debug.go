@@ -95,7 +95,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 
 // observeTrace is installed as the trace collector's observer when the
 // slow-query log is enabled: any search over the threshold gets one
-// structured line with its identity, knobs, batch occupancy and per-phase
+// structured line with its identity, knobs and per-phase
 // breakdown — enough to diagnose it without replaying.
 func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
 	if qt.Duration < s.cfg.SlowQuery {
@@ -116,10 +116,6 @@ func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
 		"answers", qt.Answers,
 		"truncated_graphs", qt.TruncatedGraphs,
 		"err", qt.Err,
-		"batched", qt.Batched,
-		"batch_queries", qt.BatchQueries,
-		"batch_columns", qt.BatchColumns,
-		"batch_wait_ms", ms(int64(qt.BatchWait)),
 		"init_ms", ms(qt.PhaseNs(trace.KindInit)),
 		"enqueue_ms", ms(qt.PhaseNs(trace.KindEnqueue)),
 		"identify_ms", ms(qt.PhaseNs(trace.KindIdentify)),

@@ -166,7 +166,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(out, "slow query") || !strings.Contains(out, `query="sparql rdf"`) {
 		t.Fatalf("no slow-query line logged:\n%s", out)
 	}
-	for _, field := range []string{"duration_ms=", "batched=", "expand_ms=", "topdown_ms=", "truncated_graphs=0"} {
+	for _, field := range []string{"duration_ms=", "expand_ms=", "topdown_ms=", "truncated_graphs=0"} {
 		if !strings.Contains(out, field) {
 			t.Fatalf("slow-query line missing %s:\n%s", field, out)
 		}

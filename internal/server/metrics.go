@@ -29,11 +29,6 @@ type serverMetrics struct {
 	phaseSeconds  *metrics.HistogramVec // per-phase profile, by phase name
 	searchErrors  *metrics.Counter      // engine searches that returned an error
 
-	batchQueries  *metrics.Histogram // occupancy: queries per launched batch
-	batchColumns  *metrics.Histogram // occupancy: keyword columns per launched batch
-	batchCoalesce *metrics.Histogram // time a batch stayed open before launch
-	batchSolo     *metrics.Counter   // batches that degenerated to one query
-
 	kbMappedBytes *metrics.Gauge      // live KB mapping size (0 unless mmap-loaded)
 	kbLoadMode    *metrics.CounterVec // 1 on the label of the load mode in use
 
@@ -80,17 +75,6 @@ func newServerMetrics() *serverMetrics {
 			"Engine search latency per algorithm phase.", "phase", nil),
 		searchErrors: r.Counter("wikisearch_search_errors_total",
 			"Engine searches that returned an error."),
-		batchQueries: r.Histogram("wikisearch_batch_occupancy",
-			"Queries multiplexed into one launched batch.",
-			[]float64{1, 2, 3, 4, 5, 6, 7, 8}),
-		batchColumns: r.Histogram("wikisearch_batch_columns",
-			"Keyword columns occupied by one launched batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
-		batchCoalesce: r.Histogram("wikisearch_batch_coalesce_seconds",
-			"Time a batch stayed open collecting queries before launching.",
-			[]float64{25e-6, 50e-6, 100e-6, 200e-6, 500e-6, 1e-3, 5e-3, 25e-3}),
-		batchSolo: r.Counter("wikisearch_batch_solo_total",
-			"Launched batches that held a single query and ran the solo path."),
 		kbMappedBytes: r.Gauge("wikisearch_kb_mapped_bytes",
 			"Bytes of the knowledge-base dump held in a live memory mapping (0 unless mmap-loaded)."),
 		kbLoadMode: r.CounterVec("wikisearch_kb_load_info",
@@ -165,18 +149,6 @@ func (m *serverMetrics) observeSearch(_ wikisearch.Query, res *wikisearch.Result
 	m.searchSeconds.Observe(res.Total.Seconds())
 	for phase, d := range res.Phases {
 		m.phaseSeconds.With(phase).Observe(d.Seconds())
-	}
-}
-
-// observeBatch is installed as the engine's batch observer: every launched
-// batch feeds the occupancy and coalescing-latency histograms, so the
-// effect of tuning Config.BatchWindow reads straight off /metrics.
-func (m *serverMetrics) observeBatch(ex wikisearch.BatchExecution) {
-	m.batchQueries.Observe(float64(ex.Queries))
-	m.batchColumns.Observe(float64(ex.Columns))
-	m.batchCoalesce.Observe(ex.Wait.Seconds())
-	if ex.Solo {
-		m.batchSolo.Inc()
 	}
 }
 

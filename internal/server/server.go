@@ -28,10 +28,6 @@
 // 500 internal (recovered panic). The unversioned routes predate the
 // envelope, keep their original payloads for existing clients, and are
 // deprecated in favor of /v1.
-//
-// Concurrent searches that agree on the expansion-shaping knobs are
-// coalesced into one shared bottom-up expansion (Config.BatchWindow);
-// batch occupancy and coalescing latency are exported at /metrics.
 package server
 
 import (
@@ -66,17 +62,8 @@ type Config struct {
 	// CacheSize bounds the query-result LRU in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// BatchWindow is the coalescing window for shared-frontier query
-	// batching: concurrent compatible searches admitted within the window
-	// share one bottom-up expansion (default: the engine's 200µs; negative
-	// disables batching). Results are identical either way; only the
-	// latency/throughput trade moves. See DESIGN.md §9 for tuning.
-	BatchWindow time.Duration
-	// BatchColumns caps the total keyword columns of one batch (default 8,
-	// the engine's word-wide fast path).
-	BatchColumns int
 	// SlowQuery is the threshold above which a search gets a structured
-	// slow-query log line with its per-phase breakdown and batch occupancy
+	// slow-query log line with its per-phase breakdown
 	// (default 500ms; negative disables). The same threshold selects which
 	// traces the /v1/debug/traces slow ring retains.
 	SlowQuery time.Duration
@@ -169,9 +156,7 @@ func (s *Server) handle(pattern string, h http.Handler, doc string) {
 func New(eng *wikisearch.Engine) *Server { return NewWithConfig(eng, Config{}) }
 
 // NewWithConfig builds a Server over the engine. It installs a search
-// observer on the engine that feeds the per-phase latency histograms and,
-// unless cfg.BatchWindow is negative, enables shared-frontier query
-// batching with an observer that feeds the batch metrics.
+// observer on the engine that feeds the per-phase latency histograms.
 func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -198,13 +183,6 @@ func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 		} else {
 			tr.SetSlowThreshold(1 << 62) // slow ring effectively off
 		}
-	}
-	if cfg.BatchWindow >= 0 {
-		eng.EnableBatching(wikisearch.BatchOptions{
-			Window:     cfg.BatchWindow,
-			MaxColumns: cfg.BatchColumns,
-			Observer:   s.met.observeBatch,
-		})
 	}
 	s.handle("GET /v1/search", s.instrument(http.HandlerFunc(s.handleV1Search), true),
 		"keyword search, versioned envelope")

@@ -135,6 +135,8 @@ func TestV1ErrorStatuses(t *testing.T) {
 		{"/v1/search?q=xml&k=9999", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=xml&alpha=0", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=xml&lambda=2", http.StatusBadRequest, "bad_request"},
+		{"/v1/search?q=sparql+rdf&alpha=NaN", http.StatusBadRequest, "bad_request"},
+		{"/v1/search?q=sparql+rdf&lambda=NaN", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=xml&variant=tpu", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=zzzznothing", http.StatusUnprocessableEntity, "unprocessable"},
 	}
@@ -225,76 +227,3 @@ func TestV1PanicEnvelope(t *testing.T) {
 		t.Fatalf("error block = %+v", resp.Error)
 	}
 }
-
-// TestBatchMetricsExported: with batching on (the default), served
-// searches feed the batch occupancy and coalescing histograms.
-func TestBatchMetricsExported(t *testing.T) {
-	s := testServer(t)
-	var wg sync.WaitGroup
-	for _, q := range []string{"xml+rdf", "sparql+rdf", "sql+query", "xml+xquery"} {
-		wg.Add(1)
-		go func(q string) {
-			defer wg.Done()
-			get(t, s, "/v1/search?q="+q)
-		}(q)
-	}
-	wg.Wait()
-	// The batch observer fires on the batch goroutine after results are
-	// delivered; poll briefly instead of racing it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		out := get(t, s, "/metrics").Body.String()
-		missing := ""
-		for _, want := range []string{
-			"wikisearch_batch_occupancy_count",
-			"wikisearch_batch_columns_count",
-			"wikisearch_batch_coalesce_seconds_count",
-		} {
-			if !strings.Contains(out, want) {
-				missing = want
-				break
-			}
-		}
-		if missing == "" {
-			var total float64
-			for _, line := range strings.Split(out, "\n") {
-				if strings.HasPrefix(line, "wikisearch_batch_occupancy_count ") {
-					if _, err := fmtSscan(line, &total); err != nil {
-						t.Fatalf("parse %q: %v", line, err)
-					}
-				}
-			}
-			if total >= 1 {
-				return
-			}
-			missing = "wikisearch_batch_occupancy_count >= 1"
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("metrics never showed %s:\n%s", missing, out)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestBatchingDisabled: a negative BatchWindow turns coalescing off; the
-// batch histograms stay empty while searches still succeed.
-func TestBatchingDisabled(t *testing.T) {
-	s := testServerWith(t, Config{BatchWindow: -1})
-	if w := get(t, s, "/v1/search?q=xml+rdf+sql"); w.Code != http.StatusOK {
-		t.Fatalf("status = %d body %s", w.Code, w.Body)
-	}
-	if got := s.met.batchQueries.Count(); got != 0 {
-		t.Fatalf("batch occupancy count = %d with batching disabled", got)
-	}
-}
-
-// fmtSscan parses the single float value off a metrics exposition line.
-func fmtSscan(line string, v *float64) (int, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 2 {
-		return 0, errBadLine
-	}
-	return 1, json.Unmarshal([]byte(fields[1]), v)
-}
-
-var errBadLine = os.ErrInvalid

@@ -38,7 +38,7 @@ import (
 // Offset arrays (labelOff &c.) have count+1 entries delimiting their blob,
 // exactly like CSR offsets delimit adjacency — so a string i is
 // blob[off[i]:off[i+1]] with no per-record framing to decode. See
-// DESIGN.md §10 for the alignment and endianness rules and the mapping
+// DESIGN.md §9 for the alignment and endianness rules and the mapping
 // lifecycle.
 const (
 	version3 = 3

@@ -10,10 +10,7 @@ import (
 )
 
 // QueryTrace is one completed query's assembled trace: identity, resolved
-// knobs, batch attribution and the kernel's span events. For a batched
-// query, Events holds the shared run's spans plus the member's own
-// batch-wait/batch-run spans; Group/GroupMask identify the member's column
-// group, so Tree can mark which spans worked for this query.
+// knobs and the kernel's span events.
 type QueryTrace struct {
 	ID        uint64 `json:"id"`
 	RequestID uint64 `json:"request_id,omitempty"`
@@ -28,61 +25,37 @@ type QueryTrace struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 
 	Start    time.Time     `json:"start"`
-	StartNs  int64         `json:"-"` // trace-clock start (admission for batch members)
+	StartNs  int64         `json:"-"` // trace-clock start
 	Duration time.Duration `json:"duration_ns"`
 	Err      string        `json:"error,omitempty"`
 	Answers  int           `json:"answers"`
 	// TruncatedGraphs counts Central Graphs the extraction cap cut short.
 	TruncatedGraphs int `json:"truncated_graphs,omitempty"`
 
-	// Batched marks a query served by a shared multi-query execution;
-	// Solo marks one that went through the batcher but degenerated to the
-	// ordinary solo path.
-	Batched      bool          `json:"batched,omitempty"`
-	Solo         bool          `json:"solo,omitempty"`
-	BatchQueries int           `json:"batch_queries,omitempty"`
-	BatchColumns int           `json:"batch_columns,omitempty"`
-	BatchWait    time.Duration `json:"batch_wait_ns,omitempty"`
-	Group        int           `json:"group"`      // this query's column-group index
-	GroupOff     int           `json:"group_off"`  // first matrix column owned
-	GroupCols    int           `json:"group_cols"` // keyword columns owned
-
 	Dropped int     `json:"dropped_events,omitempty"` // lost to ring overflow
 	Events  []Event `json:"-"`                        // sorted by (Start asc, End desc)
 }
 
-// PhaseNs sums the durations of every span of kind k that worked for this
-// query (its own column group or shared).
+// PhaseNs sums the durations of every span of kind k.
 func (t *QueryTrace) PhaseNs(k Kind) int64 {
 	var total int64
 	for i := range t.Events {
-		ev := &t.Events[i]
-		if ev.Kind == k && t.mine(ev) {
+		if ev := &t.Events[i]; ev.Kind == k {
 			total += ev.End - ev.Start
 		}
 	}
 	return total
 }
 
-// mine reports whether the span worked for this query's column group.
-func (t *QueryTrace) mine(ev *Event) bool {
-	return ev.Groups == 0 || ev.Groups&(1<<uint(t.Group)) != 0
-}
-
 // Span is one node of an assembled trace tree. Start is relative to the
-// query's own start, so batched members see the shared spans offset by
-// their individual admission times.
+// query's own start.
 type Span struct {
-	Name   string `json:"name"`
-	Kind   Kind   `json:"-"`
-	Start  int64  `json:"start_ns"`
-	Dur    int64  `json:"dur_ns"`
-	Worker int    `json:"worker"`
-	Level  int    `json:"level,omitempty"` // -1 when not level-scoped
-	// Groups is the span's owning column groups (0 = shared); Mine reports
-	// whether this query's group participated.
-	Groups   uint32  `json:"groups,omitempty"`
-	Mine     bool    `json:"mine"`
+	Name     string  `json:"name"`
+	Kind     Kind    `json:"-"`
+	Start    int64   `json:"start_ns"`
+	Dur      int64   `json:"dur_ns"`
+	Worker   int     `json:"worker"`
+	Level    int     `json:"level,omitempty"` // -1 when not level-scoped
 	A        int64   `json:"a,omitempty"`
 	B        int64   `json:"b,omitempty"`
 	Children []*Span `json:"children,omitempty"`
@@ -99,7 +72,7 @@ func (t *QueryTrace) Tree() *Span {
 			end = rel
 		}
 	}
-	root := &Span{Name: "search", Kind: numKinds, Start: 0, Dur: end, Level: -1, Mine: true}
+	root := &Span{Name: "search", Kind: numKinds, Start: 0, Dur: end, Level: -1}
 	stack := []*Span{root}
 	for i := range t.Events {
 		ev := &t.Events[i]
@@ -110,8 +83,6 @@ func (t *QueryTrace) Tree() *Span {
 			Dur:    ev.End - ev.Start,
 			Worker: int(ev.Worker),
 			Level:  int(ev.Level),
-			Groups: ev.Groups,
-			Mine:   t.mine(ev),
 			A:      ev.A,
 			B:      ev.B,
 		}
@@ -172,8 +143,7 @@ func (t *QueryTrace) WriteChrome(w io.Writer) error {
 			Pid:  1,
 			Tid:  int(ev.Worker),
 			Args: map[string]any{
-				"level": int(ev.Level), "groups": ev.Groups,
-				"mine": t.mine(ev), "a": ev.A, "b": ev.B,
+				"level": int(ev.Level), "a": ev.A, "b": ev.B,
 			},
 		})
 	}
@@ -317,8 +287,7 @@ func (c *Collector) Get(id uint64) *QueryTrace {
 }
 
 // FindRequest returns the most recent retained trace for the HTTP request
-// ID, or nil. Batched companions have distinct request IDs, so the lookup
-// is unambiguous.
+// ID, or nil.
 func (c *Collector) FindRequest(reqID uint64) *QueryTrace {
 	if reqID == 0 {
 		return nil

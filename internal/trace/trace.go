@@ -1,6 +1,6 @@
 // Package trace is the engine's always-on, allocation-free search tracing
 // layer. Each worker of a search records fixed-width span events — phase,
-// BFS level, owning column groups, frontier/edge counts, nanosecond
+// BFS level, frontier/edge counts, nanosecond
 // timestamps — into its own single-writer ring buffer; after the search, a
 // cold-path drain hands the events to a Collector that assembles per-query
 // trace trees keyed by request ID. The record path takes no locks and
@@ -29,14 +29,9 @@ type Kind uint8
 
 // The span kinds, from the outermost handler down to one pool fork/join.
 const (
-	// KindBatchWait is a query's time in the batcher's coalescing window:
-	// admission until its batch launched.
-	KindBatchWait Kind = iota
-	// KindBatchRun is the shared batched execution a query was a member of.
-	KindBatchRun
 	// KindBottomUp is stage one of Algorithm 1: initialization plus every
-	// BFS level, shared by all column groups of a batch.
-	KindBottomUp
+	// BFS level.
+	KindBottomUp Kind = iota
 	// KindInit is the Initialization phase (keyword marking).
 	KindInit
 	// KindLevel is one BFS level: enqueue, identify and expand.
@@ -47,7 +42,7 @@ const (
 	KindIdentify
 	// KindExpand is the Expansion step of a level.
 	KindExpand
-	// KindTopDown is the top-down extraction of one column group.
+	// KindTopDown is stage two: top-down extraction of the Central Graphs.
 	KindTopDown
 	// KindPoolWork is one worker's busy time inside a fork/join phase.
 	KindPoolWork
@@ -59,7 +54,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"batch-wait", "batch-run", "bottom-up", "init", "level",
+	"bottom-up", "init", "level",
 	"enqueue", "identify", "expand", "top-down", "pool-work", "pool-join",
 }
 
@@ -75,7 +70,6 @@ func (k Kind) String() string {
 // trace clock plus the attribution needed to rebuild a query's tree. The
 // meaning of the A/B counters depends on Kind:
 //
-//	KindBatchWait / KindBatchRun:  A=batch queries,  B=keyword columns
 //	KindInit:                      A=keyword columns
 //	KindLevel / KindExpand:        A=frontier size,  B=edges scanned
 //	KindEnqueue:                   A=frontier size
@@ -86,9 +80,6 @@ type Event struct {
 	Start int64 // trace-clock ns
 	End   int64 // trace-clock ns
 	A, B  int64 // kind-dependent counters (see above)
-	// Groups is the bitmask of column groups the span worked for; 0 means
-	// the span is shared by every member of the search.
-	Groups uint32
 	// Level is the BFS level for level-scoped kinds, -1 otherwise.
 	Level  int16
 	Kind   Kind
@@ -174,13 +165,13 @@ func (b *Buffer) Reset() {
 // buffer is nil, disabled, or w is out of range.
 //
 //wikisearch:hotpath
-func (b *Buffer) Record(w int, k Kind, start, end int64, level int, groups uint32, a, bb int64) {
+func (b *Buffer) Record(w int, k Kind, start, end int64, level int, a, bb int64) {
 	if b == nil || !b.enabled || w >= len(b.rings) {
 		return
 	}
 	b.rings[w].record(Event{
 		Start: start, End: end, A: a, B: bb,
-		Groups: groups, Level: int16(level), Kind: k, Worker: uint8(w),
+		Level: int16(level), Kind: k, Worker: uint8(w),
 	})
 }
 

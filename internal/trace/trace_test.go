@@ -20,9 +20,9 @@ func TestRecordAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		t0 := Now()
 		for w := 0; w < 4; w++ {
-			b.Record(w, KindExpand, t0, Now(), 3, 1, 100, 200)
+			b.Record(w, KindExpand, t0, Now(), 3, 100, 200)
 		}
-		b.Record(0, KindLevel, t0, Now(), 3, 1, 100, 200)
+		b.Record(0, KindLevel, t0, Now(), 3, 100, 200)
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocated %.1f times per run; want 0", allocs)
@@ -31,7 +31,7 @@ func TestRecordAllocationFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(10, func() {
 		t0 := Now()
 		for i := 0; i < 2*ringEvents; i++ {
-			b.Record(1, KindEnqueue, t0, t0, i, 0, 0, 0)
+			b.Record(1, KindEnqueue, t0, t0, i, 0, 0)
 		}
 	})
 	if allocs != 0 {
@@ -46,8 +46,8 @@ func TestBufferDrain(t *testing.T) {
 	b.Ensure(2)
 	b.SetEnabled(true)
 	b.Reset()
-	b.Record(0, KindInit, 1, 2, -1, 0, 0, 0)
-	b.Record(1, KindPoolWork, 3, 4, -1, 0, 0, 0)
+	b.Record(0, KindInit, 1, 2, -1, 0, 0)
+	b.Record(1, KindPoolWork, 3, 4, -1, 0, 0)
 	ev, dropped := b.Drain(nil)
 	if len(ev) != 2 || dropped != 0 {
 		t.Fatalf("drained %d events, %d dropped; want 2, 0", len(ev), dropped)
@@ -55,7 +55,7 @@ func TestBufferDrain(t *testing.T) {
 
 	b.Reset()
 	for i := 0; i < ringEvents+10; i++ {
-		b.Record(0, KindEnqueue, int64(i), int64(i), 0, 0, 0, 0)
+		b.Record(0, KindEnqueue, int64(i), int64(i), 0, 0, 0)
 	}
 	ev, dropped = b.Drain(nil)
 	if len(ev) != ringEvents || dropped != 10 {
@@ -68,7 +68,7 @@ func TestBufferDrain(t *testing.T) {
 
 	b.SetEnabled(false)
 	b.Reset()
-	b.Record(0, KindInit, 1, 2, -1, 0, 0, 0)
+	b.Record(0, KindInit, 1, 2, -1, 0, 0)
 	if ev, _ := b.Drain(nil); len(ev) != 0 {
 		t.Fatalf("disabled buffer recorded %d events", len(ev))
 	}
@@ -76,39 +76,37 @@ func TestBufferDrain(t *testing.T) {
 	if nb.On() {
 		t.Fatal("nil buffer reports On")
 	}
-	nb.Record(0, KindInit, 1, 2, -1, 0, 0, 0) // must not panic
+	nb.Record(0, KindInit, 1, 2, -1, 0, 0) // must not panic
 	nb.Reset()
 	if ev, _ := nb.Drain(nil); len(ev) != 0 {
 		t.Fatal("nil buffer drained events")
 	}
 }
 
-// testTrace builds a small batched-looking trace: a bottom-up span holding
-// two levels (each with enqueue inside), and per-group top-down spans.
+// testTrace builds a small trace: a bottom-up span holding two levels (each
+// with enqueue inside), then a top-down span.
 func testTrace() *QueryTrace {
 	tr := &QueryTrace{
 		Query: "xml rdf", Terms: []string{"xml", "rdf"}, Variant: "CPU-Par",
 		StartNs: 100, Start: time.Now(), Duration: 1000,
-		Batched: true, BatchQueries: 2, Group: 1,
 		Events: []Event{
 			{Start: 110, End: 900, Kind: KindBottomUp, Level: -1},
-			{Start: 120, End: 400, Kind: KindLevel, Level: 0, Groups: 3, A: 10},
-			{Start: 120, End: 200, Kind: KindEnqueue, Level: 0, Groups: 3, A: 10},
-			{Start: 410, End: 890, Kind: KindLevel, Level: 1, Groups: 3, A: 20},
-			{Start: 905, End: 940, Kind: KindTopDown, Level: -1, Groups: 1},
-			{Start: 945, End: 990, Kind: KindTopDown, Level: -1, Groups: 2},
+			{Start: 120, End: 400, Kind: KindLevel, Level: 0, A: 10},
+			{Start: 120, End: 200, Kind: KindEnqueue, Level: 0, A: 10},
+			{Start: 410, End: 890, Kind: KindLevel, Level: 1, A: 20},
+			{Start: 905, End: 940, Kind: KindTopDown, Level: -1},
 		},
 	}
 	return tr
 }
 
 // TestTreeNesting: interval containment parents levels under bottom-up and
-// steps under levels, and group attribution marks only this query's spans.
+// steps under levels, and PhaseNs sums a kind's spans.
 func TestTreeNesting(t *testing.T) {
 	tr := testTrace()
 	root := tr.Tree()
-	if root.Name != "search" || len(root.Children) != 3 {
-		t.Fatalf("root has %d children; want 3 (bottom-up + 2 top-down)", len(root.Children))
+	if root.Name != "search" || len(root.Children) != 2 {
+		t.Fatalf("root has %d children; want 2 (bottom-up + top-down)", len(root.Children))
 	}
 	bu := root.Children[0]
 	if bu.Kind != KindBottomUp || len(bu.Children) != 2 {
@@ -121,17 +119,11 @@ func TestTreeNesting(t *testing.T) {
 	if lvl0.Start != 20 { // rebased to the query's own start
 		t.Fatalf("level 0 starts at %d; want 20", lvl0.Start)
 	}
-	// Group attribution: this query is group 1, so the Groups=2 top-down is
-	// mine, the Groups=1 one is the companion's.
-	td0, td1 := root.Children[1], root.Children[2]
-	if td0.Mine || !td1.Mine {
-		t.Fatalf("top-down attribution wrong: mine=%v,%v; want false,true", td0.Mine, td1.Mine)
+	if td := root.Children[1]; td.Kind != KindTopDown {
+		t.Fatalf("second root child is %s; want top-down", td.Name)
 	}
-	if !bu.Mine {
-		t.Fatal("shared bottom-up span not attributed to the member")
-	}
-	if got, want := tr.PhaseNs(KindTopDown), int64(45); got != want {
-		t.Fatalf("PhaseNs(top-down) = %d; want %d (own group only)", got, want)
+	if got, want := tr.PhaseNs(KindLevel), int64(280+480); got != want {
+		t.Fatalf("PhaseNs(level) = %d; want %d", got, want)
 	}
 }
 

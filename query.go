@@ -100,10 +100,12 @@ func (q Query) Validate() error {
 	if q.TopK != 0 && (q.TopK < 1 || q.TopK > 200) {
 		return fmt.Errorf("wikisearch: k must be in [1,200]")
 	}
-	if q.Alpha != 0 && (q.Alpha < 0 || q.Alpha >= 1) {
+	// The float checks are written so that NaN, which fails every
+	// comparison, fails them too.
+	if q.Alpha != 0 && !(q.Alpha > 0 && q.Alpha < 1) {
 		return fmt.Errorf("wikisearch: alpha must be in (0,1)")
 	}
-	if q.Lambda != 0 && (q.Lambda < 0 || q.Lambda > 1) {
+	if q.Lambda != 0 && !(q.Lambda > 0 && q.Lambda <= 1) {
 		return fmt.Errorf("wikisearch: lambda must be in (0,1]")
 	}
 	if q.MaxLevel != 0 && (q.MaxLevel < 1 || q.MaxLevel > 250) {
@@ -192,9 +194,8 @@ type Result struct {
 // online service uses this for request deadlines); a nil ctx runs detached.
 // The outcome — including errors — is reported to the observer installed
 // with SetSearchObserver, which the serving layer uses to feed per-phase
-// latency histograms. When batching is enabled (EnableBatching), concurrent
-// compatible searches may be coalesced into one shared bottom-up expansion;
-// results are unaffected.
+// latency histograms. Concurrent searches run independently, each on its
+// own pooled search state.
 func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 	res, err := e.searchContext(ctx, q)
 	e.observe(q, res, err)
@@ -226,9 +227,6 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b := e.batcher.Load(); b != nil && b.eligible(q, len(terms)) {
-		return b.do(ctx, ep, q, in, terms, start)
-	}
 	return e.runPrepared(ctx, ep, q, in, terms, start)
 }
 
@@ -243,8 +241,7 @@ func termsOf(res *Result) []string {
 
 // params resolves q's knobs into core parameters against one snapshot:
 // defaults applied, thread count concretized (Sequential forces one
-// thread). The batcher keys batch compatibility on the resolved values
-// plus the epoch id.
+// thread).
 func (sn *snapshot) params(q Query) core.Params {
 	if q.Threads <= 0 {
 		q.Threads = runtime.GOMAXPROCS(0)
@@ -264,9 +261,7 @@ func (sn *snapshot) params(q Query) core.Params {
 	return p
 }
 
-// runPrepared executes a prepared Central Graph query solo — the path every
-// search took before batching, and the batcher's fallback for batches of
-// one (which threads its coalescing wait through start). The caller holds a
+// runPrepared executes a prepared Central Graph query. The caller holds a
 // pin on ep for the duration.
 func (e *Engine) runPrepared(ctx context.Context, ep *epoch, q Query, in core.Input, terms []string, start searchStart) (*Result, error) {
 	sn := ep.snap
@@ -284,7 +279,7 @@ func (e *Engine) runPrepared(ctx context.Context, ep *epoch, q Query, in core.In
 		res      *core.Result
 		transfer float64
 		err      error
-		m        = traceMeta{start: start, groupCols: len(in.Sources), epoch: ep.id}
+		m        = traceMeta{start: start, epoch: ep.id}
 	)
 	switch q.Variant {
 	case CPUPar, Sequential:

@@ -41,14 +41,10 @@ func (e *Engine) SetTracing(on bool) { e.traceOff.Store(!on) }
 func (e *Engine) TracingEnabled() bool { return !e.traceOff.Load() }
 
 // searchStart carries a query's admission timing into the execution paths:
-// ns is the trace-clock admission time (for batched members, when they
-// entered the coalescing window), t the wall-clock start. waitNs and solo
-// describe a batcher pass-through.
+// ns is the trace-clock admission time, t the wall-clock start.
 type searchStart struct {
-	ns     int64
-	t      time.Time
-	waitNs int64
-	solo   bool
+	ns int64
+	t  time.Time
 }
 
 // startNow opens timing for a query entering the engine.
@@ -57,16 +53,10 @@ func startNow() searchStart { return searchStart{ns: trace.Now(), t: time.Now()}
 // traceMeta carries per-query attribution from an execution path to
 // collectTrace.
 type traceMeta struct {
-	start        searchStart
-	epoch        uint64
-	batched      bool
-	batchQueries int
-	batchColumns int
-	group        int
-	groupOff     int
-	groupCols    int
-	events       []trace.Event
-	dropped      int
+	start   searchStart
+	epoch   uint64
+	events  []trace.Event
+	dropped int
 }
 
 // collectTrace assembles and retains one completed query's trace. Cold
@@ -88,18 +78,8 @@ func (e *Engine) collectTrace(ctx context.Context, q Query, terms []string, res 
 		Start:     m.start.t,
 		StartNs:   m.start.ns,
 		Duration:  time.Duration(trace.Now() - m.start.ns),
-		Batched:   m.batched,
-		Solo:      m.start.solo,
-		BatchWait: time.Duration(m.start.waitNs),
-		Group:     m.group,
-		GroupOff:  m.groupOff,
-		GroupCols: m.groupCols,
 		Dropped:   m.dropped,
 		Events:    m.events,
-	}
-	if m.batched {
-		qt.BatchQueries = m.batchQueries
-		qt.BatchColumns = m.batchColumns
 	}
 	if err != nil {
 		qt.Err = err.Error()

@@ -6,22 +6,25 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wikisearch/internal/trace"
 )
 
 // TestSearchObserverExactlyOnce: the observer contract — one invocation per
-// Search call, no more, no fewer — holds on the solo path, the batched
-// path (including twins that collapse into one column group), the batcher's
-// solo fallback, and error outcomes.
+// Search call, no more, no fewer — holds for sequential searches,
+// concurrent ones (including identical twins), and error outcomes.
 func TestSearchObserverExactlyOnce(t *testing.T) {
 	eng := newTestEngine(t)
 	var calls atomic.Int64
 	eng.SetSearchObserver(func(Query, *Result, error) { calls.Add(1) })
 
-	// Solo path: one call per search, success or error.
-	queries := batchTestQueries()
+	// Sequential: one call per search, success or error.
+	queries := []Query{
+		{Text: "xml rdf sql", TopK: 3, Threads: 2},
+		{Text: "sparql rdf", TopK: 2, Threads: 2},
+		{Text: "xml xpath", TopK: 4, Threads: 2},
+		{Text: "sql query language", TopK: 1, Threads: 2},
+	}
 	for _, q := range queries {
 		if _, err := eng.Search(context.Background(), q); err != nil {
 			t.Fatal(err)
@@ -31,15 +34,12 @@ func TestSearchObserverExactlyOnce(t *testing.T) {
 		t.Fatal("unmatched keyword accepted")
 	}
 	if got := calls.Load(); got != int64(len(queries))+1 {
-		t.Fatalf("solo path: observer fired %d times for %d searches", got, len(queries)+1)
+		t.Fatalf("sequential: observer fired %d times for %d searches", got, len(queries)+1)
 	}
 
-	// Batched path: concurrent compatible searches (including an exact twin
-	// of queries[0]) coalesce into shared executions; every caller still
-	// observes its own outcome exactly once.
+	// Concurrent searches, including an exact twin of queries[0]: every
+	// caller observes its own outcome exactly once.
 	calls.Store(0)
-	eng.EnableBatching(BatchOptions{Window: 100 * time.Millisecond})
-	defer eng.DisableBatching()
 	work := append(append([]Query(nil), queries...), queries[0])
 	var wg sync.WaitGroup
 	for _, q := range work {
@@ -53,17 +53,7 @@ func TestSearchObserverExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 	if got := calls.Load(); got != int64(len(work)) {
-		t.Fatalf("batched path: observer fired %d times for %d searches", got, len(work))
-	}
-
-	// Solo fallback: a batch of one runs the ordinary solo path; still one
-	// observation.
-	calls.Store(0)
-	if _, err := eng.Search(context.Background(), queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("solo fallback: observer fired %d times for 1 search", got)
+		t.Fatalf("concurrent: observer fired %d times for %d searches", got, len(work))
 	}
 }
 
@@ -89,9 +79,6 @@ func TestSoloTraceCollected(t *testing.T) {
 	}
 	if qt.Answers != len(res.Answers) {
 		t.Fatalf("trace answers = %d, result has %d", qt.Answers, len(res.Answers))
-	}
-	if qt.Batched || qt.Solo {
-		t.Fatalf("solo search marked batched=%v solo=%v", qt.Batched, qt.Solo)
 	}
 	if len(qt.Events) == 0 {
 		t.Fatal("trace has no events")
@@ -138,121 +125,12 @@ func TestSoloTraceCollected(t *testing.T) {
 	}
 }
 
-// TestBatchedTraceAttribution: every member of a shared batch gets its own
-// trace carrying the whole shared run — the shared bottom-up spans marked
-// as working for it, its own column group's top-down extraction marked
-// mine, and the other groups' extractions marked not-mine.
-func TestBatchedTraceAttribution(t *testing.T) {
-	eng := newTestEngine(t)
-	eng.EnableBatching(BatchOptions{Window: 100 * time.Millisecond})
-	defer eng.DisableBatching()
-
-	// Three distinct queries (7 keyword columns, fits one batch) plus an
-	// exact twin of the first: four members, three column groups.
-	queries := []Query{
-		{Text: "xml rdf sql", TopK: 3, Threads: 2},
-		{Text: "sparql rdf", TopK: 2, Threads: 2},
-		{Text: "xml xpath", TopK: 4, Threads: 2},
-		{Text: "xml rdf sql", TopK: 3, Threads: 2},
-	}
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(reqID uint64, q Query) {
-			defer wg.Done()
-			ctx := WithRequestID(context.Background(), reqID)
-			if _, err := eng.Search(ctx, q); err != nil {
-				t.Error(err)
-			}
-		}(uint64(100+i), q)
-	}
-	wg.Wait()
-
-	groupOf := map[uint64]int{}
-	for i := range queries {
-		reqID := uint64(100 + i)
-		qt := eng.Traces().FindRequest(reqID)
-		if qt == nil {
-			t.Fatalf("no trace for request %d", reqID)
-		}
-		if !qt.Batched {
-			t.Fatalf("request %d not batched (solo=%v); the 100ms window should have coalesced all four", reqID, qt.Solo)
-		}
-		if qt.BatchQueries != 4 || qt.BatchColumns != 7 {
-			t.Fatalf("request %d batch occupancy %d/%d columns, want 4/7", reqID, qt.BatchQueries, qt.BatchColumns)
-		}
-		if qt.GroupCols != len(qt.Terms) {
-			t.Fatalf("request %d owns %d columns for %d terms", reqID, qt.GroupCols, len(qt.Terms))
-		}
-		groupOf[reqID] = qt.Group
-
-		var sharedBottomUp, ownWait, ownTopDown, otherTopDown, batchRun bool
-		for j := range qt.Events {
-			ev := &qt.Events[j]
-			if ev.End < ev.Start || ev.Start < qt.StartNs {
-				t.Fatalf("request %d: bad event interval %+v (query start %d)", reqID, ev, qt.StartNs)
-			}
-			switch ev.Kind {
-			case trace.KindBottomUp:
-				if ev.Groups == 0 {
-					sharedBottomUp = true
-				}
-			case trace.KindBatchWait:
-				if ev.Groups == 1<<uint(qt.Group) {
-					ownWait = true
-				}
-			case trace.KindBatchRun:
-				batchRun = true
-			case trace.KindTopDown:
-				if ev.Groups == 1<<uint(qt.Group) {
-					ownTopDown = true
-				} else {
-					otherTopDown = true
-				}
-			}
-		}
-		if !sharedBottomUp {
-			t.Fatalf("request %d: shared bottom-up span missing from member trace", reqID)
-		}
-		if !ownWait || !batchRun {
-			t.Fatalf("request %d: synthetic batch spans missing (wait=%v run=%v)", reqID, ownWait, batchRun)
-		}
-		if !ownTopDown {
-			t.Fatalf("request %d: own group %d has no top-down span", reqID, qt.Group)
-		}
-		if !otherTopDown {
-			t.Fatalf("request %d: expected other groups' top-down spans in the shared events", reqID)
-		}
-		// The other groups' extraction must not count toward this member's
-		// phase time; its own must.
-		var own int64
-		for j := range qt.Events {
-			ev := &qt.Events[j]
-			if ev.Kind == trace.KindTopDown && ev.Groups == 1<<uint(qt.Group) {
-				own += ev.End - ev.Start
-			}
-		}
-		if got := qt.PhaseNs(trace.KindTopDown); got != own {
-			t.Fatalf("request %d: PhaseNs(top-down) = %d, own-group spans sum to %d", reqID, got, own)
-		}
-	}
-	// Twins share a column group; the distinct queries get distinct groups.
-	if groupOf[100] != groupOf[103] {
-		t.Fatalf("twin queries in different groups: %d vs %d", groupOf[100], groupOf[103])
-	}
-	if groupOf[100] == groupOf[101] || groupOf[101] == groupOf[102] || groupOf[100] == groupOf[102] {
-		t.Fatalf("distinct queries share a group: %v", groupOf)
-	}
-}
-
-// TestTraceAssemblyConcurrent: a randomized batched workload (run under
+// TestTraceAssemblyConcurrent: a randomized concurrent workload (run under
 // -race in CI) always yields well-formed traces — monotone span intervals,
 // level spans nested under a bottom-up ancestor, per-level phases nested
 // under their level, and no span escaping the synthetic root.
 func TestTraceAssemblyConcurrent(t *testing.T) {
 	eng := newTestEngine(t)
-	eng.EnableBatching(BatchOptions{Window: 500 * time.Microsecond})
-	defer eng.DisableBatching()
 
 	var mu sync.Mutex
 	var collected []*QueryTrace
@@ -306,17 +184,6 @@ func TestTraceAssemblyConcurrent(t *testing.T) {
 			}
 			if j > 0 && ev.Start < qt.Events[j-1].Start {
 				t.Fatalf("trace %d: events not sorted by start", qt.ID)
-			}
-		}
-		if qt.Batched {
-			var shared bool
-			for j := range qt.Events {
-				if qt.Events[j].Kind == trace.KindBottomUp && qt.Events[j].Groups == 0 {
-					shared = true
-				}
-			}
-			if !shared {
-				t.Fatalf("trace %d: batched member missing the shared bottom-up span", qt.ID)
 			}
 		}
 		root := qt.Tree()
