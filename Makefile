@@ -36,7 +36,7 @@ race:
 # detector's instrumentation would break, so they skip under -race and run
 # here without it.
 allocguard:
-	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/parallel ./internal/trace
+	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/graph ./internal/parallel ./internal/trace
 
 # A short coverage-guided fuzz pass over every dump decoder generation
 # (v1/v2 streams, v3 mmap images): corrupt dumps must never panic or

@@ -19,6 +19,7 @@ import (
 	"wikisearch/internal/bench"
 	"wikisearch/internal/eval"
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 var (
@@ -76,9 +77,11 @@ func searchBench(b *testing.B, v wikisearch.Variant, knum, topk int, alpha float
 func BenchmarkTable2DatasetStats(b *testing.B) {
 	e := env(b)
 	rng := rand.New(rand.NewSource(7))
+	pool := parallel.NewPool(0)
+	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := graph.SampleAverageDistance(e.KB.Graph, 100, rng)
+		s := graph.SampleAverageDistance(e.KB.Graph, 100, rng, pool)
 		if s.Mean <= 0 {
 			b.Fatal("bad sample")
 		}

@@ -32,8 +32,8 @@ func NewBuilder() *Builder { return graph.NewBuilder() }
 
 // EngineOptions configures engine preparation.
 type EngineOptions struct {
-	// Threads bounds preparation parallelism (weight computation). <= 0
-	// selects GOMAXPROCS.
+	// Threads bounds preparation parallelism: weight computation, distance
+	// sampling and the inverted-index build. <= 0 selects GOMAXPROCS.
 	Threads int
 	// DistanceSamplePairs is the number of node pairs sampled to estimate
 	// the average shortest distance A (the paper samples 10,000; default
@@ -194,7 +194,7 @@ func NewEngine(g *Graph, o EngineOptions) (*Engine, error) {
 	pool := parallel.NewPool(o.Threads)
 	defer pool.Close()
 	w := weight.Compute(g, pool)
-	return newEngineFrom("", g, w, o)
+	return newEngineFrom("", g, w, o, pool)
 }
 
 // LoadEngine reads a dump produced by Engine.Save (or cmd/wikigen) and
@@ -214,16 +214,18 @@ func LoadEngine(path string, o EngineOptions) (*Engine, error) {
 		dump:   d,
 		states: newStateList(),
 	}
+	pool := parallel.NewPool(o.Threads) // spawns workers only if the dump lacks the index or A
+	defer pool.Close()
 	ix := d.Index
 	if ix == nil {
-		ix = text.BuildIndex(d.Graph)
+		ix = text.BuildIndex(d.Graph, pool)
 	}
 	avgDist, stddev := d.AvgDist, d.Deviation
 	if o.AvgDistance > 0 {
 		avgDist, stddev = o.AvgDistance, 0
 	}
 	if avgDist <= 0 {
-		s := graph.SampleAverageDistance(d.Graph, o.DistanceSamplePairs, rand.New(rand.NewSource(o.Seed)))
+		s := graph.SampleAverageDistance(d.Graph, o.DistanceSamplePairs, rand.New(rand.NewSource(o.Seed)), pool)
 		avgDist, stddev = s.Mean, s.Deviation
 		if avgDist <= 0 {
 			avgDist = 1
@@ -233,7 +235,7 @@ func LoadEngine(path string, o EngineOptions) (*Engine, error) {
 	return e, nil
 }
 
-func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions) (*Engine, error) {
+func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions, pool *parallel.Pool) (*Engine, error) {
 	e := &Engine{
 		name:   name,
 		tracer: trace.NewCollector(),
@@ -243,13 +245,13 @@ func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions) (*Engine
 	if o.AvgDistance > 0 {
 		avgDist = o.AvgDistance
 	} else {
-		s := graph.SampleAverageDistance(g, o.DistanceSamplePairs, rand.New(rand.NewSource(o.Seed)))
+		s := graph.SampleAverageDistance(g, o.DistanceSamplePairs, rand.New(rand.NewSource(o.Seed)), pool)
 		avgDist, stddev = s.Mean, s.Deviation
 		if avgDist <= 0 {
 			avgDist = 1 // degenerate graphs: keep the mapping sane
 		}
 	}
-	e.installEpoch(newSnapshot(g, text.BuildIndex(g), nil, w, avgDist, stddev))
+	e.installEpoch(newSnapshot(g, text.BuildIndex(g, pool), nil, w, avgDist, stddev))
 	return e, nil
 }
 
@@ -269,7 +271,9 @@ func (e *Engine) SaveFormat(path string, format DumpFormat) error {
 	g, ix := sn.g, sn.ix
 	if g.HasOverlay() {
 		g = g.Materialize()
-		ix = text.BuildIndex(g)
+		pool := parallel.NewPool(0)
+		ix = text.BuildIndex(g, pool)
+		pool.Close()
 	}
 	d := &storage.Dump{
 		Name:      e.name,

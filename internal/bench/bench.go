@@ -13,6 +13,7 @@ import (
 	"wikisearch"
 	"wikisearch/internal/eval"
 	"wikisearch/internal/gen"
+	"wikisearch/internal/parallel"
 	"wikisearch/internal/text"
 )
 
@@ -99,7 +100,9 @@ func NewEnv(cfg Config) (*Env, error) {
 		return nil, err
 	}
 	eng.SetName(kb.Name)
-	return &Env{Cfg: cfg, KB: kb, Eng: eng, Ix: text.BuildIndex(kb.Graph)}, nil
+	pool := parallel.NewPool(0)
+	defer pool.Close()
+	return &Env{Cfg: cfg, KB: kb, Eng: eng, Ix: text.BuildIndex(kb.Graph, pool)}, nil
 }
 
 // Workload returns the efficiency workload for a keyword count.

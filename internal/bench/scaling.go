@@ -5,6 +5,7 @@ import (
 
 	"wikisearch"
 	"wikisearch/internal/gen"
+	"wikisearch/internal/parallel"
 	"wikisearch/internal/text"
 )
 
@@ -27,6 +28,8 @@ func Scaling(cfg Config, sizes []int) (Table, []ScalingPoint, error) {
 	if len(sizes) == 0 {
 		sizes = []int{15000, 30000, 60000, 120000}
 	}
+	pool := parallel.NewPool(0)
+	defer pool.Close()
 	t := Table{
 		ID:     "scaling",
 		Title:  "CPU-Par total time vs graph size (Knum=" + fmt.Sprint(cfg.Knum) + ")",
@@ -47,7 +50,7 @@ func Scaling(cfg Config, sizes []int) (Table, []ScalingPoint, error) {
 		if err != nil {
 			return t, nil, err
 		}
-		env := &Env{Cfg: cfg, KB: kb, Eng: eng, Ix: text.BuildIndex(kb.Graph)}
+		env := &Env{Cfg: cfg, KB: kb, Eng: eng, Ix: text.BuildIndex(kb.Graph, pool)}
 		queries := env.Workload(cfg.Knum, cfg.QueriesPerSetting)
 		r, err := env.measure(VCPU, queries, cfg.TopK, cfg.Alpha, cfg.Threads)
 		if err != nil {

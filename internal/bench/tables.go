@@ -6,6 +6,7 @@ import (
 
 	"wikisearch/internal/core"
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 // DatasetStats is a Table II row.
@@ -26,9 +27,11 @@ func Table2(envs []*Env) (Table, []DatasetStats) {
 		Header: []string{"dataset", "# nodes", "# edges", "A", "Deviation"},
 	}
 	var stats []DatasetStats
+	pool := parallel.NewPool(0)
+	defer pool.Close()
 	for _, e := range envs {
 		s := graph.SampleAverageDistance(e.KB.Graph, e.Cfg.SamplePairs,
-			rand.New(rand.NewSource(e.Cfg.Seed)))
+			rand.New(rand.NewSource(e.Cfg.Seed)), pool)
 		row := DatasetStats{
 			Name:      e.KB.Name,
 			Nodes:     e.KB.Graph.NumNodes(),

@@ -3,7 +3,10 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"wikisearch/internal/parallel"
 )
 
 func benchGraph(b *testing.B, n, m int) *Graph {
@@ -60,13 +63,18 @@ func BenchmarkForEachNeighbor(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkBidirectionalDistance(b *testing.B) {
+// BenchmarkSampleAverageDistance times one full 2,000-pair sample (the
+// engine's default) on one worker and on GOMAXPROCS workers.
+func BenchmarkSampleAverageDistance(b *testing.B) {
 	g := benchGraph(b, 20000, 160000)
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NodeID(rng.Intn(g.NumNodes()))
-		t := NodeID(rng.Intn(g.NumNodes()))
-		_ = g.Distance(s, t)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := parallel.NewPool(workers)
+			defer pool.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = SampleAverageDistance(g, 2000, rand.New(rand.NewSource(3)), pool)
+			}
+		})
 	}
 }

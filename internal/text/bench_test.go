@@ -2,9 +2,11 @@ package text
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 func BenchmarkStem(b *testing.B) {
@@ -43,8 +45,14 @@ func BenchmarkBuildIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = BuildIndex(g)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := parallel.NewPool(workers)
+			defer pool.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = BuildIndex(g, pool)
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package text
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 // Index is the inverted keyword index mapping each normalized term to the
@@ -19,40 +21,158 @@ type Index struct {
 	totalPost int
 }
 
-// BuildIndex indexes every node's label and description.
-func BuildIndex(g *graph.Graph) *Index {
-	ix := &Index{ids: make(map[string]int32)}
+// BuildIndex indexes every node's label and description. Each distinct raw
+// token is stop-checked and stemmed once per build (a token → term memo),
+// and a node's repeated terms are dropped by stamping each term with the
+// last node that posted it.
+//
+// Given a pool, the build splits the node range into one contiguous chunk
+// per worker; each chunk indexes its nodes with its own memo and postings,
+// and the merge assigns global term ids in chunk order, then in each chunk's
+// first-occurrence order, and concatenates postings in chunk order. Term
+// ids, names and the sorted posting lists are therefore identical for every
+// worker count. Without a pool the build runs on the calling goroutine.
+func BuildIndex(g *graph.Graph, pool ...*parallel.Pool) *Index {
+	p := parallel.NewPool(1) // a one-worker pool never spawns a goroutine
+	if len(pool) > 0 {
+		p = pool[0]
+	}
 	n := g.NumNodes()
-	// Per-node de-duplication scratch.
-	seen := make(map[int32]struct{}, 16)
-	for v := 0; v < n; v++ {
-		clear(seen)
-		addTerms := func(s string) {
-			for _, term := range Normalize(s) {
-				id, ok := ix.ids[term]
-				if !ok {
-					id = int32(len(ix.names))
-					ix.ids[term] = id
-					ix.names = append(ix.names, term)
-					ix.postings = append(ix.postings, nil)
-				}
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				ix.postings[id] = append(ix.postings[id], graph.NodeID(v))
+	k := max(1, min(p.Workers(), n))
+	chunks := make([]indexChunk, k)
+	p.For(k, func(c int) {
+		chunks[c].build(g, c*n/k, (c+1)*n/k)
+	})
+
+	// Global ids: chunk 0's local ids are already global (its ids map and
+	// names become the index's); later chunks add their new terms in
+	// first-occurrence order.
+	ix := &Index{ids: chunks[0].ids, names: chunks[0].names}
+	size := 0
+	for c := range chunks {
+		ch := &chunks[c]
+		ch.global = make([]int32, len(ch.names))
+		for l, term := range ch.names {
+			id, ok := ix.ids[term]
+			if !ok {
+				id = int32(len(ix.names))
+				ix.ids[term] = id
+				ix.names = append(ix.names, term)
 			}
+			ch.global[l] = id
 		}
-		addTerms(g.Label(graph.NodeID(v)))
-		addTerms(g.Description(graph.NodeID(v)))
+		size += len(ch.terms)
 	}
-	for _, p := range ix.postings {
-		if len(p) > ix.maxLen {
-			ix.maxLen = len(p)
+	if len(ix.names) == 0 {
+		return ix // nothing indexed: nil postings, like an empty Export
+	}
+
+	// Every term's postings lie contiguously in one slab, chunk by chunk:
+	// each chunk's counts become its fill cursors, so its share of a term's
+	// list follows the previous chunk's and the list stays sorted.
+	cursor := make([]int32, len(ix.names))
+	for c := range chunks {
+		for l, id := range chunks[c].global {
+			cursor[id] += chunks[c].counts[l]
 		}
-		ix.totalPost += len(p)
 	}
+	slab := make([]graph.NodeID, size)
+	ix.postings = make([][]graph.NodeID, len(ix.names))
+	at := int32(0)
+	for id, cnt := range cursor {
+		ix.postings[id] = slab[at : at+cnt : at+cnt]
+		cursor[id] = at
+		at += cnt
+		ix.totalPost += int(cnt)
+		ix.maxLen = max(ix.maxLen, int(cnt))
+	}
+	for c := range chunks {
+		ch := &chunks[c]
+		for l, id := range ch.global {
+			ch.counts[l], cursor[id] = cursor[id], cursor[id]+ch.counts[l]
+		}
+	}
+	p.For(k, func(c int) {
+		chunks[c].fill(slab)
+	})
 	return ix
+}
+
+// indexChunk is one contiguous node range [lo, hi) of a BuildIndex, indexed
+// with chunk-local term ids.
+type indexChunk struct {
+	lo     int
+	ids    map[string]int32 // term → local id
+	names  []string         // local id → term, in first-occurrence order
+	counts []int32          // local id → postings; then the fill cursor
+	last   []int32          // local id → last node that posted it
+	global []int32          // local id → global id (set by the merge)
+	// terms holds the local term id of every posting in node order, and
+	// ends[v-lo] is where node v's postings end in terms.
+	terms []int32
+	ends  []int32
+}
+
+// build indexes nodes [lo, hi) of g.
+func (ch *indexChunk) build(g *graph.Graph, lo, hi int) {
+	ch.lo = lo
+	ch.ids = make(map[string]int32)
+	ch.ends = make([]int32, 0, hi-lo)
+	memo := make(map[string]int32) // raw token → local id; -1: stopword or empty stem
+	var toks []string
+	for v := lo; v < hi; v++ {
+		toks = appendTokens(toks[:0], g.Label(graph.NodeID(v)))
+		toks = appendTokens(toks, g.Description(graph.NodeID(v)))
+		for _, tok := range toks {
+			id, ok := memo[tok]
+			if !ok {
+				id = ch.termID(tok)
+				memo[tok] = id
+			}
+			if id < 0 || ch.last[id] == int32(v) {
+				continue
+			}
+			ch.last[id] = int32(v)
+			ch.counts[id]++
+			ch.terms = append(ch.terms, id)
+		}
+		ch.ends = append(ch.ends, int32(len(ch.terms)))
+	}
+}
+
+// termID normalises a raw token and returns its local term id, assigning
+// the next one to a new term, or -1 for a stopword or an empty stem.
+func (ch *indexChunk) termID(tok string) int32 {
+	if IsStopword(tok) {
+		return -1
+	}
+	term := Stem(tok)
+	if term == "" {
+		return -1
+	}
+	id, ok := ch.ids[term]
+	if !ok {
+		id = int32(len(ch.names))
+		term = strings.Clone(term) // do not pin the lower-cased node text
+		ch.ids[term] = id
+		ch.names = append(ch.names, term)
+		ch.counts = append(ch.counts, 0)
+		ch.last = append(ch.last, -1)
+	}
+	return id
+}
+
+// fill writes the chunk's postings into slab at its fill cursors.
+func (ch *indexChunk) fill(slab []graph.NodeID) {
+	start := int32(0)
+	for i, end := range ch.ends {
+		v := graph.NodeID(ch.lo + i)
+		for _, l := range ch.terms[start:end] {
+			slab[ch.counts[l]] = v
+			ch.counts[l]++
+		}
+		start = end
+	}
 }
 
 // NumTerms returns the vocabulary size (distinct keywords after stopword

@@ -14,7 +14,12 @@ import (
 // digits. Everything else (punctuation, CJK-less symbol noise, whitespace)
 // is a separator.
 func Tokenize(s string) []string {
-	var out []string
+	return appendTokens(nil, s)
+}
+
+// appendTokens appends s's tokens (see Tokenize) to out, so a caller
+// tokenizing many strings reuses one slice.
+func appendTokens(out []string, s string) []string {
 	start := -1
 	lower := strings.ToLower(s)
 	for i, r := range lower {

@@ -19,8 +19,8 @@ type MutatorOptions struct {
 	// compactor (default 4096; < 0 disables automatic compaction — call
 	// Compact explicitly).
 	CompactAfterOps int
-	// Threads bounds publish/compaction parallelism (weight recomputation).
-	// <= 0 selects GOMAXPROCS.
+	// Threads bounds publish/compaction parallelism (weight recomputation
+	// and the compacted index build). <= 0 selects GOMAXPROCS.
 	Threads int
 }
 
@@ -100,6 +100,11 @@ type Mutator struct {
 	eng *Engine
 	opt MutatorOptions
 
+	// pool runs the weight recomputation of every publish and the index
+	// build of every compaction. It lives as long as the mutator (closed by
+	// Close) and is used only under mu, so its phases never overlap.
+	pool *parallel.Pool
+
 	// mu serializes mutations, Publish and Compact (the compactor runs
 	// concurrently with the caller's mutations).
 	mu sync.Mutex
@@ -152,6 +157,7 @@ func (e *Engine) NewMutator(o MutatorOptions) (*Mutator, error) {
 	m := &Mutator{
 		eng:       e,
 		opt:       o.defaults(),
+		pool:      parallel.NewPool(o.Threads),
 		reweights: map[graph.NodeID]float64{},
 		wake:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
@@ -165,7 +171,7 @@ func (e *Engine) NewMutator(o MutatorOptions) (*Mutator, error) {
 	g, ix := sn.g, sn.ix
 	if g.HasOverlay() {
 		g = g.Materialize()
-		ix = text.BuildIndex(g)
+		ix = text.BuildIndex(g, m.pool)
 		e.installEpoch(newSnapshot(g, ix, nil, sn.weights, sn.avgDist, sn.stddev))
 	}
 	m.db = graph.NewDeltaBuilder(g)
@@ -204,6 +210,7 @@ func (m *Mutator) Close() error {
 	m.mu.Unlock()
 	close(m.stop)
 	<-m.done
+	m.pool.Close()
 	m.eng.mu.Lock()
 	if m.eng.mut == m {
 		m.eng.mut = nil
@@ -383,7 +390,7 @@ func (m *Mutator) Compact() (PublishInfo, error) {
 	}
 	start := time.Now()
 	g := m.db.Overlay().Materialize()
-	ix := text.BuildIndex(g)
+	ix := text.BuildIndex(g, m.pool)
 	w := m.recomputeWeights(g)
 	info := PublishInfo{Compacted: true}
 	info.Epoch = m.eng.installEpoch(newSnapshot(g, ix, nil, w, m.avgDist, m.stddev))
@@ -470,11 +477,9 @@ func (m *Mutator) Replay(l *DeltaLog) error {
 }
 
 // recomputeWeights computes the normalized weights of g and reapplies the
-// operator overrides.
+// operator overrides. Called with m.mu held.
 func (m *Mutator) recomputeWeights(g *Graph) []float64 {
-	pool := parallel.NewPool(m.opt.Threads)
-	defer pool.Close()
-	w := weight.Compute(g, pool)
+	w := weight.Compute(g, m.pool)
 	for v, wt := range m.reweights {
 		if int(v) < len(w) {
 			w[v] = wt
