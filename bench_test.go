@@ -226,3 +226,65 @@ func BenchmarkFig12EffectivenessBANKS(b *testing.B) {
 		_ = oracle.PrecisionAtK(sets, 20)
 	}
 }
+
+// BenchmarkPublish — one live-mutation publish on wiki2017-sim: each
+// iteration applies the 8-op batch shape of the benchmark's mutate-mix
+// write stream (two new nodes wired into the graph, one retext, one
+// base-to-base edge added and the previous batch's removed) and publishes
+// it, with one α's activation levels cached as a reader would leave them.
+// Like mutate-mix, it compacts every 64 batches (512 ops), untimed.
+func BenchmarkPublish(b *testing.B) {
+	e := env(b)
+	g := e.KB.Graph
+	eng, err := wikisearch.NewEngine(g, wikisearch.EngineOptions{AvgDistance: e.Eng.AvgDistance()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	m, err := eng.NewMutator(wikisearch.MutatorOptions{CompactAfterOps: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := eng.Search(context.Background(), wikisearch.Query{Text: queries(b, 3)[0], TopK: 5}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	baseNode := func() wikisearch.NodeID { return wikisearch.NodeID(rng.Intn(g.NumNodes())) }
+	rel := g.RelName(0)
+	must := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var prev [2]wikisearch.NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%64 == 0 {
+			b.StopTimer()
+			_, err := m.Compact()
+			must(err)
+			b.StartTimer()
+		}
+		a, err := m.AddNode("live "+g.Label(baseNode()), "benchmark write stream")
+		must(err)
+		must(m.AddEdge(a, baseNode(), rel))
+		must(m.AddEdge(baseNode(), a, rel))
+		n2, err := m.AddNode("live "+g.Label(baseNode()), "benchmark write stream")
+		must(err)
+		must(m.AddEdge(n2, a, rel))
+		v := baseNode()
+		must(m.SetKeywords(v, g.Label(v)+" revised", g.Description(v)))
+		edge := [2]wikisearch.NodeID{baseNode(), baseNode()}
+		must(m.AddEdge(edge[0], edge[1], rel))
+		if i > 0 {
+			must(m.RemoveEdge(prev[0], prev[1], rel))
+		} else {
+			must(m.AddEdge(baseNode(), baseNode(), rel))
+		}
+		prev = edge
+		_, err = m.Publish()
+		must(err)
+	}
+}

@@ -152,8 +152,11 @@ type LoadInfo struct {
 // vector is computed exactly once per α even under concurrent first
 // requests, and callers hold the entry pointer, so a concurrent cache
 // eviction can never drop a vector out from under an in-flight search.
+// done is set once lv is final, so a publish can carry lv to the next
+// snapshot without entering (or waiting on) the Once.
 type levelEntry struct {
 	once sync.Once
+	done atomic.Bool
 	lv   []uint8
 }
 

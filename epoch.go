@@ -112,9 +112,51 @@ func (sn *snapshot) activationLevels(alpha float64, threads int, computes *atomi
 		pool := parallel.NewPool(threads)
 		defer pool.Close()
 		ent.lv = weight.Levels(sn.weights, sn.avgDist, alpha, pool)
+		ent.done.Store(true)
 		computes.Add(1)
 	})
 	return ent.lv
+}
+
+// carryLevels seeds the unpublished snapshot sn with every α level vector
+// prev had already computed, so the first search after a publish computes
+// none. Each vector is a fresh copy — searches pinned to prev still read
+// the old one. Levels are a per-node function of (weight, A, α), and A is
+// carried across publications: unless full, sn's weights differ from
+// prev's only at the changed nodes (which include every node appended past
+// prev), and only those are recomputed; full (the weight bounds moved)
+// recomputes every vector.
+func (sn *snapshot) carryLevels(prev *snapshot, changed []graph.NodeID, full bool, pool *parallel.Pool) {
+	type carried struct {
+		alpha float64
+		lv    []uint8
+	}
+	var todo []carried
+	prev.mu.Lock()
+	for alpha, ent := range prev.levelCache {
+		if ent.done.Load() {
+			todo = append(todo, carried{alpha, ent.lv})
+		}
+	}
+	prev.mu.Unlock()
+	for _, c := range todo {
+		var lv []uint8
+		if full {
+			lv = weight.Levels(sn.weights, sn.avgDist, c.alpha, pool)
+		} else {
+			lv = make([]uint8, len(sn.weights))
+			copy(lv, c.lv)
+			for _, v := range changed {
+				lv[v] = uint8(weight.Level(sn.weights[v], sn.avgDist, c.alpha))
+			}
+		}
+		ent := &levelEntry{}
+		ent.once.Do(func() {
+			ent.lv = lv
+			ent.done.Store(true)
+		})
+		sn.levelCache[c.alpha] = ent
+	}
 }
 
 // zeroLevels returns (caching) an all-zero activation vector for the

@@ -60,29 +60,34 @@ func NodeTerms(label, desc string) map[string]struct{} {
 // OverlayBuilder accumulates per-node text changes and derives an Overlay
 // against a base index. It is single-writer, like graph.DeltaBuilder.
 //
-// State is last-write-wins per (term, node): a later NodeRetext of the same
-// node (with the previous call's new text as its old text) overrides the
-// earlier diff, so chained retexts compose to the final-vs-base diff.
+// Changes are last-write-wins per (term, node): a later NodeRetext of the
+// same node (with the previous call's new text as its old text) overrides
+// the earlier diff, so chained retexts compose to the final-vs-base diff.
+// Build is incremental: it re-merges only the terms marked since the last
+// Build, applying their pending changes to the previous Overlay's merged
+// list, and shares every other term's list with the previous Overlay.
 type OverlayBuilder struct {
 	base *Index
-	// state[term][v] records whether v's final text contains term; only
-	// (term, node) pairs whose membership changed in some diff appear here.
-	state map[string]map[graph.NodeID]bool
+	// prev is the Overlay the last Build returned (nil before the first).
+	prev *Overlay
+	// pending[term][v] records whether v's text contains term, for the
+	// (term, node) pairs marked since the last Build.
+	pending map[string]map[graph.NodeID]bool
 }
 
 // NewOverlayBuilder returns an empty builder over base.
 func NewOverlayBuilder(base *Index) *OverlayBuilder {
 	return &OverlayBuilder{
-		base:  base,
-		state: make(map[string]map[graph.NodeID]bool),
+		base:    base,
+		pending: make(map[string]map[graph.NodeID]bool),
 	}
 }
 
 func (b *OverlayBuilder) mark(term string, v graph.NodeID, present bool) {
-	s := b.state[term]
+	s := b.pending[term]
 	if s == nil {
 		s = make(map[graph.NodeID]bool, 4)
-		b.state[term] = s
+		b.pending[term] = s
 	}
 	s[v] = present
 }
@@ -112,43 +117,79 @@ func (b *OverlayBuilder) NodeRetext(v graph.NodeID, oldLabel, oldDesc, newLabel,
 }
 
 // Empty reports whether no text changes were recorded.
-func (b *OverlayBuilder) Empty() bool { return len(b.state) == 0 }
+func (b *OverlayBuilder) Empty() bool { return b.prev == nil && len(b.pending) == 0 }
 
 // Build merges the accumulated changes against the base index into an
 // immutable Overlay. The builder may keep accumulating afterwards; the
-// returned Overlay shares nothing mutable with it.
+// returned Overlay shares nothing mutable with it (merged lists are never
+// written once built, so consecutive Overlays share them freely).
 func (b *OverlayBuilder) Build() *Overlay {
-	ov := &Overlay{terms: make(map[string][]graph.NodeID, len(b.state))}
-	for t, nodes := range b.state {
+	if len(b.pending) == 0 && b.prev != nil {
+		return b.prev
+	}
+	ov := &Overlay{}
+	if p := b.prev; p != nil {
+		ov.terms = make(map[string][]graph.NodeID, len(p.terms)+len(b.pending))
+		for t, merged := range p.terms {
+			ov.terms[t] = merged
+		}
+		ov.newTerms, ov.emptied, ov.postDelta = p.newTerms, p.emptied, p.postDelta
+	} else {
+		ov.terms = make(map[string][]graph.NodeID, len(b.pending))
+	}
+	for t, changes := range b.pending {
 		base := b.base.LookupTerm(t)
-		merged := make([]graph.NodeID, 0, len(base)+len(nodes))
-		for _, v := range base {
-			if present, touched := nodes[v]; touched && !present {
-				continue
-			}
-			merged = append(merged, v)
+		old, had := ov.terms[t]
+		if had {
+			ov.count(base, old, -1)
+		} else {
+			old = base
 		}
-		for v, present := range nodes {
-			if !present {
-				continue
-			}
-			if _, inBase := slices.BinarySearch(base, v); inBase {
-				continue // already kept above
-			}
-			merged = append(merged, v)
-		}
-		slices.Sort(merged)
+		merged := applyChanges(old, changes)
+		ov.count(base, merged, +1)
 		ov.terms[t] = merged
-		if base == nil && len(merged) > 0 {
-			ov.newTerms++
+	}
+	for _, merged := range ov.terms {
+		ov.maxLen = max(ov.maxLen, len(merged))
+	}
+	b.prev = ov
+	b.pending = make(map[string]map[graph.NodeID]bool)
+	return ov
+}
+
+// count adds (sign +1) or removes (sign -1) one term's contribution to the
+// overlay's vocabulary and posting-count deltas against the base.
+func (o *Overlay) count(base, merged []graph.NodeID, sign int) {
+	if base == nil && len(merged) > 0 {
+		o.newTerms += sign
+	}
+	if base != nil && len(merged) == 0 {
+		o.emptied += sign
+	}
+	o.postDelta += sign * (len(merged) - len(base))
+}
+
+// applyChanges returns the sorted posting old with each v in changes
+// removed, then re-inserted if changes[v] is true. old is not modified;
+// runs between changed nodes are copied in bulk.
+func applyChanges(old []graph.NodeID, changes map[graph.NodeID]bool) []graph.NodeID {
+	keys := make([]graph.NodeID, 0, len(changes))
+	for v := range changes {
+		keys = append(keys, v)
+	}
+	slices.Sort(keys)
+	merged := make([]graph.NodeID, 0, len(old)+len(keys))
+	i := 0
+	for _, v := range keys {
+		j, found := slices.BinarySearch(old[i:], v)
+		merged = append(merged, old[i:i+j]...)
+		i += j
+		if found {
+			i++
 		}
-		if base != nil && len(merged) == 0 {
-			ov.emptied++
-		}
-		ov.postDelta += len(merged) - len(base)
-		if len(merged) > ov.maxLen {
-			ov.maxLen = len(merged)
+		if changes[v] {
+			merged = append(merged, v)
 		}
 	}
-	return ov
+	return append(merged, old[i:]...)
 }

@@ -11,7 +11,7 @@ package weight
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
@@ -28,46 +28,69 @@ func Raw(g *graph.Graph, pool *parallel.Pool) []float64 {
 	n := g.NumNodes()
 	w := make([]float64, n)
 	pool.ForChunks(n, func(start, end int) {
-		counts := map[graph.RelID]int{}
-		var vals []int
+		var s rawScratch
 		for v := start; v < end; v++ {
-			_, rels := g.InEdges(graph.NodeID(v))
-			if len(rels) == 0 {
-				continue
-			}
-			clear(counts)
-			for _, r := range rels {
-				counts[r]++
-			}
-			// Sum the per-relation terms in sorted count order: float
-			// addition is order-sensitive, and map iteration order is not
-			// deterministic, so summing counts directly would let two
-			// preparations of the same graph disagree in the last bit.
-			// Live mutation pins post-compaction answers bit-identical to
-			// a fresh build, which needs bit-identical weights.
-			vals = vals[:0]
-			for _, c := range counts {
-				vals = append(vals, c)
-			}
-			sort.Ints(vals)
-			var num float64
-			for _, c := range vals {
-				num += float64(c) * math.Log2(1+float64(c))
-			}
-			w[v] = num / float64(len(rels))
+			w[v] = s.node(g, graph.NodeID(v))
 		}
 	})
 	return w
 }
 
-// Normalize min-max rescales weights into [0, 1] in place, per §IV-A
-// (w'_i = (w_i − min w) / (max w − min w)). A constant weight vector
-// normalizes to all zeros.
-func Normalize(w []float64) {
-	if len(w) == 0 {
-		return
+// RawNodes recomputes raw[v] = Eq. 2 at each listed node, leaving the rest
+// of raw untouched: a node's raw weight reads only its own in-edges, so a
+// graph delta moves it only at the targets of added or removed edges.
+func RawNodes(g *graph.Graph, raw []float64, nodes []graph.NodeID) {
+	var s rawScratch
+	for _, v := range nodes {
+		raw[v] = s.node(g, v)
 	}
-	mn, mx := w[0], w[0]
+}
+
+// rawScratch is the per-worker scratch of the Eq. 2 kernel: a count per
+// relation id (all zero between calls) and the node's nonzero counts.
+type rawScratch struct {
+	counts []int
+	vals   []int
+}
+
+// node is the one Eq. 2 kernel both Raw and RawNodes call.
+func (s *rawScratch) node(g *graph.Graph, v graph.NodeID) float64 {
+	_, rels := g.InEdges(v)
+	if len(rels) == 0 {
+		return 0
+	}
+	if n := g.NumRels(); len(s.counts) < n {
+		s.counts = make([]int, n)
+	}
+	for _, r := range rels {
+		s.counts[r]++
+	}
+	s.vals = s.vals[:0]
+	for _, r := range rels {
+		if c := s.counts[r]; c > 0 {
+			s.vals = append(s.vals, c)
+			s.counts[r] = 0
+		}
+	}
+	// Sum the per-relation terms in sorted count order: float addition is
+	// order-sensitive, so summing in in-edge order would let two graphs with
+	// the same in-edge multiset but differently ordered lists disagree in
+	// the last bit. Live mutation pins every published weight bit-identical
+	// to a fresh build, which needs bit-identical raw weights.
+	slices.Sort(s.vals)
+	var num float64
+	for _, c := range s.vals {
+		num += float64(c) * math.Log2(1+float64(c))
+	}
+	return num / float64(len(rels))
+}
+
+// Bounds returns the minimum and maximum of w (0, 0 when w is empty).
+func Bounds(w []float64) (mn, mx float64) {
+	if len(w) == 0 {
+		return 0, 0
+	}
+	mn, mx = w[0], w[0]
 	for _, x := range w[1:] {
 		if x < mn {
 			mn = x
@@ -76,19 +99,32 @@ func Normalize(w []float64) {
 			mx = x
 		}
 	}
+	return mn, mx
+}
+
+// Scale is the per-node step of Normalize: x min-max rescaled by the raw
+// bounds [mn, mx], and 0 when the bounds coincide.
+func Scale(x, mn, mx float64) float64 {
 	d := mx - mn
 	if d == 0 {
-		for i := range w {
-			w[i] = 0
-		}
-		return
+		return 0
 	}
+	return (x - mn) / d
+}
+
+// Normalize min-max rescales weights into [0, 1] in place, per §IV-A
+// (w'_i = (w_i − min w) / (max w − min w)). A constant weight vector
+// normalizes to all zeros.
+func Normalize(w []float64) {
+	mn, mx := Bounds(w)
 	for i := range w {
-		w[i] = (w[i] - mn) / d
+		w[i] = Scale(w[i], mn, mx)
 	}
 }
 
 // Compute returns the normalized degree-of-summary weights of every node.
+// It is the only full recomputation; live mutation patches its result
+// node by node (RawNodes, Scale) and must stay bit-identical to it.
 func Compute(g *graph.Graph, pool *parallel.Pool) []float64 {
 	w := Raw(g, pool)
 	Normalize(w)

@@ -2,6 +2,7 @@ package weight
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -194,5 +195,69 @@ func TestLevelsAndDistribution(t *testing.T) {
 	// w=1.0 maps to round(2·3.68)=7 → lands in the ≥4 bucket.
 	if dist[4] == 0 {
 		t.Fatal("≥4 bucket empty, expected the full-penalty node there")
+	}
+}
+
+// TestRawNodesOverlayMatchesRaw pins the incremental weight step live
+// mutation relies on: after edges are added and removed through a graph
+// overlay, recomputing Raw only at the edges' targets reproduces a full
+// Raw of the overlaid graph bit for bit, and so does normalizing it.
+func TestRawNodesOverlayMatchesRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := graph.NewBuilder()
+	const n = 40
+	for i := 0; i < n; i++ {
+		b.AddNode("x", "")
+	}
+	rels := []graph.RelID{b.Rel("a"), b.Rel("b"), b.Rel("c")}
+	type edge struct {
+		from, to graph.NodeID
+		rel      graph.RelID
+	}
+	var edges []edge
+	for i := 0; i < 4*n; i++ {
+		e := edge{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), rels[rng.Intn(len(rels))]}
+		b.AddEdge(e.from, e.to, e.rel)
+		edges = append(edges, e)
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := Raw(base, pool())
+	d := graph.NewDeltaBuilder(base)
+	var dirty []graph.NodeID
+	for i := 0; i < 30; i++ {
+		if i%3 == 0 {
+			k := rng.Intn(len(edges))
+			e := edges[k]
+			if err := d.RemoveEdge(e.from, e.to, e.rel); err != nil {
+				t.Fatal(err)
+			}
+			edges = append(edges[:k], edges[k+1:]...)
+			dirty = append(dirty, e.to)
+			continue
+		}
+		e := edge{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), rels[rng.Intn(len(rels))]}
+		if err := d.AddEdge(e.from, e.to, e.rel); err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, e)
+		dirty = append(dirty, e.to)
+	}
+	g := d.Overlay()
+	RawNodes(g, raw, dirty)
+	want := Raw(g, pool())
+	for v := range want {
+		if raw[v] != want[v] {
+			t.Fatalf("raw[%d] = %v after RawNodes, full Raw %v", v, raw[v], want[v])
+		}
+	}
+	mn, mx := Bounds(raw)
+	Normalize(want)
+	for v := range want {
+		if got := Scale(raw[v], mn, mx); got != want[v] {
+			t.Fatalf("Scale(raw[%d]) = %v, Normalize %v", v, got, want[v])
+		}
 	}
 }

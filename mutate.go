@@ -2,6 +2,7 @@ package wikisearch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,8 +20,9 @@ type MutatorOptions struct {
 	// compactor (default 4096; < 0 disables automatic compaction — call
 	// Compact explicitly).
 	CompactAfterOps int
-	// Threads bounds publish/compaction parallelism (weight recomputation
-	// and the compacted index build). <= 0 selects GOMAXPROCS.
+	// Threads bounds mutator parallelism (the raw weights at open, level
+	// recomputation when the weight bounds move, and the compacted index
+	// build). <= 0 selects GOMAXPROCS.
 	Threads int
 }
 
@@ -100,9 +102,11 @@ type Mutator struct {
 	eng *Engine
 	opt MutatorOptions
 
-	// pool runs the weight recomputation of every publish and the index
-	// build of every compaction. It lives as long as the mutator (closed by
-	// Close) and is used only under mu, so its phases never overlap.
+	// pool runs the raw weights at open, the full level recomputation of a
+	// publish that moved the weight bounds, and the index build of every
+	// compaction. It lives as long as the mutator (closed by Close) and is
+	// used only under mu (or before the mutator is shared), so its phases
+	// never overlap.
 	pool *parallel.Pool
 
 	// mu serializes mutations, Publish and Compact (the compactor runs
@@ -126,6 +130,18 @@ type Mutator struct {
 	// overrides not yet published.
 	reweights map[graph.NodeID]float64
 	rwDirty   bool
+
+	// raw holds the Eq. 2 raw weight of every node of the mutated graph:
+	// computed once at open, grown by AddNode, and recomputed at publish
+	// only at dirty nodes — those added, reweighted or targeted by an added
+	// or removed edge since the last publication. mn/mx are the raw bounds
+	// the last publication normalised with, and last is the snapshot it
+	// installed: while last is still current, the next publication patches
+	// its weights instead of normalising every node.
+	raw    []float64
+	dirty  []graph.NodeID
+	mn, mx float64
+	last   *snapshot
 
 	// avgDist/stddev are carried across publications: the distance sample
 	// is statistical, and resampling would make post-mutation answers
@@ -177,6 +193,7 @@ func (e *Engine) NewMutator(o MutatorOptions) (*Mutator, error) {
 	m.db = graph.NewDeltaBuilder(g)
 	m.tb = text.NewOverlayBuilder(ix)
 	m.ix = ix
+	m.raw = weight.Raw(g, m.pool)
 	m.baseNodes, m.baseEdges = g.NumNodes(), g.NumEdges()
 	go m.compactLoop() // joined via m.done in Close
 	return m, nil
@@ -207,6 +224,7 @@ func (m *Mutator) Close() error {
 		return nil
 	}
 	m.closed = true
+	m.last = nil // the engine's current snapshot outlives the handle
 	m.mu.Unlock()
 	close(m.stop)
 	<-m.done
@@ -237,6 +255,8 @@ func (m *Mutator) AddNode(label, desc string) (NodeID, error) {
 	}
 	v := m.db.AddNode(label, desc)
 	m.tb.NodeAdded(v, label, desc)
+	m.raw = append(m.raw, 0)
+	m.dirty = append(m.dirty, v)
 	m.oplog = append(m.oplog, storage.DeltaOp{Kind: storage.DeltaAddNode, Label: label, Desc: desc})
 	return v, nil
 }
@@ -252,6 +272,7 @@ func (m *Mutator) AddEdge(from, to NodeID, rel string) error {
 	if err := m.db.AddEdge(from, to, m.db.Rel(rel)); err != nil {
 		return err
 	}
+	m.dirty = append(m.dirty, to)
 	m.oplog = append(m.oplog, storage.DeltaOp{Kind: storage.DeltaAddEdge, From: from, To: to, Rel: rel})
 	return nil
 }
@@ -271,6 +292,7 @@ func (m *Mutator) RemoveEdge(from, to NodeID, rel string) error {
 	if err := m.db.RemoveEdge(from, to, r); err != nil {
 		return err
 	}
+	m.dirty = append(m.dirty, to)
 	m.oplog = append(m.oplog, storage.DeltaOp{Kind: storage.DeltaRemoveEdge, From: from, To: to, Rel: rel})
 	return nil
 }
@@ -305,11 +327,12 @@ func (m *Mutator) Reweight(v NodeID, w float64) error {
 	if int(v) < 0 || int(v) >= m.db.NumNodes() {
 		return fmt.Errorf("wikisearch: reweight of unknown node %d", v)
 	}
-	if w < 0 || w > 1 {
+	if !(w >= 0 && w <= 1) { // NaN-failing, as in Query.Validate
 		return fmt.Errorf("wikisearch: weight %v outside [0,1]", w)
 	}
 	m.reweights[v] = w
 	m.rwDirty = true
+	m.dirty = append(m.dirty, v)
 	m.oplog = append(m.oplog, storage.DeltaOp{Kind: storage.DeltaReweight, V: v, W: w})
 	return nil
 }
@@ -329,9 +352,13 @@ func (m *Mutator) Stats() MutationStats {
 // Publish atomically installs every mutation applied so far as a new epoch
 // snapshot: searches admitted after Publish returns see the new graph,
 // in-flight searches finish on the epoch they pinned, and answers are never
-// a torn mix. Publishing an unchanged delta is a no-op. Weights are fully
-// recomputed (the min-max normalization is global, so any edge change can
-// shift every weight); the distance statistics are carried over.
+// a torn mix. Publishing an unchanged delta is a no-op. It pays for the
+// delta, not for the graph: raw weights are recomputed only at the nodes
+// whose in-edges changed, and while the global min and max raw weight hold,
+// only those nodes' normalized weights and activation levels are patched
+// into copies of the previous snapshot's (a moved bound renormalizes every
+// node); the keyword overlay re-merges only the terms touched since the
+// last publish. The distance statistics are carried over.
 func (m *Mutator) Publish() (PublishInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -350,8 +377,7 @@ func (m *Mutator) Publish() (PublishInfo, error) {
 	if !m.tb.Empty() {
 		ixo = m.tb.Build()
 	}
-	w := m.recomputeWeights(g)
-	sn := newSnapshot(g, m.ix, ixo, w, m.avgDist, m.stddev)
+	sn := m.nextSnapshot(g, m.ix, ixo)
 	info := PublishInfo{Ops: len(m.oplog), Duration: 0}
 	info.DeltaNodes, info.DeltaPatched, info.DeltaEdges = g.DeltaStats()
 	if ixo != nil {
@@ -391,9 +417,8 @@ func (m *Mutator) Compact() (PublishInfo, error) {
 	start := time.Now()
 	g := m.db.Overlay().Materialize()
 	ix := text.BuildIndex(g, m.pool)
-	w := m.recomputeWeights(g)
 	info := PublishInfo{Compacted: true}
-	info.Epoch = m.eng.installEpoch(newSnapshot(g, ix, nil, w, m.avgDist, m.stddev))
+	info.Epoch = m.eng.installEpoch(m.nextSnapshot(g, ix, nil))
 	// Root the next delta at the compacted base.
 	m.db = graph.NewDeltaBuilder(g)
 	m.tb = text.NewOverlayBuilder(ix)
@@ -476,14 +501,39 @@ func (m *Mutator) Replay(l *DeltaLog) error {
 	return nil
 }
 
-// recomputeWeights computes the normalized weights of g and reapplies the
-// operator overrides. Called with m.mu held.
-func (m *Mutator) recomputeWeights(g *Graph) []float64 {
-	w := weight.Compute(g, m.pool)
+// nextSnapshot builds the snapshot the next publication installs over g:
+// raw weights recomputed at the dirty nodes; normalized weights patched
+// into a copy of the previous snapshot's when the raw bounds held and that
+// snapshot is still the one this mutator installed, else normalized in
+// full; operator overrides reapplied; and the previous snapshot's computed
+// activation levels carried over. Every weight is bit-identical to
+// weight.Compute(g) plus overrides. Called with m.mu held.
+func (m *Mutator) nextSnapshot(g *Graph, ix *text.Index, ixo *text.Overlay) *snapshot {
+	prev := m.eng.snap()
+	slices.Sort(m.dirty)
+	m.dirty = slices.Compact(m.dirty)
+	weight.RawNodes(g, m.raw, m.dirty)
+	mn, mx := weight.Bounds(m.raw)
+	full := prev != m.last || mn != m.mn || mx != m.mx
+	w := make([]float64, len(m.raw))
+	if full {
+		for v, x := range m.raw {
+			w[v] = weight.Scale(x, mn, mx)
+		}
+	} else {
+		copy(w, prev.weights)
+		for _, v := range m.dirty {
+			w[v] = weight.Scale(m.raw[v], mn, mx)
+		}
+	}
 	for v, wt := range m.reweights {
 		if int(v) < len(w) {
 			w[v] = wt
 		}
 	}
-	return w
+	sn := newSnapshot(g, ix, ixo, w, m.avgDist, m.stddev)
+	sn.carryLevels(prev, m.dirty, full, m.pool)
+	m.dirty = m.dirty[:0]
+	m.mn, m.mx, m.last = mn, mx, sn
+	return sn
 }

@@ -3,13 +3,19 @@ package wikisearch
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
+	"wikisearch/internal/storage"
+	"wikisearch/internal/text"
+	"wikisearch/internal/weight"
 )
 
 var mutWords = []string{"database", "graph", "keyword", "search", "engine",
@@ -144,15 +150,149 @@ func mutQueries(rng *rand.Rand) []string {
 	return qs
 }
 
+// relOrder lists the relation names of g in RelID order, so a model graph
+// can intern them identically.
+func relOrder(g *Graph) []string {
+	names := make([]string, g.NumRels())
+	for r := range names {
+		names[r] = g.RelName(graph.RelID(r))
+	}
+	return names
+}
+
+// checkSnapshotDerived is the per-publish oracle for the snapshot's derived
+// state: its weights equal a full weight.Compute of its graph plus the
+// mutator's overrides, every activation-level vector it carries equals
+// weight.Levels of those weights, and every term of words resolves exactly
+// as in a fresh index of the materialized graph. It returns the number of
+// level vectors the snapshot carried.
+func checkSnapshotDerived(t *testing.T, eng *Engine, m *Mutator, words []string) int {
+	t.Helper()
+	sn := eng.snap()
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	want := weight.Compute(sn.g, pool)
+	for v, wt := range m.reweights {
+		want[v] = wt
+	}
+	if !reflect.DeepEqual(sn.weights, want) {
+		t.Fatal("published weights differ from weight.Compute plus overrides")
+	}
+	sn.mu.Lock()
+	carried := map[float64][]uint8{}
+	for alpha, ent := range sn.levelCache {
+		if ent.done.Load() {
+			carried[alpha] = ent.lv
+		}
+	}
+	sn.mu.Unlock()
+	for alpha, lv := range carried {
+		if !slices.Equal(lv, weight.Levels(want, sn.avgDist, alpha, pool)) {
+			t.Fatalf("carried levels at α=%v differ from weight.Levels", alpha)
+		}
+	}
+	fresh := text.BuildIndex(sn.g.Materialize())
+	for _, w := range words {
+		for _, term := range text.Normalize(w) {
+			got, exp := sn.lookupTerm(term), fresh.LookupTerm(term)
+			if (len(got) != 0 || len(exp) != 0) && !slices.Equal(got, exp) {
+				t.Fatalf("term %q: snapshot postings %v, fresh index %v", term, got, exp)
+			}
+		}
+	}
+	if got, exp := sn.vocabSize(), fresh.NumTerms(); got != exp {
+		t.Fatalf("vocabulary %d, fresh index %d", got, exp)
+	}
+	return len(carried)
+}
+
+// sameAnswers runs queries at Tnum 1 and GOMAXPROCS on both engines and
+// requires bit-identical terms, depth, candidates and answers.
+func sameAnswers(t *testing.T, eng, fresh *Engine, queries []string) {
+	t.Helper()
+	for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, text := range queries {
+			q := Query{Text: text, TopK: 5, Threads: threads}
+			a, errA := eng.Search(context.Background(), q)
+			b, errB := fresh.Search(context.Background(), q)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("q=%q threads=%d: err %v vs %v", text, threads, errA, errB)
+			}
+			if errA != nil {
+				continue // both reject (e.g. no keyword hit)
+			}
+			label := fmt.Sprintf("q=%q threads=%d", text, threads)
+			if !reflect.DeepEqual(a.Terms, b.Terms) {
+				t.Fatalf("%s: terms %v vs %v", label, a.Terms, b.Terms)
+			}
+			if a.Depth != b.Depth || a.Candidates != b.Candidates {
+				t.Fatalf("%s: depth/candidates %d/%d vs %d/%d", label, a.Depth, a.Candidates, b.Depth, b.Candidates)
+			}
+			if !reflect.DeepEqual(a.Answers, b.Answers) {
+				t.Fatalf("%s: answers differ:\n%+v\n%+v", label, a.Answers, b.Answers)
+			}
+		}
+	}
+}
+
+// moveWeightBounds drives the mutated graph's raw weight bounds: it drains
+// every in-edge of the top-weight hubs (the maximum moves), then gives every
+// node without in-edges one (the minimum moves off 0, since a node with
+// in-edges has raw weight ≥ 1). publish runs after each step, which must
+// take the full-normalise fallback; the oracle inside publish checks it.
+func moveWeightBounds(t *testing.T, m *Mutator, mo *mutModel, publish func()) {
+	t.Helper()
+	publish() // settle pending ops so m.mn/m.mx are the bounds of mo
+	mn, mx := m.mn, m.mx
+	pool := parallel.NewPool(1)
+	defer pool.Close()
+	raw := weight.Raw(mo.build(t, relOrder(m.eng.Graph())), pool)
+	_, top := weight.Bounds(raw)
+	for i := len(mo.edges) - 1; i >= 0; i-- {
+		if e := mo.edges[i]; raw[e.to] == top {
+			if err := m.RemoveEdge(e.from, e.to, e.rel); err != nil {
+				t.Fatal(err)
+			}
+			mo.edges = append(mo.edges[:i], mo.edges[i+1:]...)
+		}
+	}
+	publish()
+	if m.mx == mx {
+		t.Fatalf("draining the hubs left the max raw weight at %v", mx)
+	}
+	hasIn := make([]bool, len(mo.labels))
+	for _, e := range mo.edges {
+		hasIn[e.to] = true
+	}
+	for v, ok := range hasIn {
+		if !ok {
+			e := mutEdge{NodeID((v + 1) % len(hasIn)), NodeID(v), mutRels[0]}
+			if err := m.AddEdge(e.from, e.to, e.rel); err != nil {
+				t.Fatal(err)
+			}
+			mo.edges = append(mo.edges, e)
+		}
+	}
+	publish()
+	if m.mn == mn {
+		t.Fatalf("feeding every node an in-edge left the min raw weight at %v", mn)
+	}
+}
+
 // TestMutateCompactEquivalence is the PR's core acceptance suite: an engine
 // that absorbed N random mutations and compacted is answer-identical — bit
 // for bit, including scores and weights — to a fresh engine built from the
-// final graph, at Tnum=1 and at GOMAXPROCS.
+// final graph, at Tnum=1 and at GOMAXPROCS. Every interleaved publish is
+// checked too: the incrementally patched weights, carried activation levels
+// and keyword overlay must equal a full recompute, and answers must equal a
+// fresh engine's on the graph of that moment. Seed 4 also moves the global
+// min and max raw weight, so the full-normalise fallback runs.
 func TestMutateCompactEquivalence(t *testing.T) {
 	const pinnedA = 3.5 // both engines skip distance sampling
-	for seed := int64(0); seed < 4; seed++ {
+	for seed := int64(0); seed < 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			qrng := rand.New(rand.NewSource(seed + 1000)) // per-publish queries; rng's op stream stays fixed
 			base, mo := randomMutBase(t, rng)
 			eng, err := NewEngine(base, EngineOptions{Threads: 2, AvgDistance: pinnedA})
 			if err != nil {
@@ -165,18 +305,36 @@ func TestMutateCompactEquivalence(t *testing.T) {
 			}
 			defer m.Close()
 
+			// Cache the default α's levels so every publish has a vector
+			// to carry; each per-publish search re-caches it.
+			sameAnswers(t, eng, eng, mutQueries(qrng))
+			publish := func() {
+				t.Helper()
+				if _, err := m.Publish(); err != nil {
+					t.Fatal(err)
+				}
+				if checkSnapshotDerived(t, eng, m, mutWords) == 0 {
+					t.Fatal("publish carried no activation levels")
+				}
+				fresh, err := NewEngine(mo.build(t, relOrder(eng.Graph())), EngineOptions{Threads: 2, AvgDistance: pinnedA})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fresh.Close()
+				sameAnswers(t, eng, fresh, mutQueries(qrng))
+			}
+
 			ops := 40 + rng.Intn(40)
 			for i := 0; i < ops; i++ {
 				applyRandomOp(t, rng, m, mo)
 				if rng.Intn(16) == 0 { // interleave publishes: chained overlays
-					if _, err := m.Publish(); err != nil {
-						t.Fatal(err)
-					}
+					publish()
 				}
 			}
-			if _, err := m.Publish(); err != nil {
-				t.Fatal(err)
+			if seed == 4 {
+				moveWeightBounds(t, m, mo, publish)
 			}
+			publish()
 			info, err := m.Compact()
 			if err != nil {
 				t.Fatal(err)
@@ -191,11 +349,8 @@ func TestMutateCompactEquivalence(t *testing.T) {
 				t.Fatalf("delta gauges nonzero after compaction: %+v", st)
 			}
 
-			relOrder := make([]string, eng.Graph().NumRels())
-			for r := range relOrder {
-				relOrder[r] = eng.Graph().RelName(graph.RelID(r))
-			}
-			fresh, err := NewEngine(mo.build(t, relOrder), EngineOptions{Threads: 2, AvgDistance: pinnedA})
+			checkSnapshotDerived(t, eng, m, mutWords)
+			fresh, err := NewEngine(mo.build(t, relOrder(eng.Graph())), EngineOptions{Threads: 2, AvgDistance: pinnedA})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,30 +365,7 @@ func TestMutateCompactEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(eng.Weights(), fresh.Weights()) {
 				t.Fatal("weights not bit-identical after compaction")
 			}
-
-			for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
-				for _, text := range mutQueries(rng) {
-					q := Query{Text: text, TopK: 5, Threads: threads}
-					a, errA := eng.Search(context.Background(), q)
-					b, errB := fresh.Search(context.Background(), q)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("q=%q threads=%d: err %v vs %v", text, threads, errA, errB)
-					}
-					if errA != nil {
-						continue // both reject (e.g. no keyword hit)
-					}
-					label := fmt.Sprintf("q=%q threads=%d", text, threads)
-					if !reflect.DeepEqual(a.Terms, b.Terms) {
-						t.Fatalf("%s: terms %v vs %v", label, a.Terms, b.Terms)
-					}
-					if a.Depth != b.Depth || a.Candidates != b.Candidates {
-						t.Fatalf("%s: depth/candidates %d/%d vs %d/%d", label, a.Depth, a.Candidates, b.Depth, b.Candidates)
-					}
-					if !reflect.DeepEqual(a.Answers, b.Answers) {
-						t.Fatalf("%s: answers differ:\n%+v\n%+v", label, a.Answers, b.Answers)
-					}
-				}
-			}
+			sameAnswers(t, eng, fresh, mutQueries(rng))
 		})
 	}
 }
@@ -265,11 +397,7 @@ func TestMutatePublishedViewEquivalence(t *testing.T) {
 		t.Fatal("expected an overlay view before compaction")
 	}
 
-	relOrder := make([]string, eng.Graph().NumRels())
-	for r := range relOrder {
-		relOrder[r] = eng.Graph().RelName(graph.RelID(r))
-	}
-	fresh, err := NewEngine(mo.build(t, relOrder), EngineOptions{Threads: 2, AvgDistance: pinnedA})
+	fresh, err := NewEngine(mo.build(t, relOrder(eng.Graph())), EngineOptions{Threads: 2, AvgDistance: pinnedA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +495,104 @@ func TestMutateReweight(t *testing.T) {
 	}
 	if err := m.Reweight(1, 1.5); err == nil {
 		t.Fatal("out-of-range weight accepted")
+	}
+	if err := m.Reweight(2, math.NaN()); err == nil {
+		t.Fatal("NaN weight accepted")
+	}
+	g := eng.Graph()
+	nan := &DeltaLog{BaseNodes: g.NumNodes(), BaseEdges: g.NumEdges(),
+		Ops: []DeltaOp{{Kind: storage.DeltaReweight, V: 2, W: math.NaN()}}}
+	if err := m.Replay(nan); err == nil {
+		t.Fatal("replay of a NaN reweight accepted")
+	}
+
+	// Overrides ride the incremental publish: a new override and an edge
+	// into an overridden node patch weights and carried levels exactly.
+	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf sql", TopK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reweight(6, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reweight(3, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddEdge(0, 3, "instance of"); err != nil {
+		t.Fatal(err)
+	}
+	mn, mx := m.mn, m.mx
+	if _, err := m.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if m.mn != mn || m.mx != mx {
+		t.Fatal("raw weight bounds moved; the publish did not take the incremental path")
+	}
+	if checkSnapshotDerived(t, eng, m, nil) == 0 {
+		t.Fatal("publish carried no activation levels")
+	}
+	if w := eng.Weight(2); w != 0.9 {
+		t.Fatalf("override lost at publish: %v", w)
+	}
+	if w := eng.Weight(3); w != 0.8 {
+		t.Fatalf("published weight %v, want 0.8", w)
+	}
+	if w := eng.Weight(6); w != 0.1 {
+		t.Fatalf("published weight %v, want 0.1", w)
+	}
+}
+
+// TestPublishCarriesLevels counts level computations: a search at an α the
+// engine already cached computes no levels after a publish or a compaction,
+// because both carry every computed vector into the new snapshot.
+func TestPublishCarriesLevels(t *testing.T) {
+	eng := newTestEngine(t)
+	defer eng.Close()
+	q := Query{Text: "xml rdf sql", TopK: 3, Threads: 2}
+	if _, err := eng.Search(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	computed := eng.LevelComputations()
+	if computed == 0 {
+		t.Fatal("first search computed no levels")
+	}
+	m, err := eng.NewMutator(MutatorOptions{CompactAfterOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < 3; i++ {
+		v, err := m.AddNode("Zebra", "striped query animal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddEdge(v, 1, "instance of"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Search(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		if n := eng.LevelComputations(); n != computed {
+			t.Fatalf("publish %d: level computations %d → %d, want none", i, computed, n)
+		}
+	}
+	if _, err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Search(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.LevelComputations(); n != computed {
+		t.Fatalf("compaction: level computations %d → %d, want none", computed, n)
+	}
+	q.Alpha = 0.2 // an α no snapshot has computed yet
+	if _, err := eng.Search(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.LevelComputations(); n != computed+1 {
+		t.Fatalf("new α: level computations %d, want %d", n, computed+1)
 	}
 }
 
