@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
 	"wikisearch/internal/text"
 	"wikisearch/internal/weight"
@@ -15,26 +14,6 @@ import (
 func tinyKB(t *testing.T) *KB {
 	t.Helper()
 	return Generate(TinySim())
-}
-
-func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(TinySim())
-	b := Generate(TinySim())
-	if a.Graph.NumNodes() != b.Graph.NumNodes() || a.Graph.NumEdges() != b.Graph.NumEdges() {
-		t.Fatalf("sizes differ: %d/%d vs %d/%d",
-			a.Graph.NumNodes(), a.Graph.NumEdges(), b.Graph.NumNodes(), b.Graph.NumEdges())
-	}
-	for v := 0; v < a.Graph.NumNodes(); v++ {
-		if a.Graph.Label(graph.NodeID(v)) != b.Graph.Label(graph.NodeID(v)) {
-			t.Fatalf("label %d differs", v)
-		}
-		if a.Graph.Degree(graph.NodeID(v)) != b.Graph.Degree(graph.NodeID(v)) {
-			t.Fatalf("degree %d differs", v)
-		}
-	}
-	if !reflect.DeepEqual(a.Planted, b.Planted) {
-		t.Fatal("planted queries differ between runs")
-	}
 }
 
 func TestGenerateValidGraph(t *testing.T) {
