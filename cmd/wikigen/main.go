@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		preset   = flag.String("preset", "wiki2017-sim", "dataset preset: wiki2017-sim, wiki2018-sim, tiny-sim, or empty for custom")
-		out      = flag.String("out", "", "output dump path (default <preset>.wskb)")
+		out      = flag.String("out", "", "output dump path (default <preset>.wskb when generating; required with -import, -import-nt and -convert)")
 		format   = flag.String("format", "v3", "dump format: v3 (mmap-able, instant startup) or v2 (streamed)")
 		nodes    = flag.Int("nodes", 0, "override node count")
 		degree   = flag.Float64("avg-degree", 0, "override average degree")
@@ -42,10 +42,17 @@ func main() {
 		fatal(err)
 	}
 
-	if *convert != "" {
-		if *out == "" {
-			fatal(fmt.Errorf("-convert requires -out"))
+	// Only a generated dump has a default name: an import or a conversion
+	// without -out would otherwise write over <preset>.wskb.
+	for _, src := range []struct{ flag, val string }{
+		{"-convert", *convert}, {"-import", *importWD}, {"-import-nt", *importNT},
+	} {
+		if src.val != "" && *out == "" {
+			fatal(fmt.Errorf("%s requires -out", src.flag))
 		}
+	}
+
+	if *convert != "" {
 		if err := convertDump(*convert, *out, df); err != nil {
 			fatal(err)
 		}

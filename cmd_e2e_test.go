@@ -131,6 +131,36 @@ func TestCmdWikigenImport(t *testing.T) {
 	}
 }
 
+// TestCmdWikigenImportRequiresOut: an import without -out is a usage
+// error, not a write to the preset's default <preset>.wskb, which would
+// overwrite a generated dump of that name.
+func TestCmdWikigenImportRequiresOut(t *testing.T) {
+	bin := filepath.Join(buildTools(t, "wikigen"), "wikigen")
+	work := t.TempDir()
+	for _, c := range []struct{ flag, file, body string }{
+		{"-import", "dump.json", `{"type":"item","id":"Q1","labels":{"en":{"value":"graph"}},"claims":{}}` + "\n"},
+		{"-import-nt", "kb.nt", `<http://kb/Q1> <http://kb/p/r> <http://kb/Q2> .` + "\n"},
+	} {
+		flag, src := c.flag, filepath.Join(work, c.file)
+		if err := os.WriteFile(src, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin, flag, src)
+		cmd.Dir = work
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+			t.Fatalf("%s without -out: err = %v, want a failing exit\n%s", flag, err, out)
+		}
+		if !strings.Contains(string(out), flag+" requires -out") {
+			t.Fatalf("%s without -out: output %s", flag, out)
+		}
+		if _, err := os.Stat(filepath.Join(work, "wiki2017-sim.wskb")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s without -out wrote the default dump (stat err %v)", flag, err)
+		}
+	}
+}
+
 func TestCmdBenchrunnerFig3(t *testing.T) {
 	bin := buildTools(t)
 	out, err := exec.Command(filepath.Join(bin, "benchrunner"),

@@ -1,8 +1,10 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,19 +174,67 @@ func TestVocab(t *testing.T) {
 	// mid-rank one.
 	counts := map[string]int{}
 	for i := 0; i < 20000; i++ {
-		counts[v.Sample(rng)]++
+		counts[v.Word(v.draw(rng))]++
 	}
 	if counts[v.Word(0)] < 20*counts[v.Word(250)]/2 && counts[v.Word(0)] < 100 {
 		t.Fatalf("head word count %d not dominant (mid-rank %d)", counts[v.Word(0)], counts[v.Word(250)])
 	}
-	// SampleN distinct.
-	ws := v.SampleN(10, rng)
-	seen := map[string]bool{}
+	// drawN distinct.
+	ws := v.drawN(nil, 10, rng)
+	seen := map[int32]bool{}
 	for _, w := range ws {
 		if seen[w] {
-			t.Fatalf("SampleN returned duplicate %q", w)
+			t.Fatalf("drawN returned duplicate %q", v.Word(int(w)))
 		}
 		seen[w] = true
+	}
+}
+
+// TestVocabWordsDistinct backs drawN's index-based duplicate check: it
+// equals the word-based one only while no two ranks hold the same word.
+func TestVocabWordsDistinct(t *testing.T) {
+	for _, size := range []int{0, 600, 8000, 12000, 100000} {
+		v := NewVocab(size, rand.New(rand.NewSource(int64(size))))
+		seen := make(map[string]int, v.Size())
+		for i := 0; i < v.Size(); i++ {
+			if j, dup := seen[v.Word(i)]; dup {
+				t.Fatalf("size %d: ranks %d and %d both hold %q", size, j, i, v.Word(i))
+			}
+			seen[v.Word(i)] = i
+		}
+	}
+}
+
+// TestVocabSearchExact checks the guided search against a plain binary
+// search over the whole cumulative table, at random draws and at the
+// points where rounding could mislead the guide: every cumulative weight,
+// its neighbouring floats, every bucket edge, zero and the total.
+func TestVocabSearchExact(t *testing.T) {
+	for _, size := range []int{139, 600, 12000, 100000} {
+		v := NewVocab(size, rand.New(rand.NewSource(int64(size))))
+		total := v.cum[len(v.cum)-1]
+		xs := []float64{0, total, math.Nextafter(total, 0)}
+		for _, c := range v.cum {
+			xs = append(xs, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+		}
+		for j := range v.guide {
+			e := float64(j) / v.guideScale
+			xs = append(xs, e, math.Nextafter(e, 0), math.Nextafter(e, math.Inf(1)))
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 100000; i++ {
+			xs = append(xs, rng.Float64()*total)
+		}
+		for _, x := range xs {
+			if x < 0 || x > total {
+				continue
+			}
+			want, _ := slices.BinarySearch(v.cum, x)
+			want = min(want, len(v.cum)-1)
+			if got := v.search(x); got != want {
+				t.Fatalf("size %d: search(%v) = %d, want %d", size, x, got, want)
+			}
+		}
 	}
 }
 
@@ -197,5 +247,14 @@ func TestPresetConfigs(t *testing.T) {
 	}
 	if Wiki2018Sim().Nodes <= Wiki2017Sim().Nodes {
 		t.Fatal("wiki2018-sim must be larger than wiki2017-sim")
+	}
+}
+
+// BenchmarkGenerate times one whole wiki2017-sim generation: the RNG loop,
+// vocabulary draws, labels and the CSR build.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Generate(Wiki2017Sim())
 	}
 }

@@ -128,7 +128,10 @@ func Generate(cfg Config) *KB {
 	cfg = cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	vocab := NewVocab(cfg.VocabSize, rng)
-	b := graph.NewBuilder()
+	// Size the builder once: step 5 tops the edges up to targetEdges, and
+	// no node adds more than six edges before it.
+	targetEdges := int(float64(cfg.Nodes) * cfg.AvgDegree)
+	b := graph.NewBuilderSize(cfg.Nodes+plantedNodes, max(targetEdges, 6*cfg.Nodes)+plantedEdges)
 	kb := &KB{Name: cfg.Name, Config: cfg}
 
 	relInstanceOf := b.Rel("instance of")
@@ -146,7 +149,7 @@ func Generate(cfg Config) *KB {
 		if i < len(classNames) {
 			label = classNames[i]
 		} else {
-			label = fmt.Sprintf("class %s", vocab.Sample(rng))
+			label = "class " + vocab.Word(vocab.draw(rng))
 		}
 		kb.Classes = append(kb.Classes, b.AddNode(label, ""))
 	}
@@ -156,20 +159,17 @@ func Generate(cfg Config) *KB {
 	}
 
 	// 2. Topic nodes: 1–2 head-vocabulary words ("data mining"-like).
+	var words []int32 // word indices of the label being built, reused
 	for i := 0; i < cfg.Topics; i++ {
-		words := vocab.SampleN(1+rng.Intn(2), rng)
-		label := words[0]
-		if len(words) > 1 {
-			label += " " + words[1]
-		}
-		v := b.AddNode(label, "field of study")
+		words = vocab.drawN(words, 1+rng.Intn(2), rng)
+		v := b.AddNode(vocab.join(words), "field of study")
 		kb.Topics = append(kb.Topics, v)
 		b.AddEdge(v, kb.Classes[len(kb.Classes)-1], relInstanceOf) // concept
 	}
 
 	// 3. Venue nodes (conferences/journals): mid-size summary hubs.
 	for i := 0; i < cfg.Venues; i++ {
-		label := fmt.Sprintf("%s conference %d", vocab.Sample(rng), i)
+		label := fmt.Sprintf("%s conference %d", vocab.Word(vocab.draw(rng)), i)
 		v := b.AddNode(label, "academic venue")
 		kb.Venues = append(kb.Venues, v)
 		b.AddEdge(v, kb.Classes[1%len(kb.Classes)], relInstanceOf)
@@ -182,20 +182,10 @@ func Generate(cfg Config) *KB {
 	nEntities := cfg.Nodes - entityStart
 	prefTargets := make([]graph.NodeID, 0, nEntities)
 	for i := 0; i < nEntities; i++ {
-		words := vocab.SampleN(2+rng.Intn(3), rng)
-		label := words[0]
-		for _, w := range words[1:] {
-			label += " " + w
-		}
-		descWords := vocab.SampleN(rng.Intn(6), rng)
-		desc := ""
-		for j, w := range descWords {
-			if j > 0 {
-				desc += " "
-			}
-			desc += w
-		}
-		v := b.AddNode(label, desc)
+		words = vocab.drawN(words, 2+rng.Intn(3), rng)
+		label := vocab.join(words)
+		words = vocab.drawN(words, rng.Intn(6), rng)
+		v := b.AddNode(label, vocab.join(words))
 
 		// instance-of with Zipf over classes: class 0 ("human") dominates.
 		b.AddEdge(v, kb.Classes[zipfIndex(rng, len(kb.Classes))], relInstanceOf)
@@ -226,9 +216,8 @@ func Generate(cfg Config) *KB {
 	}
 
 	// 5. Extra preferential edges up to the degree budget.
-	targetEdges := int(float64(cfg.Nodes) * cfg.AvgDegree)
 	rels := []graph.RelID{relRelated, relCites, relPartOf}
-	for edges := approxEdges(b); edges < targetEdges; edges++ {
+	for edges := b.NumEdges(); edges < targetEdges; edges++ {
 		from := prefTargets[rng.Intn(len(prefTargets))]
 		to := prefTargets[rng.Intn(len(prefTargets))]
 		if from == to {
@@ -252,20 +241,14 @@ func Generate(cfg Config) *KB {
 	return kb
 }
 
-// zipfIndex samples an index in [0,n) with P(i) ∝ 1/(i+1).
+// zipfIndex samples a head-heavy index in [0,n). It stands in for a Zipf
+// law (P(i) ∝ 1/(i+1)) with an exponential draw of mean n/5, redrawn while
+// it falls past the end: a rejection loop, cheap and adequately skewed.
 func zipfIndex(rng *rand.Rand, n int) int {
-	// Inverse-CDF on the harmonic distribution via rejection-free trick:
-	// approximate with exponential of uniform — cheap and adequately skewed.
 	for {
 		x := int(float64(n) * (rng.ExpFloat64() / 5))
 		if x < n {
 			return x
 		}
 	}
-}
-
-func approxEdges(b *graph.Builder) int {
-	// Builder does not expose an edge count; track via node count heuristic
-	// is fragile, so count precisely.
-	return b.NumEdges()
 }

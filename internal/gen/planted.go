@@ -11,7 +11,7 @@ import (
 // effectivenessQueries mirrors Table V of the paper: eleven keyword queries
 // over the CS/IR vocabulary, Q10 with heavy co-occurrence, Q11 with rare
 // unambiguous keywords.
-var effectivenessQueries = []struct {
+var effectivenessQueries = [...]struct {
 	id       string
 	keywords string
 }{
@@ -40,6 +40,10 @@ func EffectivenessQueryIDs() []string {
 const (
 	coresPerQuery  = 5
 	decoysPerQuery = 15
+	// plantedNodes and plantedEdges are what plantAll adds: a hub per
+	// query, and two edges per core and per decoy.
+	plantedNodes = len(effectivenessQueries) * (1 + coresPerQuery + decoysPerQuery)
+	plantedEdges = len(effectivenessQueries) * 2 * (coresPerQuery + decoysPerQuery)
 )
 
 // plantAll plants, for every effectiveness query, (a) relevant cores —
@@ -52,6 +56,7 @@ const (
 func plantAll(b *graph.Builder, vocab *Vocab, rng *rand.Rand, kb *KB,
 	relRelated, relInstanceOf, relPublishedIn graph.RelID) []PlantedQuery {
 	var out []PlantedQuery
+	var filler []int32
 	for _, q := range effectivenessQueries {
 		words := strings.Fields(q.keywords)
 		p := PlantedQuery{ID: q.id, Keywords: words}
@@ -78,9 +83,10 @@ func plantAll(b *graph.Builder, vocab *Vocab, rng *rand.Rand, kb *KB,
 				}
 				label = strings.Join(ws, " ")
 			}
+			filler = vocab.drawN(filler, 2, rng)
 			core := b.AddNode(
 				fmt.Sprintf("%s study %d", label, c),
-				strings.Join(vocab.SampleN(2, rng), " "))
+				vocab.join(filler))
 			p.Cores = append(p.Cores, core)
 			b.AddEdge(core, hub, relRelated)
 			// Keep cores embedded in the graph at large.
@@ -92,10 +98,8 @@ func plantAll(b *graph.Builder, vocab *Vocab, rng *rand.Rand, kb *KB,
 		// meaningless joins.
 		for d := 0; d < decoysPerQuery; d++ {
 			w := words[d%len(words)]
-			filler := vocab.SampleN(2, rng)
-			decoy := b.AddNode(
-				fmt.Sprintf("%s %s %s", w, filler[0], filler[1]),
-				"")
+			filler = vocab.drawN(filler, 2, rng)
+			decoy := b.AddNode(w+" "+vocab.join(filler), "")
 			p.Decoys = append(p.Decoys, decoy)
 			b.AddEdge(decoy, kb.Classes[0], relInstanceOf) // the "human" superhub
 			b.AddEdge(decoy, kb.Venues[zipfIndex(rng, len(kb.Venues))], relPublishedIn)

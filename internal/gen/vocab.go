@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 )
 
 // baseVocab is the head of the keyword vocabulary: real CS/IR words so the
@@ -59,8 +61,14 @@ var (
 // Vocab is a keyword vocabulary with Zipf-distributed sampling.
 type Vocab struct {
 	words []string
-	// cumulative Zipf weights for sampling
+	// cum holds the cumulative Zipf weights; cum[len(cum)-1] is the total.
 	cum []float64
+	// guide is an index over cum: a draw x falls in bucket
+	// j = int(x*guideScale), and guide[j] is the first word whose cum
+	// reaches that bucket's lower edge j/guideScale, so the word x picks
+	// lies in [guide[j], guide[j+1]].
+	guide      []int32
+	guideScale float64
 }
 
 // NewVocab builds a vocabulary of the given size: the real base words first,
@@ -95,6 +103,18 @@ func NewVocab(size int, rng *rand.Rand) *Vocab {
 		total += 1.0 / math.Pow(float64(i+1), 1.07)
 		v.cum[i] = total
 	}
+	// One bucket per word; guide has two extra entries so guide[j+1] exists
+	// for the last bucket and for a product x*guideScale rounded up to it.
+	v.guideScale = float64(len(words)) / total
+	v.guide = make([]int32, len(words)+2)
+	i := 0
+	for j := range v.guide {
+		edge := float64(j) / v.guideScale
+		for i < len(v.cum)-1 && v.cum[i] < edge {
+			i++
+		}
+		v.guide[j] = int32(i)
+	}
 	return v
 }
 
@@ -104,10 +124,27 @@ func (v *Vocab) Size() int { return len(v.words) }
 // Word returns word i (rank order: smaller i is more frequent).
 func (v *Vocab) Word(i int) string { return v.words[i] }
 
-// Sample draws one word with Zipf probabilities.
-func (v *Vocab) Sample(rng *rand.Rand) string {
-	x := rng.Float64() * v.cum[len(v.cum)-1]
-	lo, hi := 0, len(v.cum)-1
+// draw returns the index of one word drawn with Zipf probabilities: the
+// first word whose cumulative weight reaches one uniform draw scaled to
+// the total. It consumes exactly one rng.Float64.
+func (v *Vocab) draw(rng *rand.Rand) int {
+	return v.search(rng.Float64() * v.cum[len(v.cum)-1])
+}
+
+// search returns the first i with cum[i] >= x (the last word if there is
+// none). The guide narrows the binary search to x's bucket; the two
+// checks fall back to the whole range when rounding in x*guideScale put x
+// near a bucket edge, so the answer is always the exact one.
+func (v *Vocab) search(x float64) int {
+	last := len(v.cum) - 1
+	j := min(int(x*v.guideScale), len(v.guide)-2)
+	lo, hi := int(v.guide[j]), int(v.guide[j+1])
+	if lo > 0 && v.cum[lo-1] >= x {
+		lo = 0
+	}
+	if v.cum[hi] < x {
+		hi = last
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if v.cum[mid] < x {
@@ -116,22 +153,43 @@ func (v *Vocab) Sample(rng *rand.Rand) string {
 			hi = mid
 		}
 	}
-	return v.words[lo]
+	return lo
 }
 
-// SampleN draws n distinct words.
-func (v *Vocab) SampleN(n int, rng *rand.Rand) []string {
-	out := make([]string, 0, n)
-	seen := map[string]struct{}{}
-	for len(out) < n && len(seen) < v.Size() {
-		w := v.Sample(rng)
-		if _, dup := seen[w]; dup {
-			continue
+// drawN appends to dst[:0] the indices of n distinct words, drawing until
+// it has them (or the whole vocabulary). Words are distinct, so distinct
+// indices are distinct words. n is a label's word count: the duplicate
+// check is a scan of dst.
+func (v *Vocab) drawN(dst []int32, n int, rng *rand.Rand) []int32 {
+	dst = dst[:0]
+	for len(dst) < n && len(dst) < len(v.words) {
+		w := int32(v.draw(rng))
+		if !slices.Contains(dst, w) {
+			dst = append(dst, w)
 		}
-		seen[w] = struct{}{}
-		out = append(out, w)
 	}
-	return out
+	return dst
+}
+
+// join returns the words at idx separated by single spaces, built in one
+// allocation.
+func (v *Vocab) join(idx []int32) string {
+	if len(idx) == 0 {
+		return ""
+	}
+	size := len(idx) - 1
+	for _, w := range idx {
+		size += len(v.words[w])
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for k, w := range idx {
+		if k > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(v.words[w])
+	}
+	return sb.String()
 }
 
 func synthWord(rng *rand.Rand) string {

@@ -27,28 +27,55 @@ func benchGraph(b *testing.B, n, m int) *Graph {
 	return g
 }
 
+// BenchmarkBuildCSR times Builder.Build on a uniform random graph and on a hub-heavy multigraph (oracleEdges: repeated
+// and parallel edges, self-loops, 300 relations, one hub with 120k
+// in-edges), with Build on one worker and on GOMAXPROCS workers. The
+// reference rows time referenceBuildCSR, one comparison sort per list, on
+// the same edges.
 func BenchmarkBuildCSR(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	const n, m = 10000, 60000
-	from := make([]NodeID, m)
-	to := make([]NodeID, m)
-	for i := range from {
-		from[i] = NodeID(rng.Intn(n))
-		to[i] = NodeID(rng.Intn(n))
+	uniform := func() (int, []NodeID, []NodeID, []RelID) {
+		const n, m = 10000, 60000
+		from, to, rel := make([]NodeID, m), make([]NodeID, m), make([]RelID, m)
+		for i := range from {
+			from[i], to[i] = NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		}
+		return n, from, to, rel
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	hub := func() (int, []NodeID, []NodeID, []RelID) {
+		const n = 100000
+		from, to, rel := oracleEdges(rng, n, 600000, 300, 120000)
+		return n, from, to, rel
+	}
+	for _, shape := range []struct {
+		name  string
+		edges func() (int, []NodeID, []NodeID, []RelID)
+	}{{"uniform", uniform}, {"hub-multigraph", hub}} {
+		n, from, to, rel := shape.edges()
 		gb := NewBuilder()
 		for j := 0; j < n; j++ {
 			gb.AddNode("x", "")
 		}
-		r := gb.Rel("e")
-		for j := 0; j < m; j++ {
-			gb.AddEdge(from[j], to[j], r)
+		for j := range from {
+			gb.AddEdge(from[j], to[j], rel[j])
 		}
-		if _, err := gb.Build(); err != nil {
-			b.Fatal(err)
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := gb.build(workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
+		b.Run(shape.name+"/reference", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				referenceBuildCSR(n, len(from), from, to, rel)
+				referenceBuildCSR(n, len(from), to, from, rel)
+			}
+		})
 	}
 }
 
