@@ -180,7 +180,10 @@ func TestVocab(t *testing.T) {
 		t.Fatalf("head word count %d not dominant (mid-rank %d)", counts[v.Word(0)], counts[v.Word(250)])
 	}
 	// drawN distinct.
-	ws := v.drawN(nil, 10, rng)
+	ws := v.drawN([]int32{0, 1}, 10, rng)[2:]
+	if len(ws) != 10 {
+		t.Fatalf("drawN appended %d words, want 10", len(ws))
+	}
 	seen := map[int32]bool{}
 	for _, w := range ws {
 		if seen[w] {

@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"wikisearch/internal/graph"
 )
@@ -159,9 +160,9 @@ func Generate(cfg Config) *KB {
 	}
 
 	// 2. Topic nodes: 1–2 head-vocabulary words ("data mining"-like).
-	var words []int32 // word indices of the label being built, reused
+	var words []int32 // word indices of the topic label being built
 	for i := 0; i < cfg.Topics; i++ {
-		words = vocab.drawN(words, 1+rng.Intn(2), rng)
+		words = vocab.drawN(words[:0], 1+rng.Intn(2), rng)
 		v := b.AddNode(vocab.join(words), "field of study")
 		kb.Topics = append(kb.Topics, v)
 		b.AddEdge(v, kb.Classes[len(kb.Classes)-1], relInstanceOf) // concept
@@ -177,15 +178,20 @@ func Generate(cfg Config) *KB {
 
 	// 4. Entities. prefTargets implements preferential attachment: every
 	// edge endpoint is appended, so sampling uniformly from it picks nodes
-	// proportionally to degree+1.
+	// proportionally to degree+1. The loop only draws each entity's label
+	// and description words; the strings are joined beside step 5, which
+	// needs the RNG but not the text.
 	entityStart := b.NumNodes()
 	nEntities := cfg.Nodes - entityStart
 	prefTargets := make([]graph.NodeID, 0, nEntities)
+	text := make([]int32, 0, 6*nEntities) // word indices: 3 label and 2.5 description words on average
+	ends := make([]int, 2*nEntities)      // entity i's label ends at ends[2i], its description at ends[2i+1]
 	for i := 0; i < nEntities; i++ {
-		words = vocab.drawN(words, 2+rng.Intn(3), rng)
-		label := vocab.join(words)
-		words = vocab.drawN(words, rng.Intn(6), rng)
-		v := b.AddNode(label, vocab.join(words))
+		text = vocab.drawN(text, 2+rng.Intn(3), rng)
+		ends[2*i] = len(text)
+		text = vocab.drawN(text, rng.Intn(6), rng)
+		ends[2*i+1] = len(text)
+		v := graph.NodeID(entityStart + i)
 
 		// instance-of with Zipf over classes: class 0 ("human") dominates.
 		b.AddEdge(v, kb.Classes[zipfIndex(rng, len(kb.Classes))], relInstanceOf)
@@ -215,6 +221,18 @@ func Generate(cfg Config) *KB {
 		prefTargets = append(prefTargets, v)
 	}
 
+	texts := make([]string, len(ends))
+	var joining sync.WaitGroup
+	joining.Add(1)
+	go func() {
+		defer joining.Done()
+		start := 0
+		for j, end := range ends {
+			texts[j] = vocab.join(text[start:end])
+			start = end
+		}
+	}()
+
 	// 5. Extra preferential edges up to the degree budget.
 	rels := []graph.RelID{relRelated, relCites, relPartOf}
 	for edges := b.NumEdges(); edges < targetEdges; edges++ {
@@ -224,6 +242,11 @@ func Generate(cfg Config) *KB {
 			continue
 		}
 		b.AddEdge(from, to, rels[rng.Intn(len(rels))])
+	}
+
+	joining.Wait()
+	for i := 0; i < nEntities; i++ {
+		b.AddNode(texts[2*i], texts[2*i+1])
 	}
 
 	// 6. Effectiveness planting.

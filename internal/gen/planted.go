@@ -83,7 +83,7 @@ func plantAll(b *graph.Builder, vocab *Vocab, rng *rand.Rand, kb *KB,
 				}
 				label = strings.Join(ws, " ")
 			}
-			filler = vocab.drawN(filler, 2, rng)
+			filler = vocab.drawN(filler[:0], 2, rng)
 			core := b.AddNode(
 				fmt.Sprintf("%s study %d", label, c),
 				vocab.join(filler))
@@ -98,7 +98,7 @@ func plantAll(b *graph.Builder, vocab *Vocab, rng *rand.Rand, kb *KB,
 		// meaningless joins.
 		for d := 0; d < decoysPerQuery; d++ {
 			w := words[d%len(words)]
-			filler = vocab.drawN(filler, 2, rng)
+			filler = vocab.drawN(filler[:0], 2, rng)
 			decoy := b.AddNode(w+" "+vocab.join(filler), "")
 			p.Decoys = append(p.Decoys, decoy)
 			b.AddEdge(decoy, kb.Classes[0], relInstanceOf) // the "human" superhub

@@ -156,15 +156,15 @@ func (v *Vocab) search(x float64) int {
 	return lo
 }
 
-// drawN appends to dst[:0] the indices of n distinct words, drawing until
-// it has them (or the whole vocabulary). Words are distinct, so distinct
+// drawN appends to dst the indices of n distinct words, drawing until it
+// has them (or the whole vocabulary). Words are distinct, so distinct
 // indices are distinct words. n is a label's word count: the duplicate
-// check is a scan of dst.
+// check is a scan of the indices appended so far.
 func (v *Vocab) drawN(dst []int32, n int, rng *rand.Rand) []int32 {
-	dst = dst[:0]
-	for len(dst) < n && len(dst) < len(v.words) {
+	base := len(dst)
+	for len(dst)-base < n && len(dst)-base < len(v.words) {
 		w := int32(v.draw(rng))
-		if !slices.Contains(dst, w) {
+		if !slices.Contains(dst[base:], w) {
 			dst = append(dst, w)
 		}
 	}
