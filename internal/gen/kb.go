@@ -176,14 +176,15 @@ func Generate(cfg Config) *KB {
 		b.AddEdge(v, kb.Classes[1%len(kb.Classes)], relInstanceOf)
 	}
 
-	// 4. Entities. prefTargets implements preferential attachment: every
-	// edge endpoint is appended, so sampling uniformly from it picks nodes
-	// proportionally to degree+1. The loop only draws each entity's label
-	// and description words; the strings are joined beside step 5, which
-	// needs the RNG but not the text.
+	// 4. Entities. Their edges to classes, topics and venues follow
+	// zipfIndex, which is what makes those summary hubs; an edge to another
+	// entity picks one of the earlier entities uniformly. The loop only
+	// draws each entity's label and description words; the strings are
+	// joined beside step 5, which needs the RNG but not the text.
 	entityStart := b.NumNodes()
 	nEntities := cfg.Nodes - entityStart
-	prefTargets := make([]graph.NodeID, 0, nEntities)
+	// entity returns one of the first k entities, uniformly.
+	entity := func(k int) graph.NodeID { return graph.NodeID(entityStart + rng.Intn(k)) }
 	text := make([]int32, 0, 6*nEntities) // word indices: 3 label and 2.5 description words on average
 	ends := make([]int, 2*nEntities)      // entity i's label ends at ends[2i], its description at ends[2i+1]
 	for i := 0; i < nEntities; i++ {
@@ -203,22 +204,19 @@ func Generate(cfg Config) *KB {
 				b.AddEdge(v, kb.Topics[zipfIndex(rng, len(kb.Topics))], relMainTopic)
 			}
 			b.AddEdge(v, kb.Venues[zipfIndex(rng, len(kb.Venues))], relPublishedIn)
-			if len(prefTargets) > 0 {
-				b.AddEdge(v, prefTargets[rng.Intn(len(prefTargets))], relCites)
-			}
-			if len(prefTargets) > 0 {
-				b.AddEdge(v, prefTargets[rng.Intn(len(prefTargets))], relAuthor)
+			if i > 0 {
+				b.AddEdge(v, entity(i), relCites)
+				b.AddEdge(v, entity(i), relAuthor)
 			}
 		case kind < 0.7: // person-like
-			if len(prefTargets) > 0 {
-				b.AddEdge(v, prefTargets[rng.Intn(len(prefTargets))], relRelated)
+			if i > 0 {
+				b.AddEdge(v, entity(i), relRelated)
 			}
 		default: // thing-like
-			if len(prefTargets) > 0 {
-				b.AddEdge(v, prefTargets[rng.Intn(len(prefTargets))], relPartOf)
+			if i > 0 {
+				b.AddEdge(v, entity(i), relPartOf)
 			}
 		}
-		prefTargets = append(prefTargets, v)
 	}
 
 	texts := make([]string, len(ends))
@@ -233,11 +231,11 @@ func Generate(cfg Config) *KB {
 		}
 	}()
 
-	// 5. Extra preferential edges up to the degree budget.
+	// 5. Extra entity-to-entity edges up to the degree budget.
 	rels := []graph.RelID{relRelated, relCites, relPartOf}
 	for edges := b.NumEdges(); edges < targetEdges; edges++ {
-		from := prefTargets[rng.Intn(len(prefTargets))]
-		to := prefTargets[rng.Intn(len(prefTargets))]
+		from := entity(nEntities)
+		to := entity(nEntities)
 		if from == to {
 			continue
 		}
