@@ -23,9 +23,7 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{relIDs: make(map[string]RelID)}
-}
+func NewBuilder() *Builder { return NewBuilderSize(0, 0) }
 
 // NewBuilderSize returns an empty Builder with room for the given numbers
 // of nodes and edges, for callers that know their graph's size up front.
