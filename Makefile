@@ -38,11 +38,12 @@ race:
 allocguard:
 	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/graph ./internal/parallel ./internal/trace
 
-# A short coverage-guided fuzz pass over every dump decoder generation
-# (v1/v2 streams, v3 mmap images): corrupt dumps must never panic or
-# over-allocate. The full corpus lives under testdata/fuzz via go test.
+# A short coverage-guided fuzz pass over the v3 dump decoder and the
+# delta-log decoder: corrupt input must never panic or over-allocate. The
+# seed corpora run under plain go test too.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadDump -fuzztime=20s ./internal/storage
+	$(GO) test -run=^$$ -fuzz=FuzzLoadDelta -fuzztime=20s ./internal/storage
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

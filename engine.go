@@ -117,30 +117,25 @@ type Engine struct {
 	traceOff atomic.Bool
 
 	// dump retains the loaded dump when the engine came from LoadEngine:
-	// for a memory-mapped v3 dump the graph/weight/index arrays alias the
-	// mapping it owns, which Close releases.
+	// the graph/weight/index arrays alias the mapping it owns, which Close
+	// releases.
 	dump *storage.Dump
 }
 
-// DumpFormat selects the on-disk format for Engine.SaveFormat.
+// DumpFormat names the on-disk format for Engine.SaveFormat.
 type DumpFormat int
 
-const (
-	// FormatV2 is the streamed record format: compact, decoded fully into
-	// heap memory at load.
-	FormatV2 DumpFormat = 2
-	// FormatV3 is the mmap-able section format: page-aligned arrays loaded
-	// as zero-copy views for near-instant startup. The default.
-	FormatV3 DumpFormat = 3
-)
+// FormatV3 is the mmap-able section format: page-aligned arrays loaded as
+// zero-copy views for near-instant startup. It is the only format.
+const FormatV3 DumpFormat = 3
 
 // LoadInfo describes how a loaded engine's dump got into memory.
 type LoadInfo struct {
-	// Format is the on-disk version read (1, 2 or 3); 0 for engines built
+	// Format is the on-disk version read (always 3); 0 for engines built
 	// in memory by NewEngine.
 	Format int
-	// Mode is "decode" (v1/v2), "mmap" (v3 zero-copy) or "read" (v3
-	// fallback); empty for in-memory engines.
+	// Mode is "mmap" (zero-copy) or "read" (the image read into memory
+	// where mmap is unavailable); empty for in-memory engines.
 	Mode string
 	// MappedBytes is the live mapping size (0 unless Mode is "mmap").
 	MappedBytes int64
@@ -201,40 +196,36 @@ func NewEngine(g *Graph, o EngineOptions) (*Engine, error) {
 }
 
 // LoadEngine reads a dump produced by Engine.Save (or cmd/wikigen) and
-// prepares an engine over it. Version-2 dumps carry the inverted index and
-// the sampled distance statistics, so loading skips both recomputations;
-// version-1 dumps rebuild the index and resample (A may still be
-// overridden through o.AvgDistance).
+// prepares an engine over it. The dump carries the inverted index and the
+// sampled distance statistics, so loading recomputes neither; a positive
+// o.AvgDistance overrides the stored A. A dump without an index, or without
+// a positive A and no override, is rejected.
 func LoadEngine(path string, o EngineOptions) (*Engine, error) {
 	d, err := storage.LoadDumpFile(path)
 	if err != nil {
 		return nil, err
 	}
-	o = o.defaults()
+	avgDist, stddev := d.AvgDist, d.Deviation
+	if o.AvgDistance > 0 {
+		avgDist, stddev = o.AvgDistance, 0
+	}
+	switch {
+	case d.Index == nil:
+		err = fmt.Errorf("wikisearch: %s has no keyword index", path)
+	case !(avgDist > 0):
+		err = fmt.Errorf("wikisearch: %s has no positive average distance; set EngineOptions.AvgDistance", path)
+	}
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
 	e := &Engine{
 		name:   d.Name,
 		tracer: trace.NewCollector(),
 		dump:   d,
 		states: newStateList(),
 	}
-	pool := parallel.NewPool(o.Threads) // spawns workers only if the dump lacks the index or A
-	defer pool.Close()
-	ix := d.Index
-	if ix == nil {
-		ix = text.BuildIndex(d.Graph, pool)
-	}
-	avgDist, stddev := d.AvgDist, d.Deviation
-	if o.AvgDistance > 0 {
-		avgDist, stddev = o.AvgDistance, 0
-	}
-	if avgDist <= 0 {
-		s := graph.SampleAverageDistance(d.Graph, o.DistanceSamplePairs, rand.New(rand.NewSource(o.Seed)), pool)
-		avgDist, stddev = s.Mean, s.Deviation
-		if avgDist <= 0 {
-			avgDist = 1
-		}
-	}
-	e.installEpoch(newSnapshot(d.Graph, ix, nil, d.Weights, avgDist, stddev))
+	e.installEpoch(newSnapshot(d.Graph, d.Index, nil, d.Weights, avgDist, stddev))
 	return e, nil
 }
 
@@ -258,18 +249,13 @@ func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions, pool *pa
 	return e, nil
 }
 
-// Save writes the engine's dump to path in the default format (v3, the
-// mmap-able layout), so LoadEngine starts without recomputation — and,
-// on platforms with mmap, without even reading the arrays up front.
+// Save writes the engine's dump to path in the mmap-able v3 layout —
+// graph, weights, distance statistics and the inverted index — so
+// LoadEngine starts without recomputation and, on platforms with mmap,
+// without even reading the arrays up front. An unmerged mutation delta is
+// folded in first: the dump always carries a flat CSR graph and an exact
+// index, so a reloaded engine starts compacted.
 func (e *Engine) Save(path string) error {
-	return e.SaveFormat(path, FormatV3)
-}
-
-// SaveFormat writes the engine's dump to path in the requested format:
-// graph, weights, distance statistics and the inverted index. An unmerged
-// mutation delta is folded in first: the dump always carries a flat CSR
-// graph and an exact index, so a reloaded engine starts compacted.
-func (e *Engine) SaveFormat(path string, format DumpFormat) error {
 	sn := e.snap()
 	g, ix := sn.g, sn.ix
 	if g.HasOverlay() {
@@ -286,14 +272,16 @@ func (e *Engine) SaveFormat(path string, format DumpFormat) error {
 		Deviation: sn.stddev,
 		Index:     ix,
 	}
-	switch format {
-	case FormatV2:
-		return storage.SaveDumpFile(path, d)
-	case FormatV3:
-		return storage.SaveDumpFileV3(path, d)
-	default:
+	return storage.SaveDumpFileV3(path, d)
+}
+
+// SaveFormat is Save for callers that name the format; FormatV3 is the
+// only one.
+func (e *Engine) SaveFormat(path string, format DumpFormat) error {
+	if format != FormatV3 {
 		return fmt.Errorf("wikisearch: unknown dump format %d", format)
 	}
+	return e.Save(path)
 }
 
 // LoadInfo reports how this engine's dump was loaded. Engines built in
@@ -308,10 +296,10 @@ func (e *Engine) LoadInfo() LoadInfo {
 
 // Close stops the mutator's compactor, closes the idle search states (and
 // with them their worker goroutines) and releases the memory mapping backing
-// a v3-loaded engine. The caller must guarantee no search is in flight —
-// after Close, the graph, weights and index views of a v3-loaded engine are
-// invalid; an in-memory or v2-loaded engine keeps serving, without state
-// reuse. Close is idempotent.
+// a loaded engine. The caller must guarantee no search is in flight —
+// after Close, the graph, weights and index views of a loaded engine are
+// invalid; an in-memory engine keeps serving, without state reuse. Close is
+// idempotent.
 func (e *Engine) Close() error {
 	// Stop the mutator's compactor first (no-op when none is active).
 	e.mu.Lock()
@@ -333,9 +321,9 @@ func (e *Engine) Close() error {
 	return e.dump.Close()
 }
 
-// VerifyDumpFile fully verifies a dump file of any version, including the
-// per-section CRCs a v3 load skips for instant startup. Use it after
-// copying dumps between machines or converting formats.
+// VerifyDumpFile fully verifies a dump file, including the per-section
+// CRCs a load skips for instant startup. Use it after copying dumps between
+// machines.
 func VerifyDumpFile(path string) error { return storage.VerifyDumpFile(path) }
 
 // SetName sets the dataset name recorded in dumps.

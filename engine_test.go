@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"wikisearch/internal/core"
+	"wikisearch/internal/storage"
+	"wikisearch/internal/text"
 )
 
 // paperGraph builds the Fig. 1 scenario: query languages around a "Query
@@ -92,8 +94,41 @@ func TestAnswerNodeIDsAndDeviation(t *testing.T) {
 }
 
 func TestLoadEngineErrors(t *testing.T) {
-	if _, err := LoadEngine(filepath.Join(t.TempDir(), "missing.wskb"), EngineOptions{}); err == nil {
+	dir := t.TempDir()
+	if _, err := LoadEngine(filepath.Join(dir, "missing.wskb"), EngineOptions{}); err == nil {
 		t.Fatal("missing dump accepted")
+	}
+	// A dump must carry the index and a positive A; only A can be supplied
+	// by the caller instead.
+	src := newTestEngine(t)
+	full := storage.Dump{Name: "fig1", Graph: src.Graph(), Weights: src.Weights(), AvgDist: 3, Index: text.BuildIndex(src.Graph())}
+	noIndex, noDist := full, full
+	noIndex.Index, noDist.AvgDist = nil, 0
+	for name, c := range map[string]struct {
+		d    *storage.Dump
+		o    EngineOptions
+		want string // error substring; empty when the load must succeed
+	}{
+		"no index":          {&noIndex, EngineOptions{AvgDistance: 3}, "no keyword index"},
+		"no distance":       {&noDist, EngineOptions{}, "no positive average distance"},
+		"distance override": {&noDist, EngineOptions{AvgDistance: 3}, ""},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".wskb")
+		if err := storage.SaveDumpFileV3(path, c.d); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := LoadEngine(path, c.o)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case c.want == "" && eng.AvgDistance() != 3:
+			t.Errorf("%s: A = %v", name, eng.AvgDistance())
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
+		}
+		if eng != nil {
+			eng.Close()
+		}
 	}
 	// NewEngine rejects a nil graph.
 	if _, err := NewEngine(nil, EngineOptions{}); err == nil {

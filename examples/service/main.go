@@ -65,42 +65,34 @@ func main() {
 
 	// 4. Query over HTTP like any client would.
 	for _, q := range []string{"statistical relational learning", "wikidata freebase sparql"} {
-		u := base + "/search?k=3&q=" + url.QueryEscape(q)
-		resp, err := http.Get(u)
-		if err != nil {
-			log.Fatal(err)
+		var payload server.V1SearchResponse
+		getJSON(base+"/v1/search?k=3&q="+url.QueryEscape(q), &payload)
+		if payload.Error != nil {
+			log.Fatalf("search %q: %s: %s", q, payload.Error.Code, payload.Error.Message)
 		}
-		var payload struct {
-			Terms   []string `json:"terms"`
-			Depth   int      `json:"depth"`
-			TotalMs float64  `json:"total_ms"`
-			Answers []struct {
-				Central string  `json:"central"`
-				Score   float64 `json:"score"`
-				Nodes   []struct {
-					Label    string   `json:"label"`
-					Keywords []string `json:"keywords"`
-				} `json:"nodes"`
-			} `json:"answers"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-			log.Fatal(err)
-		}
-		resp.Body.Close()
-		fmt.Printf("GET /search?q=%q → terms %v, d=%d, %.2f ms\n", q, payload.Terms, payload.Depth, payload.TotalMs)
-		for i, a := range payload.Answers {
+		st := payload.Stats
+		fmt.Printf("GET /v1/search?q=%q → terms %v, d=%d, %.2f ms\n", q, st.Terms, st.Depth, st.TotalMs)
+		for i, a := range payload.Results {
 			fmt.Printf("  %d. [%.4f] %s (%d nodes)\n", i+1, a.Score, a.Central, len(a.Nodes))
 		}
 		fmt.Println()
 	}
 
 	// 5. Stats endpoint.
-	resp, err := http.Get(base + "/stats")
+	var stats server.V1StatsResponse
+	getJSON(base+"/v1/stats", &stats)
+	fmt.Printf("GET /v1/stats → %+v\n", *stats.Stats)
+}
+
+// getJSON fetches u and decodes its JSON body into v; error statuses carry
+// the /v1 envelope's error block, so they decode too.
+func getJSON(u string, v any) {
+	resp, err := http.Get(u)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats map[string]any
-	json.NewDecoder(resp.Body).Decode(&stats) //nolint:errcheck
-	fmt.Printf("GET /stats → %v\n", stats)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -12,7 +12,7 @@ import (
 
 // TestFormatEquivalence is the v3 acceptance suite: an engine loaded from
 // a memory-mapped v3 dump must answer every query bit-identically to the
-// same engine loaded from the v2 dump, across variants and thread counts.
+// in-memory engine that saved it, across variants and thread counts.
 // Queries are randomized from real node labels so term matching, frontier
 // expansion and scoring all run over the zero-copy views.
 func TestFormatEquivalence(t *testing.T) {
@@ -26,30 +26,16 @@ func TestFormatEquivalence(t *testing.T) {
 	}
 	eng.SetName(ds.Name)
 
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "kb.v2.wskb")
-	v3Path := filepath.Join(dir, "kb.v3.wskb")
-	if err := eng.SaveFormat(v2Path, FormatV2); err != nil {
+	path := filepath.Join(t.TempDir(), "kb.wskb")
+	if err := eng.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SaveFormat(v3Path, FormatV3); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := LoadEngine(v2Path, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	e3, err := LoadEngine(v3Path, EngineOptions{})
+	e3, err := LoadEngine(path, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e3.Close()
 
-	if info := e2.LoadInfo(); info.Format != 2 || info.Mode != "decode" {
-		t.Fatalf("v2 load info = %+v", info)
-	}
 	info := e3.LoadInfo()
 	if info.Format != 3 {
 		t.Fatalf("v3 load info = %+v", info)
@@ -59,23 +45,27 @@ func TestFormatEquivalence(t *testing.T) {
 			t.Fatalf("v3 not mmap-loaded: %+v", info)
 		}
 	}
+	if e3.AvgDistance() != eng.AvgDistance() || e3.DistanceDeviation() != eng.DistanceDeviation() {
+		t.Fatalf("A = %v ± %v, want %v ± %v",
+			e3.AvgDistance(), e3.DistanceDeviation(), eng.AvgDistance(), eng.DistanceDeviation())
+	}
 
-	for _, q := range equivalenceQueries(t, e2, 25) {
+	for _, q := range equivalenceQueries(t, eng, 25) {
 		for _, v := range []Variant{CPUPar, Sequential, CPUParD} {
 			for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
 				if v == Sequential && threads != 1 {
 					continue // Sequential forces one thread anyway
 				}
 				q.Variant, q.Threads = v, threads
-				r2, err2 := e2.Search(context.Background(), q)
+				rm, errm := eng.Search(context.Background(), q)
 				r3, err3 := e3.Search(context.Background(), q)
-				if (err2 == nil) != (err3 == nil) {
-					t.Fatalf("%q v%d t%d: v2 err %v, v3 err %v", q.Text, v, threads, err2, err3)
+				if (errm == nil) != (err3 == nil) {
+					t.Fatalf("%q v%d t%d: in-memory err %v, v3 err %v", q.Text, v, threads, errm, err3)
 				}
-				if err2 != nil {
+				if errm != nil {
 					continue
 				}
-				sameResult(t, q.Text, r2, r3)
+				sameResult(t, q.Text, rm, r3)
 			}
 		}
 	}

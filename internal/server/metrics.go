@@ -78,7 +78,7 @@ func newServerMetrics() *serverMetrics {
 		kbMappedBytes: r.Gauge("wikisearch_kb_mapped_bytes",
 			"Bytes of the knowledge-base dump held in a live memory mapping (0 unless mmap-loaded)."),
 		kbLoadMode: r.CounterVec("wikisearch_kb_load_info",
-			"How the knowledge base got into memory: 1 on the mode in use (decode, mmap, read, memory).", "mode"),
+			"How the knowledge base got into memory: 1 on the mode in use (mmap, read, memory).", "mode"),
 		slowQueries: r.Counter("wikisearch_slow_queries_total",
 			"Searches whose end-to-end engine time exceeded the slow-query threshold."),
 		epoch: r.Gauge("wikisearch_epoch",

@@ -115,7 +115,7 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 			if isV1(r) {
 				s.v1Error(w, http.StatusServiceUnavailable, "overloaded", "server at capacity, retry shortly")
 			} else {
-				s.error(w, http.StatusServiceUnavailable, "server at capacity, retry shortly")
+				http.Error(w, "server at capacity, retry shortly", http.StatusServiceUnavailable)
 			}
 		}
 	})

@@ -72,27 +72,24 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	w := get(t, testServer(t), "/stats")
+	w := get(t, testServer(t), "/v1/stats")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
-	if w.Header().Get("Deprecation") == "" ||
-		w.Header().Get("Link") != `</v1/stats>; rel="successor-version"` {
-		t.Fatalf("legacy route missing deprecation headers: %v", w.Header())
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+	var resp V1StatsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if st.Dataset != "test-kb" || st.Nodes != 5 || st.Edges != 4 || st.Vocabulary == 0 {
-		t.Fatalf("stats = %+v", st)
+	st := resp.Stats
+	if resp.Error != nil || st == nil || st.Dataset != "test-kb" || st.Nodes != 5 || st.Edges != 4 || st.Vocabulary == 0 {
+		t.Fatalf("stats envelope = %+v", resp)
 	}
 }
 
 func TestSearchOK(t *testing.T) {
 	s := testServer(t)
 	for _, variant := range []string{"", "cpu", "cpu-d", "gpu", "seq"} {
-		url := "/search?q=xml+rdf+sql&k=3"
+		url := "/v1/search?q=xml+rdf+sql&k=3"
 		if variant != "" {
 			url += "&variant=" + variant
 		}
@@ -100,17 +97,14 @@ func TestSearchOK(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("variant %q: status = %d body %s", variant, w.Code, w.Body)
 		}
-		if w.Header().Get("Deprecation") == "" {
-			t.Fatalf("variant %q: legacy route missing Deprecation header", variant)
-		}
-		var resp SearchResponse
+		var resp V1SearchResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Terms) != 3 || len(resp.Answers) == 0 {
+		if resp.Error != nil || resp.Stats == nil || len(resp.Stats.Terms) != 3 || len(resp.Results) == 0 {
 			t.Fatalf("variant %q: resp = %+v", variant, resp)
 		}
-		a := resp.Answers[0]
+		a := resp.Results[0]
 		if a.Central == "" || len(a.Nodes) == 0 {
 			t.Fatalf("variant %q: bad answer %+v", variant, a)
 		}
@@ -132,25 +126,40 @@ func TestSearchValidation(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/search", http.StatusBadRequest},                        // missing q
-		{"/search?q=xml&k=0", http.StatusBadRequest},              // bad k
-		{"/search?q=xml&k=9999", http.StatusBadRequest},           // bad k
-		{"/search?q=xml&alpha=0", http.StatusBadRequest},          // bad alpha
-		{"/search?q=xml&alpha=1.5", http.StatusBadRequest},        // bad alpha
-		{"/search?q=xml&lambda=0", http.StatusBadRequest},         // bad lambda
-		{"/search?q=xml&variant=tpu", http.StatusBadRequest},      // bad variant
-		{"/search?q=zzzznothing", http.StatusUnprocessableEntity}, // unmatched keyword
-		{"/search?q=the+of+and", http.StatusUnprocessableEntity},  // stopwords only
+		{"/v1/search", http.StatusBadRequest},                        // missing q
+		{"/v1/search?q=xml&k=0", http.StatusBadRequest},              // bad k
+		{"/v1/search?q=xml&k=9999", http.StatusBadRequest},           // bad k
+		{"/v1/search?q=xml&alpha=0", http.StatusBadRequest},          // bad alpha
+		{"/v1/search?q=xml&alpha=1.5", http.StatusBadRequest},        // bad alpha
+		{"/v1/search?q=xml&lambda=0", http.StatusBadRequest},         // bad lambda
+		{"/v1/search?q=xml&variant=tpu", http.StatusBadRequest},      // bad variant
+		{"/v1/search?q=zzzznothing", http.StatusUnprocessableEntity}, // unmatched keyword
+		{"/v1/search?q=the+of+and", http.StatusUnprocessableEntity},  // stopwords only
 	}
 	for _, c := range cases {
 		w := get(t, s, c.path)
 		if w.Code != c.code {
 			t.Errorf("%s: status = %d, want %d (body %s)", c.path, w.Code, c.code, w.Body)
 		}
-		var e map[string]string
-		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: missing error payload: %s", c.path, w.Body)
+		want := "bad_request"
+		if c.code == http.StatusUnprocessableEntity {
+			want = "unprocessable"
 		}
+		assertErrorCode(t, c.path, w, want)
+	}
+}
+
+// assertErrorCode checks that w carries a /v1 error envelope with the
+// stable code and a message.
+func assertErrorCode(t *testing.T, path string, w *httptest.ResponseRecorder, code string) {
+	t.Helper()
+	var resp V1SearchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Errorf("%s: invalid JSON %v: %s", path, err, w.Body)
+		return
+	}
+	if resp.Error == nil || resp.Error.Code != code || resp.Error.Message == "" {
+		t.Errorf("%s: error block = %+v, want code %q", path, resp.Error, code)
 	}
 }
 
@@ -160,22 +169,19 @@ func TestSearchValidation(t *testing.T) {
 func TestMalformedParamsRejected(t *testing.T) {
 	s := testServer(t)
 	for _, path := range []string{
-		"/search?q=xml&k=abc",
-		"/search?q=xml&k=1.5",
-		"/search?q=xml&alpha=x",
-		"/search?q=xml&lambda=x",
+		"/v1/search?q=xml&k=abc",
+		"/v1/search?q=xml&k=1.5",
+		"/v1/search?q=xml&alpha=x",
+		"/v1/search?q=xml&lambda=x",
 	} {
 		w := get(t, s, path)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", path, w.Code, w.Body)
 		}
-		var e map[string]string
-		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: missing error payload: %s", path, w.Body)
-		}
+		assertErrorCode(t, path, w, "bad_request")
 	}
 	// Absent parameters still select the defaults.
-	if w := get(t, s, "/search?q=xml"); w.Code != http.StatusOK {
+	if w := get(t, s, "/v1/search?q=xml"); w.Code != http.StatusOK {
 		t.Fatalf("absent params: status = %d body %s", w.Code, w.Body)
 	}
 }
@@ -185,10 +191,11 @@ func TestMalformedParamsRejected(t *testing.T) {
 // deadline is the server's failure, not the query's.
 func TestDeadlineExceededMaps504(t *testing.T) {
 	s := testServerWith(t, Config{Timeout: time.Nanosecond})
-	w := get(t, s, "/search?q=xml+rdf+sql")
+	w := get(t, s, "/v1/search?q=xml+rdf+sql")
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", w.Code, w.Body)
 	}
+	assertErrorCode(t, "/v1/search", w, "timeout")
 	if !strings.Contains(w.Body.String(), "deadline") {
 		t.Fatalf("body = %s", w.Body)
 	}
@@ -200,7 +207,7 @@ func TestClientCancelDropsWrite(t *testing.T) {
 	s := testServerWith(t, Config{Timeout: -1}) // isolate cancellation from the deadline
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/search?q=xml+rdf+sql", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodGet, "/v1/search?q=xml+rdf+sql", nil).WithContext(ctx)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Body.Len() != 0 {
@@ -268,7 +275,7 @@ func TestIndexHonorsRequestContext(t *testing.T) {
 
 func TestCacheHitIsServedAndFaster(t *testing.T) {
 	s := testServer(t)
-	const path = "/search?q=xml+rdf+sql&k=5"
+	const path = "/v1/search?q=xml+rdf+sql&k=5"
 
 	start := time.Now()
 	w := get(t, s, path)
@@ -295,26 +302,26 @@ func TestCacheHitIsServedAndFaster(t *testing.T) {
 		t.Errorf("cache hit took %v, cold search took %v", warm, cold)
 	}
 	// The payload is identical except the cached flag.
-	var coldResp, warmResp SearchResponse
+	var coldResp, warmResp V1SearchResponse
 	if err := json.Unmarshal([]byte(coldBody), &coldResp); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal([]byte(warmBody), &warmResp); err != nil {
 		t.Fatal(err)
 	}
-	if coldResp.Cached || !warmResp.Cached {
-		t.Fatalf("cached flags: cold %v warm %v", coldResp.Cached, warmResp.Cached)
+	if coldResp.Stats.Cached || !warmResp.Stats.Cached {
+		t.Fatalf("cached flags: cold %v warm %v", coldResp.Stats.Cached, warmResp.Stats.Cached)
 	}
-	if len(warmResp.Answers) != len(coldResp.Answers) {
-		t.Fatalf("answers differ: cold %d warm %d", len(coldResp.Answers), len(warmResp.Answers))
+	if len(warmResp.Results) != len(coldResp.Results) {
+		t.Fatalf("answers differ: cold %d warm %d", len(coldResp.Results), len(warmResp.Results))
 	}
 	// Differently normalized but identical queries share the entry.
-	w = get(t, s, "/search?q=XML,+rdf...+SQL&k=5")
+	w = get(t, s, "/v1/search?q=XML,+rdf...+SQL&k=5")
 	if w.Header().Get("X-Cache") != "HIT" {
 		t.Fatalf("normalized-equal query missed the cache (X-Cache %q)", w.Header().Get("X-Cache"))
 	}
 	// A different k is a different search.
-	w = get(t, s, "/search?q=xml+rdf+sql&k=6")
+	w = get(t, s, "/v1/search?q=xml+rdf+sql&k=6")
 	if w.Header().Get("X-Cache") != "MISS" {
 		t.Fatalf("k=6 unexpectedly hit the k=5 entry")
 	}
@@ -325,11 +332,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Generate traffic: two cold searches, one repeat (cache hit), one
 	// unprocessable query, one bad request.
 	for _, path := range []string{
-		"/search?q=xml+rdf+sql",
-		"/search?q=sparql+rdf",
-		"/search?q=xml+rdf+sql",
-		"/search?q=zzzznothing",
-		"/search?q=xml&k=abc",
+		"/v1/search?q=xml+rdf+sql",
+		"/v1/search?q=sparql+rdf",
+		"/v1/search?q=xml+rdf+sql",
+		"/v1/search?q=zzzznothing",
+		"/v1/search?q=xml&k=abc",
 	} {
 		get(t, s, path)
 	}
@@ -379,24 +386,25 @@ func TestLimiterFastFail(t *testing.T) {
 	go func() {
 		defer close(done)
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/search?q=xml", nil))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/search?q=xml", nil))
 	}()
 	<-entered // the slot is held
 
 	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/search?q=xml", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/search?q=xml", nil))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", w.Code)
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
+	assertErrorCode(t, "/v1/search", w, "overloaded")
 	close(release)
 	<-done
 
 	// The slot is free again.
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/search?q=xml", nil))
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/search?q=xml", nil))
 	if w.Code == http.StatusServiceUnavailable {
 		t.Fatal("limiter leaked its slot")
 	}
@@ -434,10 +442,43 @@ func TestUnknownRouteAndMethod(t *testing.T) {
 	if w := get(t, s, "/nope"); w.Code != http.StatusNotFound {
 		t.Fatalf("unknown route: %d", w.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/search?q=xml", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/search?q=xml", nil)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /search: %d", w.Code)
+		t.Fatalf("POST /v1/search: %d", w.Code)
+	}
+}
+
+// TestLegacyRoutesGone: the unversioned JSON routes were retired in favor
+// of /v1 and now answer the mux's 404.
+func TestLegacyRoutesGone(t *testing.T) {
+	s := testServer(t)
+	for _, path := range []string{"/search?q=xml", "/stats"} {
+		if w := get(t, s, path); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status = %d, want 404 (body %s)", path, w.Code, w.Body)
+		}
+	}
+}
+
+// TestIndexOverloadedPlainText: the HTML page sits behind the same limiter
+// as /v1/search, and its 503 is plain text with Retry-After, like its panic
+// response.
+func TestIndexOverloadedPlainText(t *testing.T) {
+	s := testServerWith(t, Config{MaxInFlight: 1})
+	s.sem <- struct{}{} // hold the only slot
+	w := get(t, s, "/?q=xml")
+	<-s.sem
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (body %s)", w.Code, w.Body)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("content type = %q, want text/plain", ct)
+	}
+	if !strings.Contains(w.Body.String(), "server at capacity") {
+		t.Fatalf("body = %q", w.Body)
 	}
 }

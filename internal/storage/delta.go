@@ -13,7 +13,7 @@ import (
 )
 
 // Delta segments persist a mutation batch — the operations a Mutator
-// applied on top of a compacted base — in the dump formats' style:
+// applied on top of a compacted base — in the dump format's style:
 // little-endian, versioned, CRC-guarded, written atomically and durably.
 // A segment is a logical redo log: replaying its operations onto the base
 // it names reproduces the mutated graph exactly, so a crash between
@@ -125,8 +125,12 @@ func SaveDelta(w io.Writer, l *DeltaLog) error {
 
 // LoadDelta reads a delta segment previously written by SaveDelta,
 // validating bounds and the CRC trailer.
-func LoadDelta(r io.Reader) (*DeltaLog, error) {
-	dec := decoder{r: bufio.NewReaderSize(r, 1<<16), crc: crc32.NewIEEE(), remain: inputSize(r)}
+func LoadDelta(r io.Reader) (*DeltaLog, error) { return loadDelta(r, inputSize(r)) }
+
+// loadDelta decodes a segment from r; size is the input's length in bytes,
+// or -1 when unknown.
+func loadDelta(r io.Reader, size int64) (*DeltaLog, error) {
+	dec := decoder{r: bufio.NewReaderSize(r, 1<<16), crc: crc32.NewIEEE(), remain: size}
 	if m := dec.u32(); dec.err == nil && m != deltaMagic {
 		return nil, fmt.Errorf("storage: bad delta magic %#x", m)
 	}
@@ -143,7 +147,12 @@ func LoadDelta(r io.Reader) (*DeltaLog, error) {
 	if l.BaseNodes < 0 || l.BaseNodes > maxCount || l.BaseEdges < 0 || l.BaseEdges > maxCount {
 		return nil, fmt.Errorf("storage: absurd delta base %d nodes / %d edges", l.BaseNodes, l.BaseEdges)
 	}
-	l.Ops = make([]DeltaOp, 0, n)
+	// Every op costs at least its 4-byte kind, so a count the input cannot
+	// hold fails here; the capacity cap bounds inputs of unknown size.
+	if !dec.need(int64(n) * 4) {
+		return nil, dec.err
+	}
+	l.Ops = make([]DeltaOp, 0, min(n, allocChunk))
 	for i := 0; i < n; i++ {
 		op := DeltaOp{Kind: DeltaOpKind(dec.u32())}
 		switch op.Kind {
@@ -196,5 +205,9 @@ func LoadDeltaFile(path string) (*DeltaLog, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadDelta(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return loadDelta(f, st.Size())
 }

@@ -2,10 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleDelta() *DeltaLog {
@@ -96,5 +102,86 @@ func TestDeltaEmptyLog(t *testing.T) {
 func TestDeltaUnknownOpRejected(t *testing.T) {
 	if err := SaveDelta(&bytes.Buffer{}, &DeltaLog{Ops: []DeltaOp{{Kind: 99}}}); err == nil {
 		t.Fatal("unknown op kind saved")
+	}
+}
+
+// hugeDelta hand-builds a segment that declares n ops and holds none: the
+// header, the op count, then the CRC trailer.
+func hugeDelta(n uint64) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, deltaMagic)
+	b = le.AppendUint32(b, deltaVersion)
+	b = le.AppendUint32(b, 1)
+	b = append(b, 'x')
+	b = le.AppendUint64(b, 10) // base nodes
+	b = le.AppendUint64(b, 20) // base edges
+	b = le.AppendUint64(b, n)
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// allocated reports the bytes f allocated on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadDeltaHugeCountAllocatesLittle: a segment declaring more ops than
+// it holds is rejected before the op slice is allocated, whether it is read
+// from memory or from a file. From a reader of unknown size the slice
+// starts at allocChunk ops at most.
+func TestLoadDeltaHugeCountAllocatesLittle(t *testing.T) {
+	for _, n := range []uint64{1 << 20, maxCount} {
+		seg := hugeDelta(n)
+		path := filepath.Join(t.TempDir(), "huge.wsdl")
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, load := range map[string]func() error{
+			"memory": func() error { _, err := LoadDelta(bytes.NewReader(seg)); return err },
+			"file":   func() error { _, err := LoadDeltaFile(path); return err },
+		} {
+			var err error
+			if got := allocated(func() { err = load() }); got >= 1<<20 {
+				t.Errorf("%d ops from %s: allocated %d bytes", n, name, got)
+			}
+			if err == nil {
+				t.Errorf("%d ops from %s: accepted", n, name)
+			}
+		}
+		opaque := struct{ io.Reader }{bytes.NewReader(seg)}
+		var err error
+		bound := uint64(allocChunk*unsafe.Sizeof(DeltaOp{})) + 1<<20
+		if got := allocated(func() { _, err = LoadDelta(opaque) }); got >= bound {
+			t.Errorf("%d ops from an opaque reader: allocated %d bytes, bound %d", n, got, bound)
+		}
+		if err == nil {
+			t.Errorf("%d ops from an opaque reader: accepted", n)
+		}
+	}
+}
+
+// TestDecoderRejectsOversizedDeclarations: an op count or a string length
+// within the decoder's limits but past the end of the input fails the size
+// check before anything is decoded.
+func TestDecoderRejectsOversizedDeclarations(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveDelta(&buf, sampleDelta()); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	le := binary.LittleEndian
+	countPos := 12 + int(le.Uint32(good[8:])) + 16 // after the name and the base shape
+	for name, patch := range map[string]func([]byte){
+		"op count":    func(b []byte) { le.PutUint64(b[countPos:], 0x0fffffff) },
+		"name length": func(b []byte) { le.PutUint32(b[8:], maxStr) },
+	} {
+		bad := append([]byte(nil), good...)
+		patch(bad)
+		if _, err := LoadDelta(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "declared") {
+			t.Errorf("oversized %s: err = %v", name, err)
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"unsafe"
 
@@ -17,8 +15,8 @@ import (
 // Dump is an on-disk engine snapshot: graph, weights, the sampled
 // average-distance statistics, and the inverted keyword index —
 // everything the engine needs to start serving without recomputation.
-// Version 2 is the streamed record format; version 3 (v3.go) is the
-// mmap-able section format whose loaded arrays alias the file mapping.
+// It is stored in the mmap-able version-3 section format (v3.go), whose
+// loaded arrays alias the file mapping.
 //
 //wikisearch:viewholder
 type Dump struct {
@@ -27,7 +25,7 @@ type Dump struct {
 	Weights   []float64
 	AvgDist   float64
 	Deviation float64
-	// Index may be nil, in which case the loader's caller rebuilds it.
+	// Index may be nil for a dump saved without one.
 	Index *text.Index
 
 	// Source describes how this dump was loaded (zero for dumps built in
@@ -35,17 +33,16 @@ type Dump struct {
 	Source LoadSource
 
 	// src owns the v3 mapping (or heap image) the arrays alias; nil for
-	// decoded v1/v2 dumps, whose arrays are ordinary heap allocations.
+	// dumps built in memory.
 	src *mapping
 }
 
 // LoadSource describes the provenance of a loaded dump.
 type LoadSource struct {
-	// Format is the on-disk version that was read (1, 2 or 3).
+	// Format is the on-disk version that was read (always 3).
 	Format int
-	// Mode is how the bytes got into memory: LoadModeDecode (v1/v2 record
-	// decoding), LoadModeMmap (v3 zero-copy mapping) or LoadModeRead (v3
-	// image read into a heap buffer).
+	// Mode is how the bytes got into memory: LoadModeMmap (zero-copy
+	// mapping) or LoadModeRead (image read into a heap buffer).
 	Mode string
 	// MappedBytes is the size of the live memory mapping (0 unless Mode
 	// is LoadModeMmap).
@@ -56,15 +53,14 @@ type LoadSource struct {
 
 // Load modes reported in LoadSource.Mode and surfaced by wikiserve.
 const (
-	LoadModeDecode = "decode"
-	LoadModeMmap   = "mmap"
-	LoadModeRead   = "read"
+	LoadModeMmap = "mmap"
+	LoadModeRead = "read"
 )
 
-// Close releases the memory mapping backing a v3-loaded dump. After Close
+// Close releases the memory mapping backing a loaded dump. After Close
 // every slice and string view handed out by the loader is invalid; the
-// caller (Engine.Close) must guarantee no search is in flight. Close on a
-// decoded or in-memory dump is a no-op. It is idempotent.
+// caller (Engine.Close) must guarantee no search is in flight. Close on an
+// in-memory dump is a no-op. It is idempotent.
 func (d *Dump) Close() error {
 	if d == nil {
 		return nil
@@ -72,87 +68,43 @@ func (d *Dump) Close() error {
 	return d.src.Close()
 }
 
-const version2 = 2
-
-// SaveDump writes a version-2 dump to w: the version-1 payload followed by
-// the distance statistics and the inverted index, all inside the CRC
-// envelope.
-func SaveDump(w io.Writer, d *Dump) error {
-	if d.Graph == nil {
-		return fmt.Errorf("storage: nil graph")
+// checkHeader validates the magic and version every dump starts with, so a
+// file of an older dump generation (v1/v2 record streams) gets a defined
+// error before anything is read or mapped.
+func checkHeader(head []byte) error {
+	if len(head) < 8 {
+		return fmt.Errorf("storage: dump header truncated (%d bytes)", len(head))
 	}
-	if len(d.Weights) != d.Graph.NumNodes() {
-		return fmt.Errorf("storage: %d weights for %d nodes", len(d.Weights), d.Graph.NumNodes())
+	if m := binary.LittleEndian.Uint32(head); m != magic {
+		return fmt.Errorf("storage: bad magic %#x", m)
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	enc := encoder{w: bw}
-
-	enc.u32(magic)
-	enc.u32(version2)
-	enc.str(d.Name)
-	writeGraphPayload(&enc, d.Graph, d.Weights)
-
-	enc.u64(math.Float64bits(d.AvgDist))
-	enc.u64(math.Float64bits(d.Deviation))
-
-	if d.Index == nil {
-		enc.u64(0)
-	} else {
-		names, postings := d.Index.Export()
-		enc.u64(uint64(len(names)))
-		for i, name := range names {
-			enc.str(name)
-			enc.u64(uint64(len(postings[i])))
-			enc.i32s(postings[i])
-		}
+	if v := binary.LittleEndian.Uint32(head[4:]); v != version3 {
+		return fmt.Errorf("storage: not a v3 dump (version %d)", v)
 	}
-	if enc.err != nil {
-		return enc.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
+	return nil
 }
 
-// LoadDump reads a dump of any version from r. Version-3 images are read
-// fully into memory and parsed in place (use LoadDumpFile to get the
-// zero-copy mmap path); version-1 files yield a Dump with zero statistics
-// and a nil index.
+// LoadDump reads a v3 dump from r fully into memory and parses it in place;
+// use LoadDumpFile for the zero-copy mmap path.
 func LoadDump(r io.Reader) (*Dump, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	if head, err := br.Peek(8); err == nil && isV3Header(head) {
-		data, err := io.ReadAll(io.LimitReader(br, int64(maxV3Bytes)+1))
-		if err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		if int64(len(data)) > int64(maxV3Bytes) {
-			return nil, fmt.Errorf("storage: v3 dump exceeds size limit")
-		}
-		d, err := parseV3(alignedImage(data), nil)
-		if err != nil {
-			return nil, err
-		}
-		d.Source.Mode = LoadModeRead
-		return d, nil
+	br := bufio.NewReader(r)
+	head, _ := br.Peek(8)
+	if err := checkHeader(head); err != nil {
+		return nil, err
 	}
-	return loadDumpStream(br, inputSize(r))
-}
-
-// inputSize reports the total remaining bytes of r when it is a
-// length-aware in-memory reader (bytes.Reader, bytes.Buffer,
-// strings.Reader), or -1 when unknown. File-backed loads pass the stat
-// size instead. The decoder uses it to reject headers whose declared
-// element counts could not possibly fit the input, before allocating.
-func inputSize(r io.Reader) int64 {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return int64(l.Len())
+	data, err := io.ReadAll(io.LimitReader(br, int64(maxV3Bytes)+1))
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return -1
+	if int64(len(data)) > int64(maxV3Bytes) {
+		return nil, fmt.Errorf("storage: v3 dump exceeds size limit")
+	}
+	d, err := parseV3(alignedImage(data), nil)
+	if err != nil {
+		return nil, err
+	}
+	d.Source.Mode = LoadModeRead
+	return d, nil
 }
 
 // alignedImage returns data, copied to a fresh buffer in the (practically
@@ -167,166 +119,59 @@ func alignedImage(data []byte) []byte {
 	return out
 }
 
-// loadDumpStream decodes a version-1 or version-2 record stream. remain
-// is the total input size in bytes when known (file size or in-memory
-// length), -1 otherwise.
-func loadDumpStream(br *bufio.Reader, remain int64) (*Dump, error) {
-	crc := crc32.NewIEEE()
-	dec := decoder{r: br, crc: crc, remain: remain}
-
-	if m := dec.u32(); dec.err == nil && m != magic {
-		return nil, fmt.Errorf("storage: bad magic %#x", m)
-	}
-	v := dec.u32()
-	if dec.err == nil && v != version && v != version2 {
-		return nil, fmt.Errorf("storage: unsupported version %d", v)
-	}
-	d := &Dump{}
-	d.Name = dec.str()
-	g, weights, err := readGraphPayload(&dec)
-	if err != nil {
-		return nil, err
-	}
-	d.Graph, d.Weights = g, weights
-
-	if v == version2 {
-		d.AvgDist = math.Float64frombits(dec.u64())
-		d.Deviation = math.Float64frombits(dec.u64())
-		nTerms := dec.count()
-		if dec.err != nil {
-			return nil, dec.err
-		}
-		if nTerms > 0 {
-			names := make([]string, nTerms)
-			postings := make([][]graph.NodeID, nTerms)
-			for i := 0; i < nTerms; i++ {
-				names[i] = dec.str()
-				np := dec.count()
-				postings[i] = dec.i32s(np)
-				if dec.err != nil {
-					return nil, dec.err
-				}
-			}
-			ix, err := text.FromParts(names, postings)
-			if err != nil {
-				return nil, fmt.Errorf("storage: %w", err)
-			}
-			d.Index = ix
-		}
-	}
-	if dec.err != nil {
-		return nil, dec.err
-	}
-
-	want := crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(dec.r, tail[:]); err != nil {
-		return nil, fmt.Errorf("storage: missing CRC trailer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("storage: CRC mismatch (file %#x, computed %#x)", got, want)
-	}
-	if err := d.Graph.Validate(); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	// Posting lists must reference valid nodes.
-	if d.Index != nil {
-		n := d.Graph.NumNodes()
-		_, postings := d.Index.Export()
-		for _, p := range postings {
-			for _, v := range p {
-				if v < 0 || int(v) >= n {
-					return nil, fmt.Errorf("storage: posting references node %d of %d", v, n)
-				}
-			}
-		}
-	}
-	d.Source = LoadSource{Format: int(v), Mode: LoadModeDecode, Bytes: remain}
-	return d, nil
-}
-
-// SaveDumpFile writes a version-2 dump to path atomically and durably
-// (temp file, fsync, rename, parent-directory fsync). SaveDumpFileV3
-// writes the mmap-able version-3 format.
-func SaveDumpFile(path string, d *Dump) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return SaveDump(w, d) })
-}
-
-// LoadDumpFile reads a dump from path, auto-detecting its version.
-// Version-3 dumps are memory-mapped where the platform supports it
-// (check Dump.Source.Mode), so loading is near-instant and the caller
-// must keep the returned Dump's mapping alive — see Dump.Close.
-func LoadDumpFile(path string) (*Dump, error) {
+// openDump opens a dump file and checks its header and size, returning the
+// open file and its size.
+func openDump(path string) (*os.File, int64, error) {
 	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err == nil {
+		var head [8]byte
+		n, _ := io.ReadFull(f, head[:])
+		err = checkHeader(head[:n])
+	}
+	if err == nil && st.Size() > int64(maxV3Bytes) {
+		err = fmt.Errorf("storage: v3 dump of %d bytes exceeds limit", st.Size())
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
+}
+
+// LoadDumpFile reads a v3 dump from path and parses it in place. It is
+// memory-mapped where the platform supports it (check Dump.Source.Mode), so
+// loading is near-instant and the caller must keep the returned Dump's
+// mapping alive — see Dump.Close.
+func LoadDumpFile(path string) (*Dump, error) {
+	f, size, err := openDump(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	var m *mapping
+	mode := LoadModeMmap
+	if data, unmap, err := mmapFile(f, size); err == nil {
+		m = &mapping{data: data, unmap: unmap}
+	} else {
+		mode = LoadModeRead
+		buf := make([]byte, size)
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			return nil, fmt.Errorf("storage: %w", err)
+		}
+		m = &mapping{data: buf}
+	}
+	d, err := parseV3(m.data, m)
 	if err != nil {
+		m.Close()
 		return nil, err
 	}
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && isV3Header(head[:]) {
-		return loadDumpFileV3(f, st.Size())
+	d.Source.Mode = mode
+	if mode == LoadModeMmap {
+		d.Source.MappedBytes = size
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return loadDumpStream(bufio.NewReaderSize(f, 1<<20), st.Size())
-}
-
-// writeGraphPayload emits the version-1 body (graph arrays + weights).
-func writeGraphPayload(enc *encoder, g *graph.Graph, weights []float64) {
-	outOff, outDst, outRel, inOff, inSrc, inRel, labels, descs, relNames := g.Parts()
-	enc.u64(uint64(g.NumNodes()))
-	enc.u64(uint64(g.NumEdges()))
-	enc.u64(uint64(len(relNames)))
-	for _, o := range outOff {
-		enc.u64(uint64(o))
-	}
-	for _, o := range inOff {
-		enc.u64(uint64(o))
-	}
-	enc.i32s(outDst)
-	enc.i32s(outRel)
-	enc.i32s(inSrc)
-	enc.i32s(inRel)
-	for _, s := range labels {
-		enc.str(s)
-	}
-	for _, s := range descs {
-		enc.str(s)
-	}
-	for _, s := range relNames {
-		enc.str(s)
-	}
-	for _, x := range weights {
-		enc.u64(math.Float64bits(x))
-	}
-}
-
-// readGraphPayload parses the version-1 body.
-func readGraphPayload(dec *decoder) (*graph.Graph, []float64, error) {
-	n := dec.count()
-	m := dec.count()
-	nr := dec.count()
-	if dec.err != nil {
-		return nil, nil, dec.err
-	}
-	outOff := dec.u64s(n + 1)
-	inOff := dec.u64s(n + 1)
-	outDst := dec.i32s(m)
-	outRel := dec.i32s(m)
-	inSrc := dec.i32s(m)
-	inRel := dec.i32s(m)
-	labels := dec.strs(n)
-	descs := dec.strs(n)
-	relNames := dec.strs(nr)
-	weights := dec.f64s(n)
-	if dec.err != nil {
-		return nil, nil, dec.err
-	}
-	g := graph.FromParts(outOff, outDst, outRel, inOff, inSrc, inRel, labels, descs, relNames)
-	return g, weights, nil
+	return d, nil
 }

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"wikisearch/internal/text"
 )
@@ -14,7 +17,7 @@ func sampleDump(t *testing.T) *Dump {
 	t.Helper()
 	g, w := sampleGraph(t)
 	return &Dump{
-		Name:      "v2-sample",
+		Name:      "sample",
 		Graph:     g,
 		Weights:   w,
 		AvgDist:   3.68,
@@ -23,124 +26,146 @@ func sampleDump(t *testing.T) *Dump {
 	}
 }
 
-func TestDumpRoundTrip(t *testing.T) {
-	d := sampleDump(t)
-	var buf bytes.Buffer
-	if err := SaveDump(&buf, d); err != nil {
-		t.Fatal(err)
+// legacyImage hand-builds a complete empty-graph dump in the retired v1 or
+// v2 record-stream format: header, name, counts, the two one-entry offset
+// arrays, v2's statistics and empty index, and the CRC trailer.
+func legacyImage(version uint32) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, magic)
+	b = le.AppendUint32(b, version)
+	b = le.AppendUint32(b, uint32(len("legacy")))
+	b = append(b, "legacy"...)
+	for range 5 { // n, m, nr, outOff[0], inOff[0]
+		b = le.AppendUint64(b, 0)
 	}
-	d2, err := LoadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Name != d.Name || d2.AvgDist != d.AvgDist || d2.Deviation != d.Deviation {
-		t.Fatalf("metadata: %+v", d2)
-	}
-	assertGraphsEqual(t, d.Graph, d2.Graph)
-	if !reflect.DeepEqual(d.Weights, d2.Weights) {
-		t.Fatal("weights differ")
-	}
-	if d2.Index == nil {
-		t.Fatal("index lost")
-	}
-	if d2.Index.NumTerms() != d.Index.NumTerms() {
-		t.Fatalf("terms %d vs %d", d2.Index.NumTerms(), d.Index.NumTerms())
-	}
-	// Every posting list survives byte-for-byte.
-	names, postings := d.Index.Export()
-	for i, name := range names {
-		if !reflect.DeepEqual(d2.Index.LookupTerm(name), postings[i]) {
-			t.Fatalf("postings for %q differ", name)
+	if version == 2 {
+		for range 3 { // avgDist, deviation, term count
+			b = le.AppendUint64(b, 0)
 		}
+	}
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestLoadDumpRejectsLegacyVersions: v1 and v2 dumps get a defined error
+// naming their version from every loader, never a panic.
+func TestLoadDumpRejectsLegacyVersions(t *testing.T) {
+	for _, v := range []uint32{1, 2} {
+		img := legacyImage(v)
+		want := fmt.Sprintf("storage: not a v3 dump (version %d)", v)
+		check := func(via string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d via %s: err = %v, want %q", v, via, err, want)
+			}
+		}
+		_, err := LoadDump(bytes.NewReader(img))
+		check("LoadDump", err)
+		path := writeFile(t, img)
+		_, err = LoadDumpFile(path)
+		check("LoadDumpFile", err)
+		check("VerifyDumpFile", VerifyDumpFile(path))
 	}
 }
 
+// TestDumpRoundTrip: a memory-mapped dump, whose arrays are views into the
+// file, saves back to a byte-identical file — what Engine.Save does for a
+// loaded engine.
+func TestDumpRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kb.wskb")
+	if err := SaveDumpFileV3(path, sampleDump(t)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := LoadDumpFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	back := filepath.Join(dir, "back.wskb")
+	if err := SaveDumpFileV3(back, d); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("re-saved mapped dump differs from its source file")
+	}
+}
+
+// TestDumpWithoutIndex: a dump saved without an index loads through the
+// file path with none, keeping its statistics.
 func TestDumpWithoutIndex(t *testing.T) {
 	d := sampleDump(t)
 	d.Index = nil
-	var buf bytes.Buffer
-	if err := SaveDump(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := LoadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Index != nil {
-		t.Fatal("index materialized from nothing")
-	}
-	if d2.AvgDist != d.AvgDist {
-		t.Fatal("stats lost")
-	}
-}
-
-func TestLoadDumpAcceptsVersion1(t *testing.T) {
-	// A version-1 file (Save) loads as a Dump with no stats and no index.
-	g, w := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, "legacy", g, w); err != nil {
-		t.Fatal(err)
-	}
-	d, err := LoadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "legacy" || d.Index != nil || d.AvgDist != 0 {
-		t.Fatalf("v1 dump = %+v", d)
-	}
-	assertGraphsEqual(t, g, d.Graph)
-}
-
-func TestDumpValidation(t *testing.T) {
-	if err := SaveDump(&bytes.Buffer{}, &Dump{}); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-	g, _ := sampleGraph(t)
-	if err := SaveDump(&bytes.Buffer{}, &Dump{Graph: g, Weights: []float64{1}}); err == nil {
-		t.Fatal("mismatched weights accepted")
-	}
-}
-
-func TestDumpCorruptionRejected(t *testing.T) {
-	d := sampleDump(t)
-	var buf bytes.Buffer
-	if err := SaveDump(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	for _, cut := range []int{0, 8, 40, len(good) / 2, len(good) - 1} {
-		if _, err := LoadDump(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	f := func(pos uint16, flip byte) bool {
-		if flip == 0 {
-			return true
-		}
-		bad := append([]byte(nil), good...)
-		bad[int(pos)%len(bad)] ^= flip
-		_, err := LoadDump(bytes.NewReader(bad))
-		return err != nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDumpFileRoundTrip(t *testing.T) {
-	d := sampleDump(t)
-	path := filepath.Join(t.TempDir(), "v2.wskb")
-	if err := SaveDumpFile(path, d); err != nil {
+	path := filepath.Join(t.TempDir(), "noindex.wskb")
+	if err := SaveDumpFileV3(path, d); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := LoadDumpFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Name != d.Name || d2.Index == nil {
-		t.Fatalf("file round trip: %+v", d2)
+	defer d2.Close()
+	if d2.Index != nil {
+		t.Fatal("index materialized from nothing")
 	}
-	if _, err := LoadDumpFile(filepath.Join(t.TempDir(), "nope.wskb")); err == nil {
-		t.Fatal("missing file accepted")
+	assertDumpsEqual(t, d, d2)
+}
+
+func TestDumpValidation(t *testing.T) {
+	if err := SaveDumpV3(&bytes.Buffer{}, &Dump{}); err == nil {
+		t.Fatal("nil graph accepted")
 	}
+	g, _ := sampleGraph(t)
+	if err := SaveDumpV3(&bytes.Buffer{}, &Dump{Graph: g, Weights: []float64{1}}); err == nil {
+		t.Fatal("mismatched weights accepted")
+	}
+}
+
+// TestDumpCorruptionRejected: bytes outside every CRC-covered range — the
+// rest of the header page and the padding between sections — are checked
+// by VerifyDump, while a load, which checks structure only, accepts them.
+func TestDumpCorruptionRejected(t *testing.T) {
+	good := saveImage(t, sampleDump(t))
+	h, err := parseV3Header(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := h.sections[secOutOff]
+	for _, pos := range []int{v3Page - 1, int(e.off + e.size)} {
+		bad := append([]byte(nil), good...)
+		bad[pos] = 1
+		if err := VerifyDump(bad); err == nil || !strings.Contains(err.Error(), "padding") {
+			t.Errorf("padding byte %d: VerifyDump = %v", pos, err)
+		}
+		if _, err := LoadDump(bytes.NewReader(bad)); err != nil {
+			t.Errorf("padding byte %d: load rejected a structurally sound dump: %v", pos, err)
+		}
+	}
+}
+
+// TestDumpFileRoundTrip: LoadDump reads from a reader that does not know
+// its length, and reports the image size.
+func TestDumpFileRoundTrip(t *testing.T) {
+	d := sampleDump(t)
+	img := saveImage(t, d)
+	f, err := os.Open(writeFile(t, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d2, err := LoadDump(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Source.Format != version3 || d2.Source.Mode != LoadModeRead || d2.Source.Bytes != int64(len(img)) {
+		t.Fatalf("source = %+v", d2.Source)
+	}
+	assertDumpsEqual(t, d, d2)
 }

@@ -10,38 +10,18 @@ import (
 	"wikisearch/internal/text"
 )
 
-// FuzzLoadDump throws arbitrary bytes at every decoder generation (v1
-// stream via Load, v2 stream and v3 image via LoadDump, plus the
-// file-backed mmap path via LoadDumpFile): none may panic, over-allocate
-// against a tiny input, or accept a corrupted image whose header lies.
-// Seeds cover valid dumps of each version and characteristic mutations.
+// FuzzLoadDump throws arbitrary bytes at the v3 loader, in memory via
+// LoadDump and through the file-backed mmap path via LoadDumpFile, and at
+// the verifiers: none may panic, over-allocate against a tiny input, or
+// accept a corrupted image whose header lies. Seeds cover a valid dump,
+// hand-built v1/v2 images, and characteristic mutations of each.
 func FuzzLoadDump(f *testing.F) {
-	d := sampleDumpForFuzz(f)
-
-	var v1, v2, v3 bytes.Buffer
-	if err := Save(&v1, d.Name, d.Graph, d.Weights); err != nil {
+	var v3 bytes.Buffer
+	if err := SaveDumpV3(&v3, sampleDumpForFuzz(f)); err != nil {
 		f.Fatal(err)
 	}
-	if err := SaveDump(&v2, d); err != nil {
-		f.Fatal(err)
-	}
-	if err := SaveDumpV3(&v3, d); err != nil {
-		f.Fatal(err)
-	}
-
-	for _, seed := range [][]byte{v1.Bytes(), v2.Bytes(), v3.Bytes()} {
-		f.Add(seed)
-		if len(seed) > 16 {
-			f.Add(seed[:len(seed)/2]) // truncation
-			flipped := append([]byte(nil), seed...)
-			flipped[len(flipped)/3] ^= 0x40 // bit flip
-			f.Add(flipped)
-			huge := append([]byte(nil), seed...)
-			for i := 16; i < 24 && i < len(huge); i++ {
-				huge[i] = 0xff // absurd count in the header region
-			}
-			f.Add(huge)
-		}
+	for _, seed := range [][]byte{legacyImage(1), legacyImage(2), v3.Bytes()} {
+		addMutations(f, seed)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("WSKB"))
@@ -51,10 +31,7 @@ func FuzzLoadDump(f *testing.F) {
 		if d, err := LoadDump(bytes.NewReader(data)); err == nil {
 			d.Close()
 		}
-		if _, _, _, err := Load(bytes.NewReader(data)); err != nil {
-			_ = err
-		}
-		// The file-backed path takes the mmap branch for v3 images.
+		// The file-backed path takes the mmap branch.
 		path := filepath.Join(dir, "fuzz.wskb")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -64,7 +41,65 @@ func FuzzLoadDump(f *testing.F) {
 			d.Close()
 		}
 		_ = VerifyDump(data)
+		_ = VerifyDumpFile(path)
 	})
+}
+
+// FuzzLoadDelta throws arbitrary bytes at the delta-segment decoder, in
+// memory and through the file path: none may panic or allocate for ops the
+// input cannot hold, and a segment that loads must re-encode to a stable
+// image.
+func FuzzLoadDelta(f *testing.F) {
+	var seg bytes.Buffer
+	if err := SaveDelta(&seg, sampleDelta()); err != nil {
+		f.Fatal(err)
+	}
+	addMutations(f, seg.Bytes())
+	f.Add(hugeDelta(1 << 20))
+	f.Add([]byte{})
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.wsdl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = LoadDeltaFile(path)
+		l, err := LoadDelta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// Compare images rather than logs: a reweight may carry NaN.
+		var once, twice bytes.Buffer
+		if err := SaveDelta(&once, l); err != nil {
+			t.Fatalf("loaded segment does not save: %v", err)
+		}
+		l2, err := LoadDelta(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved segment does not load: %v", err)
+		}
+		if err := SaveDelta(&twice, l2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("segment image not stable across a round trip")
+		}
+	})
+}
+
+// addMutations seeds f with seed, its first half, a bit flip and a
+// header-region overwrite that declares absurd counts.
+func addMutations(f *testing.F, seed []byte) {
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2]) // truncation
+	flipped := append([]byte(nil), seed...)
+	flipped[len(flipped)/3] ^= 0x40 // bit flip
+	f.Add(flipped)
+	huge := append([]byte(nil), seed...)
+	for i := 16; i < 24 && i < len(huge); i++ {
+		huge[i] = 0xff // absurd count in the header region
+	}
+	f.Add(huge)
 }
 
 // sampleDumpForFuzz mirrors sampleDump without *testing.T (fuzz setup gets

@@ -1,8 +1,10 @@
 // Package storage persists a knowledge graph (CSR arrays, labels, relation
-// names) and its precomputed node weights in a compact binary format, so
-// the CLI tools and the service load a prepared dump instead of regenerating
-// and re-weighting it. The format is little-endian, versioned, and guarded
-// by a CRC32 of the payload; Load rejects truncated or corrupted files.
+// names), its precomputed node weights, distance statistics and inverted
+// index as one mmap-able dump (v3.go), so the CLI tools and the service load
+// a prepared dump instead of regenerating and re-weighting it, and persists
+// mutation batches as CRC-guarded delta segments (delta.go). Both formats
+// are little-endian and versioned; loaders reject truncated, corrupted or
+// foreign files with an error, never a panic.
 package storage
 
 import (
@@ -10,93 +12,25 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-
-	"wikisearch/internal/graph"
 )
 
 const (
-	magic   = 0x57534b42 // "WSKB"
-	version = 1
+	magic = 0x57534b42 // "WSKB"
 	// maxStr bounds a single string record; labels and descriptions are
 	// short, so anything larger signals corruption.
 	maxStr = 1 << 20
-	// maxCount bounds node/edge counts (268M) against absurd allocations from a
-	// corrupt header.
+	// maxCount bounds node/edge/op counts (268M) against absurd allocations
+	// from a corrupt header.
 	maxCount = 1 << 28
+	// allocChunk caps the initial capacity of a decoded array (in
+	// elements): it grows by append as records actually arrive, so
+	// allocation is proportional to real input even when the input size is
+	// unknown and a corrupt header declares a huge count.
+	allocChunk = 1 << 16
 )
-
-// Save writes the graph, its dataset name and its node weights to w.
-func Save(w io.Writer, name string, g *graph.Graph, weights []float64) error {
-	if len(weights) != g.NumNodes() {
-		return fmt.Errorf("storage: %d weights for %d nodes", len(weights), g.NumNodes())
-	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	enc := encoder{w: bw}
-
-	enc.u32(magic)
-	enc.u32(version)
-	enc.str(name)
-	writeGraphPayload(&enc, g, weights)
-	if enc.err != nil {
-		return enc.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// CRC over everything written so far, as the trailer.
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
-}
-
-// Load reads a graph previously written by Save. It validates the header,
-// every array bound, the CSR invariants and the CRC trailer.
-func Load(r io.Reader) (name string, g *graph.Graph, weights []float64, err error) {
-	crc := crc32.NewIEEE()
-	dec := decoder{r: bufio.NewReaderSize(r, 1<<20), crc: crc, remain: inputSize(r)}
-	return loadV1(&dec)
-}
-
-func loadV1(dec *decoder) (name string, g *graph.Graph, weights []float64, err error) {
-	if m := dec.u32(); dec.err == nil && m != magic {
-		return "", nil, nil, fmt.Errorf("storage: bad magic %#x", m)
-	}
-	if v := dec.u32(); dec.err == nil && v != version {
-		return "", nil, nil, fmt.Errorf("storage: unsupported version %d", v)
-	}
-	name = dec.str()
-	g, weights, err = readGraphPayload(dec)
-	if err != nil {
-		return "", nil, nil, err
-	}
-
-	// Verify trailer: CRC of payload read so far against the stored value.
-	want := dec.crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(dec.r, tail[:]); err != nil {
-		return "", nil, nil, fmt.Errorf("storage: missing CRC trailer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
-		return "", nil, nil, fmt.Errorf("storage: CRC mismatch (file %#x, computed %#x)", got, want)
-	}
-	if err := g.Validate(); err != nil {
-		return "", nil, nil, fmt.Errorf("storage: %w", err)
-	}
-	return name, g, weights, nil
-}
-
-// SaveFile writes the dump to path atomically and durably (temp file +
-// fsync + rename + parent-directory fsync).
-func SaveFile(path, name string, g *graph.Graph, weights []float64) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return Save(w, name, g, weights) })
-}
 
 // atomicWriteFile writes path through a sibling temp file so readers never
 // observe a partial dump, and makes the result durable: the temp file is
@@ -131,22 +65,20 @@ func atomicWriteFile(path string, write func(io.Writer) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// LoadFile reads a dump from path.
-func LoadFile(path string) (string, *graph.Graph, []float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", nil, nil, err
+// inputSize reports the total remaining bytes of r when it is a
+// length-aware in-memory reader (bytes.Reader, bytes.Buffer,
+// strings.Reader), or -1 when unknown. File-backed loads pass the stat
+// size instead. The decoder uses it to reject headers whose declared
+// element counts could not possibly fit the input, before allocating.
+func inputSize(r io.Reader) int64 {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return int64(l.Len())
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return "", nil, nil, err
-	}
-	crc := crc32.NewIEEE()
-	dec := decoder{r: bufio.NewReaderSize(f, 1<<20), crc: crc, remain: st.Size()}
-	return loadV1(&dec)
+	return -1
 }
 
+// encoder writes the delta log's little-endian records, keeping the first
+// error.
 type encoder struct {
 	w   io.Writer
 	err error
@@ -169,16 +101,6 @@ func (e *encoder) u64(v uint64) {
 	_, e.err = e.w.Write(e.buf[:8])
 }
 
-func (e *encoder) i32s(xs []int32) {
-	for _, x := range xs {
-		if e.err != nil {
-			return
-		}
-		binary.LittleEndian.PutUint32(e.buf[:4], uint32(x))
-		_, e.err = e.w.Write(e.buf[:4])
-	}
-}
-
 func (e *encoder) str(s string) {
 	if len(s) > maxStr {
 		e.err = fmt.Errorf("storage: string of %d bytes exceeds limit", len(s))
@@ -191,6 +113,8 @@ func (e *encoder) str(s string) {
 	_, e.err = io.WriteString(e.w, s)
 }
 
+// decoder reads the records encoder writes, feeding every byte to crc and
+// keeping the first error.
 type decoder struct {
 	r   *bufio.Reader
 	crc hash.Hash32
@@ -198,14 +122,14 @@ type decoder struct {
 	buf [8]byte
 	// remain is the number of input bytes left when the total input size
 	// is known (file-backed and in-memory loads), -1 when it is not. It
-	// lets need() reject declared section sizes that cannot fit the file
-	// before anything is allocated.
+	// lets need() reject declared sizes that cannot fit the input before
+	// anything is allocated.
 	remain int64
 }
 
 // need checks that n more bytes can still be present in the input. It is
-// called with a section's declared byte size before decoding it, so a
-// crafted header cannot drive allocations beyond the real file size.
+// called with a declared byte size before decoding it, so a crafted header
+// cannot drive allocations beyond the real input size.
 func (d *decoder) need(n int64) bool {
 	if d.err != nil {
 		return false
@@ -216,12 +140,6 @@ func (d *decoder) need(n int64) bool {
 	}
 	return true
 }
-
-// allocChunk caps the initial capacity of decoded arrays (in elements):
-// slices grow by append as records actually arrive, so allocation is
-// proportional to real input even when the input size is unknown and a
-// corrupt header declares a huge count.
-const allocChunk = 1 << 16
 
 func (d *decoder) read(n int) []byte {
 	if d.err != nil {
@@ -263,51 +181,6 @@ func (d *decoder) count() int {
 	return int(v)
 }
 
-func (d *decoder) u64s(n int) []int64 {
-	if d.err != nil || n < 0 || !d.need(int64(n)*8) {
-		return nil
-	}
-	out := make([]int64, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		v := int64(d.u64())
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func (d *decoder) i32s(n int) []int32 {
-	if d.err != nil || n < 0 || !d.need(int64(n)*4) {
-		return nil
-	}
-	out := make([]int32, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		b := d.read(4)
-		if b == nil {
-			return nil
-		}
-		out = append(out, int32(binary.LittleEndian.Uint32(b)))
-	}
-	return out
-}
-
-func (d *decoder) f64s(n int) []float64 {
-	if d.err != nil || n < 0 || !d.need(int64(n)*8) {
-		return nil
-	}
-	out := make([]float64, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		v := math.Float64frombits(d.u64())
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 func (d *decoder) str() string {
 	n := d.u32()
 	if d.err != nil {
@@ -330,21 +203,4 @@ func (d *decoder) str() string {
 	}
 	d.crc.Write(b)
 	return string(b)
-}
-
-func (d *decoder) strs(n int) []string {
-	// Each string costs at least its 4-byte length prefix, so n strings
-	// need 4n bytes — checked up front, and per-string as they decode.
-	if d.err != nil || n < 0 || !d.need(int64(n)*4) {
-		return nil
-	}
-	out := make([]string, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		s := d.str()
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
 }

@@ -2,14 +2,17 @@ package storage
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"wikisearch/internal/gen"
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
+	"wikisearch/internal/text"
 	"wikisearch/internal/weight"
 )
 
@@ -26,25 +29,6 @@ func sampleGraph(t *testing.T) (*graph.Graph, []float64) {
 		t.Fatal(err)
 	}
 	return g, []float64{0.25, 0.5, 1}
-}
-
-func TestRoundTrip(t *testing.T) {
-	g, w := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, "sample", g, w); err != nil {
-		t.Fatal(err)
-	}
-	name, g2, w2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "sample" {
-		t.Fatalf("name = %q", name)
-	}
-	if !reflect.DeepEqual(w, w2) {
-		t.Fatalf("weights differ: %v vs %v", w, w2)
-	}
-	assertGraphsEqual(t, g, g2)
 }
 
 func assertGraphsEqual(t *testing.T, g, g2 *graph.Graph) {
@@ -76,71 +60,92 @@ func assertGraphsEqual(t *testing.T, g, g2 *graph.Graph) {
 	}
 }
 
-func TestRoundTripGeneratedKB(t *testing.T) {
-	kb := gen.Generate(gen.Config{Name: "rt", Seed: 3, Nodes: 2000})
-	w := weight.Compute(kb.Graph, parallel.NewPool(2))
+// saveImage returns the v3 image of d.
+func saveImage(t *testing.T, d *Dump) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, kb.Name, kb.Graph, w); err != nil {
+	if err := SaveDumpV3(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	name, g2, w2, err := Load(&buf)
+	return buf.Bytes()
+}
+
+// writeFile writes data to a fresh file and returns its path.
+func writeFile(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "kb.wskb")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRoundTrip: the image is a pure function of the dump's content, so a
+// loaded dump saves back byte for byte.
+func TestRoundTrip(t *testing.T) {
+	good := saveImage(t, sampleDump(t))
+	d, err := LoadDump(bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "rt" || len(w2) != len(w) {
-		t.Fatalf("name %q, %d weights", name, len(w2))
+	if again := saveImage(t, d); !bytes.Equal(again, good) {
+		t.Fatalf("re-saved image differs (%d vs %d bytes)", len(again), len(good))
 	}
-	assertGraphsEqual(t, kb.Graph, g2)
+}
+
+func TestRoundTripGeneratedKB(t *testing.T) {
+	kb := gen.Generate(gen.Config{Name: "rt", Seed: 3, Nodes: 2000})
+	w := weight.Compute(kb.Graph, parallel.NewPool(2))
+	d := &Dump{Name: kb.Name, Graph: kb.Graph, Weights: w, AvgDist: 4, Index: text.BuildIndex(kb.Graph)}
+	d2, err := LoadDump(bytes.NewReader(saveImage(t, d)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDumpsEqual(t, d, d2)
 }
 
 func TestSaveRejectsMismatchedWeights(t *testing.T) {
-	g, _ := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, "x", g, []float64{1}); err == nil {
-		t.Fatal("Save accepted wrong weight count")
+	g, w := sampleGraph(t)
+	if err := SaveDumpV3(&bytes.Buffer{}, &Dump{Name: "x", Graph: g, Weights: []float64{1}}); err == nil {
+		t.Fatal("SaveDumpV3 accepted wrong weight count")
+	}
+	long := &Dump{Name: strings.Repeat("n", v3MaxName+1), Graph: g, Weights: w}
+	if err := SaveDumpV3(&bytes.Buffer{}, long); err == nil {
+		t.Fatal("SaveDumpV3 accepted a name past the header limit")
 	}
 }
 
+// TestLoadRejectsCorruption: truncated dump files fail both the load and
+// the full verification, never panic.
 func TestLoadRejectsCorruption(t *testing.T) {
-	g, w := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, "x", g, w); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Truncations at every prefix length must error, never panic.
-	for _, cut := range []int{0, 1, 4, 8, 16, len(good) / 2, len(good) - 1} {
-		if _, _, _, err := Load(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("Load accepted truncation at %d", cut)
+	good := saveImage(t, sampleDump(t))
+	for _, cut := range []int{0, 1, 4, 8, 16, v3Page, len(good) / 2, len(good) - 1} {
+		path := writeFile(t, good[:cut])
+		if d, err := LoadDumpFile(path); err == nil {
+			d.Close()
+			t.Fatalf("LoadDumpFile accepted truncation at %d", cut)
 		}
-	}
-
-	// Bit flips anywhere must be caught (CRC or structural validation).
-	for _, pos := range []int{0, 5, 9, 20, len(good) / 2, len(good) - 2} {
-		bad := append([]byte(nil), good...)
-		bad[pos] ^= 0x40
-		if _, _, _, err := Load(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("Load accepted bit flip at %d", pos)
+		if err := VerifyDumpFile(path); err == nil {
+			t.Fatalf("VerifyDumpFile accepted truncation at %d", cut)
 		}
 	}
 }
 
+// TestLoadRejectsCorruptionQuick: a byte flip anywhere in a dump file —
+// header, section body or padding — fails VerifyDumpFile.
 func TestLoadRejectsCorruptionQuick(t *testing.T) {
-	g, w := sampleGraph(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, "x", g, w); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := saveImage(t, sampleDump(t))
+	path := filepath.Join(t.TempDir(), "kb.wskb")
 	f := func(pos uint16, flip byte) bool {
 		if flip == 0 {
 			return true
 		}
 		bad := append([]byte(nil), good...)
 		bad[int(pos)%len(bad)] ^= flip
-		_, _, _, err := Load(bytes.NewReader(bad))
-		return err != nil
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return VerifyDumpFile(path) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -148,37 +153,43 @@ func TestLoadRejectsCorruptionQuick(t *testing.T) {
 }
 
 func TestSaveLoadFile(t *testing.T) {
-	g, w := sampleGraph(t)
-	path := filepath.Join(t.TempDir(), "kb.wskb")
-	if err := SaveFile(path, "file-test", g, w); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kb.wskb")
+	if err := SaveDumpFileV3(path, sampleDump(t)); err != nil {
 		t.Fatal(err)
 	}
-	name, g2, w2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("temp file left behind")
 	}
-	if name != "file-test" || g2.NumNodes() != g.NumNodes() || len(w2) != len(w) {
-		t.Fatal("file round trip mismatch")
+	missing := filepath.Join(dir, "missing.wskb")
+	if _, err := LoadDumpFile(missing); err == nil {
+		t.Fatal("LoadDumpFile accepted missing file")
 	}
-	if _, _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.wskb")); err == nil {
-		t.Fatal("LoadFile accepted missing file")
+	if err := VerifyDumpFile(missing); err == nil {
+		t.Fatal("VerifyDumpFile accepted missing file")
 	}
 }
 
+// TestEmptyGraphRoundTrip: a dump of zero nodes loads through the file
+// path, where every section is empty.
 func TestEmptyGraphRoundTrip(t *testing.T) {
 	g, err := graph.NewBuilder().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, "empty", g, nil); err != nil {
+	path := filepath.Join(t.TempDir(), "empty.wskb")
+	if err := SaveDumpFileV3(path, &Dump{Name: "empty", Graph: g}); err != nil {
 		t.Fatal(err)
 	}
-	_, g2, w2, err := Load(&buf)
+	d, err := LoadDumpFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes() != 0 || len(w2) != 0 {
+	defer d.Close()
+	if d.Name != "empty" || d.Graph.NumNodes() != 0 || len(d.Weights) != 0 {
 		t.Fatal("empty graph round trip mismatch")
+	}
+	if err := VerifyDumpFile(path); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"unsafe"
 
@@ -89,8 +88,8 @@ type sectionEntry struct {
 const sectionEntrySize = 32
 
 // hostLittleEndian reports whether this machine stores integers
-// little-endian. The v3 zero-copy loader requires it; big-endian hosts
-// must convert dumps to v2 (wikigen -convert -format=v2).
+// little-endian. The v3 zero-copy loader requires it; every supported
+// target is (DESIGN.md §9).
 func hostLittleEndian() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -365,14 +364,11 @@ func parseV3Header(data []byte) (*v3Header, error) {
 	if len(data) < 96 {
 		return nil, fmt.Errorf("storage: v3 header truncated (%d bytes)", len(data))
 	}
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
 	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
 	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(data[off:]) }
-	if u32(0) != magic {
-		return nil, fmt.Errorf("storage: bad magic %#x", u32(0))
-	}
-	if u32(4) != version3 {
-		return nil, fmt.Errorf("storage: not a v3 dump (version %d)", u32(4))
-	}
 	if u32(8) != v3Page {
 		return nil, fmt.Errorf("storage: unsupported page size %d", u32(8))
 	}
@@ -485,7 +481,7 @@ func stringViews(offs []int64, blob []byte) ([]string, error) {
 // every page and forfeit the instant-startup property.
 func parseV3(data []byte, src *mapping) (*Dump, error) {
 	if !hostLittleEndian() {
-		return nil, fmt.Errorf("storage: v3 dumps require a little-endian host (convert to v2 with wikigen -convert)")
+		return nil, fmt.Errorf("storage: v3 dumps require a little-endian host")
 	}
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
 		// Heap buffers of this size are always 8-aligned in practice; a
@@ -635,40 +631,10 @@ func parseV3(data []byte, src *mapping) (*Dump, error) {
 	return d, nil
 }
 
-// loadDumpFileV3 maps (or, where mmap is unavailable, reads) an open v3
-// dump file and parses it in place.
-func loadDumpFileV3(f *os.File, size int64) (*Dump, error) {
-	if size > int64(maxV3Bytes) {
-		return nil, fmt.Errorf("storage: v3 dump of %d bytes exceeds limit", size)
-	}
-	var m *mapping
-	mode := LoadModeMmap
-	if data, unmap, err := mmapFile(f, size); err == nil {
-		m = &mapping{data: data, unmap: unmap}
-	} else {
-		mode = LoadModeRead
-		buf := make([]byte, size)
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		m = &mapping{data: buf}
-	}
-	d, err := parseV3(m.data, m)
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	d.Source.Mode = mode
-	if mode == LoadModeMmap {
-		d.Source.MappedBytes = size
-	}
-	return d, nil
-}
-
 // VerifyDump checks every per-section CRC32 of a v3 image against its
 // section table (the header CRC was already checked by the parse). It
-// reads every byte, so it is for wikigen -convert, tests and offline
-// integrity checks — not the serving startup path.
+// reads every byte, so it is for tests and offline integrity checks — not
+// the serving startup path.
 func VerifyDump(data []byte) error {
 	h, err := parseV3Header(data)
 	if err != nil {
@@ -679,15 +645,15 @@ func VerifyDump(data []byte) error {
 			return fmt.Errorf("storage: section %d CRC mismatch (table %#x, computed %#x)", kind, e.crc, got)
 		}
 	}
-	// Every byte between sections (and after the last one) is written as
-	// zero padding; anything else means the file was modified outside the
-	// CRC-covered ranges.
+	// Every byte after the header (the rest of page 0), between sections
+	// and after the last one is written as zero padding; anything else
+	// means the file was modified outside the CRC-covered ranges.
 	covered := make([]sectionEntry, 0, len(h.sections))
 	for _, e := range h.sections {
 		covered = append(covered, e)
 	}
 	slices.SortFunc(covered, func(a, b sectionEntry) int { return cmp.Compare(a.off, b.off) })
-	pos := uint64(v3Page)
+	pos := uint64(84 + len(h.name) + numSections*sectionEntrySize + 4)
 	checkZero := func(lo, hi uint64) error {
 		for _, b := range data[lo:hi] {
 			if b != 0 {
@@ -696,52 +662,36 @@ func VerifyDump(data []byte) error {
 		}
 		return nil
 	}
+	// An empty section shares its offset with the next one, and a crafted
+	// table may overlap sections, so the scan only moves forward.
 	for _, e := range covered {
-		if err := checkZero(pos, e.off); err != nil {
-			return err
+		if e.off > pos {
+			if err := checkZero(pos, e.off); err != nil {
+				return err
+			}
 		}
-		pos = e.off + e.size
+		pos = max(pos, e.off+e.size)
 	}
 	return checkZero(pos, uint64(len(data)))
 }
 
-// VerifyDumpFile fully verifies a dump file of any version: v3 files get
-// every section CRC checked; v1/v2 files are decoded end to end (their
-// trailer CRC covers the whole payload).
+// VerifyDumpFile fully verifies a v3 dump file: every section CRC, the
+// zero padding between sections, and the structure a load checks.
 func VerifyDumpFile(path string) error {
-	f, err := os.Open(path)
+	f, size, err := openDump(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
+	data := make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil {
 		return err
 	}
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && isV3Header(head[:]) {
-		if st.Size() > int64(maxV3Bytes) {
-			return fmt.Errorf("storage: v3 dump of %d bytes exceeds limit", st.Size())
-		}
-		data := make([]byte, st.Size())
-		if _, err := f.ReadAt(data, 0); err != nil {
-			return err
-		}
-		if err := VerifyDump(data); err != nil {
-			return err
-		}
-		_, err := parseV3(data, nil)
+	if err := VerifyDump(data); err != nil {
 		return err
 	}
-	_, err = LoadDumpFile(path)
+	_, err = parseV3(data, nil)
 	return err
-}
-
-// isV3Header reports whether the first 8 bytes announce a v3 dump.
-func isV3Header(head []byte) bool {
-	return len(head) >= 8 &&
-		binary.LittleEndian.Uint32(head[:4]) == magic &&
-		binary.LittleEndian.Uint32(head[4:8]) == version3
 }
 
 // maxV3Bytes bounds a v3 image (1 TiB) against absurd mappings from a
