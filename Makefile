@@ -18,11 +18,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# wikilint runs the engine-specific analyzers (atomicfield, hotpathalloc,
-# nocopy, ctxhandler, mmapview, singlewriter, lifecycle, durability and the
-# directives validator) over the whole module; see internal/analysis and
-# DESIGN.md §8/§11. Warm runs replay from the content-hash result cache;
-# lint-cold forces a fresh analysis.
+# wikilint runs the engine-specific analyzers (hotpathalloc, ctxhandler,
+# mmapview, singlewriter, lifecycle, durability and the directives
+# validator) over the whole module; see internal/analysis and DESIGN.md
+# §8/§11. Atomic-only access and no-copy need no analyzer: typed atomics
+# make a plain access fail to compile, and vet's copylocks check reports
+# copies of the noCopy-holding types. Warm runs replay from the
+# content-hash result cache; lint-cold forces a fresh analysis.
 lint:
 	$(GO) run ./cmd/wikilint ./...
 
@@ -39,11 +41,15 @@ allocguard:
 	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/graph ./internal/parallel ./internal/trace
 
 # A short coverage-guided fuzz pass over the v3 dump decoder and the
-# delta-log decoder: corrupt input must never panic or over-allocate. The
-# seed corpora run under plain go test too.
+# delta-log decoder (corrupt input must never panic or over-allocate) and
+# over the HTTP request decoders (no /v1/mutate body may answer 5xx, no
+# search query string may pass the parser with an invalid knob). The seed
+# corpora run under plain go test too.
 fuzzsmoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadDump -fuzztime=20s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzLoadDelta -fuzztime=20s ./internal/storage
+	$(GO) test -run=^$$ -fuzz=FuzzV1Mutate -fuzztime=20s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzSearchParams -fuzztime=20s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

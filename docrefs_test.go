@@ -80,7 +80,7 @@ func TestDocReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs = append([]string{"README.md", "DESIGN.md"}, docs...)
+	docs = append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...)
 	checkDocFlags(t, append(docs, "benchmark/README.md"))
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)

@@ -9,11 +9,10 @@ import (
 // any function with a *net/http.Request parameter that calls into
 // context-accepting code must pass a context derived from r.Context()
 // (possibly wrapped by context.WithTimeout and friends). Passing
-// context.Background(), context.TODO(), or calling a function annotated
-// //wikisearch:bgcontext (one that supplies its own background context,
-// like Engine.Search) detaches the work from the request: client
-// disconnects and middleware deadlines stop propagating — the exact bug
-// class fixed ad hoc in the server hardening PR.
+// context.Background() or context.TODO() detaches the work from the
+// request: client disconnects and middleware deadlines stop propagating.
+// Calls are checked in the handler only: a helper that makes its own
+// background context is not followed (every engine entry point takes one).
 var CtxHandlerAnalyzer = &Analyzer{
 	Name: "ctxhandler",
 	Doc:  "HTTP handlers must thread the request context into engine calls",
@@ -162,12 +161,6 @@ func (h *ctxChecker) check(n ast.Node, stack []ast.Node) {
 	info := h.pass.Pkg.Info
 	f := calleeOf(info, call)
 	if f == nil {
-		return
-	}
-	if h.pass.Prog.Index.BgContext[keyOf(f)] {
-		h.pass.Reportf(call.Pos(),
-			"handler calls %s, which supplies context.Background (//wikisearch:bgcontext) and drops the request context; call the context-taking variant with r.Context()",
-			funcDisplay(f))
 		return
 	}
 	sig, ok := f.Type().(*types.Signature)

@@ -24,17 +24,12 @@ var DirectivesAnalyzer = &Analyzer{
 // annotate. "line" means a free-standing or trailing comment scoping one
 // statement.
 var directiveAttach = map[string][]string{
-	"atomic":       {"field"},
-	"atomicalias":  {"func"},
-	"exclusive":    {"func"},
 	"hotpath":      {"func"},
 	"coldpath":     {"func"},
-	"bgcontext":    {"func"},
 	"mmapview":     {"func"},
 	"writer":       {"func"},
 	"drain":        {"func"},
 	"daemon":       {"func", "line"},
-	"nocopy":       {"type"},
 	"viewholder":   {"type"},
 	"singlewriter": {"field"},
 	"allocok":      {"line"},

@@ -23,12 +23,14 @@ func TestDirectivesFixture(t *testing.T) {
 		}
 	}
 	expected := map[string]string{
-		"//wikisearch:hotpath":  `misplaced directive //wikisearch:hotpath: applies to func declarations, found on a field`,
-		"//wikisearch:hotpth":   `unknown directive //wikisearch:hotpth`,
-		"// wikisearch:hotpath": `malformed directive "// wikisearch:hotpath"`,
-		"//wikisearch:allocok":  `misplaced directive //wikisearch:allocok: applies to line declarations, found on a type`,
-		"//wikisearch:nocopy":   `misplaced directive //wikisearch:nocopy: applies to type declarations, found on a field`,
-		"//wikisearch:writer":   `misplaced directive //wikisearch:writer: applies to func declarations, found on a type`,
+		"//wikisearch:hotpath":    `misplaced directive //wikisearch:hotpath: applies to func declarations, found on a field`,
+		"//wikisearch:hotpth":     `unknown directive //wikisearch:hotpth`,
+		"// wikisearch:hotpath":   `malformed directive "// wikisearch:hotpath"`,
+		"//wikisearch:allocok":    `misplaced directive //wikisearch:allocok: applies to line declarations, found on a type`,
+		"//wikisearch:viewholder": `misplaced directive //wikisearch:viewholder: applies to type declarations, found on a field`,
+		"//wikisearch:writer":     `misplaced directive //wikisearch:writer: applies to func declarations, found on a type`,
+		"//wikisearch:atomic":     `unknown directive //wikisearch:atomic`,
+		"//wikisearch:nocopy":     `unknown directive //wikisearch:nocopy`,
 	}
 	diags := RunAnalyzers(prog, All())
 	lineText := fixtureLines(t, prog)

@@ -19,17 +19,11 @@ type FuncInfo struct {
 
 // Index is the module-wide directive and declaration index shared by the
 // analyzers: hotpathalloc walks call chains across packages through Funcs,
-// atomicfield consults the annotated-field and alias-function sets, nocopy
-// the annotated types, ctxhandler the bgcontext functions, mmapview the
-// view-minting functions and viewholder types, singlewriter the annotated
-// fields.
+// mmapview consults the view-minting functions and viewholder types,
+// singlewriter the annotated fields.
 type Index struct {
 	Funcs        map[string]*FuncInfo
 	ByDecl       map[*ast.FuncDecl]*FuncInfo
-	Atomic       map[string]bool // "pkg.Type.field" with //wikisearch:atomic
-	Alias        map[string]bool // func keys with //wikisearch:atomicalias
-	NoCopy       map[string]bool // "pkg.Type" with //wikisearch:nocopy
-	BgContext    map[string]bool // func keys with //wikisearch:bgcontext
 	MmapView     map[string]bool // func keys with //wikisearch:mmapview
 	SingleWriter map[string]bool // "pkg.Type.field" with //wikisearch:singlewriter
 	ViewHolder   map[string]bool // "pkg.Type" with //wikisearch:viewholder
@@ -124,10 +118,6 @@ func buildIndex(prog *Program) *Index {
 	ix := &Index{
 		Funcs:        map[string]*FuncInfo{},
 		ByDecl:       map[*ast.FuncDecl]*FuncInfo{},
-		Atomic:       map[string]bool{},
-		Alias:        map[string]bool{},
-		NoCopy:       map[string]bool{},
-		BgContext:    map[string]bool{},
 		MmapView:     map[string]bool{},
 		SingleWriter: map[string]bool{},
 		ViewHolder:   map[string]bool{},
@@ -182,12 +172,6 @@ func (ix *Index) scanFile(prog *Program, pkg *Package, f *ast.File) {
 			}
 			ix.Funcs[fi.Key] = fi
 			ix.ByDecl[d] = fi
-			if fi.Directives["atomicalias"] {
-				ix.Alias[fi.Key] = true
-			}
-			if fi.Directives["bgcontext"] {
-				ix.BgContext[fi.Key] = true
-			}
 			if fi.Directives["mmapview"] {
 				ix.MmapView[fi.Key] = true
 			}
@@ -202,9 +186,6 @@ func (ix *Index) scanFile(prog *Program, pkg *Package, f *ast.File) {
 				}
 				tdirs := directivesOf(d.Doc, ts.Doc, ts.Comment)
 				typeKey := pkg.Path + "." + ts.Name.Name
-				if tdirs["nocopy"] {
-					ix.NoCopy[typeKey] = true
-				}
 				if tdirs["viewholder"] {
 					ix.ViewHolder[typeKey] = true
 				}
@@ -218,13 +199,7 @@ func (ix *Index) scanFile(prog *Program, pkg *Package, f *ast.File) {
 							ix.HolderFields[typeKey] = append(ix.HolderFields[typeKey], pkg.Path+"."+base)
 						}
 					}
-					fdirs := directivesOf(field.Doc, field.Comment)
-					if fdirs["atomic"] {
-						for _, name := range field.Names {
-							ix.Atomic[typeKey+"."+name.Name] = true
-						}
-					}
-					if fdirs["singlewriter"] {
+					if directivesOf(field.Doc, field.Comment)["singlewriter"] {
 						for _, name := range field.Names {
 							ix.SingleWriter[typeKey+"."+name.Name] = true
 						}
@@ -310,6 +285,33 @@ func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 		fn(n, stack)
 		return true
 	})
+}
+
+// parentOf returns the node above the current one, or nil.
+func parentOf(stack []ast.Node) ast.Node {
+	if len(stack) < 2 {
+		return nil
+	}
+	return stack[len(stack)-2]
+}
+
+// isWriteTarget reports whether cur (below stack index i) is assigned to or
+// incremented.
+func isWriteTarget(cur ast.Node, stack []ast.Node, i int) bool {
+	if i < 0 {
+		return false
+	}
+	switch p := stack[i].(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range p.Lhs {
+			if ast.Unparen(lhs) == cur {
+				return true
+			}
+		}
+	case *ast.IncDecStmt:
+		return ast.Unparen(p.X) == cur
+	}
+	return false
 }
 
 // fieldBaseIdent strips pointers, slices, arrays and parens off a struct

@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/token"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -125,9 +127,7 @@ func checkFixture(t *testing.T, name string) {
 	checkExpectations(t, prog, All())
 }
 
-func TestAtomicFieldFixture(t *testing.T)  { checkFixture(t, "atomicfield") }
 func TestHotPathAllocFixture(t *testing.T) { checkFixture(t, "hotpathalloc") }
-func TestNoCopyFixture(t *testing.T)       { checkFixture(t, "nocopy") }
 func TestCtxHandlerFixture(t *testing.T)   { checkFixture(t, "ctxhandler") }
 func TestMmapViewFixture(t *testing.T)     { checkFixture(t, "mmapview") }
 func TestSingleWriterFixture(t *testing.T) { checkFixture(t, "singlewriter") }
@@ -147,8 +147,8 @@ func TestAnalyzerNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 9 {
-		t.Errorf("expected at least 9 analyzers, got %d", len(seen))
+	if len(seen) < 7 {
+		t.Errorf("expected at least 7 analyzers, got %d", len(seen))
 	}
 }
 
@@ -158,25 +158,23 @@ func TestDirectiveParsing(t *testing.T) {
 	if dirs != nil {
 		t.Errorf("directivesOf(nil) = %v, want nil", dirs)
 	}
-	prog, err := LoadFixtureDir("testdata/atomicfield")
+	prog, err := LoadFixtureDir("testdata/singlewriter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := prog.Index
-	var atomicKeys, aliasKeys []string
-	for k := range ix.Atomic {
-		atomicKeys = append(atomicKeys, k)
+	var fieldKeys []string
+	for k := range ix.SingleWriter {
+		fieldKeys = append(fieldKeys, k)
 	}
-	for k := range ix.Alias {
-		aliasKeys = append(aliasKeys, k)
+	sort.Strings(fieldKeys)
+	wantFields := []string{"fixture/singlewriter.Ring.pos", "fixture/singlewriter.Ring.slots"}
+	if !slices.Equal(fieldKeys, wantFields) {
+		t.Errorf("SingleWriter keys = %v, want %v", fieldKeys, wantFields)
 	}
-	wantAtomic := "fixture/atomicfield.Flags.words"
-	if len(atomicKeys) != 1 || atomicKeys[0] != wantAtomic {
-		t.Errorf("Atomic keys = %v, want [%s]", atomicKeys, wantAtomic)
-	}
-	wantAlias := "fixture/atomicfield.Flags.Words"
-	if len(aliasKeys) != 1 || aliasKeys[0] != wantAlias {
-		t.Errorf("Alias keys = %v, want [%s]", aliasKeys, wantAlias)
+	fi := ix.Funcs["fixture/singlewriter.Ring.Drain"]
+	if fi == nil || !fi.Directives["drain"] || fi.Directives["writer"] {
+		t.Errorf("Ring.Drain directives = %v, want exactly drain", fi)
 	}
 }
 

@@ -4,7 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
+
+// shortFieldName renders "pkg/path.Type.field" as "Type.field".
+func shortFieldName(key string) string {
+	if i := strings.LastIndex(key, "."); i >= 0 {
+		return shortTypeName(key[:i]) + key[i:]
+	}
+	return key
+}
 
 // SingleWriterAnalyzer encodes the per-worker buffer discipline the trace
 // rings and the top-down scratch rely on: a field annotated

@@ -17,13 +17,6 @@ func (e *Engine) SearchContext(ctx context.Context, q string) int {
 	return len(q)
 }
 
-// Search runs a query detached from any caller context.
-//
-//wikisearch:bgcontext
-func (e *Engine) Search(q string) int {
-	return e.SearchContext(context.Background(), q)
-}
-
 // Good threads the request context.
 func Good(e *Engine, w http.ResponseWriter, r *http.Request) {
 	_ = e.SearchContext(r.Context(), r.URL.Query().Get("q"))
@@ -51,11 +44,6 @@ func Background(e *Engine, w http.ResponseWriter, r *http.Request) {
 // Todo drops the request context.
 func Todo(e *Engine, w http.ResponseWriter, r *http.Request) {
 	_ = e.SearchContext(context.TODO(), "q") // want `handler passes TODO`
-}
-
-// Blocking calls the bgcontext variant.
-func Blocking(e *Engine, w http.ResponseWriter, r *http.Request) {
-	_ = e.Search("q") // want `handler calls Engine\.Search, which supplies context\.Background`
 }
 
 // Detached builds a context unrelated to the request.

@@ -6,19 +6,22 @@ package directives
 
 import "sync/atomic"
 
-// Counter pairs a valid field directive with an invalid one.
+// Counter pairs a valid field directive with an invalid one and a retired
+// one: the atomic discipline moved into the atomic.Uint64 field type.
 type Counter struct {
-	//wikisearch:atomic
+	//wikisearch:singlewriter
 	hits uint64
 	//wikisearch:hotpath
 	miss uint64 // BAD: hotpath is a func directive, found on a field
+	//wikisearch:atomic
+	errs uint64 // BAD: retired directive
 }
 
 // Incr bumps the counter.
 //
 //wikisearch:hotpath
 func Incr(c *Counter) {
-	atomic.AddUint64(&c.hits, 1)
+	atomic.AddUint64(&c.miss, 1)
 }
 
 // Typo carries a misspelled directive name.
@@ -36,11 +39,17 @@ func Spaced() {}
 //wikisearch:allocok
 type Stray struct{}
 
-// Field-level nocopy is stale: the directive applies to types.
+// Field-level viewholder is stale: the directive applies to types.
 type Holder struct {
-	//wikisearch:nocopy
+	//wikisearch:viewholder
 	mu int
 }
+
+// Pinned carries the retired nocopy directive; a noCopy field and go vet's
+// copylocks check replaced it.
+//
+//wikisearch:nocopy
+type Pinned struct{}
 
 // StrayWriter puts the single-writer owner directive on a type; the
 // writer role belongs to func declarations (see mutate.go's compactor).

@@ -19,9 +19,8 @@ import (
 // pad keeps adjacent workers' hot fields off a shared cache line. A
 // workerScratch must not be copied: a copy aliases the row and touched
 // buffers.
-//
-//wikisearch:nocopy
 type workerScratch struct {
+	_       noCopy
 	row     []uint8
 	touched []int32
 	edges   int64
@@ -30,9 +29,8 @@ type workerScratch struct {
 
 // group is the query's Central Node bookkeeping. A group must not be
 // copied: a copy aliases the centralAt and centrals buffers.
-//
-//wikisearch:nocopy
 type group struct {
+	_ noCopy
 	// centralAt[v] is the BFS level at which v was identified central,
 	// notCentral otherwise; levels never exceed MaxLevel ≤ 250, so one byte
 	// per node holds them.
@@ -49,9 +47,8 @@ const notCentral = 0xFF
 // re-dimensions and resets every structure in place, so a pooled state
 // serves queries without allocating on the hot path (see SearchState). A
 // state must not be copied: a copy aliases every shared search structure.
-//
-//wikisearch:nocopy
 type state struct {
+	_    noCopy
 	in   Input
 	p    Params
 	pool *parallel.Pool
@@ -276,7 +273,7 @@ func (s *state) expandChunk(w, start, end int) {
 	q := s.m.Q()
 	row := sc.row[:q]
 	centralAt := s.gr.centralAt
-	var words []uint64 // non-nil iff a row is a single word (q ≤ 8)
+	var words []atomic.Uint64 // non-nil iff a row is a single word (q ≤ 8)
 	if s.m.WordsPerRow() == 1 {
 		words = s.m.Words()
 	}
@@ -325,14 +322,14 @@ func (s *state) expandChunk(w, start, end int) {
 			// with a single atomic load and no per-edge calls, and the same
 			// word's zero cells say whether the neighbor is a keyword node.
 			for _, vn := range g.OutNeighbors(vf) {
-				wd := atomic.LoadUint64(&words[vn])
+				wd := words[vn].Load()
 				todo := active & parallel.MatchFlags(wd, Infinity)
 				if todo != 0 && s.visitTodo(sc, vn, todo, parallel.MatchFlags(wd, 0), l) {
 					retry = true
 				}
 			}
 			for _, vn := range g.InNeighbors(vf) {
-				wd := atomic.LoadUint64(&words[vn])
+				wd := words[vn].Load()
 				todo := active & parallel.MatchFlags(wd, Infinity)
 				if todo != 0 && s.visitTodo(sc, vn, todo, parallel.MatchFlags(wd, 0), l) {
 					retry = true

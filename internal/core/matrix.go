@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
 )
@@ -20,9 +22,8 @@ const Infinity = parallel.Infinity
 // Padding cells stay at Infinity and are masked out of every query. A
 // Matrix must not be copied: a copy aliases the shared cell storage while
 // forking the dimension fields.
-//
-//wikisearch:nocopy
 type Matrix struct {
+	_       noCopy
 	cells   *parallel.ByteArray
 	q       int
 	stride  int    // bytes per row: q rounded up to a multiple of 8
@@ -166,9 +167,8 @@ func (m *Matrix) WordsPerRow() int { return m.stride >> 3 }
 // loops combine it with parallel.MatchFlags to test a whole row per atomic
 // load without any call overhead; everything else should use the cell API.
 //
-//wikisearch:atomicalias
 //wikisearch:hotpath
-func (m *Matrix) Words() []uint64 { return m.cells.Words() }
+func (m *Matrix) Words() []atomic.Uint64 { return m.cells.Words() }
 
 // ByteSize returns the matrix footprint in bytes (including row padding),
 // for the storage accounting of Table IV.

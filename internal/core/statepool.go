@@ -18,9 +18,8 @@ import (
 // queries from a set of states (the engine keeps a free list bounded by
 // GOMAXPROCS). A SearchState must not be copied: a copy aliases the owned
 // search structures.
-//
-//wikisearch:nocopy
 type SearchState struct {
+	_    noCopy
 	st   state
 	pool *parallel.Pool
 
@@ -132,3 +131,10 @@ func (ss *SearchState) Search(in Input, p Params) (*Result, error) {
 	s.in = Input{}
 	return res, nil
 }
+
+// noCopy makes go vet's copylocks check report any copy of a struct that
+// holds it. It is zero-size, so as a first field it costs nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}

@@ -125,8 +125,9 @@ func TestSearchStateClose(t *testing.T) {
 func (s *state) nodeBytes() int {
 	b := 8*cap(s.m.Words()) + 8*((s.fid.Len()+63)/64) + cap(s.gr.centralAt)
 	b += 4 * (cap(s.frontier) + cap(s.touchedWords))
-	for _, sc := range s.scratch[:cap(s.scratch)] {
-		b += 4 * cap(sc.touched)
+	scratch := s.scratch[:cap(s.scratch)]
+	for i := range scratch {
+		b += 4 * cap(scratch[i].touched)
 	}
 	return b
 }

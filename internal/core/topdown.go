@@ -98,9 +98,8 @@ const (
 // 40-node one to clear. The scratch is retained across searches; what a
 // warm top-down stage allocates is the ≤ k answers it returns. A tdScratch
 // must not be copied: a copy aliases every buffer.
-//
-//wikisearch:nocopy
 type tdScratch struct {
+	_ noCopy
 	// The extraction.
 	ids       []graph.NodeID // local → node id
 	has       []uint64       // local → window-local containment mask
@@ -301,7 +300,7 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 	if sc.has[vfl] == 0 {
 		floor = int(s.in.Levels[vf]) - 1
 	}
-	var words []uint64 // non-nil iff a matrix row is a single word (≤ 8 columns)
+	var words []atomic.Uint64 // non-nil iff a matrix row is a single word (≤ 8 columns)
 	if s.m.WordsPerRow() == 1 {
 		words = s.m.Words()
 	}
@@ -313,7 +312,7 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 		for k, vn := range nbrs {
 			var row uint64
 			if words != nil {
-				row = atomic.LoadUint64(&words[vn])
+				row = words[vn].Load()
 			}
 			lvl := -1 // max(a_n, floor), read on first use
 			var pm uint64
@@ -497,9 +496,8 @@ func cmpAnswerEdge(a, b AnswerEdge) int {
 // context of the run in progress, which the prebound scoring body reads so
 // a warm scoring pass dispatches through the pool without allocating a
 // closure. A tdRun must not be copied: a copy aliases every buffer.
-//
-//wikisearch:nocopy
 type tdRun struct {
+	_ noCopy
 	// td is sliced per worker: worker w touches only td[w], so the slots
 	// need no synchronization beyond the pool's fork/join barrier.
 	//

@@ -18,22 +18,28 @@ import (
 
 const wordBits = 64
 
+// noCopy makes go vet's copylocks check report any copy of a struct that
+// holds it. It is zero-size, so as a first field it costs nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Bitset is a fixed-size bitset safe for concurrent Set/Get. All mutating
 // operations other than Set/Clear assume exclusive access (they are called
 // only between phases, under the level barrier). A Bitset must not be
 // copied: a copy aliases the shared word storage.
-//
-//wikisearch:nocopy
 type Bitset struct {
-	// words is written concurrently by all workers during a phase.
-	//wikisearch:atomic
-	words []uint64
+	_ noCopy
+	// words is written concurrently by all workers during a phase; the
+	// atomic element type leaves no way to touch a word without an atomic.
+	words []atomic.Uint64
 	n     int
 }
 
 // NewBitset returns a Bitset capable of holding n bits, all zero.
 func NewBitset(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return &Bitset{words: make([]atomic.Uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
 // Len returns the number of bits the set holds.
@@ -43,7 +49,7 @@ func (b *Bitset) Len() int { return b.n }
 //
 //wikisearch:hotpath
 func (b *Bitset) Set(i int) {
-	atomic.OrUint64(&b.words[i/wordBits], 1<<(uint(i)%wordBits))
+	b.words[i/wordBits].Or(1 << (uint(i) % wordBits))
 }
 
 // SetTouch atomically sets bit i and reports the bit's word index plus
@@ -61,10 +67,10 @@ func (b *Bitset) SetTouch(i int) (word int, first bool) {
 	// Saturated regions re-mark already-flagged nodes constantly; a plain
 	// load there avoids the contended read-modify-write. Whoever performed
 	// the winning OR still gets (and keeps) the first-touch credit.
-	if atomic.LoadUint64(&b.words[wi])&bit != 0 {
+	if b.words[wi].Load()&bit != 0 {
 		return wi, false
 	}
-	old := atomic.OrUint64(&b.words[wi], bit)
+	old := b.words[wi].Or(bit)
 	return wi, old == 0
 }
 
@@ -74,10 +80,8 @@ func (b *Bitset) SetTouch(i int) (word int, first bool) {
 // canonical ascending frontier without scanning the whole set.
 //
 //wikisearch:hotpath
-//wikisearch:exclusive called between phases under the level barrier
 func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
-	w := b.words[wi]
-	b.words[wi] = 0
+	w := b.words[wi].Swap(0)
 	base := int32(wi * wordBits)
 	for w != 0 {
 		tz := bits.TrailingZeros64(w)
@@ -91,7 +95,7 @@ func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
 //
 //wikisearch:hotpath
 func (b *Bitset) Clear(i int) {
-	atomic.AndUint64(&b.words[i/wordBits], ^(uint64(1) << (uint(i) % wordBits)))
+	b.words[i/wordBits].And(^(uint64(1) << (uint(i) % wordBits)))
 }
 
 // Get reports whether bit i is set. Safe for concurrent use with Set/Clear
@@ -100,43 +104,32 @@ func (b *Bitset) Clear(i int) {
 //
 //wikisearch:hotpath
 func (b *Bitset) Get(i int) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(uint(i)%wordBits)) != 0
+	return b.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
 }
 
-// Reset zeroes the whole set. Requires exclusive access.
-//
-//wikisearch:exclusive callers hold the only reference between phases
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
+// Reset zeroes the whole set. Requires exclusive access, so it clears the
+// words with plain stores instead of one atomic store per word.
+func (b *Bitset) Reset() { clear(b.words) }
 
 // Resize re-dimensions the set to hold n bits, all zero, reusing the backing
 // array when its capacity suffices (the per-query state pool relies on this
 // being allocation-free at steady state). Requires exclusive access.
-//
-//wikisearch:exclusive callers hold the only reference during (re)init
 func (b *Bitset) Resize(n int) {
 	words := (n + wordBits - 1) / wordBits
 	if cap(b.words) < words {
-		b.words = make([]uint64, words)
+		b.words = make([]atomic.Uint64, words)
 	} else {
 		b.words = b.words[:words]
-		for i := range b.words {
-			b.words[i] = 0
-		}
+		clear(b.words)
 	}
 	b.n = n
 }
 
 // Count returns the number of set bits. Requires exclusive access.
-//
-//wikisearch:exclusive called between phases under the level barrier
 func (b *Bitset) Count() int {
 	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
+	for i := range b.words {
+		c += bits.OnesCount64(b.words[i].Load())
 	}
 	return c
 }
@@ -145,10 +138,9 @@ func (b *Bitset) Count() int {
 // Requires exclusive access. This is the sequential frontier-enqueue step of
 // Algorithm 1 ("on CPU locked writing is so expensive and the fastest way is
 // to enqueue frontiers in a sequential manner").
-//
-//wikisearch:exclusive called between phases under the level barrier
 func (b *Bitset) AppendSet(dst []int32) []int32 {
-	for wi, w := range b.words {
+	for wi := range b.words {
+		w := b.words[wi].Load()
 		base := int32(wi * wordBits)
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)
@@ -161,10 +153,9 @@ func (b *Bitset) AppendSet(dst []int32) []int32 {
 
 // ForEachSet calls fn for every set bit in ascending order. Requires
 // exclusive access.
-//
-//wikisearch:exclusive called between phases under the level barrier
 func (b *Bitset) ForEachSet(fn func(i int)) {
-	for wi, w := range b.words {
+	for wi := range b.words {
+		w := b.words[wi].Load()
 		base := wi * wordBits
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)

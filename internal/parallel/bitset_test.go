@@ -357,6 +357,20 @@ func TestByteArrayResize(t *testing.T) {
 	}
 }
 
+// TestByteArrayFillEveryLength covers Fill's doubling copy at every word
+// count around the powers of two, where a short last copy lands.
+func TestByteArrayFillEveryLength(t *testing.T) {
+	for n := 0; n <= 8*70; n += 5 {
+		a := NewByteArray(n, 3)
+		a.Fill(0xA5)
+		for i := 0; i < n; i++ {
+			if a.Get(i) != 0xA5 {
+				t.Fatalf("n=%d: cell %d = %#x after Fill, want 0xa5", n, i, a.Get(i))
+			}
+		}
+	}
+}
+
 func TestByteArrayQuickRoundTrip(t *testing.T) {
 	f := func(vals []byte) bool {
 		if len(vals) == 0 {

@@ -13,13 +13,11 @@ import "sync/atomic"
 // cells — the expansion kernel's word-wide row reads (LoadRow, MatchMask)
 // are built on that. A ByteArray must not be copied: a copy aliases the
 // shared cell storage.
-//
-//wikisearch:nocopy
 type ByteArray struct {
+	_ noCopy
 	// data is written concurrently by all workers during a phase,
 	// one byte per cell, packed 8 per word.
-	//wikisearch:atomic
-	data []uint64
+	data []atomic.Uint64
 	n    int
 }
 
@@ -35,15 +33,10 @@ const (
 func broadcast(v byte) uint64 { return uint64(v) * lowBytes }
 
 // NewByteArray returns an array of n cells initialized to fill.
-//
-//wikisearch:exclusive construction precedes publication
 func NewByteArray(n int, fill byte) *ByteArray {
-	a := &ByteArray{data: make([]uint64, (n+7)/8), n: n}
+	a := &ByteArray{data: make([]atomic.Uint64, (n+7)/8), n: n}
 	if fill != 0 {
-		w := broadcast(fill)
-		for i := range a.data {
-			a.data[i] = w
-		}
+		a.Fill(fill)
 	}
 	return a
 }
@@ -55,7 +48,7 @@ func (a *ByteArray) Len() int { return a.n }
 //
 //wikisearch:hotpath
 func (a *ByteArray) Get(i int) byte {
-	w := atomic.LoadUint64(&a.data[i>>3])
+	w := a.data[i>>3].Load()
 	return byte(w >> (uint(i&7) * 8))
 }
 
@@ -71,9 +64,9 @@ func (a *ByteArray) Set(i int, v byte) {
 	val := uint64(v) << shift
 	p := &a.data[i>>3]
 	for {
-		old := atomic.LoadUint64(p)
+		old := p.Load()
 		nw := (old &^ mask) | val
-		if old == nw || atomic.CompareAndSwapUint64(p, old, nw) {
+		if old == nw || p.CompareAndSwap(old, nw) {
 			return
 		}
 	}
@@ -88,7 +81,7 @@ func (a *ByteArray) Set(i int, v byte) {
 //wikisearch:hotpath
 func (a *ByteArray) SetMonotone(i int, v byte) {
 	shift := uint(i&7) * 8
-	atomic.AndUint64(&a.data[i>>3], uint64(v)<<shift|^(uint64(0xFF)<<shift))
+	a.data[i>>3].And(uint64(v)<<shift | ^(uint64(0xFF) << shift))
 }
 
 // SpreadFlags expands a low-8-bit flag mask into its byte mask: bit k set →
@@ -116,16 +109,19 @@ func SpreadFlags(flags uint64) uint64 {
 //wikisearch:hotpath
 func (a *ByteArray) SetMonotoneFlags(wi int, flags uint64, v byte) {
 	bm := SpreadFlags(flags)
-	atomic.AndUint64(&a.data[wi], broadcast(v)&bm|^bm)
+	a.data[wi].And(broadcast(v)&bm | ^bm)
 }
 
-// Fill resets every cell to v. Requires exclusive access.
-//
-//wikisearch:exclusive callers hold the only reference during (re)init
+// Fill resets every cell to v. Requires exclusive access, so only the
+// first word takes an atomic store; the rest is filled by doubling plain
+// copies, which run at memmove speed instead of one locked store per word.
 func (a *ByteArray) Fill(v byte) {
-	w := broadcast(v)
-	for i := range a.data {
-		a.data[i] = w
+	if len(a.data) == 0 {
+		return
+	}
+	a.data[0].Store(broadcast(v))
+	for i := 1; i < len(a.data); i *= 2 {
+		copy(a.data[i:], a.data[:i])
 	}
 }
 
@@ -133,12 +129,10 @@ func (a *ByteArray) Fill(v byte) {
 // backing storage when its capacity suffices (the per-query state pool
 // relies on this being allocation-free at steady state). Requires exclusive
 // access.
-//
-//wikisearch:exclusive callers hold the only reference during (re)init
 func (a *ByteArray) Resize(n int, fill byte) {
 	words := (n + 7) / 8
 	if cap(a.data) < words {
-		a.data = make([]uint64, words)
+		a.data = make([]atomic.Uint64, words)
 	} else {
 		a.data = a.data[:words]
 	}
@@ -156,7 +150,7 @@ func (a *ByteArray) LoadRow(base int, dst []byte) {
 	i := 0
 	for i < n {
 		idx := base + i
-		w := atomic.LoadUint64(&a.data[idx>>3])
+		w := a.data[idx>>3].Load()
 		for off := idx & 7; off < 8 && i < n; off, i = off+1, i+1 {
 			dst[i] = byte(w >> (uint(off) * 8))
 		}
@@ -189,7 +183,7 @@ func (a *ByteArray) MatchMask(base, q int, v byte) uint64 {
 	j := 0
 	for j < q {
 		idx := base + j
-		w := atomic.LoadUint64(&a.data[idx>>3]) ^ vb // matching bytes become 0
+		w := a.data[idx>>3].Load() ^ vb // matching bytes become 0
 		m8 := compressFlags(zeroBytes(w))
 		off := idx & 7
 		cnt := 8 - off
@@ -209,7 +203,7 @@ func (a *ByteArray) MatchMask(base, q int, v byte) uint64 {
 //
 //wikisearch:hotpath
 func (a *ByteArray) MatchWord(wi int, v byte) uint64 {
-	return MatchFlags(atomic.LoadUint64(&a.data[wi]), v)
+	return MatchFlags(a.data[wi].Load(), v)
 }
 
 // MatchFlags returns a bitmask with bit p set iff byte p of w equals v. It
@@ -222,11 +216,9 @@ func MatchFlags(w uint64, v byte) uint64 {
 	return compressFlags(zeroBytes(w ^ broadcast(v)))
 }
 
-// Words exposes the backing word slice (eight cells per word). Callers must
-// access it with sync/atomic word operations and respect the same exclusive
-// access rules as the cell API; it exists so the expansion kernel's inner
-// loop can fold the word load into its own body.
+// Words exposes the backing word slice (eight cells per word), whose
+// element type admits only atomic access; it exists so the expansion
+// kernel's inner loop can fold the word load into its own body.
 //
-//wikisearch:atomicalias
 //wikisearch:hotpath
-func (a *ByteArray) Words() []uint64 { return a.data }
+func (a *ByteArray) Words() []atomic.Uint64 { return a.data }

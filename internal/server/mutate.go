@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -219,37 +220,26 @@ func (s *Server) mutateError(w http.ResponseWriter, i int, op string, err error)
 // validate checks one op's shape; the returned message is empty when the
 // op is well-formed and client-facing otherwise.
 func (o *MutateOp) validate() string {
-	needEndpoint := func() string {
-		switch {
-		case o.From == nil || o.To == nil:
-			return "from and to are required"
-		case *o.From < 0 || *o.To < 0:
-			return "from and to must be non-negative"
-		case o.Rel == "":
-			return "rel is required"
-		}
-		return ""
-	}
 	switch o.Op {
 	case "add_node":
 		return ""
 	case "add_edge", "remove_edge":
-		return needEndpoint()
-	case "set_keywords":
-		if o.Node == nil {
-			return "node is required"
-		}
-		if *o.Node < 0 {
-			return "node must be non-negative"
+		switch {
+		case o.From == nil || o.To == nil:
+			return "from and to are required"
+		case !nodeIDInRange(*o.From) || !nodeIDInRange(*o.To):
+			return "from and to must be node ids in [0, 2147483647]"
+		case o.Rel == "":
+			return "rel is required"
 		}
 		return ""
-	case "reweight":
+	case "set_keywords", "reweight":
 		switch {
 		case o.Node == nil:
 			return "node is required"
-		case *o.Node < 0:
-			return "node must be non-negative"
-		case o.Weight == nil:
+		case !nodeIDInRange(*o.Node):
+			return "node must be a node id in [0, 2147483647]"
+		case o.Op == "reweight" && o.Weight == nil:
 			return "weight is required"
 		}
 		return ""
@@ -258,3 +248,7 @@ func (o *MutateOp) validate() string {
 	}
 	return "unknown op (want add_node, add_edge, remove_edge, set_keywords or reweight)"
 }
+
+// nodeIDInRange reports whether a JSON node id fits the engine's int32
+// NodeID; a larger one would wrap into another node's id.
+func nodeIDInRange(id int64) bool { return id >= 0 && id <= math.MaxInt32 }

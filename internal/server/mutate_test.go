@@ -11,7 +11,7 @@ import (
 )
 
 // testMutableServer builds a server with live mutation enabled.
-func testMutableServer(t *testing.T) *Server {
+func testMutableServer(t testing.TB) *Server {
 	t.Helper()
 	s := testServer(t)
 	if err := s.EnableMutation(wikisearch.MutatorOptions{CompactAfterOps: -1}); err != nil {
@@ -25,7 +25,7 @@ func testMutableServer(t *testing.T) *Server {
 	return s
 }
 
-func post(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
+func post(t testing.TB, s *Server, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -101,6 +101,13 @@ func TestV1MutateErrorStatuses(t *testing.T) {
 		{`{"ops": [{"op": "add_edge", "from": 999, "to": 0, "rel": "x"}]}`, http.StatusUnprocessableEntity, "unprocessable"},
 		{`{"ops": [{"op": "reweight", "node": 1, "weight": 7}]}`, http.StatusUnprocessableEntity, "unprocessable"},
 		{`{"ops": [{"op": "remove_edge", "from": 0, "to": 2, "rel": "instance of"}]}`, http.StatusConflict, "conflict"},
+		// A node past the graph is rejected like any other bad id; ids past
+		// int32 are malformed rather than wrapped into another node's id.
+		{`{"ops": [{"op": "set_keywords", "node": 999999, "label": "x"}]}`, http.StatusUnprocessableEntity, "unprocessable"},
+		{`{"ops": [{"op": "add_edge", "from": 4294967296, "to": 1, "rel": "instance of"}]}`, http.StatusBadRequest, "bad_request"},
+		{`{"ops": [{"op": "remove_edge", "from": 0, "to": 4294967297, "rel": "instance of"}]}`, http.StatusBadRequest, "bad_request"},
+		{`{"ops": [{"op": "set_keywords", "node": 2147483648, "label": "x"}]}`, http.StatusBadRequest, "bad_request"},
+		{`{"ops": [{"op": "reweight", "node": 4294967297, "weight": 0.5}]}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {
 		w := post(t, s, "/v1/mutate", c.body)

@@ -15,7 +15,7 @@ import (
 	"wikisearch"
 )
 
-func testEngine(t *testing.T) *wikisearch.Engine {
+func testEngine(t testing.TB) *wikisearch.Engine {
 	t.Helper()
 	b := wikisearch.NewBuilder()
 	sql := b.AddNode("SQL", "query language for relational databases")
@@ -43,7 +43,7 @@ func quietConfig() Config {
 	return Config{Logger: log.New(io.Discard, "", 0)}
 }
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	return NewWithConfig(testEngine(t), quietConfig())
 }

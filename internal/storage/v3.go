@@ -145,11 +145,12 @@ func view[T int64 | int32 | float64](b []byte, count int) []T {
 // a heap buffer on platforms without mmap. Everything the loader returned
 // (graph arrays, labels, index postings) aliases this memory, so it must
 // not be unmapped while any of them is still reachable; Dump.Close (and
-// Engine.Close above it) is the single release point.
+// Engine.Close above it) is the single release point. A mapping must not
+// be copied: a copy could hand out views after the original is closed.
 //
-//wikisearch:nocopy
 //wikisearch:viewholder
 type mapping struct {
+	_      noCopy
 	data   []byte
 	unmap  func([]byte) error // nil for heap buffers
 	closed bool
@@ -697,3 +698,10 @@ func VerifyDumpFile(path string) error {
 // maxV3Bytes bounds a v3 image (1 TiB) against absurd mappings from a
 // corrupt size; real dumps at the 1<<28 count bound stay far below it.
 const maxV3Bytes = 1 << 40
+
+// noCopy makes go vet's copylocks check report any copy of a struct that
+// holds it. It is zero-size, so as a first field it costs nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}

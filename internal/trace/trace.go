@@ -115,9 +115,8 @@ func (r *ring) record(e Event) {
 // SearchState and shares its lifecycle: sized once (Ensure), reset per
 // search, recorded into by that search's workers only, drained after. A
 // Buffer must not be copied: a copy aliases the rings.
-//
-//wikisearch:nocopy
 type Buffer struct {
+	_       noCopy
 	rings   []ring
 	enabled bool
 }
@@ -202,3 +201,10 @@ func (b *Buffer) Drain(dst []Event) ([]Event, int) {
 	}
 	return dst, dropped
 }
+
+// noCopy makes go vet's copylocks check report any copy of a struct that
+// holds it. It is zero-size, so as a first field it costs nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}

@@ -305,6 +305,9 @@ func (m *Mutator) SetKeywords(v NodeID, label, desc string) error {
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
+	if int(v) < 0 || int(v) >= m.db.NumNodes() {
+		return fmt.Errorf("wikisearch: set_keywords of unknown node %d", v)
+	}
 	oldLabel, oldDesc := m.db.Label(v), m.db.Description(v)
 	if err := m.db.SetText(v, label, desc); err != nil {
 		return err

@@ -661,6 +661,31 @@ func TestMutateReplay(t *testing.T) {
 	}
 }
 
+// TestMutateSetKeywordsUnknownNode: retexting a node past the graph is an
+// error, whether it comes from a caller or from a replayed delta log, and
+// leaves the mutator usable.
+func TestMutateSetKeywordsUnknownNode(t *testing.T) {
+	eng := newTestEngine(t)
+	defer eng.Close()
+	m, err := eng.NewMutator(MutatorOptions{CompactAfterOps: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.SetKeywords(9999, "x", ""); err == nil {
+		t.Fatal("set_keywords of unknown node accepted")
+	}
+	g := eng.Graph()
+	bad := &DeltaLog{BaseNodes: g.NumNodes(), BaseEdges: g.NumEdges(),
+		Ops: []DeltaOp{{Kind: storage.DeltaSetText, V: NodeID(g.NumNodes()), Label: "x"}}}
+	if err := m.Replay(bad); err == nil {
+		t.Fatal("replay of set_text on an unknown node accepted")
+	}
+	if err := m.SetKeywords(1, "zorblatt", ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMutatorSingleHandle: at most one mutator is open per engine, a closed
 // one frees the slot, and a closed handle rejects further mutations.
 func TestMutatorSingleHandle(t *testing.T) {
