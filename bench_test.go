@@ -55,13 +55,18 @@ func queries(b *testing.B, knum int) []string {
 	return qs
 }
 
-func searchBench(b *testing.B, v wikisearch.Variant, knum, topk int, alpha float64, threads int) {
+// searchFunc is Engine.Search or one of the Central Graph comparators.
+type searchFunc func(*wikisearch.Engine, context.Context, wikisearch.Query) (*wikisearch.Result, error)
+
+var cpuPar searchFunc = (*wikisearch.Engine).Search
+
+func searchBench(b *testing.B, search searchFunc, knum, topk int, alpha float64, threads int) {
 	e := env(b)
 	qs := queries(b, knum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Eng.Search(context.Background(), wikisearch.Query{
-			Text: qs[i%len(qs)], TopK: topk, Alpha: alpha, Threads: threads, Variant: v,
+		res, err := search(e.Eng, context.Background(), wikisearch.Query{
+			Text: qs[i%len(qs)], TopK: topk, Alpha: alpha, Threads: threads,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -104,15 +109,15 @@ func BenchmarkFig3ActivationDistribution(b *testing.B) {
 // Knum=6 per variant (the sweep itself is benchrunner -exp exp1).
 
 func BenchmarkExp1VaryKnumCPUPar(b *testing.B) {
-	searchBench(b, wikisearch.CPUPar, 6, 20, 0.1, 4)
+	searchBench(b, cpuPar, 6, 20, 0.1, 4)
 }
 
 func BenchmarkExp1VaryKnumGPUPar(b *testing.B) {
-	searchBench(b, wikisearch.GPUPar, 6, 20, 0.1, 4)
+	searchBench(b, (*wikisearch.Engine).SearchGPUPar, 6, 20, 0.1, 4)
 }
 
 func BenchmarkExp1VaryKnumCPUParDynamic(b *testing.B) {
-	searchBench(b, wikisearch.CPUParD, 6, 20, 0.1, 4)
+	searchBench(b, (*wikisearch.Engine).SearchCPUParD, 6, 20, 0.1, 4)
 }
 
 func BenchmarkExp1VaryKnumBANKS2(b *testing.B) {
@@ -120,38 +125,33 @@ func BenchmarkExp1VaryKnumBANKS2(b *testing.B) {
 	qs := queries(b, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Eng.Search(context.Background(), wikisearch.Query{
-			Text: qs[i%len(qs)], TopK: 20, Variant: wikisearch.BANKS,
-			Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits,
-		})
-		if err != nil {
+		if _, err := e.Eng.SearchBANKS(wikisearch.Query{Text: qs[i%len(qs)], TopK: 20}, true, e.Cfg.BanksMaxVisits); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
 }
 
 // BenchmarkExp2VaryTopk — Fig. 8 row 1's extreme point (Topk=50).
 func BenchmarkExp2VaryTopk50(b *testing.B) {
-	searchBench(b, wikisearch.CPUPar, 6, 50, 0.1, 4)
+	searchBench(b, cpuPar, 6, 50, 0.1, 4)
 }
 
 // BenchmarkExp3VaryAlpha — Fig. 8 row 2's extreme points.
 func BenchmarkExp3VaryAlpha005(b *testing.B) {
-	searchBench(b, wikisearch.CPUPar, 6, 20, 0.05, 4)
+	searchBench(b, cpuPar, 6, 20, 0.05, 4)
 }
 
 func BenchmarkExp3VaryAlpha040(b *testing.B) {
-	searchBench(b, wikisearch.CPUPar, 6, 20, 0.4, 4)
+	searchBench(b, cpuPar, 6, 20, 0.4, 4)
 }
 
 // BenchmarkExp4VaryThreads — Fig. 9/10's endpoints: sequential vs Tnum=8.
 func BenchmarkExp4VaryThreadsT1(b *testing.B) {
-	searchBench(b, wikisearch.Sequential, 6, 20, 0.1, 1)
+	searchBench(b, cpuPar, 6, 20, 0.1, 1)
 }
 
 func BenchmarkExp4VaryThreadsT8(b *testing.B) {
-	searchBench(b, wikisearch.CPUPar, 6, 20, 0.1, 8)
+	searchBench(b, cpuPar, 6, 20, 0.1, 8)
 }
 
 // BenchmarkTable4Storage — Table IV: storage accounting plus the §V-B
@@ -211,14 +211,10 @@ func BenchmarkFig12EffectivenessBANKS(b *testing.B) {
 	q := strings.Join(p.Keywords, " ")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full, err := e.Eng.Search(context.Background(), wikisearch.Query{
-			Text: q, TopK: 20, Variant: wikisearch.BANKS,
-			Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits,
-		})
+		res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: 20}, true, e.Cfg.BanksMaxVisits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := full.Banks
 		sets := make([][]graph.NodeID, 0, len(res.Trees))
 		for j := range res.Trees {
 			sets = append(sets, res.Trees[j].Nodes)

@@ -47,40 +47,37 @@ func main() {
 		eng.AvgDistance(), time.Since(t0).Round(time.Millisecond))
 
 	run := func(q string) {
+		ctx := context.Background()
+		query := wikisearch.Query{Text: q, TopK: *topk, Alpha: *alpha, Threads: *threads}
+		var (
+			res *wikisearch.Result
+			err error
+		)
 		switch *variant {
 		case "banks1", "banks2":
-			full, err := eng.Search(context.Background(), wikisearch.Query{
-				Text: q, TopK: *topk, Variant: wikisearch.BANKS,
-				Bidirectional: *variant == "banks2", MaxVisits: 500000,
-			})
+			bres, err := eng.SearchBANKS(query, *variant == "banks2", 500000)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				return
 			}
-			res := full.Banks
-			fmt.Printf("%d trees in %v (%d nodes visited)\n", len(res.Trees), res.Elapsed.Round(time.Microsecond), res.Visited)
-			for i, t := range res.Trees {
+			fmt.Printf("%d trees in %v (%d nodes visited)\n", len(bres.Trees), bres.Elapsed.Round(time.Microsecond), bres.Visited)
+			for i, t := range bres.Trees {
 				fmt.Printf("%2d. [%.3f] root: %s (%d nodes)\n", i+1, t.Score, t.RootLabel, len(t.Nodes))
 			}
 			return
-		}
-		var v wikisearch.Variant
-		switch *variant {
 		case "cpu":
-			v = wikisearch.CPUPar
-		case "cpu-d":
-			v = wikisearch.CPUParD
-		case "gpu":
-			v = wikisearch.GPUPar
+			res, err = eng.Search(ctx, query)
 		case "seq":
-			v = wikisearch.Sequential
+			query.Variant = wikisearch.Sequential
+			res, err = eng.Search(ctx, query)
+		case "cpu-d":
+			res, err = eng.SearchCPUParD(ctx, query)
+		case "gpu":
+			res, err = eng.SearchGPUPar(ctx, query)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
 			return
 		}
-		res, err := eng.Search(context.Background(), wikisearch.Query{
-			Text: q, TopK: *topk, Alpha: *alpha, Threads: *threads, Variant: v,
-		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			return

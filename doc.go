@@ -13,11 +13,11 @@
 // a keyword-co-occurrence level-cover strategy and ranked by
 // S(C) = d(C)^λ·Σw.
 //
-// The two-stage search is lock-free and runs sequentially, on a multi-core
-// worker pool (CPU-Par), on a lock-based dynamic-memory baseline
-// (CPU-Par-d), or on a simulated SIMT device (GPU-Par); all variants return
-// identical results. BANKS-I and BANKS-II baselines are included for
-// comparison.
+// The two-stage search is lock-free and runs on a multi-core worker pool
+// (CPU-Par), or sequentially. The paper's comparison systems — a lock-based
+// dynamic-memory variant (CPU-Par-d), a simulated SIMT device (GPU-Par),
+// both returning identical results, and the BANKS-I/II and exact GST
+// baselines — are separate methods in paper.go.
 //
 // Basic usage:
 //
@@ -28,9 +28,7 @@
 //		fmt.Println(a.CentralLabel, a.Score)
 //	}
 //
-// Search is the single entry point for every variant (Query.Variant selects
-// CPUPar, Sequential, GPU, the lock-based CPU-Par-d, or the ExactGST and
-// BANKS baselines). Concurrent searches each run on their own pooled
-// search state; one search parallelizes across Query.Threads workers, the
-// paper's Tnum (§V-B).
+// Search is the one search path the service serves. Concurrent searches
+// each run on their own pooled search state; one search parallelizes
+// across Query.Threads workers, the paper's Tnum (§V-B).
 package wikisearch

@@ -1,11 +1,14 @@
 package wikisearch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,8 +65,6 @@ func TestVariantStrings(t *testing.T) {
 	cases := map[Variant]string{
 		CPUPar:      "CPU-Par",
 		Sequential:  "Sequential",
-		CPUParD:     "CPU-Par-d",
-		GPUPar:      "GPU-Par",
 		Variant(42): "Unknown",
 	}
 	for v, want := range cases {
@@ -202,29 +203,79 @@ func TestSearchFig1Scenario(t *testing.T) {
 	}
 }
 
+// canonicalAnswers returns res's answers with each answer's nodes sorted by
+// id and its edges by (from, to, relation), so answers that differ only in
+// extraction order compare equal under reflect.DeepEqual. Everything else
+// — depth, score, labels, weights, keyword lists, hit levels and the edges'
+// keyword masks — must match exactly.
+func canonicalAnswers(res *Result) []Answer {
+	out := make([]Answer, len(res.Answers))
+	for i, a := range res.Answers {
+		a.Nodes = slices.Clone(a.Nodes)
+		slices.SortFunc(a.Nodes, func(x, y AnswerNode) int { return cmp.Compare(x.ID, y.ID) })
+		a.Edges = slices.Clone(a.Edges)
+		slices.SortFunc(a.Edges, func(x, y AnswerEdge) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To), cmp.Compare(x.Rel, y.Rel))
+		})
+		out[i] = a
+	}
+	return out
+}
+
+// TestSearchVariantsAgree: the paper's Central Graph comparators,
+// CPU-Par-d and GPU-Par, answer exactly as Search does — same depth d,
+// candidate count, answer nodes with their hit levels, and edges with
+// their keyword masks — at Tnum 1 and at GOMAXPROCS, on Fig. 1's graph and
+// on randomized queries over a generated knowledge base.
 func TestSearchVariantsAgree(t *testing.T) {
-	eng := newTestEngine(t)
-	base, err := eng.Search(context.Background(), Query{Text: "xml rdf sql", TopK: 5, Variant: Sequential})
+	ds, err := GenerateDataset(DatasetConfig{Preset: "tiny-sim", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []Variant{CPUPar, CPUParD, GPUPar} {
-		res, err := eng.Search(context.Background(), Query{Text: "xml rdf sql", TopK: 5, Variant: v})
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if len(res.Answers) != len(base.Answers) {
-			t.Fatalf("%v: %d answers vs %d", v, len(res.Answers), len(base.Answers))
-		}
-		for i := range res.Answers {
-			if res.Answers[i].Central != base.Answers[i].Central ||
-				res.Answers[i].Score != base.Answers[i].Score {
-				t.Fatalf("%v: answer %d differs", v, i)
+	sim, err := NewEngine(ds.Graph, EngineOptions{DistanceSamplePairs: 200, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type searchCase struct {
+		eng *Engine
+		q   Query
+	}
+	cases := []searchCase{{newTestEngine(t), Query{Text: "xml rdf sql", TopK: 5}}}
+	for _, q := range equivalenceQueries(t, sim, 12) {
+		cases = append(cases, searchCase{sim, q})
+	}
+	comparators := map[string]func(*Engine, context.Context, Query) (*Result, error){
+		"CPU-Par-d": (*Engine).SearchCPUParD,
+		"GPU-Par":   (*Engine).SearchGPUPar,
+	}
+	compared := 0
+	for _, c := range cases {
+		for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
+			q := c.q
+			q.Threads = threads
+			ref, err := c.eng.Search(context.Background(), q)
+			for name, search := range comparators {
+				label := fmt.Sprintf("%s %q T=%d", name, q.Text, threads)
+				got, gerr := search(c.eng, context.Background(), q)
+				if (err == nil) != (gerr == nil) {
+					t.Fatalf("%s: Search err %v, comparator err %v", label, err, gerr)
+				}
+				if err != nil {
+					continue
+				}
+				if !reflect.DeepEqual(got.Terms, ref.Terms) || got.Depth != ref.Depth || got.Candidates != ref.Candidates {
+					t.Fatalf("%s: terms/d/candidates %v/%d/%d, want %v/%d/%d",
+						label, got.Terms, got.Depth, got.Candidates, ref.Terms, ref.Depth, ref.Candidates)
+				}
+				if want, have := canonicalAnswers(ref), canonicalAnswers(got); !reflect.DeepEqual(have, want) {
+					t.Fatalf("%s: answers differ:\n%+v\nwant\n%+v", label, have, want)
+				}
+				compared++
 			}
 		}
-		if v == GPUPar && res.TransferSeconds <= 0 {
-			t.Fatal("GPU variant must report transfer time")
-		}
+	}
+	if compared < len(cases) {
+		t.Fatalf("only %d comparisons ran; most queries errored", compared)
 	}
 }
 
@@ -477,11 +528,10 @@ func TestEngineSaveLoad(t *testing.T) {
 func TestSearchBANKS(t *testing.T) {
 	eng := newTestEngine(t)
 	for _, bidi := range []bool{false, true} {
-		full, err := eng.Search(context.Background(), Query{Text: "xml rdf sql", TopK: 5, Variant: BANKS, Bidirectional: bidi})
+		res, err := eng.SearchBANKS(Query{Text: "xml rdf sql", TopK: 5}, bidi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := full.Banks
 		if len(res.Trees) == 0 {
 			t.Fatalf("bidi=%v: no trees", bidi)
 		}
@@ -492,18 +542,17 @@ func TestSearchBANKS(t *testing.T) {
 			t.Fatalf("bidi=%v: %d paths, want 3", bidi, len(res.Trees[0].Paths))
 		}
 	}
-	if _, err := eng.Search(context.Background(), Query{Text: "", TopK: 5, Variant: BANKS, Bidirectional: true}); err == nil {
+	if _, err := eng.SearchBANKS(Query{Text: "", TopK: 5}, true, 0); err == nil {
 		t.Fatal("BANKS accepted empty query")
 	}
 }
 
 func TestSearchExactGST(t *testing.T) {
 	eng := newTestEngine(t)
-	full, err := eng.Search(context.Background(), Query{Text: "xml rdf sql", TopK: 3, Variant: ExactGST})
+	res, err := eng.SearchExactGST(Query{Text: "xml rdf sql", TopK: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := full.GST
 	if len(res.Trees) == 0 || res.Popped == 0 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -520,11 +569,11 @@ func TestSearchExactGST(t *testing.T) {
 			t.Fatal("trees not cost-ordered")
 		}
 	}
-	if _, err := eng.Search(context.Background(), Query{Text: "", TopK: 3, Variant: ExactGST}); err == nil {
+	if _, err := eng.SearchExactGST(Query{Text: "", TopK: 3}, 0); err == nil {
 		t.Fatal("empty query accepted")
 	}
 	// 13 distinct terms exceed gst.MaxKeywords (12).
-	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf sql xpath xquery sparql facebook language version query relational path databases", TopK: 1, Variant: ExactGST}); err == nil {
+	if _, err := eng.SearchExactGST(Query{Text: "xml rdf sql xpath xquery sparql facebook language version query relational path databases", TopK: 1}, 0); err == nil {
 		t.Fatal("over-long GST query accepted")
 	}
 }
@@ -597,9 +646,14 @@ func TestSearchContextCancellation(t *testing.T) {
 	eng := newTestEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, v := range []Variant{CPUPar, CPUParD, GPUPar} {
-		if _, err := eng.Search(ctx, Query{Text: "xml rdf sql", Variant: v}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err = %v, want context.Canceled", v, err)
+	searches := map[string]func(context.Context, Query) (*Result, error){
+		"CPU-Par":   eng.Search,
+		"CPU-Par-d": eng.SearchCPUParD,
+		"GPU-Par":   eng.SearchGPUPar,
+	}
+	for name, search := range searches {
+		if _, err := search(ctx, Query{Text: "xml rdf sql"}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 	// A live context behaves like Search.

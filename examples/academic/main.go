@@ -56,7 +56,7 @@ func main() {
 
 		// Same query through the lock-based dynamic variant: identical
 		// answers, slower expansion.
-		resD, err := eng.Search(context.Background(), wikisearch.Query{Text: q, TopK: 5, Variant: wikisearch.CPUParD})
+		resD, err := eng.SearchCPUParD(context.Background(), wikisearch.Query{Text: q, TopK: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,13 +72,10 @@ func main() {
 
 		// BANKS-II baseline, visit-capped.
 		t0 := time.Now()
-		bresFull, err := eng.Search(context.Background(), wikisearch.Query{
-			Text: q, TopK: 5, Variant: wikisearch.BANKS, Bidirectional: true, MaxVisits: 100000,
-		})
+		bres, err := eng.SearchBANKS(wikisearch.Query{Text: q, TopK: 5}, true, 100000)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bres := bresFull.Banks
 		fmt.Printf("  BANKS-II: %8v  %d trees (%d nodes visited)\n",
 			time.Since(t0).Round(time.Microsecond), len(bres.Trees), bres.Visited)
 		if len(bres.Trees) > 0 {

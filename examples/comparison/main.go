@@ -64,13 +64,10 @@ func main() {
 	}
 
 	fmt.Println("\n--- BANKS-II trees ---")
-	bresFull, err := eng.Search(context.Background(), wikisearch.Query{
-		Text: query, TopK: 5, Variant: wikisearch.BANKS, Bidirectional: true, MaxVisits: 50000,
-	})
+	bres, err := eng.SearchBANKS(wikisearch.Query{Text: query, TopK: 5}, true, 50000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bres := bresFull.Banks
 	prev := map[wikisearch.NodeID]bool{}
 	for i, t := range bres.Trees {
 		rel := ""

@@ -50,17 +50,21 @@ func TestFormatEquivalence(t *testing.T) {
 			e3.AvgDistance(), e3.DistanceDeviation(), eng.AvgDistance(), eng.DistanceDeviation())
 	}
 
+	searches := []struct {
+		name string
+		run  func(*Engine, context.Context, Query) (*Result, error)
+	}{
+		{"CPU-Par", (*Engine).Search},
+		{"CPU-Par-d", (*Engine).SearchCPUParD},
+	}
 	for _, q := range equivalenceQueries(t, eng, 25) {
-		for _, v := range []Variant{CPUPar, Sequential, CPUParD} {
+		for _, s := range searches {
 			for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
-				if v == Sequential && threads != 1 {
-					continue // Sequential forces one thread anyway
-				}
-				q.Variant, q.Threads = v, threads
-				rm, errm := eng.Search(context.Background(), q)
-				r3, err3 := e3.Search(context.Background(), q)
+				q.Threads = threads
+				rm, errm := s.run(eng, context.Background(), q)
+				r3, err3 := s.run(e3, context.Background(), q)
 				if (errm == nil) != (err3 == nil) {
-					t.Fatalf("%q v%d t%d: in-memory err %v, v3 err %v", q.Text, v, threads, errm, err3)
+					t.Fatalf("%q %s t%d: in-memory err %v, v3 err %v", q.Text, s.name, threads, errm, err3)
 				}
 				if errm != nil {
 					continue

@@ -152,13 +152,10 @@ func (e *Env) AblationBaselines(knum int) (Table, error) {
 			r.name = "BANKS-II"
 		}
 		for _, q := range queries {
-			ur, err := e.Eng.Search(context.Background(), wikisearch.Query{
-				Text: q, TopK: e.Cfg.TopK, Bidirectional: bidi, MaxVisits: e.Cfg.BanksMaxVisits, Variant: wikisearch.BANKS,
-			})
+			res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, bidi, e.Cfg.BanksMaxVisits)
 			if err != nil {
 				return t, err
 			}
-			res := ur.Banks
 			r.ms += float64(res.Elapsed) / float64(time.Millisecond)
 			r.answers += float64(len(res.Trees))
 			r.visited += float64(res.Visited)
@@ -171,13 +168,10 @@ func (e *Env) AblationBaselines(knum int) (Table, error) {
 	// visit-capped (its state space is n·2^l).
 	dp := row{name: "DPBF-Exact"}
 	for _, q := range queries {
-		ur, err := e.Eng.Search(context.Background(), wikisearch.Query{
-			Text: q, TopK: e.Cfg.TopK, MaxStates: 400000, Variant: wikisearch.ExactGST,
-		})
+		res, err := e.Eng.SearchExactGST(wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, 400000)
 		if err != nil {
 			return t, err
 		}
-		res := ur.GST
 		dp.ms += float64(res.Elapsed) / float64(time.Millisecond)
 		dp.answers += float64(len(res.Trees))
 		dp.visited += float64(res.Popped)

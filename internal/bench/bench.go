@@ -144,46 +144,40 @@ func (e *Env) measure(variant string, queries []string, topk int, alpha float64,
 	if len(queries) == 0 {
 		return r, fmt.Errorf("bench: empty workload")
 	}
+	var search func(context.Context, wikisearch.Query) (*wikisearch.Result, error)
+	switch variant {
+	case VBanks: // timed from its own result below
+	case VGPU:
+		search = e.Eng.SearchGPUPar
+	case VCPU:
+		search = e.Eng.Search
+	case VCPUD:
+		search = e.Eng.SearchCPUParD
+	default:
+		return r, fmt.Errorf("bench: unknown variant %q", variant)
+	}
 	for _, q := range queries {
-		switch variant {
-		case VBanks:
-			ur, err := e.Eng.Search(context.Background(), wikisearch.Query{
-				Text: q, TopK: topk, Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits, Variant: wikisearch.BANKS,
-			})
+		if variant == VBanks {
+			res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: topk}, true, e.Cfg.BanksMaxVisits)
 			if err != nil {
 				return r, err
 			}
-			res := ur.Banks
-			ms := float64(res.Elapsed) / float64(time.Millisecond)
-			r.TotalMs += ms
+			r.TotalMs += float64(res.Elapsed) / float64(time.Millisecond)
 			r.Answers += float64(len(res.Trees))
 			if res.Visited >= e.Cfg.BanksMaxVisits {
 				r.CapHits++
 			}
-		default:
-			var v wikisearch.Variant
-			switch variant {
-			case VGPU:
-				v = wikisearch.GPUPar
-			case VCPU:
-				v = wikisearch.CPUPar
-			case VCPUD:
-				v = wikisearch.CPUParD
-			default:
-				return r, fmt.Errorf("bench: unknown variant %q", variant)
-			}
-			res, err := e.Eng.Search(context.Background(), wikisearch.Query{
-				Text: q, TopK: topk, Alpha: alpha, Threads: threads, Variant: v,
-			})
-			if err != nil {
-				return r, err
-			}
-			for name, d := range res.Phases {
-				r.Phases[name] += float64(d) / float64(time.Millisecond)
-			}
-			r.TotalMs += float64(res.Total) / float64(time.Millisecond)
-			r.Answers += float64(len(res.Answers))
+			continue
 		}
+		res, err := search(context.Background(), wikisearch.Query{Text: q, TopK: topk, Alpha: alpha, Threads: threads})
+		if err != nil {
+			return r, err
+		}
+		for name, d := range res.Phases {
+			r.Phases[name] += float64(d) / float64(time.Millisecond)
+		}
+		r.TotalMs += float64(res.Total) / float64(time.Millisecond)
+		r.Answers += float64(len(res.Answers))
 	}
 	n := float64(len(queries))
 	for name := range r.Phases {

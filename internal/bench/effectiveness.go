@@ -40,14 +40,10 @@ func (e *Env) Repetition(queryID string, k int) ([]RepetitionStats, error) {
 	queryText := strings.Join(p.Keywords, " ")
 
 	var out []RepetitionStats
-	bfull, err := e.Eng.Search(context.Background(), wikisearch.Query{
-		Text: queryText, TopK: k, Variant: wikisearch.BANKS,
-		Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits,
-	})
+	bres, err := e.Eng.SearchBANKS(wikisearch.Query{Text: queryText, TopK: k}, true, e.Cfg.BanksMaxVisits)
 	if err != nil {
 		return nil, err
 	}
-	bres := bfull.Banks
 	bsets := make([][]graph.NodeID, 0, len(bres.Trees))
 	for _, t := range bres.Trees {
 		bsets = append(bsets, t.Nodes)
@@ -152,14 +148,10 @@ func (e *Env) Effectiveness(alphas []float64, ks []int) ([]Table, []PrecisionCel
 		oracle := oracles[qi]
 
 		// BANKS-II answers once at the largest k.
-		bfull, err := e.Eng.Search(context.Background(), wikisearch.Query{
-			Text: queryText, TopK: maxK, Variant: wikisearch.BANKS,
-			Bidirectional: true, MaxVisits: e.Cfg.BanksMaxVisits,
-		})
+		bres, err := e.Eng.SearchBANKS(wikisearch.Query{Text: queryText, TopK: maxK}, true, e.Cfg.BanksMaxVisits)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: BANKS on %s: %w", p.ID, err)
 		}
-		bres := bfull.Banks
 		bsets := make([][]graph.NodeID, 0, len(bres.Trees))
 		for _, tr := range bres.Trees {
 			bsets = append(bsets, tr.Nodes)

@@ -113,7 +113,6 @@ func TestByteArrayAllocationFree(t *testing.T) {
 			}
 		}
 		a.LoadRow(64, row)
-		_ = a.MatchMask(64, 16, Infinity)
 		_ = a.MatchWord(8, Infinity)
 		a.Resize(1024, Infinity)
 	})

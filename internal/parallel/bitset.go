@@ -75,13 +75,15 @@ func (b *Bitset) SetTouch(i int) (word int, first bool) {
 }
 
 // DrainWord appends the indices of the set bits of word wi to dst in
-// ascending order and clears the word. Requires exclusive access. Draining
+// ascending order and clears the word. Requires exclusive access, so it
+// clears the word with a plain store rather than a locked exchange. Draining
 // exactly the touched words in ascending word order reproduces AppendSet's
 // canonical ascending frontier without scanning the whole set.
 //
 //wikisearch:hotpath
 func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
-	w := b.words[wi].Swap(0)
+	w := b.words[wi].Load()
+	clear(b.words[wi : wi+1])
 	base := int32(wi * wordBits)
 	for w != 0 {
 		tz := bits.TrailingZeros64(w)
@@ -91,15 +93,8 @@ func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
 	return dst
 }
 
-// Clear atomically clears bit i. Safe for concurrent use.
-//
-//wikisearch:hotpath
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits].And(^(uint64(1) << (uint(i) % wordBits)))
-}
-
-// Get reports whether bit i is set. Safe for concurrent use with Set/Clear
-// on other bits; reads of a concurrently-written bit are linearized by the
+// Get reports whether bit i is set. Safe for concurrent use with Set on
+// other bits; reads of a concurrently-written bit are linearized by the
 // atomic load.
 //
 //wikisearch:hotpath
@@ -149,18 +144,4 @@ func (b *Bitset) AppendSet(dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// ForEachSet calls fn for every set bit in ascending order. Requires
-// exclusive access.
-func (b *Bitset) ForEachSet(fn func(i int)) {
-	for wi := range b.words {
-		w := b.words[wi].Load()
-		base := wi * wordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(base + tz)
-			w &= w - 1
-		}
-	}
 }

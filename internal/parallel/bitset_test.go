@@ -25,13 +25,6 @@ func TestBitsetBasic(t *testing.T) {
 	if got := b.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
 	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := b.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
-	}
 	b.Reset()
 	if got := b.Count(); got != 0 {
 		t.Fatalf("Count after Reset = %d, want 0", got)
@@ -164,38 +157,6 @@ func TestBitsetResize(t *testing.T) {
 	}
 }
 
-func TestBitsetForEachSetMatchesAppendSet(t *testing.T) {
-	f := func(idxs []uint16) bool {
-		b := NewBitset(1 << 16)
-		for _, i := range idxs {
-			b.Set(int(i))
-		}
-		var viaForEach []int32
-		b.ForEachSet(func(i int) { viaForEach = append(viaForEach, int32(i)) })
-		viaAppend := b.AppendSet(nil)
-		if len(viaForEach) != len(viaAppend) {
-			return false
-		}
-		for i := range viaAppend {
-			if viaAppend[i] != viaForEach[i] {
-				return false
-			}
-		}
-		// Both must equal the sorted unique input.
-		uniq := map[uint16]bool{}
-		for _, i := range idxs {
-			uniq[i] = true
-		}
-		if len(uniq) != len(viaAppend) {
-			return false
-		}
-		return sort.SliceIsSorted(viaAppend, func(a, b int) bool { return viaAppend[a] < viaAppend[b] })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBitsetConcurrentSet(t *testing.T) {
 	const n = 1 << 14
 	b := NewBitset(n)
@@ -314,24 +275,28 @@ func TestByteArrayLoadRow(t *testing.T) {
 	}
 }
 
-func TestByteArrayMatchMask(t *testing.T) {
-	const n = 128
+// TestByteArrayMatchWord: bit p of MatchWord(wi, v) is set iff cell 8wi+p
+// equals v. The cells are drawn from values that differ in the lowest bit,
+// so a match often sits just below a cell holding v^1 — where the classic
+// SWAR zero-byte test reports a false positive.
+func TestByteArrayMatchWord(t *testing.T) {
+	const n = 256
+	alphabet := []byte{0, 1, 2, 3, 0xFE, 0xFF}
+	rng := rand.New(rand.NewSource(1))
 	a := NewByteArray(n, 0xFF)
-	set := map[int]bool{1: true, 5: true, 6: true, 63: true, 64: true, 70: true}
-	for i := range set {
-		a.Set(i, 3)
+	for i := 0; i < n; i++ {
+		a.Set(i, alphabet[rng.Intn(len(alphabet))])
 	}
-	for base := 0; base < 8; base++ {
-		for _, q := range []int{1, 3, 4, 6, 17, 64} {
-			got := a.MatchMask(base, q, 0xFF)
+	for _, v := range alphabet {
+		for wi := 0; wi < n/8; wi++ {
 			var want uint64
-			for j := 0; j < q; j++ {
-				if !set[base+j] {
-					want |= 1 << uint(j)
+			for p := 0; p < 8; p++ {
+				if a.Get(8*wi+p) == v {
+					want |= 1 << uint(p)
 				}
 			}
-			if got != want {
-				t.Fatalf("MatchMask(base=%d,q=%d) = %#x, want %#x", base, q, got, want)
+			if got := a.MatchWord(wi, v); got != want {
+				t.Fatalf("MatchWord(%d, %#x) = %#x, want %#x", wi, v, got, want)
 			}
 		}
 	}

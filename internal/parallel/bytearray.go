@@ -10,7 +10,7 @@ import "sync/atomic"
 // sound under the Go memory model without locks.
 //
 // Cells are packed eight per uint64 word, so one atomic load covers eight
-// cells — the expansion kernel's word-wide row reads (LoadRow, MatchMask)
+// cells — the expansion kernel's word-wide row reads (LoadRow, MatchWord)
 // are built on that. A ByteArray must not be copied: a copy aliases the
 // shared cell storage.
 type ByteArray struct {
@@ -169,31 +169,6 @@ func zeroBytes(w uint64) uint64 {
 // z into bits 0..7.
 func compressFlags(z uint64) uint64 {
 	return ((z >> 7) * 0x0102040810204080) >> 56
-}
-
-// MatchMask returns a bitmask with bit j set iff cell base+j equals v, for
-// j in [0, q) with q <= 64. One word-wide atomic load covers eight cells,
-// and a SWAR zero-byte detector compares them all at once — the kernel uses
-// it to find a neighbor's not-yet-hit keyword columns in a single pass.
-//
-//wikisearch:hotpath
-func (a *ByteArray) MatchMask(base, q int, v byte) uint64 {
-	var mask uint64
-	vb := broadcast(v)
-	j := 0
-	for j < q {
-		idx := base + j
-		w := a.data[idx>>3].Load() ^ vb // matching bytes become 0
-		m8 := compressFlags(zeroBytes(w))
-		off := idx & 7
-		cnt := 8 - off
-		if rem := q - j; cnt > rem {
-			cnt = rem
-		}
-		mask |= (m8 >> uint(off)) & (1<<uint(cnt) - 1) << uint(j)
-		j += cnt
-	}
-	return mask
 }
 
 // MatchWord returns the match flags of the eight cells of word wi (bit p set

@@ -14,13 +14,12 @@ import (
 // cacheKey identifies one logically identical search. Terms are the
 // normalized keyword terms (tokenized, stopword-filtered, stemmed,
 // deduplicated), so "SQL rdf" and "rdf, sql, SQL!" that normalize alike
-// share an entry — but only together with identical k, α, λ and variant.
+// share an entry — but only together with identical k, α and λ.
 type cacheKey struct {
-	terms   string
-	k       int
-	alpha   float64
-	lambda  float64
-	variant wikisearch.Variant
+	terms  string
+	k      int
+	alpha  float64
+	lambda float64
 }
 
 // cacheKeyFor derives the cache key for a query. ok is false when the
@@ -32,11 +31,10 @@ func cacheKeyFor(q wikisearch.Query) (key cacheKey, ok bool) {
 		return cacheKey{}, false
 	}
 	return cacheKey{
-		terms:   strings.Join(terms, "\x1f"),
-		k:       q.TopK,
-		alpha:   q.Alpha,
-		lambda:  q.Lambda,
-		variant: q.Variant,
+		terms:  strings.Join(terms, "\x1f"),
+		k:      q.TopK,
+		alpha:  q.Alpha,
+		lambda: q.Lambda,
 	}, true
 }
 

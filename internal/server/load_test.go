@@ -28,7 +28,7 @@ func TestConcurrentLoad(t *testing.T) {
 		"/v1/search?q=xml+rdf+sql",         // identical: singleflight + cache
 		"/v1/search?q=sparql+rdf",          // second entry
 		"/v1/search?q=query+language&k=5",  // third entry
-		"/v1/search?q=xml&variant=seq",     // different variant
+		"/v1/search?q=xml&variant=seq",     // ignored parameter: q=xml's entry
 		"/v1/search?q=zzzznothing",         // 422, never cached
 		"/v1/search?q=xml&k=abc",           // 400 malformed
 		"/v1/search?q=xml+rdf+sql&alpha=x", // 400 malformed

@@ -7,14 +7,14 @@
 //
 // Endpoints:
 //
-//	GET  /v1/search?q=<keywords>&k=20&alpha=0.1&lambda=0.2&variant=cpu  versioned JSON envelope
-//	GET  /v1/stats                                                      dataset statistics (envelope)
-//	POST /v1/mutate                                                     live graph mutations (envelope; 409 read_only unless enabled)
-//	GET  /v1/debug/traces                                               trace capture rings (envelope)
-//	GET  /v1/debug/trace?id=N | req=N [&format=chrome]                  one trace's span tree (envelope)
-//	GET  /metrics                                                       Prometheus text metrics
-//	GET  /healthz                                                       liveness
-//	GET  /                                                              minimal HTML page
+//	GET  /v1/search?q=<keywords>&k=20&alpha=0.1&lambda=0.2  versioned JSON envelope
+//	GET  /v1/stats                                          dataset statistics (envelope)
+//	POST /v1/mutate                                         live graph mutations (envelope; 409 read_only unless enabled)
+//	GET  /v1/debug/traces                                   trace capture rings (envelope)
+//	GET  /v1/debug/trace?id=N | req=N [&format=chrome]      one trace's span tree (envelope)
+//	GET  /metrics                                           Prometheus text metrics
+//	GET  /healthz                                           liveness
+//	GET  /                                                  minimal HTML page
 //
 // The /v1 endpoints answer with one stable envelope — {"results": …,
 // "stats": …} on success, {"error": {"code", "message"}} on failure —
@@ -363,18 +363,6 @@ func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
 	if err != nil {
 		return wikisearch.Query{}, "lambda must be a number"
 	}
-	variant := wikisearch.CPUPar
-	switch r.URL.Query().Get("variant") {
-	case "", "cpu":
-	case "gpu":
-		variant = wikisearch.GPUPar
-	case "cpu-d":
-		variant = wikisearch.CPUParD
-	case "seq":
-		variant = wikisearch.Sequential
-	default:
-		return wikisearch.Query{}, "variant must be cpu, cpu-d, gpu or seq"
-	}
 	// Zero means "engine default" to Query.Validate; the HTTP contract is
 	// stricter — an explicit 0 is out of range.
 	switch {
@@ -385,7 +373,7 @@ func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
 	case lambda == 0:
 		return wikisearch.Query{}, "lambda must be in (0,1]"
 	}
-	q := wikisearch.Query{Text: text, TopK: k, Alpha: alpha, Lambda: lambda, Variant: variant}
+	q := wikisearch.Query{Text: text, TopK: k, Alpha: alpha, Lambda: lambda}
 	if err := q.Validate(); err != nil {
 		return wikisearch.Query{}, strings.TrimPrefix(err.Error(), "wikisearch: ")
 	}
@@ -508,7 +496,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	// Defaults match /v1/search's, so both endpoints share cache entries.
 	res, _, err := s.search(r.Context(), wikisearch.Query{
-		Text: q, TopK: 20, Alpha: 0.1, Lambda: 0.2, Variant: wikisearch.CPUPar,
+		Text: q, TopK: 20, Alpha: 0.1, Lambda: 0.2,
 	})
 	if err != nil {
 		switch {

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -87,36 +88,69 @@ func TestStats(t *testing.T) {
 }
 
 func TestSearchOK(t *testing.T) {
-	s := testServer(t)
-	for _, variant := range []string{"", "cpu", "cpu-d", "gpu", "seq"} {
-		url := "/v1/search?q=xml+rdf+sql&k=3"
-		if variant != "" {
-			url += "&variant=" + variant
+	w := get(t, testServer(t), "/v1/search?q=xml+rdf+sql&k=3")
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d body %s", w.Code, w.Body)
+	}
+	var resp V1SearchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error != nil || resp.Stats == nil || len(resp.Stats.Terms) != 3 || len(resp.Results) == 0 {
+		t.Fatalf("resp = %+v", resp)
+	}
+	a := resp.Results[0]
+	if a.Central == "" || len(a.Nodes) == 0 {
+		t.Fatalf("bad answer %+v", a)
+	}
+	central := 0
+	for _, n := range a.Nodes {
+		if n.Central {
+			central++
 		}
-		w := get(t, s, url)
+	}
+	if central != 1 {
+		t.Fatalf("%d central nodes", central)
+	}
+}
+
+// TestSearchIgnoresVariant: /v1/search serves CPU-Par only. An old
+// client's variant parameter is ignored like any other unknown parameter —
+// same answers, and the same cache entry as the query without it.
+func TestSearchIgnoresVariant(t *testing.T) {
+	results := func(w *httptest.ResponseRecorder) []AnswerPayload {
+		t.Helper()
 		if w.Code != http.StatusOK {
-			t.Fatalf("variant %q: status = %d body %s", variant, w.Code, w.Body)
+			t.Fatalf("status = %d body %s", w.Code, w.Body)
 		}
 		var resp V1SearchResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Error != nil || resp.Stats == nil || len(resp.Stats.Terms) != 3 || len(resp.Results) == 0 {
-			t.Fatalf("variant %q: resp = %+v", variant, resp)
+		return resp.Results
+	}
+	uncached := testServerWith(t, Config{CacheSize: -1})
+	want := results(get(t, uncached, "/v1/search?q=xml"))
+	if len(want) == 0 {
+		t.Fatal("no answers for q=xml")
+	}
+	for _, variant := range []string{"gpu", "cpu-d", "seq", "tpu"} {
+		got := results(get(t, uncached, "/v1/search?q=xml&variant="+variant))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("variant=%s: answers differ:\n%+v\nwant\n%+v", variant, got, want)
 		}
-		a := resp.Results[0]
-		if a.Central == "" || len(a.Nodes) == 0 {
-			t.Fatalf("variant %q: bad answer %+v", variant, a)
-		}
-		central := 0
-		for _, n := range a.Nodes {
-			if n.Central {
-				central++
-			}
-		}
-		if central != 1 {
-			t.Fatalf("variant %q: %d central nodes", variant, central)
-		}
+	}
+
+	s := testServer(t)
+	if w := get(t, s, "/v1/search?q=xml"); w.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("first search X-Cache = %q, want MISS", w.Header().Get("X-Cache"))
+	}
+	w := get(t, s, "/v1/search?q=xml&variant=seq")
+	if w.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("variant=seq X-Cache = %q, want the HIT of q=xml's entry", w.Header().Get("X-Cache"))
+	}
+	if got := results(w); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached answers differ:\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -132,7 +166,6 @@ func TestSearchValidation(t *testing.T) {
 		{"/v1/search?q=xml&alpha=0", http.StatusBadRequest},          // bad alpha
 		{"/v1/search?q=xml&alpha=1.5", http.StatusBadRequest},        // bad alpha
 		{"/v1/search?q=xml&lambda=0", http.StatusBadRequest},         // bad lambda
-		{"/v1/search?q=xml&variant=tpu", http.StatusBadRequest},      // bad variant
 		{"/v1/search?q=zzzznothing", http.StatusUnprocessableEntity}, // unmatched keyword
 		{"/v1/search?q=the+of+and", http.StatusUnprocessableEntity},  // stopwords only
 	}

@@ -112,7 +112,6 @@ func TestV1ErrorStatuses(t *testing.T) {
 		{"/v1/search?q=xml&lambda=2", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=sparql+rdf&alpha=NaN", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=sparql+rdf&lambda=NaN", http.StatusBadRequest, "bad_request"},
-		{"/v1/search?q=xml&variant=tpu", http.StatusBadRequest, "bad_request"},
 		{"/v1/search?q=zzzznothing", http.StatusUnprocessableEntity, "unprocessable"},
 	}
 	for _, c := range cases {

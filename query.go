@@ -6,36 +6,21 @@ import (
 	"runtime"
 	"time"
 
-	"wikisearch/internal/banks"
 	"wikisearch/internal/core"
-	"wikisearch/internal/device"
 	"wikisearch/internal/graph"
-	"wikisearch/internal/gst"
 	"wikisearch/internal/text"
+	"wikisearch/internal/trace"
 )
 
-// Variant selects the search implementation; all Central Graph variants
-// return identical answers and differ only in execution strategy.
+// Variant selects how Search runs the CPU-Par kernel. The paper's other
+// execution variants and baselines are separate methods (see paper.go).
 type Variant int
 
-// The implementations evaluated in the paper's §VI, plus the two baseline
-// systems it compares against.
 const (
 	// CPUPar is the lock-free multi-core two-stage algorithm (default).
 	CPUPar Variant = iota
 	// Sequential runs CPU-Par with one thread (the paper's Tnum=1).
 	Sequential
-	// CPUParD is the lock-based dynamic-memory comparison point.
-	CPUParD
-	// GPUPar runs the bottom-up stage on the simulated SIMT device.
-	GPUPar
-	// ExactGST solves the query's Group Steiner Tree problem exactly with
-	// the DPBF dynamic program (the paper's reference [7]); the result is
-	// in Result.GST.
-	ExactGST
-	// BANKS runs the BANKS baseline (BANKS-II when Query.Bidirectional is
-	// set, BANKS-I otherwise); the result is in Result.Banks.
-	BANKS
 )
 
 // String names the variant as the paper does.
@@ -45,14 +30,6 @@ func (v Variant) String() string {
 		return "CPU-Par"
 	case Sequential:
 		return "Sequential"
-	case CPUParD:
-		return "CPU-Par-d"
-	case GPUPar:
-		return "GPU-Par"
-	case ExactGST:
-		return "Exact-GST"
-	case BANKS:
-		return "BANKS"
 	}
 	return "Unknown"
 }
@@ -72,11 +49,8 @@ type Query struct {
 	Threads int
 	// MaxLevel bounds BFS depth (default 32).
 	MaxLevel int
-	// Variant selects the implementation (default CPUPar).
+	// Variant selects the thread policy (default CPUPar).
 	Variant Variant
-	// Device overrides the simulated device for GPUPar (default the
-	// paper's GTX 1080 Ti shape).
-	Device *device.Device
 	// DisableLevelCover skips the level-cover pruning (§V-C) — an
 	// ablation knob: answers keep every extracted hitting-path node.
 	DisableLevelCover bool
@@ -85,12 +59,6 @@ type Query struct {
 	// instances, which the paper warns yields "arbitrary and meaningless"
 	// central graphs on weighted knowledge bases.
 	DisableActivation bool
-	// MaxStates caps the DP states of the ExactGST variant (0 = unbounded).
-	MaxStates int
-	// Bidirectional selects BANKS-II over BANKS-I for the BANKS variant.
-	Bidirectional bool
-	// MaxVisits caps the iterator visits of the BANKS variant (0 = unbounded).
-	MaxVisits int
 }
 
 // Validate rejects out-of-range query knobs. Zero values mean "use the
@@ -112,7 +80,7 @@ func (q Query) Validate() error {
 		return fmt.Errorf("wikisearch: max level must be in [1,250]")
 	}
 	switch q.Variant {
-	case CPUPar, Sequential, CPUParD, GPUPar, ExactGST, BANKS:
+	case CPUPar, Sequential:
 	default:
 		return fmt.Errorf("wikisearch: unknown variant %d", q.Variant)
 	}
@@ -180,31 +148,50 @@ type Result struct {
 	// Phases maps phase name → duration; Total sums them.
 	Phases map[string]time.Duration
 	Total  time.Duration
-	// TransferSeconds is the simulated device→host matrix transfer
-	// (GPU-Par only).
-	TransferSeconds float64
-	// GST holds the ExactGST variant's trees (nil otherwise).
-	GST *GSTResult
-	// Banks holds the BANKS variant's trees (nil otherwise).
-	Banks *BanksResult
 }
 
-// Search answers a keyword query; it is the engine's single entry point for
-// every variant. The search aborts between levels if ctx is cancelled (the
-// online service uses this for request deadlines); a nil ctx runs detached.
-// The outcome — including errors — is reported to the observer installed
-// with SetSearchObserver, which the serving layer uses to feed per-phase
-// latency histograms. Concurrent searches run independently, each on its
-// own pooled search state.
+// Search answers a keyword query with the CPU-Par kernel, the one search
+// path the service runs; the paper's comparison systems are separate
+// methods (paper.go). The search aborts between levels if ctx is cancelled
+// (the online service uses this for request deadlines); a nil ctx runs
+// detached. The outcome — including errors — is reported to the observer
+// installed with SetSearchObserver, which the serving layer uses to feed
+// per-phase latency histograms. Concurrent searches run independently,
+// each on its own pooled search state.
 func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
-	res, err := e.searchContext(ctx, q)
+	var (
+		events  []trace.Event
+		dropped int
+	)
+	res, m, err := e.runKernel(ctx, q, func(in core.Input, p core.Params) (*core.Result, error) {
+		st := e.acquireState()
+		st.SetTracing(e.TracingEnabled())
+		res, err := st.Search(in, p)
+		events, dropped = st.DrainTrace(nil)
+		e.releaseState(st)
+		return res, err
+	})
+	if m.terms != nil {
+		m.events, m.dropped = events, dropped
+		e.collectTrace(ctx, q, res, err, m)
+	}
 	e.observe(q, res, err)
 	return res, err
 }
 
-func (e *Engine) searchContext(ctx context.Context, q Query) (*Result, error) {
+// kernel runs both stages of the Central Graph search over one prepared
+// input.
+type kernel func(in core.Input, p core.Params) (*core.Result, error)
+
+// runKernel answers q with kern against the current epoch: it validates q,
+// pins the epoch for the whole search, resolves the terms, applies the
+// defaults and activation levels, runs kern and resolves the answers'
+// text. Search and the Central Graph comparators differ only in the kernel
+// they pass. The returned traceMeta carries the start time, epoch and terms
+// for Search's trace; its terms are nil when q failed before the kernel.
+func (e *Engine) runKernel(ctx context.Context, q Query, kern kernel) (*Result, traceMeta, error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, traceMeta{}, err
 	}
 	// Pin the current epoch for the whole search: one atomic add in, one
 	// out. Everything below reads the pinned snapshot, never the engine's
@@ -212,31 +199,26 @@ func (e *Engine) searchContext(ctx context.Context, q Query) (*Result, error) {
 	ep := e.pinEpoch()
 	defer ep.unpin()
 	sn := ep.snap
-	start := startNow()
-	switch q.Variant {
-	case ExactGST:
-		res, err := e.searchGST(sn, q)
-		e.collectTrace(ctx, q, termsOf(res), res, err, traceMeta{start: start, epoch: ep.id})
-		return res, err
-	case BANKS:
-		res, err := e.searchBanks(sn, q)
-		e.collectTrace(ctx, q, termsOf(res), res, err, traceMeta{start: start, epoch: ep.id})
-		return res, err
-	}
+	m := traceMeta{start: startNow(), epoch: ep.id}
 	in, terms, err := sn.prepare(q.Text)
 	if err != nil {
-		return nil, err
+		return nil, traceMeta{}, err
 	}
-	return e.runPrepared(ctx, ep, q, in, terms, start)
-}
-
-// termsOf extracts a result's normalized terms for trace collection (nil on
-// error results).
-func termsOf(res *Result) []string {
-	if res == nil {
-		return nil
+	m.terms = terms
+	p := sn.params(q)
+	if ctx != nil && ctx != context.Background() {
+		p.Ctx = ctx
 	}
-	return res.Terms
+	if q.DisableActivation {
+		in.Levels = sn.zeroLevels()
+	} else {
+		in.Levels = sn.activationLevels(p.Alpha, p.Threads, &e.levelComputes)
+	}
+	res, err := kern(in, p)
+	if err != nil {
+		return nil, m, err
+	}
+	return sn.resolve(terms, res), m, nil
 }
 
 // params resolves q's knobs into core parameters against one snapshot:
@@ -259,58 +241,6 @@ func (sn *snapshot) params(q Query) core.Params {
 		p.Threads = 1
 	}
 	return p
-}
-
-// runPrepared executes a prepared Central Graph query. The caller holds a
-// pin on ep for the duration.
-func (e *Engine) runPrepared(ctx context.Context, ep *epoch, q Query, in core.Input, terms []string, start searchStart) (*Result, error) {
-	sn := ep.snap
-	p := sn.params(q)
-	if ctx != nil && ctx != context.Background() {
-		p.Ctx = ctx
-	}
-	if q.DisableActivation {
-		in.Levels = sn.zeroLevels()
-	} else {
-		in.Levels = sn.activationLevels(p.Alpha, p.Threads, &e.levelComputes)
-	}
-
-	var (
-		res      *core.Result
-		transfer float64
-		err      error
-		m        = traceMeta{start: start, epoch: ep.id}
-	)
-	switch q.Variant {
-	case CPUPar, Sequential:
-		st := e.acquireState()
-		st.SetTracing(e.TracingEnabled())
-		res, err = st.Search(in, p)
-		m.events, m.dropped = st.DrainTrace(nil)
-		e.releaseState(st)
-	case CPUParD:
-		res, err = core.SearchDynamic(in, p)
-	case GPUPar:
-		dev := q.Device
-		if dev == nil {
-			dev = device.GTX1080Ti()
-		}
-		var gres *core.GPUResult
-		gres, err = core.SearchGPU(in, p, dev)
-		if gres != nil {
-			res = &gres.Result
-			transfer = gres.TransferSeconds
-		}
-	default:
-		return nil, fmt.Errorf("wikisearch: unknown variant %d", q.Variant)
-	}
-	if err != nil {
-		e.collectTrace(ctx, q, terms, nil, err, m)
-		return nil, err
-	}
-	out := sn.resolve(terms, res, transfer)
-	e.collectTrace(ctx, q, terms, out, nil, m)
-	return out, nil
 }
 
 // prepare resolves the raw query into a core.Input (minus activation
@@ -341,7 +271,7 @@ func (sn *snapshot) prepare(raw string) (core.Input, []string, error) {
 }
 
 // resolve converts a core result into the public, text-resolved form.
-func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) *Result {
+func (sn *snapshot) resolve(terms []string, res *core.Result) *Result {
 	out := &Result{
 		Terms:           terms,
 		Depth:           res.DepthD,
@@ -349,7 +279,6 @@ func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) 
 		TruncatedGraphs: res.Profile.TruncatedGraphs,
 		Phases:          map[string]time.Duration{},
 		Total:           res.Profile.Total(),
-		TransferSeconds: transfer,
 	}
 	for ph := core.Phase(0); int(ph) < len(res.Profile.Phases); ph++ {
 		out.Phases[ph.String()] = res.Profile.Phases[ph]
@@ -402,105 +331,4 @@ func (sn *snapshot) resolve(terms []string, res *core.Result, transfer float64) 
 		out.Answers = append(out.Answers, pa)
 	}
 	return out
-}
-
-// BanksTree is one BANKS baseline answer tree.
-type BanksTree struct {
-	Root      NodeID
-	RootLabel string
-	Score     float64
-	Nodes     []NodeID
-	// Paths[i] is the root → keyword-i leaf path.
-	Paths [][]NodeID
-}
-
-// BanksResult is the outcome of a baseline search.
-type BanksResult struct {
-	Terms   []string
-	Trees   []BanksTree
-	Visited int
-	Elapsed time.Duration
-}
-
-// GSTTree is one exact Group Steiner Tree answer.
-type GSTTree struct {
-	Root      NodeID
-	RootLabel string
-	Cost      float64
-	Nodes     []NodeID
-	// Edges are (child, parent) pairs oriented toward the root.
-	Edges [][2]NodeID
-}
-
-// GSTResult is the outcome of an exact Group Steiner Tree search.
-type GSTResult struct {
-	Terms   []string
-	Trees   []GSTTree
-	Popped  int // DP states processed
-	Elapsed time.Duration
-}
-
-// searchGST runs the ExactGST variant: the DPBF dynamic program of Ding et
-// al., ICDE'07 — the paper's reference [7]. Exponential in the number of
-// keywords (≤ 12); useful as ground truth and to reproduce the paper's
-// argument that exact GST is not interactive ("this process is rather
-// slow").
-func (e *Engine) searchGST(sn *snapshot, q Query) (*Result, error) {
-	in, terms, err := sn.prepare(q.Text)
-	if err != nil {
-		return nil, err
-	}
-	topK := q.TopK
-	if topK <= 0 {
-		topK = 20
-	}
-	start := time.Now()
-	res, err := gst.Search(sn.g, sn.weights, in.Sources, gst.Options{K: topK, MaxStates: q.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	out := &GSTResult{Terms: terms, Popped: res.Popped, Elapsed: time.Since(start)}
-	for _, t := range res.Trees {
-		out.Trees = append(out.Trees, GSTTree{
-			Root:      t.Root,
-			RootLabel: sn.g.Label(t.Root),
-			Cost:      t.Cost,
-			Nodes:     t.Nodes,
-			Edges:     t.Edges,
-		})
-	}
-	return &Result{Terms: terms, Total: out.Elapsed, GST: out}, nil
-}
-
-// searchBanks runs the BANKS variant, a baseline GST-approximation search:
-// BANKS-II when q.Bidirectional is set (the paper's comparison system),
-// BANKS-I otherwise.
-func (e *Engine) searchBanks(sn *snapshot, q Query) (*Result, error) {
-	in, terms, err := sn.prepare(q.Text)
-	if err != nil {
-		return nil, err
-	}
-	topK := q.TopK
-	if topK <= 0 {
-		topK = 20
-	}
-	opts := banks.Options{K: topK, MaxVisits: q.MaxVisits}
-	start := time.Now()
-	var res *banks.Result
-	if q.Bidirectional {
-		res = banks.SearchBANKS2(sn.g, sn.weights, in.Sources, opts)
-	} else {
-		res = banks.SearchBANKS1(sn.g, sn.weights, in.Sources, opts)
-	}
-	out := &BanksResult{Terms: terms, Visited: res.Visited, Elapsed: time.Since(start)}
-	for _, t := range res.Trees {
-		out.Trees = append(out.Trees, BanksTree{
-			Root:      t.Root,
-			RootLabel: sn.g.Label(t.Root),
-			Score:     t.Score,
-			Nodes:     t.Nodes,
-			Paths:     t.Paths,
-		})
-	}
-	return &Result{Terms: terms, Total: out.Elapsed, Banks: out}, nil
 }

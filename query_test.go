@@ -76,8 +76,7 @@ func TestQueryValidate(t *testing.T) {
 	valid := []Query{
 		{},
 		{TopK: 1, Alpha: 0.01, Lambda: 1, MaxLevel: 250},
-		{TopK: 200, Variant: BANKS},
-		{Variant: ExactGST, MaxStates: 10},
+		{TopK: 200, Variant: Sequential},
 	}
 	for i, q := range valid {
 		if err := q.Validate(); err != nil {

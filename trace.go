@@ -55,13 +55,14 @@ func startNow() searchStart { return searchStart{ns: trace.Now(), t: time.Now()}
 type traceMeta struct {
 	start   searchStart
 	epoch   uint64
+	terms   []string
 	events  []trace.Event
 	dropped int
 }
 
 // collectTrace assembles and retains one completed query's trace. Cold
 // path: runs once per search, after the kernel, and may allocate.
-func (e *Engine) collectTrace(ctx context.Context, q Query, terms []string, res *Result, err error, m traceMeta) {
+func (e *Engine) collectTrace(ctx context.Context, q Query, res *Result, err error, m traceMeta) {
 	if e.tracer == nil || e.traceOff.Load() {
 		return
 	}
@@ -69,7 +70,7 @@ func (e *Engine) collectTrace(ctx context.Context, q Query, terms []string, res 
 	qt := &QueryTrace{
 		RequestID: trace.RequestIDFrom(ctx),
 		Query:     q.Text,
-		Terms:     terms,
+		Terms:     m.terms,
 		Variant:   q.Variant.String(),
 		Epoch:     m.epoch,
 		TopK:      p.TopK,
