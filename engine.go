@@ -106,15 +106,9 @@ type Engine struct {
 	stateNews    atomic.Int64
 	stateReuses  atomic.Int64
 
-	// observer, when set, is invoked after every Search call with the
-	// outcome; the serving layer uses it to feed latency metrics.
-	observer atomic.Pointer[SearchObserver]
-
 	// tracer retains per-query trace trees assembled from the kernel's
-	// span rings; traceOff is inverted so the zero value means tracing is
-	// on (it is cheap enough to be always-on; see SetTracing).
-	tracer   *TraceCollector
-	traceOff atomic.Bool
+	// span rings, one per Search call.
+	tracer *TraceCollector
 
 	// dump retains the loaded dump when the engine came from LoadEngine:
 	// the graph/weight/index arrays alias the mapping it owns, which Close
@@ -155,32 +149,10 @@ type levelEntry struct {
 	lv   []uint8
 }
 
-// SearchObserver receives the outcome of every Search call: the
-// query, the result (nil on error) and the error (nil on success). It must
-// be safe for concurrent use.
-type SearchObserver func(q Query, res *Result, err error)
-
-// SetSearchObserver installs (or, with nil, removes) the observer invoked
-// after every search. Safe to call concurrently with searches.
-func (e *Engine) SetSearchObserver(obs SearchObserver) {
-	if obs == nil {
-		e.observer.Store(nil)
-		return
-	}
-	e.observer.Store(&obs)
-}
-
 // DisableBatching does nothing. Every search runs on its own pooled search
 // state; the method remains only for callers written when the engine could
 // coalesce concurrent searches.
 func (e *Engine) DisableBatching() {}
-
-// observe reports a search outcome to the installed observer, if any.
-func (e *Engine) observe(q Query, res *Result, err error) {
-	if p := e.observer.Load(); p != nil {
-		(*p)(q, res, err)
-	}
-}
 
 // NewEngine prepares an engine over g: builds the inverted index, computes
 // normalized Eq. 2 weights, and samples the average shortest distance.
@@ -373,8 +345,8 @@ func newStateList() []*core.SearchState {
 }
 
 // acquireState takes the most recently released idle search state — the
-// one whose buffers are likeliest still in cache — or creates one when none
-// is idle.
+// one whose buffers are likeliest still in cache — or creates one, with
+// span recording on, when none is idle.
 func (e *Engine) acquireState() *core.SearchState {
 	e.statesMu.Lock()
 	if n := len(e.states); n > 0 {
@@ -387,7 +359,9 @@ func (e *Engine) acquireState() *core.SearchState {
 	}
 	e.statesMu.Unlock()
 	e.stateNews.Add(1)
-	return core.NewSearchState()
+	st := core.NewSearchState()
+	st.SetTracing(true)
+	return st
 }
 
 // releaseState returns a search state to the free list for the next query,

@@ -462,9 +462,8 @@ func TestWarmEngineKernelAllocationFree(t *testing.T) {
 	in.Levels = eng.activationLevels(p.Alpha, p.Threads)
 	st := eng.acquireState()
 	defer eng.releaseState(st)
-	// Tracing on (the engine's always-on default): span recording is part
-	// of the guarded kernel path.
-	st.SetTracing(true)
+	// acquireState turns span recording on: it is part of the guarded
+	// kernel path.
 	if _, err := st.BottomUp(in, p); err != nil {
 		t.Fatal(err)
 	}
@@ -758,40 +757,4 @@ func TestActivationLevelsEvictionSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestSearchObserver(t *testing.T) {
-	eng := newTestEngine(t)
-	var (
-		mu   sync.Mutex
-		oks  int
-		errs int
-	)
-	eng.SetSearchObserver(func(q Query, res *Result, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			errs++
-			return
-		}
-		if res == nil || len(res.Phases) == 0 {
-			t.Error("observer got a success with no phase profile")
-		}
-		oks++
-	})
-	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf sql"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Search(context.Background(), Query{Text: "zzznothing"}); err == nil {
-		t.Fatal("want error for unmatched keyword")
-	}
-	mu.Lock()
-	if oks != 1 || errs != 1 {
-		t.Fatalf("observer saw %d ok / %d err, want 1/1", oks, errs)
-	}
-	mu.Unlock()
-	eng.SetSearchObserver(nil) // removal must not panic searches
-	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf sql"}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -351,19 +351,6 @@ func (d *DeltaBuilder) Description(v NodeID) string {
 	return d.base.Description(v)
 }
 
-// TextChanged reports the base nodes whose label/desc differ from the base
-// graph plus the count of appended nodes; the index overlay is derived from
-// exactly this set.
-func (d *DeltaBuilder) TextChanged() (patched []NodeID, addedNodes int) {
-	for v, p := range d.patch {
-		if p.text {
-			patched = append(patched, v)
-		}
-	}
-	slices.Sort(patched)
-	return patched, len(d.added)
-}
-
 // Overlay derives an immutable mutated view of the base graph. The returned
 // Graph shares the base CSR arrays but deep-copies every touched overlay
 // structure, so the builder may keep mutating afterwards while readers hold

@@ -23,10 +23,6 @@ type debugTracesStats struct {
 // /v1/debug/trace for the tree.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, _ *http.Request) {
 	tr := s.eng.Traces()
-	if tr == nil {
-		s.v1Error(w, http.StatusNotFound, "unavailable", "tracing is not available on this engine")
-		return
-	}
 	resp := debugTracesStats{
 		SlowThresholdMs: float64(tr.SlowThreshold()) / float64(time.Millisecond),
 		Recent:          tr.Recent(),
@@ -53,10 +49,6 @@ type debugTraceStats struct {
 // chrome://tracing and Perfetto.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.eng.Traces()
-	if tr == nil {
-		s.v1Error(w, http.StatusNotFound, "unavailable", "tracing is not available on this engine")
-		return
-	}
 	var qt *wikisearch.QueryTrace
 	switch {
 	case r.URL.Query().Get("id") != "":
@@ -93,12 +85,27 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	s.json(w, http.StatusOK, v1Envelope{Stats: &debugTraceStats{Trace: qt, Tree: qt.Tree()}})
 }
 
-// observeTrace is installed as the trace collector's observer when the
-// slow-query log is enabled: any search over the threshold gets one
-// structured line with its identity, knobs and per-phase
-// breakdown — enough to diagnose it without replaying.
+// observeTrace is installed as the trace collector's observer, the
+// server's one search hook; every Search call leaves exactly one trace. A
+// failed search bumps the error counter; any other feeds the latency
+// histograms: each phase's span sum and their total. A search over the
+// slow-query threshold also gets one structured line with its identity,
+// knobs and per-phase breakdown — enough to diagnose it without replaying.
 func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
-	if qt.Duration < s.cfg.SlowQuery {
+	ns := qt.SpanNs()
+	if qt.Err != "" {
+		s.met.searchErrors.Inc()
+	} else {
+		var total int64
+		for k, label := range phaseLabels {
+			if label != "" {
+				total += ns[k]
+				s.met.phaseSeconds.With(label).Observe(time.Duration(ns[k]).Seconds())
+			}
+		}
+		s.met.searchSeconds.Observe(time.Duration(total).Seconds())
+	}
+	if s.cfg.SlowQuery <= 0 || qt.Duration < s.cfg.SlowQuery {
 		return
 	}
 	s.met.slowQueries.Inc()
@@ -116,10 +123,10 @@ func (s *Server) observeTrace(qt *wikisearch.QueryTrace) {
 		"answers", qt.Answers,
 		"truncated_graphs", qt.TruncatedGraphs,
 		"err", qt.Err,
-		"init_ms", ms(qt.PhaseNs(trace.KindInit)),
-		"enqueue_ms", ms(qt.PhaseNs(trace.KindEnqueue)),
-		"identify_ms", ms(qt.PhaseNs(trace.KindIdentify)),
-		"expand_ms", ms(qt.PhaseNs(trace.KindExpand)),
-		"topdown_ms", ms(qt.PhaseNs(trace.KindTopDown)),
+		"init_ms", ms(ns[trace.KindInit]),
+		"enqueue_ms", ms(ns[trace.KindEnqueue]),
+		"identify_ms", ms(ns[trace.KindIdentify]),
+		"expand_ms", ms(ns[trace.KindExpand]),
+		"topdown_ms", ms(ns[trace.KindTopDown]),
 	)
 }

@@ -124,28 +124,53 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	}
 }
 
-// TestDebugTracesDisabled: with tracing switched off, the endpoints still
-// answer (empty rings / 404), never 500.
-func TestDebugTracesDisabled(t *testing.T) {
-	s := testServer(t)
-	s.eng.SetTracing(false)
-	if _, err := s.eng.Search(t.Context(), wikisearch.Query{Text: "sparql rdf"}); err != nil {
-		t.Fatal(err)
-	}
-	w := get(t, s, "/v1/debug/traces")
+// TestDebugTracesEmpty: on a fresh server, before any search, the listing
+// endpoint answers empty rings (JSON arrays, not null), never 500.
+func TestDebugTracesEmpty(t *testing.T) {
+	w := get(t, testServer(t), "/v1/debug/traces")
 	if w.Code != http.StatusOK {
 		t.Fatalf("traces status = %d", w.Code)
 	}
-	var list struct {
+	var env struct {
 		Stats struct {
-			Recent []json.RawMessage `json:"recent"`
+			Recent json.RawMessage `json:"recent"`
+			Slow   json.RawMessage `json:"slow"`
 		} `json:"stats"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &list); err != nil {
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Stats.Recent) != 0 {
-		t.Fatalf("tracing off but %d traces collected", len(list.Stats.Recent))
+	if string(env.Stats.Recent) != "[]" || string(env.Stats.Slow) != "[]" {
+		t.Fatalf("want empty recent and slow rings: %s", w.Body)
+	}
+}
+
+// TestDebugTracesSlowOff: with the slow-query log disabled, a search fills
+// the recent ring only, logs no slow line, and the listing reports a zero
+// threshold.
+func TestDebugTracesSlowOff(t *testing.T) {
+	var buf syncBuffer
+	s := NewWithConfig(testEngine(t), Config{Logger: log.New(&buf, "", 0), SlowQuery: -1})
+	if w := get(t, s, "/v1/search?q=sparql+rdf"); w.Code != http.StatusOK {
+		t.Fatalf("search status = %d", w.Code)
+	}
+	w := get(t, s, "/v1/debug/traces")
+	var env struct {
+		Stats struct {
+			SlowThresholdMs *float64          `json:"slow_threshold_ms"`
+			Recent          []json.RawMessage `json:"recent"`
+			Slow            []json.RawMessage `json:"slow"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	st := env.Stats
+	if st.SlowThresholdMs == nil || *st.SlowThresholdMs != 0 || len(st.Recent) != 1 || len(st.Slow) != 0 {
+		t.Fatalf("want threshold 0, one recent trace, no slow ones: %s", w.Body)
+	}
+	if strings.Contains(buf.String(), "slow query") || s.met.slowQueries.Value() != 0 {
+		t.Fatalf("slow-query log disabled but a line was logged:\n%s", buf.String())
 	}
 }
 

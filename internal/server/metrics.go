@@ -4,14 +4,16 @@ import (
 	"strconv"
 
 	"wikisearch"
+	"wikisearch/internal/core"
 	"wikisearch/internal/metrics"
+	"wikisearch/internal/trace"
 )
 
 // serverMetrics is the service's measurement surface, exposed at
-// GET /metrics in Prometheus text format. Per-phase search latency comes
-// straight from the engine's Result.Phases profile (Fig. 6/7 of the paper)
-// through the search observer, so every later performance PR can read its
-// effect off the histograms.
+// GET /metrics in Prometheus text format. Search latency, per phase of
+// Fig. 6/7 of the paper, and the search error count are folded from each
+// search's trace (Server.observeTrace), so every later performance change
+// can read its effect off the histograms.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -139,17 +141,15 @@ func (m *serverMetrics) observeLoad(info wikisearch.LoadInfo) {
 	m.kbLoadMode.With(mode).Inc()
 }
 
-// observeSearch is installed as the engine's SearchObserver: every
-// Search outcome feeds the latency histograms.
-func (m *serverMetrics) observeSearch(_ wikisearch.Query, res *wikisearch.Result, err error) {
-	if err != nil {
-		m.searchErrors.Inc()
-		return
-	}
-	m.searchSeconds.Observe(res.Total.Seconds())
-	for phase, d := range res.Phases {
-		m.phaseSeconds.With(phase).Observe(d.Seconds())
-	}
+// phaseLabels maps each phase span kind to its search_phase_seconds label:
+// the paper's name for the phase, as in Result.Phases. Other kinds are not
+// phases and map to "".
+var phaseLabels = [...]string{
+	trace.KindInit:     core.PhaseInit.String(),
+	trace.KindEnqueue:  core.PhaseEnqueue.String(),
+	trace.KindIdentify: core.PhaseIdentify.String(),
+	trace.KindExpand:   core.PhaseExpand.String(),
+	trace.KindTopDown:  core.PhaseTopDown.String(),
 }
 
 // countRequest records one served request by status code.

@@ -152,8 +152,9 @@ func (s *Server) handle(pattern string, h http.Handler, doc string) {
 // New builds a Server over the engine with default Config.
 func New(eng *wikisearch.Engine) *Server { return NewWithConfig(eng, Config{}) }
 
-// NewWithConfig builds a Server over the engine. It installs a search
-// observer on the engine that feeds the per-phase latency histograms.
+// NewWithConfig builds a Server over the engine. It installs the server's
+// one search hook, the engine's trace-collector observer, which feeds the
+// search latency histograms, the error counter and the slow-query log.
 func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -171,16 +172,9 @@ func NewWithConfig(eng *wikisearch.Engine, cfg Config) *Server {
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
-	eng.SetSearchObserver(s.met.observeSearch)
 	s.met.observeLoad(eng.LoadInfo())
-	if tr := eng.Traces(); tr != nil {
-		if cfg.SlowQuery > 0 {
-			tr.SetSlowThreshold(cfg.SlowQuery)
-			tr.SetObserver(s.observeTrace)
-		} else {
-			tr.SetSlowThreshold(1 << 62) // slow ring effectively off
-		}
-	}
+	eng.Traces().SetSlowThreshold(max(cfg.SlowQuery, 0)) // 0: slow ring off
+	eng.Traces().SetObserver(s.observeTrace)
 	s.handle("GET /v1/search", s.instrument(http.HandlerFunc(s.handleV1Search), true),
 		"keyword search, versioned envelope")
 	s.handle("GET /v1/stats", s.instrument(http.HandlerFunc(s.handleV1Stats), false),

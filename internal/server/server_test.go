@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -400,6 +402,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", out)
+	}
+}
+
+// TestTraceMetricsMatchTotal: the search latency histogram is folded from
+// the search's trace spans, and its sum equals the envelope's total_ms.
+func TestTraceMetricsMatchTotal(t *testing.T) {
+	s := testServerWith(t, Config{CacheSize: -1})
+	w := get(t, s, "/v1/search?q=xml+rdf+sql")
+	var env struct {
+		Stats struct {
+			TotalMs float64 `json:"total_ms"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(get(t, s, "/metrics").Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "wikisearch_search_seconds_sum "); ok {
+			var err error
+			if sum, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := env.Stats.TotalMs / 1000; sum <= 0 || math.Abs(sum-want) > 1e-9 {
+		t.Fatalf("wikisearch_search_seconds_sum = %v; envelope total is %v s", sum, want)
 	}
 }
 

@@ -36,15 +36,14 @@ type QueryTrace struct {
 	Events  []Event `json:"-"`                        // sorted by (Start asc, End desc)
 }
 
-// PhaseNs sums the durations of every span of kind k.
-func (t *QueryTrace) PhaseNs(k Kind) int64 {
-	var total int64
+// SpanNs sums the trace's span durations by kind, in one pass over its
+// events.
+func (t *QueryTrace) SpanNs() (ns [numKinds]int64) {
 	for i := range t.Events {
-		if ev := &t.Events[i]; ev.Kind == k {
-			total += ev.End - ev.Start
-		}
+		ev := &t.Events[i]
+		ns[ev.Kind] += ev.End - ev.Start
 	}
-	return total
+	return ns
 }
 
 // Span is one node of an assembled trace tree. Start is relative to the

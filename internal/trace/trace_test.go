@@ -101,7 +101,7 @@ func testTrace() *QueryTrace {
 }
 
 // TestTreeNesting: interval containment parents levels under bottom-up and
-// steps under levels, and PhaseNs sums a kind's spans.
+// steps under levels, and SpanNs sums each kind's spans.
 func TestTreeNesting(t *testing.T) {
 	tr := testTrace()
 	root := tr.Tree()
@@ -122,8 +122,8 @@ func TestTreeNesting(t *testing.T) {
 	if td := root.Children[1]; td.Kind != KindTopDown {
 		t.Fatalf("second root child is %s; want top-down", td.Name)
 	}
-	if got, want := tr.PhaseNs(KindLevel), int64(280+480); got != want {
-		t.Fatalf("PhaseNs(level) = %d; want %d", got, want)
+	if got, want := tr.SpanNs()[KindLevel], int64(280+480); got != want {
+		t.Fatalf("SpanNs()[level] = %d; want %d", got, want)
 	}
 }
 

@@ -863,7 +863,6 @@ func TestSearchAllocationFreeWithIdleMutator(t *testing.T) {
 	in.Levels = eng.activationLevels(p.Alpha, p.Threads)
 	st := eng.acquireState()
 	defer eng.releaseState(st)
-	st.SetTracing(true)
 	if _, err := st.BottomUp(in, p); err != nil {
 		t.Fatal(err)
 	}

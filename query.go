@@ -154,10 +154,10 @@ type Result struct {
 // path the service runs; the paper's comparison systems are separate
 // methods (paper.go). The search aborts between levels if ctx is cancelled
 // (the online service uses this for request deadlines); a nil ctx runs
-// detached. The outcome — including errors — is reported to the observer
-// installed with SetSearchObserver, which the serving layer uses to feed
-// per-phase latency histograms. Concurrent searches run independently,
-// each on its own pooled search state.
+// detached. Every call, failed ones included, adds exactly one trace to
+// Traces(), which the serving layer folds into its latency metrics.
+// Concurrent searches run independently, each on its own pooled search
+// state.
 func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 	var (
 		events  []trace.Event
@@ -165,17 +165,13 @@ func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 	)
 	res, m, err := e.runKernel(ctx, q, func(in core.Input, p core.Params) (*core.Result, error) {
 		st := e.acquireState()
-		st.SetTracing(e.TracingEnabled())
 		res, err := st.Search(in, p)
 		events, dropped = st.DrainTrace(nil)
 		e.releaseState(st)
 		return res, err
 	})
-	if m.terms != nil {
-		m.events, m.dropped = events, dropped
-		e.collectTrace(ctx, q, res, err, m)
-	}
-	e.observe(q, res, err)
+	m.events, m.dropped = events, dropped
+	e.collectTrace(ctx, q, res, err, m)
 	return res, err
 }
 
@@ -184,14 +180,16 @@ func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 type kernel func(in core.Input, p core.Params) (*core.Result, error)
 
 // runKernel answers q with kern against the current epoch: it validates q,
-// pins the epoch for the whole search, resolves the terms, applies the
-// defaults and activation levels, runs kern and resolves the answers'
-// text. Search and the Central Graph comparators differ only in the kernel
-// they pass. The returned traceMeta carries the start time, epoch and terms
-// for Search's trace; its terms are nil when q failed before the kernel.
+// pins the epoch for the whole search, resolves the knobs and terms,
+// applies the activation levels, runs kern and resolves the answers' text.
+// Search and the Central Graph comparators differ only in the kernel they
+// pass. The returned traceMeta carries the start time (taken before
+// validation), epoch, resolved params and terms for Search's trace, as far
+// as q got.
 func (e *Engine) runKernel(ctx context.Context, q Query, kern kernel) (*Result, traceMeta, error) {
+	m := traceMeta{start: startNow()}
 	if err := q.Validate(); err != nil {
-		return nil, traceMeta{}, err
+		return nil, m, err
 	}
 	// Pin the current epoch for the whole search: one atomic add in, one
 	// out. Everything below reads the pinned snapshot, never the engine's
@@ -199,13 +197,14 @@ func (e *Engine) runKernel(ctx context.Context, q Query, kern kernel) (*Result, 
 	ep := e.pinEpoch()
 	defer ep.unpin()
 	sn := ep.snap
-	m := traceMeta{start: startNow(), epoch: ep.id}
+	m.epoch = ep.id
+	p := sn.params(q)
+	m.params = p
 	in, terms, err := sn.prepare(q.Text)
 	if err != nil {
-		return nil, traceMeta{}, err
+		return nil, m, err
 	}
 	m.terms = terms
-	p := sn.params(q)
 	if ctx != nil && ctx != context.Background() {
 		p.Ctx = ctx
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"wikisearch/internal/core"
 	"wikisearch/internal/trace"
 )
 
@@ -27,18 +28,12 @@ func WithRequestID(ctx context.Context, id uint64) context.Context {
 	return trace.WithRequestID(ctx, id)
 }
 
-// Traces returns the engine's trace collector. Tracing is always on by
-// default — the record path is allocation-free and costs ~1% — and can be
-// toggled with SetTracing.
+// Traces returns the engine's trace collector. Tracing is always on — the
+// record path is allocation-free and costs ~1% — and every Search call,
+// failed ones included, adds exactly one trace. The collector's observer is
+// the engine's one search-telemetry outlet: the serving layer folds its
+// latency histograms, error counter and slow-query log from these traces.
 func (e *Engine) Traces() *TraceCollector { return e.tracer }
-
-// SetTracing enables or disables search tracing (enabled by default).
-// Disabling stops both kernel span recording and trace collection; the
-// collector retains what was already captured.
-func (e *Engine) SetTracing(on bool) { e.traceOff.Store(!on) }
-
-// TracingEnabled reports whether search tracing is on.
-func (e *Engine) TracingEnabled() bool { return !e.traceOff.Load() }
 
 // searchStart carries a query's admission timing into the execution paths:
 // ns is the trace-clock admission time, t the wall-clock start.
@@ -51,10 +46,12 @@ type searchStart struct {
 func startNow() searchStart { return searchStart{ns: trace.Now(), t: time.Now()} }
 
 // traceMeta carries per-query attribution from an execution path to
-// collectTrace.
+// collectTrace. Fields past start stay zero when the query failed before
+// reaching them.
 type traceMeta struct {
 	start   searchStart
 	epoch   uint64
+	params  core.Params
 	terms   []string
 	events  []trace.Event
 	dropped int
@@ -63,10 +60,10 @@ type traceMeta struct {
 // collectTrace assembles and retains one completed query's trace. Cold
 // path: runs once per search, after the kernel, and may allocate.
 func (e *Engine) collectTrace(ctx context.Context, q Query, res *Result, err error, m traceMeta) {
-	if e.tracer == nil || e.traceOff.Load() {
-		return
+	p := m.params
+	if p.TopK == 0 { // rejected by Validate: report the knobs as asked
+		p.TopK, p.Alpha, p.Lambda = q.TopK, q.Alpha, q.Lambda
 	}
-	p := e.snap().params(q)
 	qt := &QueryTrace{
 		RequestID: trace.RequestIDFrom(ctx),
 		Query:     q.Text,

@@ -3,22 +3,26 @@ package wikisearch
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"wikisearch/internal/core"
 	"wikisearch/internal/trace"
 )
 
-// TestSearchObserverExactlyOnce: the observer contract — one invocation per
-// Search call, no more, no fewer — holds for sequential searches,
-// concurrent ones (including identical twins), and error outcomes.
-func TestSearchObserverExactlyOnce(t *testing.T) {
+// TestTraceExactlyOnce: the trace contract — one trace per Search call, no
+// more, no fewer — holds for sequential searches, concurrent ones
+// (including identical twins), and error outcomes, which carry Err and no
+// events. The serving layer's metrics are folded from these traces.
+func TestTraceExactlyOnce(t *testing.T) {
 	eng := newTestEngine(t)
-	var calls atomic.Int64
-	eng.SetSearchObserver(func(Query, *Result, error) { calls.Add(1) })
+	var traces atomic.Int64
+	eng.Traces().SetObserver(func(*QueryTrace) { traces.Add(1) })
 
-	// Sequential: one call per search, success or error.
+	// Sequential: one trace per search, success or error.
 	queries := []Query{
 		{Text: "xml rdf sql", TopK: 3, Threads: 2},
 		{Text: "sparql rdf", TopK: 2, Threads: 2},
@@ -30,16 +34,26 @@ func TestSearchObserverExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := eng.Search(context.Background(), Query{Text: "zzzznosuchword"}); err == nil {
-		t.Fatal("unmatched keyword accepted")
+	for _, q := range []Query{
+		{Text: "zzzznosuchword"},     // fails in prepare
+		{Text: "xml rdf", TopK: 999}, // fails in Validate
+	} {
+		if _, err := eng.Search(context.Background(), q); err == nil {
+			t.Fatalf("%+v accepted", q)
+		}
+		qt := eng.Traces().Recent()[0]
+		if qt.Err == "" || len(qt.Events) != 0 || qt.Duration <= 0 {
+			t.Fatalf("%+v: trace err=%q events=%d duration=%v; want an error, no events, a duration",
+				q, qt.Err, len(qt.Events), qt.Duration)
+		}
 	}
-	if got := calls.Load(); got != int64(len(queries))+1 {
-		t.Fatalf("sequential: observer fired %d times for %d searches", got, len(queries)+1)
+	if got, want := traces.Load(), int64(len(queries))+2; got != want {
+		t.Fatalf("sequential: %d traces for %d searches", got, want)
 	}
 
 	// Concurrent searches, including an exact twin of queries[0]: every
-	// caller observes its own outcome exactly once.
-	calls.Store(0)
+	// caller leaves its own trace exactly once.
+	traces.Store(0)
 	work := append(append([]Query(nil), queries...), queries[0])
 	var wg sync.WaitGroup
 	for _, q := range work {
@@ -52,8 +66,76 @@ func TestSearchObserverExactlyOnce(t *testing.T) {
 		}(q)
 	}
 	wg.Wait()
-	if got := calls.Load(); got != int64(len(work)) {
-		t.Fatalf("concurrent: observer fired %d times for %d searches", got, len(work))
+	if got := traces.Load(); got != int64(len(work)) {
+		t.Fatalf("concurrent: %d traces for %d searches", got, len(work))
+	}
+}
+
+// TestTracePhasesMatchProfile: the serving layer's phase histograms are
+// span sums, so on a search that runs every default level no event may be
+// lost to ring overflow, and each phase's span sum must equal the
+// profile's phase time — and their total Result.Total — to the nanosecond.
+func TestTracePhasesMatchProfile(t *testing.T) {
+	const n = 400 // keywords at the two ends: no Central Node within 32 levels
+	b := NewBuilder()
+	for i := 0; i < n; i++ {
+		label := "link"
+		switch i {
+		case 0:
+			label = "alpha"
+		case n - 1:
+			label = "omega"
+		}
+		b.AddNode(label, "")
+	}
+	for i := 1; i < n; i++ {
+		b.AddEdgeNamed(NodeID(i-1), NodeID(i), "next")
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, EngineOptions{Threads: 2, DistanceSamplePairs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := map[trace.Kind]core.Phase{
+		trace.KindInit:     core.PhaseInit,
+		trace.KindEnqueue:  core.PhaseEnqueue,
+		trace.KindIdentify: core.PhaseIdentify,
+		trace.KindExpand:   core.PhaseExpand,
+		trace.KindTopDown:  core.PhaseTopDown,
+	}
+	for _, threads := range []int{1, runtime.GOMAXPROCS(0)} {
+		res, err := eng.Search(context.Background(), Query{Text: "alpha omega", TopK: 200, Threads: threads, DisableActivation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := eng.Traces().Recent()[0]
+		levels := 0
+		for i := range qt.Events {
+			if qt.Events[i].Kind == trace.KindLevel {
+				levels++
+			}
+		}
+		if res.Depth != 32 || levels != 33 {
+			t.Fatalf("Tnum %d: depth %d with %d level spans; want all 32 default levels run", threads, res.Depth, levels)
+		}
+		if qt.Dropped != 0 {
+			t.Fatalf("Tnum %d: %d events dropped", threads, qt.Dropped)
+		}
+		ns := qt.SpanNs()
+		var total time.Duration
+		for k, ph := range phases {
+			got := time.Duration(ns[k])
+			if want := res.Phases[ph.String()]; got != want {
+				t.Errorf("Tnum %d: %v spans sum to %v; profile says %v", threads, k, got, want)
+			}
+			total += got
+		}
+		if total != res.Total {
+			t.Errorf("Tnum %d: phase spans sum to %v; Result.Total is %v", threads, total, res.Total)
+		}
 	}
 }
 
@@ -62,9 +144,6 @@ func TestSearchObserverExactlyOnce(t *testing.T) {
 // and a well-formed tree.
 func TestSoloTraceCollected(t *testing.T) {
 	eng := newTestEngine(t)
-	if !eng.TracingEnabled() {
-		t.Fatal("tracing should be on by default")
-	}
 	ctx := WithRequestID(context.Background(), 42)
 	res, err := eng.Search(ctx, Query{Text: "xml rdf sql", TopK: 5, Threads: 2})
 	if err != nil {
@@ -99,29 +178,12 @@ func TestSoloTraceCollected(t *testing.T) {
 			t.Fatalf("no %v span recorded (kinds: %v)", k, kinds)
 		}
 	}
-	if qt.PhaseNs(trace.KindBottomUp) <= 0 {
+	if qt.SpanNs()[trace.KindBottomUp] <= 0 {
 		t.Fatal("bottom-up phase has no duration")
 	}
 	tree := qt.Tree()
 	if tree.Name != "search" || len(tree.Children) == 0 {
 		t.Fatalf("malformed tree root: %+v", tree)
-	}
-
-	// Disabling tracing stops collection; re-enabling resumes it.
-	eng.SetTracing(false)
-	before := len(eng.Traces().Recent())
-	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(eng.Traces().Recent()); got != before {
-		t.Fatalf("tracing disabled but traces grew %d -> %d", before, got)
-	}
-	eng.SetTracing(true)
-	if _, err := eng.Search(context.Background(), Query{Text: "xml rdf"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(eng.Traces().Recent()); got != before+1 {
-		t.Fatalf("tracing re-enabled but traces went %d -> %d", before, got)
 	}
 }
 
