@@ -40,21 +40,21 @@ func cacheKeyFor(q wikisearch.Query) (key cacheKey, ok bool) {
 
 type cacheEntry struct {
 	key cacheKey
-	res *wikisearch.Result
+	ans *searchAnswer
 }
 
 // inflightCall is one in-progress search that concurrent identical
 // requests wait on instead of duplicating the work.
 type inflightCall struct {
-	done chan struct{} // closed when res/err are set
-	res  *wikisearch.Result
+	done chan struct{} // closed when ans/err are set
+	ans  *searchAnswer
 	err  error
 }
 
-// resultCache is a bounded LRU of search results with singleflight
+// resultCache is a bounded LRU of encoded search answers with singleflight
 // deduplication: at most one engine search runs per key at a time, and
-// results are shared. Search results are immutable once returned, so
-// sharing the *Result across requests is safe.
+// its answer is shared. A searchAnswer is immutable once built, so every
+// hit and every waiter serves the same stored bytes.
 //
 // purge fences searches that straddle it. It bumps gen, and a leader stores
 // its result only if gen is unchanged since the leader started, so a search
@@ -81,8 +81,8 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// do returns the cached result for key, or runs fn to compute it. hit
-// reports whether the result came from the cache or from another
+// do returns the cached answer for key, or runs fn to compute it. hit
+// reports whether the answer came from the cache or from another
 // in-flight identical request. Waiters give up when their own ctx fires.
 //
 // When the leader dies on its own context (its client hung up or its
@@ -93,21 +93,21 @@ func newResultCache(max int) *resultCache {
 // re-election loop, one cancelled leader turns its N waiters into N
 // simultaneous engine searches — a cache stampede on exactly the hot,
 // already-deduplicated key.
-func (c *resultCache) do(ctx context.Context, key cacheKey, fn func() (*wikisearch.Result, error)) (res *wikisearch.Result, hit bool, err error) {
+func (c *resultCache) do(ctx context.Context, key cacheKey, fn func() (*searchAnswer, error)) (ans *searchAnswer, hit bool, err error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
 			c.ll.MoveToFront(el)
-			res := el.Value.(*cacheEntry).res
+			ans := el.Value.(*cacheEntry).ans
 			c.mu.Unlock()
-			return res, true, nil
+			return ans, true, nil
 		}
 		if call, ok := c.calls[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-call.done:
 				if call.err == nil {
-					return call.res, true, nil
+					return call.ans, true, nil
 				}
 				if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
 					// Leader died on its own context; re-enter to elect a
@@ -124,47 +124,35 @@ func (c *resultCache) do(ctx context.Context, key cacheKey, fn func() (*wikisear
 		gen := c.gen
 		c.mu.Unlock()
 
-		call.res, call.err = fn()
+		call.ans, call.err = fn()
 
 		c.mu.Lock()
 		if c.calls[key] == call { // a purge may have detached it, and a new leader taken the key
 			delete(c.calls, key)
 		}
 		if call.err == nil && c.gen == gen {
-			c.store(key, call.res)
+			c.store(key, call.ans)
 		}
 		c.mu.Unlock()
 		close(call.done)
-		return call.res, false, call.err
+		return call.ans, false, call.err
 	}
 }
 
 // store inserts under c.mu, evicting the least recently used entry past
 // the bound.
-func (c *resultCache) store(key cacheKey, res *wikisearch.Result) {
+func (c *resultCache) store(key cacheKey, ans *searchAnswer) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).ans = ans
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, ans: ans})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// get reports the cached result without side effects beyond LRU ordering.
-func (c *resultCache) get(key cacheKey) (*wikisearch.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
 }
 
 // len returns the number of cached entries.
@@ -175,7 +163,7 @@ func (c *resultCache) len() int {
 }
 
 // purge drops every cached entry and fences the in-flight searches: they
-// still answer their own waiters, but neither store their results nor take
+// still answer their own waiters, but neither store their answers nor take
 // new waiters.
 func (c *resultCache) purge() {
 	c.mu.Lock()

@@ -15,8 +15,20 @@ func key(terms string) cacheKey {
 	return cacheKey{terms: terms, k: 20, alpha: 0.1, lambda: 0.2}
 }
 
-func fixed(res *wikisearch.Result) func() (*wikisearch.Result, error) {
-	return func() (*wikisearch.Result, error) { return res, nil }
+// get reports the cached answer without side effects beyond LRU ordering.
+func (c *resultCache) get(key cacheKey) (*searchAnswer, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).ans, true
+}
+
+func fixed(res *searchAnswer) func() (*searchAnswer, error) {
+	return func() (*searchAnswer, error) { return res, nil }
 }
 
 func TestCacheKeyNormalization(t *testing.T) {
@@ -40,7 +52,7 @@ func TestCacheKeyNormalization(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	ctx := context.Background()
-	r1, r2, r3 := &wikisearch.Result{}, &wikisearch.Result{}, &wikisearch.Result{}
+	r1, r2, r3 := &searchAnswer{}, &searchAnswer{}, &searchAnswer{}
 	c.do(ctx, key("a"), fixed(r1))
 	c.do(ctx, key("b"), fixed(r2))
 	// Touch "a" so "b" is the eviction victim.
@@ -70,7 +82,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	c := newResultCache(4)
 	boom := errors.New("no such keyword")
 	calls := 0
-	fn := func() (*wikisearch.Result, error) { calls++; return nil, boom }
+	fn := func() (*searchAnswer, error) { calls++; return nil, boom }
 	if _, _, err := c.do(context.Background(), key("a"), fn); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -100,13 +112,13 @@ func waitForWaiter(t *testing.T, c *resultCache, k cacheKey) {
 
 func TestSingleflightDeduplicates(t *testing.T) {
 	c := newResultCache(4)
-	res := &wikisearch.Result{Candidates: 7}
+	res := &searchAnswer{candidates: 7}
 	var computes atomic.Int32
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		got, hit, err := c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			computes.Add(1)
 			<-gate
 			return res, nil
@@ -120,9 +132,9 @@ func TestSingleflightDeduplicates(t *testing.T) {
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
-		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		got, hit, err := c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			computes.Add(1)
-			return &wikisearch.Result{}, nil
+			return &searchAnswer{}, nil
 		})
 		if err != nil || !hit || got != res {
 			t.Errorf("follower: res %p hit %v err %v", got, hit, err)
@@ -145,15 +157,15 @@ func TestSingleflightWaiterHonorsOwnContext(t *testing.T) {
 	c := newResultCache(4)
 	gate := make(chan struct{})
 	defer close(gate)
-	go c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+	go c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 		<-gate
-		return &wikisearch.Result{}, nil
+		return &searchAnswer{}, nil
 	})
 	waitForWaiter(t, c, key("q"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.do(ctx, key("q"), fixed(&wikisearch.Result{}))
+	_, _, err := c.do(ctx, key("q"), fixed(&searchAnswer{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -168,16 +180,16 @@ func TestSingleflightLeaderCancelDoesNotPoison(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			<-gate
 			return nil, context.Canceled // the leader's client hung up
 		})
 	}()
 	waitForWaiter(t, c, key("q"))
 
-	res := &wikisearch.Result{Candidates: 3}
+	res := &searchAnswer{candidates: 3}
 	followerDone := make(chan struct{})
-	var got *wikisearch.Result
+	var got *searchAnswer
 	var hit bool
 	var err error
 	go func() {
@@ -199,13 +211,13 @@ func TestSingleflightLeaderCancelDoesNotPoison(t *testing.T) {
 func TestSingleflightNoStampedeAfterLeaderCancel(t *testing.T) {
 	c := newResultCache(4)
 	var calls atomic.Int64
-	res := &wikisearch.Result{Candidates: 7}
+	res := &searchAnswer{candidates: 7}
 
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			calls.Add(1)
 			<-gate
 			return nil, context.Canceled // the leader's client hung up
@@ -214,14 +226,14 @@ func TestSingleflightNoStampedeAfterLeaderCancel(t *testing.T) {
 	waitForWaiter(t, c, key("q"))
 
 	const followers = 16
-	results := make(chan *wikisearch.Result, followers)
+	results := make(chan *searchAnswer, followers)
 	errs := make(chan error, followers)
 	var started sync.WaitGroup
 	for i := 0; i < followers; i++ {
 		started.Add(1)
 		go func() {
 			started.Done()
-			got, _, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+			got, _, err := c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 				calls.Add(1)
 				return res, nil
 			})
@@ -255,12 +267,12 @@ func TestSingleflightNoStampedeAfterLeaderCancel(t *testing.T) {
 func TestResultCachePurgeFencesLateStore(t *testing.T) {
 	srv := testServerWith(t, Config{CacheSize: 4})
 	c := srv.cache
-	stale := &wikisearch.Result{Candidates: 1}
+	stale := &searchAnswer{candidates: 1}
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		got, hit, err := c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			<-gate
 			return stale, nil
 		})
@@ -276,7 +288,7 @@ func TestResultCachePurgeFencesLateStore(t *testing.T) {
 	if _, ok := c.get(key("q")); ok || c.len() != 0 {
 		t.Fatalf("search that straddled the purge left %d entries", c.len())
 	}
-	fresh := &wikisearch.Result{Candidates: 2}
+	fresh := &searchAnswer{candidates: 2}
 	if got, hit, err := c.do(context.Background(), key("q"), fixed(fresh)); err != nil || hit || got != fresh {
 		t.Fatalf("next request: res %p hit %v err %v, want a miss returning the fresh result", got, hit, err)
 	}
@@ -288,12 +300,12 @@ func TestResultCachePurgeFencesLateStore(t *testing.T) {
 // unregisters the fresh leader.
 func TestResultCachePurgeDetachesInflight(t *testing.T) {
 	c := newResultCache(4)
-	stale := &wikisearch.Result{Candidates: 1}
+	stale := &searchAnswer{candidates: 1}
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			<-gate
 			return stale, nil
 		})
@@ -303,12 +315,12 @@ func TestResultCachePurgeDetachesInflight(t *testing.T) {
 
 	// A post-purge leader, itself blocked, must own the key's call entry
 	// when the stale leader finishes.
-	fresh := &wikisearch.Result{Candidates: 2}
+	fresh := &searchAnswer{candidates: 2}
 	gate2 := make(chan struct{})
 	freshDone := make(chan struct{})
 	go func() {
 		defer close(freshDone)
-		got, hit, err := c.do(context.Background(), key("q"), func() (*wikisearch.Result, error) {
+		got, hit, err := c.do(context.Background(), key("q"), func() (*searchAnswer, error) {
 			<-gate2
 			return fresh, nil
 		})

@@ -38,6 +38,7 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -298,7 +299,9 @@ type V1SearchStats struct {
 }
 
 // V1SearchResponse is the /v1/search envelope: results and stats on
-// success, error on failure — never both.
+// success, error on failure — never both. The server writes a success
+// envelope itself (writeSearch), which keeps "results":[] for a search with
+// no answer; the type decodes every body.
 type V1SearchResponse struct {
 	Results []AnswerPayload `json:"results,omitempty"`
 	Stats   *V1SearchStats  `json:"stats,omitempty"`
@@ -311,27 +314,59 @@ type V1StatsResponse struct {
 	Error *V1Error       `json:"error,omitempty"`
 }
 
+// searchAnswer is one search as the service serves it: the answers,
+// encoded once as the compact JSON of the envelope's results array, and
+// the stats every request for the search shares. It is immutable once
+// built, so the cache hands one value to every hit and every waiter.
+type searchAnswer struct {
+	results    []byte // "[]" when the search found no answer
+	terms      []string
+	depth      int
+	candidates int
+	total      time.Duration
+}
+
+// newSearchAnswer encodes a search result for serving.
+func newSearchAnswer(res *wikisearch.Result) (*searchAnswer, error) {
+	b, err := json.Marshal(answerPayloads(res))
+	if err != nil {
+		return nil, err
+	}
+	return &searchAnswer{
+		results:    b,
+		terms:      res.Terms,
+		depth:      res.Depth,
+		candidates: res.Candidates,
+		total:      res.Total,
+	}, nil
+}
+
 // search runs one query through the cache (when enabled): repeated
 // identical queries are served from the LRU, and concurrent identical
-// queries share a single engine search.
-func (s *Server) search(ctx context.Context, q wikisearch.Query) (res *wikisearch.Result, hit bool, err error) {
+// queries share a single engine search and its encoded answer.
+func (s *Server) search(ctx context.Context, q wikisearch.Query) (ans *searchAnswer, hit bool, err error) {
+	run := func() (*searchAnswer, error) {
+		res, err := s.eng.Search(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return newSearchAnswer(res)
+	}
 	key, ok := cacheKey{}, false
 	if s.cache != nil {
 		key, ok = cacheKeyFor(q)
 	}
 	if !ok {
-		res, err = s.eng.Search(ctx, q)
-		return res, false, err
+		ans, err = run()
+		return ans, false, err
 	}
-	res, hit, err = s.cache.do(ctx, key, func() (*wikisearch.Result, error) {
-		return s.eng.Search(ctx, q)
-	})
+	ans, hit, err = s.cache.do(ctx, key, run)
 	if hit {
 		s.met.cacheHits.Inc()
 	} else {
 		s.met.cacheMisses.Inc()
 	}
-	return res, hit, err
+	return ans, hit, err
 }
 
 // parseSearchQuery builds a Query from the /v1/search parameters. The
@@ -341,19 +376,20 @@ func (s *Server) search(ctx context.Context, q wikisearch.Query) (res *wikisearc
 // range checks delegate to Query.Validate so the HTTP layer and the Go API
 // can never drift apart on what a legal query is.
 func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
-	text := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	text := params.Get("q")
 	if text == "" {
 		return wikisearch.Query{}, "missing q parameter"
 	}
-	k, err := intParam(r, "k", 20)
+	k, err := intParam(params, "k", 20)
 	if err != nil {
 		return wikisearch.Query{}, "k must be an integer"
 	}
-	alpha, err := floatParam(r, "alpha", 0.1)
+	alpha, err := floatParam(params, "alpha", 0.1)
 	if err != nil {
 		return wikisearch.Query{}, "alpha must be a number"
 	}
-	lambda, err := floatParam(r, "lambda", 0.2)
+	lambda, err := floatParam(params, "lambda", 0.2)
 	if err != nil {
 		return wikisearch.Query{}, "lambda must be a number"
 	}
@@ -374,9 +410,10 @@ func parseSearchQuery(r *http.Request) (wikisearch.Query, string) {
 	return q, ""
 }
 
-// answerPayloads converts a result's answer graphs to their JSON form.
+// answerPayloads converts a result's answer graphs to their JSON form. The
+// slice is never nil, so no answers encode as [], not null.
 func answerPayloads(res *wikisearch.Result) []AnswerPayload {
-	var out []AnswerPayload
+	out := make([]AnswerPayload, 0, len(res.Answers))
 	for i := range res.Answers {
 		a := &res.Answers[i]
 		ap := AnswerPayload{Central: a.CentralLabel, Score: a.Score, Depth: a.Depth}
@@ -400,7 +437,7 @@ func (s *Server) handleV1Search(w http.ResponseWriter, r *http.Request) {
 		s.v1Error(w, http.StatusBadRequest, "bad_request", msg)
 		return
 	}
-	res, hit, err := s.search(r.Context(), q)
+	ans, hit, err := s.search(r.Context(), q)
 	if err != nil {
 		s.v1SearchError(w, err)
 		return
@@ -410,21 +447,39 @@ func (s *Server) handleV1Search(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "MISS")
 	}
-	results := answerPayloads(res)
-	if results == nil {
-		results = []AnswerPayload{} // a success envelope always carries a results array
-	}
-	s.json(w, http.StatusOK, V1SearchResponse{
-		Results: results,
-		Stats: &V1SearchStats{
-			Query:      q.Text,
-			Terms:      res.Terms,
-			Depth:      res.Depth,
-			Candidates: res.Candidates,
-			TotalMs:    float64(res.Total) / float64(time.Millisecond),
-			Cached:     hit,
-		},
+	s.writeSearch(w, ans, q.Text, hit)
+}
+
+// writeSearch writes a /v1/search success envelope in one Write: the
+// answer's stored results array, then this request's stats, the only part
+// encoded per request. The body equals json.Encoder's encoding of the
+// V1SearchResponse, except that a search with no answer keeps its
+// "results":[] where omitempty would drop the key.
+func (s *Server) writeSearch(w http.ResponseWriter, ans *searchAnswer, query string, hit bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer jsonEncoders.Put(je)
+	je.buf.Reset()
+	je.buf.WriteString(`{"results":`)
+	je.buf.Write(ans.results)
+	je.buf.WriteString(`,"stats":`)
+	err := je.enc.Encode(&V1SearchStats{
+		Query:      query,
+		Terms:      ans.terms,
+		Depth:      ans.depth,
+		Candidates: ans.candidates,
+		TotalMs:    float64(ans.total) / float64(time.Millisecond),
+		Cached:     hit,
 	})
+	if err == nil {
+		je.buf.Truncate(je.buf.Len() - 1) // Encode's newline
+		je.buf.WriteString("}\n")
+		_, err = w.Write(je.buf.Bytes())
+	}
+	if err != nil {
+		s.log.Printf("server: encode: %v", err)
+	}
 }
 
 func (s *Server) handleV1Stats(w http.ResponseWriter, _ *http.Request) {
@@ -442,6 +497,9 @@ func (s *Server) v1SearchError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.timeouts.Inc()
 		s.v1Error(w, http.StatusGatewayTimeout, "timeout", "search deadline exceeded")
+	case errors.As(err, new(*json.UnsupportedValueError)): // a non-finite score
+		s.log.Printf("server: encode: %v", err)
+		s.v1Error(w, http.StatusInternalServerError, "internal", "internal server error")
 	default:
 		s.v1Error(w, http.StatusUnprocessableEntity, "unprocessable", err.Error())
 	}
@@ -489,7 +547,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Defaults match /v1/search's, so both endpoints share cache entries.
-	res, _, err := s.search(r.Context(), wikisearch.Query{
+	ans, _, err := s.search(r.Context(), wikisearch.Query{
 		Text: q, TopK: 20, Alpha: 0.1, Lambda: 0.2,
 	})
 	if err != nil {
@@ -503,18 +561,24 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	renderAnswers(w, res)
+	renderAnswers(w, ans)
 }
 
-// renderAnswers writes the index page's result list. Every string that
-// originates in graph data or the user's query is HTML-escaped.
-func renderAnswers(w io.Writer, res *wikisearch.Result) {
+// renderAnswers writes the index page's result list from the answer's
+// encoded results array, the same cache entry /v1/search serves. Every
+// string that originates in graph data or the user's query is
+// HTML-escaped.
+func renderAnswers(w io.Writer, ans *searchAnswer) {
+	var answers []AnswerPayload
+	if err := json.Unmarshal(ans.results, &answers); err != nil {
+		fmt.Fprintf(w, "<p>error: %s</p>", html.EscapeString(err.Error()))
+		return
+	}
 	fmt.Fprintf(w, "<p>%d answers in %v (d=%d, %d candidates)</p><ol>",
-		len(res.Answers), res.Total.Round(time.Microsecond), res.Depth, res.Candidates)
-	for i := range res.Answers {
-		a := &res.Answers[i]
+		len(answers), ans.total.Round(time.Microsecond), ans.depth, ans.candidates)
+	for _, a := range answers {
 		fmt.Fprintf(w, "<li><b>%s</b> (score %.4f, depth %d)<ul>",
-			html.EscapeString(a.CentralLabel), a.Score, a.Depth)
+			html.EscapeString(a.Central), a.Score, a.Depth)
 		for _, n := range a.Nodes {
 			kw := ""
 			if len(n.Keywords) > 0 {
@@ -527,10 +591,11 @@ func renderAnswers(w io.Writer, res *wikisearch.Result) {
 	fmt.Fprint(w, "</ol>")
 }
 
-// jsonEncoder is an indented JSON encoder writing into its own buffer. Both
-// the buffer and the encoder's indentation scratch keep their capacity
-// between responses, so a response's encoded bytes are no longer garbage
-// for the collector; the body goes out in the one Write Encode made.
+// jsonEncoder is a compact JSON encoder (HTML escaping on, the encoding/json
+// default) writing into its own buffer. The buffer keeps its capacity
+// between responses, so a response's bytes are no longer garbage for the
+// collector, and the body goes out in one Write. Every /v1 body is compact,
+// single-line JSON.
 type jsonEncoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -539,7 +604,6 @@ type jsonEncoder struct {
 var jsonEncoders = sync.Pool{New: func() any {
 	je := &jsonEncoder{}
 	je.enc = json.NewEncoder(&je.buf)
-	je.enc.SetIndent("", "  ")
 	return je
 }}
 
@@ -570,8 +634,8 @@ func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 // intParam parses an integer query parameter. An absent parameter yields
 // the default; a present but malformed one is an error, so clients hear
 // about typos instead of silently getting default behavior.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(params url.Values, name string, def int) (int, error) {
+	raw := params.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -580,8 +644,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 
 // floatParam parses a float query parameter with the same absent-versus-
 // malformed distinction as intParam.
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func floatParam(params url.Values, name string, def float64) (float64, error) {
+	raw := params.Get(name)
 	if raw == "" {
 		return def, nil
 	}

@@ -281,8 +281,12 @@ func TestRenderAnswersEscapesKeywords(t *testing.T) {
 			}},
 		}},
 	}
+	ans, err := newSearchAnswer(res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	renderAnswers(&b, res)
+	renderAnswers(&b, ans)
 	out := b.String()
 	for _, bad := range []string{"<script>", "<img", "<b>central</b>"} {
 		if strings.Contains(out, bad) {
