@@ -55,17 +55,14 @@ func queries(b *testing.B, knum int) []string {
 	return qs
 }
 
-// searchFunc is Engine.Search or one of the Central Graph comparators.
-type searchFunc func(*wikisearch.Engine, context.Context, wikisearch.Query) (*wikisearch.Result, error)
-
-var cpuPar searchFunc = (*wikisearch.Engine).Search
-
-func searchBench(b *testing.B, search searchFunc, knum, topk int, alpha float64, threads int) {
+// searchBench times Engine.Search, CPU-Par, over the workload of knum
+// keywords.
+func searchBench(b *testing.B, knum, topk int, alpha float64, threads int) {
 	e := env(b)
 	qs := queries(b, knum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := search(e.Eng, context.Background(), wikisearch.Query{
+		res, err := e.Eng.Search(context.Background(), wikisearch.Query{
 			Text: qs[i%len(qs)], TopK: topk, Alpha: alpha, Threads: threads,
 		})
 		if err != nil {
@@ -106,52 +103,34 @@ func BenchmarkFig3ActivationDistribution(b *testing.B) {
 }
 
 // BenchmarkExp1VaryKnum* — Fig. 6/7 series: one full query at the default
-// Knum=6 per variant (the sweep itself is benchrunner -exp exp1).
+// Knum=6 per variant (the sweep itself is benchrunner -exp exp1). The
+// comparison systems' series are in paper/bench_test.go.
 
 func BenchmarkExp1VaryKnumCPUPar(b *testing.B) {
-	searchBench(b, cpuPar, 6, 20, 0.1, 4)
-}
-
-func BenchmarkExp1VaryKnumGPUPar(b *testing.B) {
-	searchBench(b, (*wikisearch.Engine).SearchGPUPar, 6, 20, 0.1, 4)
-}
-
-func BenchmarkExp1VaryKnumCPUParDynamic(b *testing.B) {
-	searchBench(b, (*wikisearch.Engine).SearchCPUParD, 6, 20, 0.1, 4)
-}
-
-func BenchmarkExp1VaryKnumBANKS2(b *testing.B) {
-	e := env(b)
-	qs := queries(b, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Eng.SearchBANKS(wikisearch.Query{Text: qs[i%len(qs)], TopK: 20}, true, e.Cfg.BanksMaxVisits); err != nil {
-			b.Fatal(err)
-		}
-	}
+	searchBench(b, 6, 20, 0.1, 4)
 }
 
 // BenchmarkExp2VaryTopk — Fig. 8 row 1's extreme point (Topk=50).
 func BenchmarkExp2VaryTopk50(b *testing.B) {
-	searchBench(b, cpuPar, 6, 50, 0.1, 4)
+	searchBench(b, 6, 50, 0.1, 4)
 }
 
 // BenchmarkExp3VaryAlpha — Fig. 8 row 2's extreme points.
 func BenchmarkExp3VaryAlpha005(b *testing.B) {
-	searchBench(b, cpuPar, 6, 20, 0.05, 4)
+	searchBench(b, 6, 20, 0.05, 4)
 }
 
 func BenchmarkExp3VaryAlpha040(b *testing.B) {
-	searchBench(b, cpuPar, 6, 20, 0.4, 4)
+	searchBench(b, 6, 20, 0.4, 4)
 }
 
 // BenchmarkExp4VaryThreads — Fig. 9/10's endpoints: sequential vs Tnum=8.
 func BenchmarkExp4VaryThreadsT1(b *testing.B) {
-	searchBench(b, cpuPar, 6, 20, 0.1, 1)
+	searchBench(b, 6, 20, 0.1, 1)
 }
 
 func BenchmarkExp4VaryThreadsT8(b *testing.B) {
-	searchBench(b, cpuPar, 6, 20, 0.1, 8)
+	searchBench(b, 6, 20, 0.1, 8)
 }
 
 // BenchmarkTable4Storage — Table IV: storage accounting plus the §V-B
@@ -200,26 +179,6 @@ func BenchmarkFig11Effectiveness(b *testing.B) {
 		if p := oracle.PrecisionAtK(sets, 20); p < 0 || p > 1 {
 			b.Fatal("bad precision")
 		}
-	}
-}
-
-// BenchmarkFig12EffectivenessBANKS — the BANKS-II side of Fig. 11/12.
-func BenchmarkFig12EffectivenessBANKS(b *testing.B) {
-	e := env(b)
-	p := &e.KB.Planted[3]
-	oracle := eval.NewOracle(p, e.Ix)
-	q := strings.Join(p.Keywords, " ")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: 20}, true, e.Cfg.BanksMaxVisits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sets := make([][]graph.NodeID, 0, len(res.Trees))
-		for j := range res.Trees {
-			sets = append(sets, res.Trees[j].Nodes)
-		}
-		_ = oracle.PrecisionAtK(sets, 20)
 	}
 }
 

@@ -19,18 +19,17 @@ import (
 	"time"
 
 	"wikisearch/internal/bench"
-	"wikisearch/internal/blinks"
 )
 
 // experiments are the valid -exp names besides "all".
 var experiments = []string{
 	"table2", "fig3", "exp1", "exp2", "exp3", "exp4", "table4", "table5",
-	"fig11", "fig12", "ablation", "blinks", "scaling",
+	"fig11", "fig12", "ablation", "scaling",
 }
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ",")+" or 'all' (blinks and scaling are opt-in)")
+		exp     = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ",")+" or 'all' (scaling is opt-in)")
 		dataset = flag.String("dataset", "wiki2017-sim", "dataset for single-dataset experiments (exp1..exp4)")
 		queries = flag.Int("queries", 10, "queries averaged per setting (paper: 50)")
 		threads = flag.Int("threads", 8, "Tnum for efficiency experiments (paper default: 30)")
@@ -186,33 +185,6 @@ func main() {
 			})
 		}
 		show(rt)
-	}
-	if want["blinks"] { // opt-in feasibility study (not part of 'all')
-		if env == nil {
-			env = getEnv(*dataset)
-		}
-		rep, err := blinks.Feasibility(env.KB.Graph, env.Ix, []int{50, 100, 200}, 0)
-		if err != nil {
-			fatal(err)
-		}
-		t := bench.Table{
-			ID:     "blinks",
-			Title:  "BLINKS precomputation feasibility on " + env.KB.Name + " (§II's exclusion, measured)",
-			Header: []string{"indexed terms", "build time", "index bytes"},
-		}
-		for _, p := range rep.Points {
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", p.Terms),
-				fmt.Sprintf("%.2fs", p.BuildSeconds),
-				fmt.Sprintf("%.1fMB", float64(p.Bytes)/(1<<20)),
-			})
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d (full vocab, projected)", rep.FullVocabTerms),
-			fmt.Sprintf("%.0fs", rep.ProjectedSeconds),
-			fmt.Sprintf("%.1fGB", float64(rep.ProjectedBytes)/(1<<30)),
-		})
-		show(t)
 	}
 	if want["scaling"] { // opt-in: generates several graphs (not part of 'all')
 		t, _, err := bench.Scaling(cfg, nil)

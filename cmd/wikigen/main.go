@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"wikisearch"
+	"wikisearch/dataset"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 	t0 := time.Now()
 	switch {
 	case *importWD != "":
-		gr, st, err := wikisearch.ImportWikidataFile(*importWD)
+		gr, st, err := dataset.ImportWikidataFile(*importWD)
 		if err != nil {
 			fatal(err)
 		}
@@ -65,7 +66,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		gr, st, err := wikisearch.ImportNTriples(f)
+		gr, st, err := dataset.ImportNTriples(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -74,7 +75,7 @@ func main() {
 		fmt.Printf("imported %s: %d triples, %d edges, %d labels in %v\n",
 			*importNT, st.Triples, st.Edges, st.Labels, time.Since(t0).Round(time.Millisecond))
 	default:
-		ds, err := wikisearch.GenerateDataset(wikisearch.DatasetConfig{
+		ds, err := dataset.Generate(dataset.Config{
 			Preset:             *preset,
 			Name:               *name,
 			Nodes:              *nodes,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"wikisearch"
+	"wikisearch/paper"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func main() {
 		)
 		switch *variant {
 		case "banks1", "banks2":
-			bres, err := eng.SearchBANKS(query, *variant == "banks2", 500000)
+			bres, err := paper.BANKS(eng, query, *variant == "banks2", 500000)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				return
@@ -71,9 +72,9 @@ func main() {
 			query.Variant = wikisearch.Sequential
 			res, err = eng.Search(ctx, query)
 		case "cpu-d":
-			res, err = eng.SearchCPUParD(ctx, query)
+			res, err = paper.CPUParD(ctx, eng, query)
 		case "gpu":
-			res, err = eng.SearchGPUPar(ctx, query)
+			res, err = paper.GPUPar(ctx, eng, query)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
 			return

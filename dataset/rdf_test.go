@@ -1,9 +1,12 @@
-package wikisearch
+package dataset_test
 
 import (
 	"context"
 	"strings"
 	"testing"
+
+	"wikisearch"
+	"wikisearch/dataset"
 )
 
 func TestImportNTriplesPublic(t *testing.T) {
@@ -11,25 +14,25 @@ func TestImportNTriplesPublic(t *testing.T) {
 <http://kb/Q2> <http://www.w3.org/2000/01/rdf-schema#label> "RDF" .
 <http://kb/Q1> <http://kb/p/designedFor> <http://kb/Q2> .
 `
-	g, st, err := ImportNTriples(strings.NewReader(nt))
+	g, st, err := dataset.ImportNTriples(strings.NewReader(nt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Triples != 3 || st.Edges != 1 || st.Labels != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	eng, err := NewEngine(g, EngineOptions{DistanceSamplePairs: 10})
+	eng, err := wikisearch.NewEngine(g, wikisearch.EngineOptions{DistanceSamplePairs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Search(context.Background(), Query{Text: "sparql rdf"})
+	res, err := eng.Search(context.Background(), wikisearch.Query{Text: "sparql rdf"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) == 0 {
 		t.Fatal("no answers on imported RDF graph")
 	}
-	if _, _, err := ImportNTriples(strings.NewReader("garbage line\n")); err == nil {
+	if _, _, err := dataset.ImportNTriples(strings.NewReader("garbage line\n")); err == nil {
 		t.Fatal("malformed N-Triples accepted")
 	}
 }
@@ -40,28 +43,28 @@ func TestImportWikidataJSONPublic(t *testing.T) {
 {"type":"item","id":"Q2","labels":{"en":{"value":"query language"}}},
 {"type":"property","id":"P31","labels":{"en":{"value":"instance of"}}},
 ]`
-	g, st, err := ImportWikidataJSON(strings.NewReader(dump))
+	g, st, err := dataset.ImportWikidataJSON(strings.NewReader(dump))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Entities != 2 || st.Properties != 1 || st.Edges != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	eng, err := NewEngine(g, EngineOptions{DistanceSamplePairs: 10})
+	eng, err := wikisearch.NewEngine(g, wikisearch.EngineOptions{DistanceSamplePairs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Search(context.Background(), Query{Text: "sparql query language"})
+	res, err := eng.Search(context.Background(), wikisearch.Query{Text: "sparql query language"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Answers) == 0 {
 		t.Fatal("no answers on imported Wikidata graph")
 	}
-	if _, _, err := ImportWikidataJSON(strings.NewReader("{bad")); err == nil {
+	if _, _, err := dataset.ImportWikidataJSON(strings.NewReader("{bad")); err == nil {
 		t.Fatal("malformed dump accepted")
 	}
-	if _, _, err := ImportWikidataFile("/nonexistent/dump.json"); err == nil {
+	if _, _, err := dataset.ImportWikidataFile("/nonexistent/dump.json"); err == nil {
 		t.Fatal("missing dump file accepted")
 	}
 }

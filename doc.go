@@ -14,10 +14,14 @@
 // S(C) = d(C)^λ·Σw.
 //
 // The two-stage search is lock-free and runs on a multi-core worker pool
-// (CPU-Par), or sequentially. The paper's comparison systems — a lock-based
-// dynamic-memory variant (CPU-Par-d), a simulated SIMT device (GPU-Par),
-// both returning identical results, and the BANKS-I/II and exact GST
-// baselines — are separate methods in paper.go.
+// (CPU-Par), or sequentially. This package is the engine: search, live
+// mutation, save and load. Two packages serve other audiences and build on
+// it: wikisearch/dataset generates synthetic knowledge graphs and imports
+// RDF N-Triples and Wikidata dumps, and wikisearch/paper holds the paper's
+// comparison systems — a lock-based dynamic-memory variant (CPU-Par-d), a
+// simulated SIMT device (GPU-Par), both returning identical results, and
+// the BANKS-I/II and exact GST baselines — which run through
+// Engine.SearchWith.
 //
 // Basic usage:
 //

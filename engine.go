@@ -17,8 +17,8 @@ import (
 )
 
 // Graph is the knowledge graph the engine searches: a bi-directed,
-// node- and edge-labeled graph in CSR form. Build one with NewBuilder or
-// generate one with GenerateDataset.
+// node- and edge-labeled graph in CSR form. Build one with NewBuilder, or
+// generate or import one with package wikisearch/dataset.
 type Graph = graph.Graph
 
 // Builder incrementally assembles a Graph.
@@ -292,11 +292,6 @@ func (e *Engine) Close() error {
 	}
 	return e.dump.Close()
 }
-
-// VerifyDumpFile fully verifies a dump file, including the per-section
-// CRCs a load skips for instant startup. Use it after copying dumps between
-// machines.
-func VerifyDumpFile(path string) error { return storage.VerifyDumpFile(path) }
 
 // SetName sets the dataset name recorded in dumps.
 func (e *Engine) SetName(name string) { e.name = name }

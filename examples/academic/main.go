@@ -15,11 +15,13 @@ import (
 	"time"
 
 	"wikisearch"
+	"wikisearch/dataset"
+	"wikisearch/paper"
 )
 
 func main() {
 	fmt.Println("generating wiki2017-sim (≈60k nodes, ≈500k edges)...")
-	ds, err := wikisearch.GenerateDataset(wikisearch.DatasetConfig{Preset: "wiki2017-sim"})
+	ds, err := dataset.Generate(dataset.Config{Preset: "wiki2017-sim"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func main() {
 
 		// Same query through the lock-based dynamic variant: identical
 		// answers, slower expansion.
-		resD, err := eng.SearchCPUParD(context.Background(), wikisearch.Query{Text: q, TopK: 5})
+		resD, err := paper.CPUParD(context.Background(), eng, wikisearch.Query{Text: q, TopK: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func main() {
 
 		// BANKS-II baseline, visit-capped.
 		t0 := time.Now()
-		bres, err := eng.SearchBANKS(wikisearch.Query{Text: q, TopK: 5}, true, 100000)
+		bres, err := paper.BANKS(eng, wikisearch.Query{Text: q, TopK: 5}, true, 100000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,10 +13,12 @@ import (
 	"strings"
 
 	"wikisearch"
+	"wikisearch/dataset"
+	"wikisearch/paper"
 )
 
 func main() {
-	ds, err := wikisearch.GenerateDataset(wikisearch.DatasetConfig{Preset: "tiny-sim"})
+	ds, err := dataset.Generate(dataset.Config{Preset: "tiny-sim"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func main() {
 	}
 
 	// Use a planted effectiveness query so the ground truth is known.
-	var planted *wikisearch.PlantedQuery
+	var planted *dataset.PlantedQuery
 	for i := range ds.Planted {
 		if ds.Planted[i].ID == "Q4" {
 			planted = &ds.Planted[i]
@@ -64,7 +66,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- BANKS-II trees ---")
-	bres, err := eng.SearchBANKS(wikisearch.Query{Text: query, TopK: 5}, true, 50000)
+	bres, err := paper.BANKS(eng, wikisearch.Query{Text: query, TopK: 5}, true, 50000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // RDF import scenario: load a small N-Triples snippet — the export format
 // of Wikidata, Freebase and Yago (§I: these knowledge graphs "can all be
 // represented in an RDF graph") — and search it. This is the path a user
-// with real RDF data takes: ImportNTriples → NewEngine → Search.
+// with real RDF data takes: dataset.ImportNTriples → NewEngine → Search.
 //
 // Run with: go run ./examples/rdf
 package main
@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"wikisearch"
+	"wikisearch/dataset"
 )
 
 // A hand-written Wikidata-flavored snippet around query languages.
@@ -36,7 +37,7 @@ const triples = `
 `
 
 func main() {
-	g, stats, err := wikisearch.ImportNTriples(strings.NewReader(triples))
+	g, stats, err := dataset.ImportNTriples(strings.NewReader(triples))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,12 +18,13 @@ import (
 	"time"
 
 	"wikisearch"
+	"wikisearch/dataset"
 	"wikisearch/internal/server"
 )
 
 func main() {
 	// 1. Generate and persist a dataset.
-	ds, err := wikisearch.GenerateDataset(wikisearch.DatasetConfig{Preset: "tiny-sim"})
+	ds, err := dataset.Generate(dataset.Config{Preset: "tiny-sim"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"wikisearch/dataset"
+	"wikisearch/internal/core"
 	"wikisearch/internal/text"
 )
 
@@ -16,7 +18,7 @@ import (
 // Queries are randomized from real node labels so term matching, frontier
 // expansion and scoring all run over the zero-copy views.
 func TestFormatEquivalence(t *testing.T) {
-	ds, err := GenerateDataset(DatasetConfig{Preset: "tiny-sim", Seed: 42})
+	ds, err := dataset.Generate(dataset.Config{Preset: "tiny-sim", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,9 @@ func TestFormatEquivalence(t *testing.T) {
 		run  func(*Engine, context.Context, Query) (*Result, error)
 	}{
 		{"CPU-Par", (*Engine).Search},
-		{"CPU-Par-d", (*Engine).SearchCPUParD},
+		{"CPU-Par-d", func(e *Engine, ctx context.Context, q Query) (*Result, error) {
+			return e.SearchWith(ctx, q, core.SearchDynamic)
+		}},
 	}
 	for _, q := range equivalenceQueries(t, eng, 25) {
 		for _, s := range searches {

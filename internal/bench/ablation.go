@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wikisearch"
+	"wikisearch/paper"
 )
 
 // AblationStats aggregates answer-quality signals for one configuration.
@@ -152,7 +153,7 @@ func (e *Env) AblationBaselines(knum int) (Table, error) {
 			r.name = "BANKS-II"
 		}
 		for _, q := range queries {
-			res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, bidi, e.Cfg.BanksMaxVisits)
+			res, err := paper.BANKS(e.Eng, wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, bidi, e.Cfg.BanksMaxVisits)
 			if err != nil {
 				return t, err
 			}
@@ -168,7 +169,7 @@ func (e *Env) AblationBaselines(knum int) (Table, error) {
 	// visit-capped (its state space is n·2^l).
 	dp := row{name: "DPBF-Exact"}
 	for _, q := range queries {
-		res, err := e.Eng.SearchExactGST(wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, 400000)
+		res, err := paper.ExactGST(e.Eng, wikisearch.Query{Text: q, TopK: e.Cfg.TopK}, 400000)
 		if err != nil {
 			return t, err
 		}

@@ -15,6 +15,7 @@ import (
 	"wikisearch/internal/gen"
 	"wikisearch/internal/parallel"
 	"wikisearch/internal/text"
+	"wikisearch/paper"
 )
 
 // Config sizes a harness run. The defaults keep a full run laptop-friendly;
@@ -80,16 +81,9 @@ type Env struct {
 // NewEnv generates the dataset and prepares the engine.
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.Defaults()
-	var gcfg gen.Config
-	switch cfg.Preset {
-	case "wiki2017-sim":
-		gcfg = gen.Wiki2017Sim()
-	case "wiki2018-sim":
-		gcfg = gen.Wiki2018Sim()
-	case "tiny-sim":
-		gcfg = gen.TinySim()
-	default:
-		return nil, fmt.Errorf("bench: unknown preset %q", cfg.Preset)
+	gcfg, err := gen.Preset(cfg.Preset)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	kb := gen.Generate(gcfg)
 	eng, err := wikisearch.NewEngine(kb.Graph, wikisearch.EngineOptions{
@@ -144,21 +138,23 @@ func (e *Env) measure(variant string, queries []string, topk int, alpha float64,
 	if len(queries) == 0 {
 		return r, fmt.Errorf("bench: empty workload")
 	}
-	var search func(context.Context, wikisearch.Query) (*wikisearch.Result, error)
+	var search func(context.Context, *wikisearch.Engine, wikisearch.Query) (*wikisearch.Result, error)
 	switch variant {
 	case VBanks: // timed from its own result below
 	case VGPU:
-		search = e.Eng.SearchGPUPar
+		search = paper.GPUPar
 	case VCPU:
-		search = e.Eng.Search
+		search = func(ctx context.Context, e *wikisearch.Engine, q wikisearch.Query) (*wikisearch.Result, error) {
+			return e.Search(ctx, q)
+		}
 	case VCPUD:
-		search = e.Eng.SearchCPUParD
+		search = paper.CPUParD
 	default:
 		return r, fmt.Errorf("bench: unknown variant %q", variant)
 	}
 	for _, q := range queries {
 		if variant == VBanks {
-			res, err := e.Eng.SearchBANKS(wikisearch.Query{Text: q, TopK: topk}, true, e.Cfg.BanksMaxVisits)
+			res, err := paper.BANKS(e.Eng, wikisearch.Query{Text: q, TopK: topk}, true, e.Cfg.BanksMaxVisits)
 			if err != nil {
 				return r, err
 			}
@@ -169,7 +165,7 @@ func (e *Env) measure(variant string, queries []string, topk int, alpha float64,
 			}
 			continue
 		}
-		res, err := search(context.Background(), wikisearch.Query{Text: q, TopK: topk, Alpha: alpha, Threads: threads})
+		res, err := search(context.Background(), e.Eng, wikisearch.Query{Text: q, TopK: topk, Alpha: alpha, Threads: threads})
 		if err != nil {
 			return r, err
 		}

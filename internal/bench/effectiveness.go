@@ -8,6 +8,7 @@ import (
 	"wikisearch"
 	"wikisearch/internal/gen"
 	"wikisearch/internal/graph"
+	"wikisearch/paper"
 )
 
 // RepetitionStats quantifies §VI-B's repetition observation ("the node …
@@ -40,7 +41,7 @@ func (e *Env) Repetition(queryID string, k int) ([]RepetitionStats, error) {
 	queryText := strings.Join(p.Keywords, " ")
 
 	var out []RepetitionStats
-	bres, err := e.Eng.SearchBANKS(wikisearch.Query{Text: queryText, TopK: k}, true, e.Cfg.BanksMaxVisits)
+	bres, err := paper.BANKS(e.Eng, wikisearch.Query{Text: queryText, TopK: k}, true, e.Cfg.BanksMaxVisits)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +149,7 @@ func (e *Env) Effectiveness(alphas []float64, ks []int) ([]Table, []PrecisionCel
 		oracle := oracles[qi]
 
 		// BANKS-II answers once at the largest k.
-		bres, err := e.Eng.SearchBANKS(wikisearch.Query{Text: queryText, TopK: maxK}, true, e.Cfg.BanksMaxVisits)
+		bres, err := paper.BANKS(e.Eng, wikisearch.Query{Text: queryText, TopK: maxK}, true, e.Cfg.BanksMaxVisits)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: BANKS on %s: %w", p.ID, err)
 		}

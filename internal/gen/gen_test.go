@@ -242,7 +242,11 @@ func TestVocabSearchExact(t *testing.T) {
 }
 
 func TestPresetConfigs(t *testing.T) {
-	for _, cfg := range []Config{Wiki2017Sim(), Wiki2018Sim(), TinySim()} {
+	for _, name := range []string{"wiki2017-sim", "wiki2018-sim", "tiny-sim"} {
+		cfg, err := Preset(name)
+		if err != nil || cfg.Name != name {
+			t.Fatalf("Preset(%q) = %q, %v", name, cfg.Name, err)
+		}
 		d := cfg.defaults()
 		if d.Nodes <= 0 || d.AvgDegree <= 0 || d.VocabSize <= 0 {
 			t.Fatalf("%s: bad defaults %+v", cfg.Name, d)
@@ -250,6 +254,9 @@ func TestPresetConfigs(t *testing.T) {
 	}
 	if Wiki2018Sim().Nodes <= Wiki2017Sim().Nodes {
 		t.Fatal("wiki2018-sim must be larger than wiki2017-sim")
+	}
+	if _, err := Preset("nope"); err == nil {
+		t.Fatal("unknown preset accepted")
 	}
 }
 

@@ -88,6 +88,23 @@ func TinySim() Config {
 		VocabSize: 600, PlantEffectiveness: true}
 }
 
+// Preset returns the named built-in config: "wiki2017-sim", "wiki2018-sim"
+// or "tiny-sim". The empty name is the zero Config, which Generate fills
+// with its defaults.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "wiki2017-sim":
+		return Wiki2017Sim(), nil
+	case "wiki2018-sim":
+		return Wiki2018Sim(), nil
+	case "tiny-sim":
+		return TinySim(), nil
+	case "":
+		return Config{}, nil
+	}
+	return Config{}, fmt.Errorf("gen: unknown preset %q", name)
+}
+
 // PlantedQuery records one effectiveness query and its planted ground truth.
 type PlantedQuery struct {
 	ID       string   // "Q1" … "Q11"

@@ -13,7 +13,7 @@ import (
 )
 
 // Variant selects how Search runs the CPU-Par kernel. The paper's other
-// execution variants and baselines are separate methods (see paper.go).
+// execution variants and baselines are in package wikisearch/paper.
 type Variant int
 
 const (
@@ -151,13 +151,13 @@ type Result struct {
 }
 
 // Search answers a keyword query with the CPU-Par kernel, the one search
-// path the service runs; the paper's comparison systems are separate
-// methods (paper.go). The search aborts between levels if ctx is cancelled
-// (the online service uses this for request deadlines); a nil ctx runs
-// detached. Every call, failed ones included, adds exactly one trace to
-// Traces(), which the serving layer folds into its latency metrics.
-// Concurrent searches run independently, each on its own pooled search
-// state.
+// path the service runs; the paper's comparison systems run through
+// SearchWith (package wikisearch/paper). The search aborts between levels
+// if ctx is cancelled (the online service uses this for request
+// deadlines); a nil ctx runs detached. Every call, failed ones included,
+// adds exactly one trace to Traces(), which the serving layer folds into
+// its latency metrics. Concurrent searches run independently, each on its
+// own pooled search state.
 func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 	var (
 		events  []trace.Event
@@ -175,18 +175,25 @@ func (e *Engine) Search(ctx context.Context, q Query) (*Result, error) {
 	return res, err
 }
 
-// kernel runs both stages of the Central Graph search over one prepared
-// input.
-type kernel func(in core.Input, p core.Params) (*core.Result, error)
+// Kernel answers one prepared input. Its types are internal to this
+// module, so only the module's own packages can write one; package
+// wikisearch/paper passes the paper's comparison systems.
+type Kernel func(in core.Input, p core.Params) (*core.Result, error)
+
+// SearchWith answers q like Search, but with kern in place of the CPU-Par
+// kernel. It adds no trace: Traces() records only Search calls.
+func (e *Engine) SearchWith(ctx context.Context, q Query, kern Kernel) (*Result, error) {
+	res, _, err := e.runKernel(ctx, q, kern)
+	return res, err
+}
 
 // runKernel answers q with kern against the current epoch: it validates q,
 // pins the epoch for the whole search, resolves the knobs and terms,
 // applies the activation levels, runs kern and resolves the answers' text.
-// Search and the Central Graph comparators differ only in the kernel they
-// pass. The returned traceMeta carries the start time (taken before
-// validation), epoch, resolved params and terms for Search's trace, as far
-// as q got.
-func (e *Engine) runKernel(ctx context.Context, q Query, kern kernel) (*Result, traceMeta, error) {
+// Search and SearchWith differ only in the kernel they pass. The returned
+// traceMeta carries the start time (taken before validation), epoch,
+// resolved params and terms for Search's trace, as far as q got.
+func (e *Engine) runKernel(ctx context.Context, q Query, kern Kernel) (*Result, traceMeta, error) {
 	m := traceMeta{start: startNow()}
 	if err := q.Validate(); err != nil {
 		return nil, m, err

@@ -9,13 +9,15 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"wikisearch/dataset"
 )
 
 func TestLargeScaleSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping large-scale generation in -short mode")
 	}
-	ds, err := GenerateDataset(DatasetConfig{
+	ds, err := dataset.Generate(dataset.Config{
 		Name:      "scale-sim",
 		Nodes:     400000,
 		AvgDegree: 8,
