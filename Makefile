@@ -18,13 +18,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# wikilint runs the engine-specific analyzers (hotpathalloc, ctxhandler,
-# mmapview, singlewriter, lifecycle, durability and the directives
-# validator) over the whole module; see internal/analysis and DESIGN.md
-# §8/§11. Atomic-only access and no-copy need no analyzer: typed atomics
-# make a plain access fail to compile, and vet's copylocks check reports
-# copies of the noCopy-holding types. Warm runs replay from the
-# content-hash result cache; lint-cold forces a fresh analysis.
+# wikilint runs the engine-specific analyzers (ctxhandler, mmapview,
+# singlewriter, lifecycle, durability and the directives validator) over
+# the whole module; see internal/analysis and DESIGN.md §8/§11. Atomic-only
+# access, no-copy and the allocation-free search path need no analyzer:
+# typed atomics make a plain access fail to compile, vet's copylocks check
+# reports copies of the noCopy-holding types, and allocguard runs the warm
+# path. Warm runs replay from the content-hash result cache; lint-cold
+# forces a fresh analysis.
 lint:
 	$(GO) run ./cmd/wikilint ./...
 
@@ -34,9 +35,11 @@ lint-cold:
 race:
 	$(GO) test -race ./...
 
-# The zero-allocation guards use testing.AllocsPerRun, which the race
-# detector's instrumentation would break, so they skip under -race and run
-# here without it.
+# The zero-allocation guards (every test named *AllocationFree*) run each
+# branch of the warm search path — kernel, pool dispatch, per-edge
+# primitives, trace recording — and count its allocations with
+# testing.AllocsPerRun. The race detector's instrumentation would break the
+# count, so they skip under -race and run here without it.
 allocguard:
 	$(GO) test -run AllocationFree -count=1 . ./internal/core ./internal/graph ./internal/parallel ./internal/trace
 

@@ -1,21 +1,18 @@
 // Package analysis is a self-contained static-analysis driver and analyzer
 // suite enforcing the engine's invariants that neither the compiler nor go
-// vet can see: the zero-allocation kernel is only zero-allocation while
-// nobody adds an allocating construct to an annotated hot function, mmap
-// views must not outlive their mapping, single-writer buffers need one
-// owner. The lock-free and no-copy rules need no analyzer here: the shared
-// arrays hold sync/atomic.Uint64 words, which admit no plain access, and
-// the types that must stay put carry a noCopy field that go vet's copylocks
-// check reports copies of.
+// vet can see: mmap views must not outlive their mapping, single-writer
+// buffers need one owner, handlers thread their request context. The
+// lock-free and no-copy rules need no analyzer here: the shared arrays hold
+// sync/atomic.Uint64 words, which admit no plain access, and the types that
+// must stay put carry a noCopy field that go vet's copylocks check reports
+// copies of. Nor does the allocation-free search kernel: the AllocationFree
+// tests (make allocguard) run every branch of it and count its allocations.
 //
 // The driver is built on the standard library only (go/parser, go/types and
 // the go/importer source importer) — the repository's stdlib-only rule
 // excludes golang.org/x/tools. Source directives recognized by the suite
 // are documented in DESIGN.md §8 and §11:
 //
-//	//wikisearch:hotpath      func: must be transitively allocation-free
-//	//wikisearch:coldpath     func: stops the hotpath transitive walk
-//	//wikisearch:allocok      line: suppress one hotpathalloc finding
 //	//wikisearch:mmapview     func: may mint unsafe views over a mapping
 //	//wikisearch:viewholder   type: may hold mmap views; must reach a Close
 //	//wikisearch:singlewriter struct field: one annotated writer, reads via
@@ -70,7 +67,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotPathAllocAnalyzer,
 		CtxHandlerAnalyzer,
 		MmapViewAnalyzer,
 		SingleWriterAnalyzer,

@@ -5,9 +5,8 @@ import "testing"
 // TestRepositoryClean loads every package of this module — the same walk
 // cmd/wikilint performs — and asserts the analyzer suite reports nothing:
 // the tree's //wikisearch annotations and the invariants they promise hold.
-// A finding here means a hot path grew an allocation, an mmap view
-// escaped, a single-writer field gained a second writer, or a handler
-// stopped threading its request context.
+// A finding here means an mmap view escaped, a single-writer field gained
+// a second writer, or a handler stopped threading its request context.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

@@ -24,15 +24,12 @@ var DirectivesAnalyzer = &Analyzer{
 // annotate. "line" means a free-standing or trailing comment scoping one
 // statement.
 var directiveAttach = map[string][]string{
-	"hotpath":      {"func"},
-	"coldpath":     {"func"},
 	"mmapview":     {"func"},
 	"writer":       {"func"},
 	"drain":        {"func"},
 	"daemon":       {"func", "line"},
 	"viewholder":   {"type"},
 	"singlewriter": {"field"},
-	"allocok":      {"line"},
 	"volatile":     {"line"},
 }
 

@@ -23,14 +23,17 @@ func TestDirectivesFixture(t *testing.T) {
 		}
 	}
 	expected := map[string]string{
-		"//wikisearch:hotpath":    `misplaced directive //wikisearch:hotpath: applies to func declarations, found on a field`,
-		"//wikisearch:hotpth":     `unknown directive //wikisearch:hotpth`,
-		"// wikisearch:hotpath":   `malformed directive "// wikisearch:hotpath"`,
-		"//wikisearch:allocok":    `misplaced directive //wikisearch:allocok: applies to line declarations, found on a type`,
-		"//wikisearch:viewholder": `misplaced directive //wikisearch:viewholder: applies to type declarations, found on a field`,
-		"//wikisearch:writer":     `misplaced directive //wikisearch:writer: applies to func declarations, found on a type`,
-		"//wikisearch:atomic":     `unknown directive //wikisearch:atomic`,
-		"//wikisearch:nocopy":     `unknown directive //wikisearch:nocopy`,
+		"//wikisearch:mmapview":                      `misplaced directive //wikisearch:mmapview: applies to func declarations, found on a field`,
+		"//wikisearch:mmapvew":                       `unknown directive //wikisearch:mmapvew`,
+		"// wikisearch:mmapview":                     `malformed directive "// wikisearch:mmapview"`,
+		"//wikisearch:volatile":                      `misplaced directive //wikisearch:volatile: applies to line declarations, found on a type`,
+		"//wikisearch:viewholder":                    `misplaced directive //wikisearch:viewholder: applies to type declarations, found on a field`,
+		"//wikisearch:writer":                        `misplaced directive //wikisearch:writer: applies to func declarations, found on a type`,
+		"//wikisearch:atomic":                        `unknown directive //wikisearch:atomic`,
+		"//wikisearch:nocopy":                        `unknown directive //wikisearch:nocopy`,
+		"//wikisearch:hotpath":                       `unknown directive //wikisearch:hotpath`,
+		"//wikisearch:coldpath":                      `unknown directive //wikisearch:coldpath`,
+		"return make([]int, 8) //wikisearch:allocok": `unknown directive //wikisearch:allocok`,
 	}
 	diags := RunAnalyzers(prog, All())
 	lineText := fixtureLines(t, prog)

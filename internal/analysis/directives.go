@@ -18,7 +18,7 @@ type FuncInfo struct {
 }
 
 // Index is the module-wide directive and declaration index shared by the
-// analyzers: hotpathalloc walks call chains across packages through Funcs,
+// analyzers: lifecycle looks callees up across packages through Funcs,
 // mmapview consults the view-minting functions and viewholder types,
 // singlewriter the annotated fields.
 type Index struct {
@@ -34,14 +34,8 @@ type Index struct {
 	lines        map[string]map[string]map[int]bool // directive → file → line
 }
 
-// AllocOK reports whether the line holding pos carries a
-// //wikisearch:allocok suppression comment.
-func (ix *Index) AllocOK(fset *token.FileSet, pos token.Pos) bool {
-	return ix.LineDirective("allocok", fset, pos)
-}
-
 // LineDirective reports whether the line holding pos carries the given
-// line-scoped //wikisearch directive (allocok, daemon, volatile).
+// line-scoped //wikisearch directive (daemon, volatile).
 func (ix *Index) LineDirective(name string, fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	return ix.lines[name][p.Filename][p.Line]
@@ -50,7 +44,6 @@ func (ix *Index) LineDirective(name string, fset *token.FileSet, pos token.Pos) 
 // lineDirectives are the directives recorded by source line rather than by
 // declaration: they suppress or scope one finding at one site.
 var lineDirectives = map[string]bool{
-	"allocok":  true,
 	"daemon":   true,
 	"volatile": true,
 }
@@ -262,16 +255,6 @@ func keyOf(f *types.Func) string {
 	return funcKey(f.Pkg().Path(), recv, f.Name())
 }
 
-// isInterfaceMethod reports whether f is declared on an interface (so a
-// call through it is dynamic dispatch).
-func isInterfaceMethod(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return types.IsInterface(sig.Recv().Type())
-}
-
 // inspectWithStack walks root invoking fn with the ancestor stack; the
 // visited node is the top of the stack.
 func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
@@ -285,14 +268,6 @@ func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 		fn(n, stack)
 		return true
 	})
-}
-
-// parentOf returns the node above the current one, or nil.
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) < 2 {
-		return nil
-	}
-	return stack[len(stack)-2]
 }
 
 // isWriteTarget reports whether cur (below stack index i) is assigned to or

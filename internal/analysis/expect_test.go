@@ -127,7 +127,6 @@ func checkFixture(t *testing.T, name string) {
 	checkExpectations(t, prog, All())
 }
 
-func TestHotPathAllocFixture(t *testing.T) { checkFixture(t, "hotpathalloc") }
 func TestCtxHandlerFixture(t *testing.T)   { checkFixture(t, "ctxhandler") }
 func TestMmapViewFixture(t *testing.T)     { checkFixture(t, "mmapview") }
 func TestSingleWriterFixture(t *testing.T) { checkFixture(t, "singlewriter") }
@@ -147,8 +146,8 @@ func TestAnalyzerNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 7 {
-		t.Errorf("expected at least 7 analyzers, got %d", len(seen))
+	if len(seen) < 6 {
+		t.Errorf("expected at least 6 analyzers, got %d", len(seen))
 	}
 }
 

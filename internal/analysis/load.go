@@ -31,8 +31,7 @@ type Package struct {
 
 // Program is a loaded set of packages sharing one FileSet plus the
 // module-wide directive and function-declaration index the cross-package
-// analyzers (hotpathalloc's transitive walk, mmapview's minter lookup)
-// need.
+// analyzers (lifecycle's callee lookup, mmapview's minter lookup) need.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string // empty for fixture loads

@@ -11,32 +11,32 @@ import "sync/atomic"
 type Counter struct {
 	//wikisearch:singlewriter
 	hits uint64
-	//wikisearch:hotpath
-	miss uint64 // BAD: hotpath is a func directive, found on a field
+	//wikisearch:mmapview
+	miss uint64 // BAD: mmapview is a func directive, found on a field
 	//wikisearch:atomic
 	errs uint64 // BAD: retired directive
 }
 
 // Incr bumps the counter.
 //
-//wikisearch:hotpath
+//wikisearch:mmapview
 func Incr(c *Counter) {
 	atomic.AddUint64(&c.miss, 1)
 }
 
 // Typo carries a misspelled directive name.
 //
-//wikisearch:hotpth
+//wikisearch:mmapvew
 func Typo() {}
 
 // Spaced carries a directive detached by whitespace.
 //
-// wikisearch:hotpath
+// wikisearch:mmapview
 func Spaced() {}
 
 // Stray puts a line-only directive on a type.
 //
-//wikisearch:allocok
+//wikisearch:volatile
 type Stray struct{}
 
 // Field-level viewholder is stale: the directive applies to types.
@@ -56,3 +56,17 @@ type Pinned struct{}
 //
 //wikisearch:writer
 type StrayWriter struct{}
+
+// Hot carries the retired hotpath and coldpath directives, and one line
+// the retired allocok directive: the allocation guards, which run the
+// search kernel and count its allocations, replaced them.
+//
+//wikisearch:hotpath
+func Hot() []int {
+	return make([]int, 8) //wikisearch:allocok
+}
+
+// Cold carries the retired coldpath directive.
+//
+//wikisearch:coldpath
+func Cold() {}

@@ -167,8 +167,6 @@ func newState(in Input, p Params, pool *parallel.Pool) *state {
 }
 
 // initKeyword is the per-keyword initialization task run by worker w.
-//
-//wikisearch:hotpath
 func (s *state) initKeyword(w, i int) {
 	sc := &s.scratch[w]
 	for _, v := range s.in.Sources[i] {
@@ -182,8 +180,6 @@ func (s *state) initKeyword(w, i int) {
 // across workers partition the dirty words exactly (the atomic OR linearizes
 // the empty→non-empty transition), so enqueueFrontiers drains only dirty
 // words instead of scanning and resetting the whole O(n) bitset per level.
-//
-//wikisearch:hotpath
 func (s *state) markFrontier(sc *workerScratch, v graph.NodeID) {
 	if wi, first := s.fid.SetTouch(int(v)); first {
 		sc.touched = append(sc.touched, int32(wi))
@@ -198,8 +194,6 @@ func (s *state) markFrontier(sc *workerScratch, v graph.NodeID) {
 // the per-worker touched lists, sorting them and draining each word in
 // ascending order yields the same canonical ascending frontier as a full
 // bitset scan at O(frontier) instead of O(n) cost.
-//
-//wikisearch:hotpath
 func (s *state) enqueueFrontiers() {
 	tw := s.touchedWords[:0]
 	for i := range s.scratch {
@@ -216,8 +210,6 @@ func (s *state) enqueueFrontiers() {
 }
 
 // identifyOne tests frontier entry i for the Central Node condition.
-//
-//wikisearch:hotpath
 func (s *state) identifyOne(i int) {
 	v := graph.NodeID(s.frontier[i])
 	gr := &s.gr
@@ -264,8 +256,6 @@ func (s *state) expand() {
 // per-worker scratch; cells of that row can concurrently flip ∞ → l+1, but
 // both values exclude the column from the active set, so the snapshot
 // decides identically to a just-in-time read.
-//
-//wikisearch:hotpath
 func (s *state) expandChunk(w, start, end int) {
 	sc := &s.scratch[w]
 	g := s.in.G
@@ -355,8 +345,6 @@ func (s *state) expandChunk(w, start, end int) {
 
 // visitOne is visit specialized to a single active column i; it performs
 // the identical writes, so the two paths are interchangeable.
-//
-//wikisearch:hotpath
 func (s *state) visitOne(sc *workerScratch, vn graph.NodeID, i, l int) (retry bool) {
 	if s.m.Get(vn, i) != Infinity {
 		return false
@@ -376,8 +364,6 @@ func (s *state) visitOne(sc *workerScratch, vn graph.NodeID, i, l int) (retry bo
 // yet. Non-keyword nodes respect their activation level — they can only be
 // hit once the next level reaches it; until then the expanding frontier is
 // retained so the expansion retries (§IV-B).
-//
-//wikisearch:hotpath
 func (s *state) visit(sc *workerScratch, vn graph.NodeID, active uint64, l int) (retry bool) {
 	todo := active & s.m.MissMask(vn)
 	if todo == 0 {
@@ -389,8 +375,6 @@ func (s *state) visit(sc *workerScratch, vn graph.NodeID, active uint64, l int) 
 // visitTodo finishes a visit whose not-yet-hit active columns (todo, non-
 // empty) and keyword columns (kw, see Matrix.KeywordMask) have already been
 // computed.
-//
-//wikisearch:hotpath
 func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo, kw uint64, l int) (retry bool) {
 	if kw == 0 && int(s.in.Levels[vn]) > l+1 {
 		return true

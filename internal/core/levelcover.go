@@ -20,8 +20,6 @@ import "math/bits"
 // Both halves are linear in the extraction: the levels come from a counting
 // sort on containment count, the reachability pass walks a child list
 // counting-sorted from the edge records.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) levelCover(all uint64) {
 	n := len(sc.ids)
 	sc.keep = fit(sc.keep, n)

@@ -62,20 +62,14 @@ func (m *Matrix) dimension(n, q int, fresh bool) {
 func (m *Matrix) Q() int { return m.q }
 
 // Get returns the hitting level of node v for keyword j.
-//
-//wikisearch:hotpath
 func (m *Matrix) Get(v graph.NodeID, j int) uint8 { return m.cells.Get(int(v)*m.stride + j) }
 
 // Set stores the hitting level of node v for keyword j.
-//
-//wikisearch:hotpath
 func (m *Matrix) Set(v graph.NodeID, j int, level uint8) { m.cells.Set(int(v)*m.stride+j, level) }
 
 // MarkHit stores the hitting level of node v for keyword j with a single
 // atomic AND (no CAS loop). Valid only for the search's ∞ → level transition
 // — the cell must currently be Infinity or already hold level.
-//
-//wikisearch:hotpath
 func (m *Matrix) MarkHit(v graph.NodeID, j int, level uint8) {
 	m.cells.SetMonotone(int(v)*m.stride+j, level)
 }
@@ -85,46 +79,15 @@ func (m *Matrix) MarkHit(v graph.NodeID, j int, level uint8) {
 // across all keyword columns, in a single operation. Valid only under
 // MarkHit's ∞ → level precondition and only when the row fits one word
 // (q ≤ 8, i.e. WordsPerRow() == 1).
-//
-//wikisearch:hotpath
 func (m *Matrix) MarkHitsWord(v graph.NodeID, colMask uint64, level uint8) {
 	m.cells.SetMonotoneFlags(int(v), colMask, level)
 }
 
-// Hit reports whether node v has been hit by BFS instance j.
-//
-//wikisearch:hotpath
-func (m *Matrix) Hit(v graph.NodeID, j int) bool { return m.Get(v, j) != Infinity }
-
 // AllHit reports whether node v has been hit by every BFS instance — the
 // Central Node condition of Definition 3.
-//
-//wikisearch:hotpath
 func (m *Matrix) AllHit(v graph.NodeID) bool { return m.MissMask(v) == 0 }
 
-// MaxHit returns the largest finite hitting level of node v — the Central
-// Graph depth of Eq. 1 when v is central. The second return is false when
-// some instance never hit v.
-//
-//wikisearch:hotpath
-func (m *Matrix) MaxHit(v graph.NodeID) (uint8, bool) {
-	var mx uint8
-	base := int(v) * m.stride
-	for j := 0; j < m.q; j++ {
-		h := m.cells.Get(base + j)
-		if h == Infinity {
-			return 0, false
-		}
-		if h > mx {
-			mx = h
-		}
-	}
-	return mx, true
-}
-
 // Row copies node v's hitting levels into dst (len q) with word-wide loads.
-//
-//wikisearch:hotpath
 func (m *Matrix) Row(v graph.NodeID, dst []uint8) {
 	m.cells.LoadRow(int(v)*m.stride, dst)
 }
@@ -133,21 +96,15 @@ func (m *Matrix) Row(v graph.NodeID, dst []uint8) {
 // BFS instance j (cell == Infinity). Thanks to the padded stride one aligned
 // word-wide load covers eight columns, so the flattened kernel tests all q
 // instances of a neighbor in one or two loads instead of q point reads.
-//
-//wikisearch:hotpath
 func (m *Matrix) MissMask(v graph.NodeID) uint64 { return m.matchRow(v, Infinity) }
 
 // KeywordMask returns a bitmask with bit j set iff node v contains keyword
 // j (v ∈ T_j). Only Initialization writes a 0 and every hit writes l+1 ≥ 1,
 // so a row's zero cells are exactly its keyword columns at any point of a
 // search, and the matrix doubles as the containment array.
-//
-//wikisearch:hotpath
 func (m *Matrix) KeywordMask(v graph.NodeID) uint64 { return m.matchRow(v, 0) }
 
 // matchRow returns the columns of node v's row whose cell equals b.
-//
-//wikisearch:hotpath
 func (m *Matrix) matchRow(v graph.NodeID, b uint8) uint64 {
 	wi := int(v) * (m.stride >> 3)
 	mask := m.cells.MatchWord(wi, b)
@@ -159,15 +116,11 @@ func (m *Matrix) matchRow(v graph.NodeID, b uint8) uint64 {
 
 // WordsPerRow returns the number of uint64 words a padded row spans (1 for
 // q ≤ 8 — the common case the expansion kernel specializes for).
-//
-//wikisearch:hotpath
 func (m *Matrix) WordsPerRow() int { return m.stride >> 3 }
 
 // Words exposes the backing words, one row per WordsPerRow() words. Hot
 // loops combine it with parallel.MatchFlags to test a whole row per atomic
 // load without any call overhead; everything else should use the cell API.
-//
-//wikisearch:hotpath
 func (m *Matrix) Words() []atomic.Uint64 { return m.cells.Words() }
 
 // ByteSize returns the matrix footprint in bytes (including row padding),

@@ -21,16 +21,16 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	for v := graph.NodeID(0); v < 10; v++ {
 		for j := 0; j < 3; j++ {
-			if m.Hit(v, j) {
+			if m.Get(v, j) != Infinity {
 				t.Fatal("fresh matrix has hits")
 			}
 		}
 	}
 	m.Set(4, 1, 7)
-	if !m.Hit(4, 1) || m.Get(4, 1) != 7 {
+	if m.Get(4, 1) != 7 {
 		t.Fatal("Set/Get broken")
 	}
-	if m.Hit(4, 0) || m.Hit(4, 2) {
+	if m.Get(4, 0) != Infinity || m.Get(4, 2) != Infinity {
 		t.Fatal("neighbor columns disturbed")
 	}
 	if m.AllHit(4) {
@@ -41,12 +41,8 @@ func TestMatrixBasics(t *testing.T) {
 	if !m.AllHit(4) {
 		t.Fatal("AllHit false after all columns set")
 	}
-	mx, ok := m.MaxHit(4)
-	if !ok || mx != 7 {
-		t.Fatalf("MaxHit = %d,%v", mx, ok)
-	}
-	if _, ok := m.MaxHit(5); ok {
-		t.Fatal("MaxHit true for unhit node")
+	if mm := m.MissMask(5); mm != 0b111 {
+		t.Fatalf("MissMask of an unhit node = %b", mm)
 	}
 	row := make([]uint8, 3)
 	m.Row(4, row)

@@ -70,31 +70,46 @@ func TestPooledStateReuse(t *testing.T) {
 // TestSearchPathAllocationFree is the zero-allocation guard: on a warm
 // SearchState, the whole kernel path — parameter resolution, state reset,
 // source initialization and every bottom-up level — performs zero heap
-// allocations, sequentially and with a worker pool.
+// allocations, sequentially and with a worker pool. The wide scenarios
+// (≥ 9 keywords) take the two-word-row branches of the expansion kernel.
 func TestSearchPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
+	scenarios := []struct {
+		name  string
+		build func(testing.TB, int64) (Input, Params)
+		seeds []int64
+	}{
+		{"narrow", randomScenario, []int64{7, 11}},
+		{"wide", wideScenario, []int64{1, 2, 3, 4, 5}},
+	}
 	for _, tn := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", tn), func(t *testing.T) {
-			in, p := randomScenario(t, 7)
-			p.Threads = tn
-			ss := NewSearchState()
-			defer ss.Close()
-			// Tracing on: the span record path must be allocation-free too.
-			ss.SetTracing(true)
-			for i := 0; i < 3; i++ { // warm buffers, workers and caps
-				if _, err := ss.Search(in, p); err != nil {
-					t.Fatal(err)
+			for _, sn := range scenarios {
+				for _, seed := range sn.seeds {
+					t.Run(fmt.Sprintf("%s/seed=%d", sn.name, seed), func(t *testing.T) {
+						in, p := sn.build(t, seed)
+						p.Threads = tn
+						ss := NewSearchState()
+						defer ss.Close()
+						// Tracing on: the span record path must be allocation-free too.
+						ss.SetTracing(true)
+						for i := 0; i < 3; i++ { // warm buffers, workers and caps
+							if _, err := ss.Search(in, p); err != nil {
+								t.Fatal(err)
+							}
+						}
+						allocs := testing.AllocsPerRun(50, func() {
+							if _, err := ss.BottomUp(in, p); err != nil {
+								t.Fatal(err)
+							}
+						})
+						if allocs != 0 {
+							t.Fatalf("warm bottom-up stage allocates %.1f times per query, want 0", allocs)
+						}
+					})
 				}
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := ss.BottomUp(in, p); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm bottom-up stage allocates %.1f times per query, want 0", allocs)
 			}
 		})
 	}

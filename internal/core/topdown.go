@@ -128,7 +128,7 @@ type tdScratch struct {
 // fit returns s re-sliced to n zeroed elements, reallocating only to grow.
 func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n, n+n/2) //wikisearch:allocok grows to the worker's largest extraction, then never
+		return make([]T, n, n+n/2)
 	}
 	s = s[:n]
 	clear(s)
@@ -136,8 +136,6 @@ func fit[T any](s []T, n int) []T {
 }
 
 // begin starts a new extraction centered at vc.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) begin(qc *tdQuery, vc graph.NodeID) {
 	sc.ids = sc.ids[:0]
 	sc.has = sc.has[:0]
@@ -155,11 +153,9 @@ func (sc *tdScratch) begin(qc *tdQuery, vc graph.NodeID) {
 // window re-opens the id table empty with n slots (a power of two): a new
 // generation invalidates every cell at once, so no cell is ever cleared
 // except when the 32-bit stamp wraps.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) window(n int) {
 	if len(sc.slots) < n {
-		sc.slots = make([]idSlot, n) //wikisearch:allocok doubles up to 2×MaxGraphNodes, then never
+		sc.slots = make([]idSlot, n) // doubles up to 2×MaxGraphNodes, then never
 		sc.gen = 0
 	}
 	sc.mask = uint32(n - 1)
@@ -173,8 +169,6 @@ func (sc *tdScratch) window(n int) {
 
 // find probes the id table for v: local is v's index, or −1 with slot the
 // cell where v belongs.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) find(v graph.NodeID) (slot uint32, local int32) {
 	i := (uint32(v) * fibHash) >> sc.shift
 	for {
@@ -191,8 +185,6 @@ func (sc *tdScratch) find(v graph.NodeID) (slot uint32, local int32) {
 
 // insert admits v, absent from the table, at the cell find returned. The
 // window doubles before it is half full, so probes stay short.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) insert(qc *tdQuery, slot uint32, v graph.NodeID) int32 {
 	l := int32(len(sc.ids))
 	sc.slots[slot] = idSlot{key: v, gen: sc.gen, val: l}
@@ -214,8 +206,6 @@ func (sc *tdScratch) insert(qc *tdQuery, slot uint32, v graph.NodeID) int32 {
 // keywords new to vn put it (back) on the worklist. A vn the extraction has
 // not seen is admitted unless the MaxGraphNodes cap is reached; a refused
 // node marks the extraction truncated and leaves no trace in it.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) addParent(qc *tdQuery, vn graph.NodeID, child int32, rel graph.RelID, forward bool, pm uint64) {
 	slot, l := sc.find(vn)
 	if l < 0 {
@@ -243,8 +233,6 @@ func (sc *tdScratch) addParent(qc *tdQuery, vn graph.NodeID, child int32, rel gr
 // last-found first. A walk that hits the cap is therefore abandoned and
 // redone one keyword at a time, which reproduces that order; it depends on
 // the matrix alone, never on Tnum or scheduling.
-//
-//wikisearch:hotpath
 func (s *state) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
 	depth := 0
 	for i := 0; i < qc.q; i++ {
@@ -278,8 +266,6 @@ func (s *state) extract(sc *tdScratch, qc *tdQuery, vc graph.NodeID) int {
 // h_i(vf) = 1 + max(a_n, h_i(vn)) when vf contains query keywords, or
 // 1 + max(a_n, h_i(vn), a_f − 1) when it does not. All qualifying parents
 // are taken, which is what yields multi-path answers.
-//
-//wikisearch:hotpath
 func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 	vf := sc.ids[vfl]
 	// want[i] = h_i(vf) − 1: what max(a_n, h_i(vn)[, a_f − 1]) must equal.
@@ -355,8 +341,6 @@ func (s *state) parents(sc *tdScratch, qc *tdQuery, vfl int32, kws uint64) {
 func (s *state) row(qc *tdQuery, v graph.NodeID, dst []uint8) { s.m.Row(v, dst) }
 
 // keywords reads v's containment from the zero cells of its matrix row.
-//
-//wikisearch:hotpath
 func (s *state) keywords(qc *tdQuery, v graph.NodeID) uint64 {
 	return s.m.KeywordMask(v) & qc.all
 }
@@ -378,8 +362,6 @@ type tdRecord struct {
 // reduces it to rec. The weights are summed Central Node first, then
 // ascending node id — the node order of the assembled Answer — so the score
 // is bit-stable across thread counts and scheduling.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) score(qc *tdQuery, rec *tdRecord, depth int) {
 	sc.prune(qc)
 	start := len(sc.arena)
@@ -410,8 +392,6 @@ func (sc *tdScratch) score(qc *tdQuery, rec *tdRecord, depth int) {
 
 // prune fills sc.keep for the extraction in sc: level-cover, or everything
 // when the query ablates it.
-//
-//wikisearch:hotpath
 func (sc *tdScratch) prune(qc *tdQuery) {
 	if !qc.noLevelCover {
 		sc.levelCover(qc.all)
@@ -557,7 +537,6 @@ func (r *tdRun) end() {
 
 // scoreOne extracts, prunes and scores centrals[i] on worker w's scratch.
 //
-//wikisearch:hotpath
 //wikisearch:writer
 func (r *tdRun) scoreOne(w, i int) {
 	if ctxErr(r.qc.ctx) != nil {
@@ -573,7 +552,6 @@ func (r *tdRun) scoreOne(w, i int) {
 // one or more Central Graphs", §V-C), each worker on its own scratch. On a
 // warm state it allocates nothing.
 //
-//wikisearch:hotpath
 //wikisearch:writer
 func (r *tdRun) scoreAll(pool *parallel.Pool) {
 	for w := range r.td {

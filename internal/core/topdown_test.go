@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"wikisearch/internal/graph"
@@ -115,17 +117,64 @@ func TestTopDownRunEndsWithoutPinningArenas(t *testing.T) {
 const topDownAllocsPerAnswer = 5
 
 // TestTopDownScoringAllocationFree: on a warm state the scoring pass over
-// every Central Graph allocates nothing, and a whole top-down stage
-// allocates for the ≤ k answers it returns — the same bound at 47 and at
-// 1577 candidates.
+// every Central Graph allocates nothing — also on two-word matrix rows,
+// when the MaxGraphNodes cap truncates extractions, with level-cover
+// ablated, across the id table's generation wrap and once the query is
+// cancelled — and a whole top-down stage allocates for the ≤ k answers it
+// returns, the same bound at 47 and at 1577 candidates.
 func TestTopDownScoringAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
-	for _, perKeyword := range []int{3, 8} {
+	sized := func(perKeyword int, tweak func(*Params)) func(testing.TB) (Input, Params) {
+		return func(tb testing.TB) (Input, Params) {
+			in, p := benchScenarioSized(tb, perKeyword)
+			tweak(&p)
+			return in, p
+		}
+	}
+	// answers is what the stage returns: k, or fewer where the cap
+	// truncates Central Graphs until they no longer cover every keyword.
+	cases := []struct {
+		name    string
+		build   func(testing.TB) (Input, Params)
+		answers int
+	}{
+		{"sources=3", sized(3, func(*Params) {}), 20},
+		{"sources=8", sized(8, func(*Params) {}), 20},
+		{"sources=8/capped", sized(8, func(p *Params) { p.MaxGraphNodes = 12 }), 17},
+		{"sources=8/no-level-cover", sized(8, func(p *Params) { p.DisableLevelCover = true }), 20},
+		// Its one Central Graph outgrows the id table's first window.
+		{"giant", giantScenario, 0},
+		// Ten or more keywords (two-word matrix rows), and parents that
+		// were Central Nodes too early to have expanded.
+		{"wide", func(tb testing.TB) (Input, Params) { return wideScenario(tb, 3) }, 7},
+		// A published delta: every 8th node's adjacency read from the overlay.
+		{"sources=3/overlay", func(tb testing.TB) (Input, Params) {
+			in, p := benchScenarioSized(tb, 3)
+			d := graph.NewDeltaBuilder(in.G)
+			r := d.Rel("a")
+			for v := 0; v < in.G.NumNodes(); v += 8 {
+				dst, rel := in.G.OutEdges(graph.NodeID(v))
+				if len(dst) > 0 {
+					if err := d.RemoveEdge(graph.NodeID(v), dst[0], rel[0]); err != nil {
+						tb.Fatal(err)
+					}
+				}
+				if err := d.AddEdge(graph.NodeID(v), graph.NodeID((v*7+1)%in.G.NumNodes()), r); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			in.G = d.Overlay()
+			return in, p
+		}, 20},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range cases {
 		for _, tn := range []int{1, 4} {
-			t.Run(fmt.Sprintf("sources=%d/threads=%d", perKeyword, tn), func(t *testing.T) {
-				in, p := benchScenarioSized(t, perKeyword)
+			t.Run(fmt.Sprintf("%s/threads=%d", c.name, tn), func(t *testing.T) {
+				in, p := c.build(t)
 				p.Threads = tn
 				ss := NewSearchState()
 				defer ss.Close()
@@ -150,16 +199,33 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 						s.tdr.scoreOne(w, i)
 					}
 				}
-				allocs := testing.AllocsPerRun(10, func() { s.tdr.scoreAll(s.pool) })
-				s.tdr.end()
-				if allocs != 0 {
-					t.Fatalf("warm scoring pass over %d centrals allocates %.1f times, want 0", len(gr.centrals), allocs)
+				passes := []struct {
+					name  string
+					setup func()
+				}{
+					{"scoring pass", func() {}},
+					{"scoring pass across the generation wrap", func() {
+						for w := range s.tdr.td {
+							s.tdr.td[w].gen = math.MaxUint32
+						}
+					}},
+					{"cancelled scoring pass", func() { s.tdr.qc.ctx = cancelled }},
 				}
+				for _, ps := range passes {
+					allocs := testing.AllocsPerRun(10, func() {
+						ps.setup()
+						s.tdr.scoreAll(s.pool)
+					})
+					if allocs != 0 {
+						t.Fatalf("warm %s over %d centrals allocates %.1f times, want 0", ps.name, len(gr.centrals), allocs)
+					}
+				}
+				s.tdr.end()
 
 				var answers []*Answer
-				allocs = testing.AllocsPerRun(10, func() { answers, _ = s.topDown() })
-				if len(answers) != p.TopK {
-					t.Fatalf("%d answers from %d centrals, want k = %d", len(answers), len(gr.centrals), p.TopK)
+				allocs := testing.AllocsPerRun(10, func() { answers, _ = s.topDown() })
+				if len(answers) != c.answers {
+					t.Fatalf("%d answers from %d centrals, want %d", len(answers), len(gr.centrals), c.answers)
 				}
 				if bound := float64(topDownAllocsPerAnswer * p.TopK); allocs > bound {
 					t.Fatalf("warm top-down over %d centrals allocates %.1f times, want ≤ %d·k = %.0f",

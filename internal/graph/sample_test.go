@@ -123,26 +123,39 @@ func TestDistanceScratchStampWrap(t *testing.T) {
 }
 
 // TestDistanceScratchAllocationFree: once a worker's scratch frontiers have
-// grown, a per-pair distance allocates nothing.
+// grown, a per-pair distance allocates nothing: for connected, unreachable
+// and identical pairs, and across the generation stamp's wrap.
 func TestDistanceScratchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
-	g, _ := randomGraph(t, 2000, 12000, 3)
+	// Sparse, so that some random pairs (8 of these 64) lie in different
+	// components.
+	g, _ := randomGraph(t, 2000, 2400, 3)
 	sc := newDistScratch(g.NumNodes())
 	rng := rand.New(rand.NewSource(3))
 	pairs := make([][2]NodeID, 64)
+	unreachable := 0
 	for i := range pairs {
 		pairs[i] = [2]NodeID{NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))}
-		sc.distance(g, pairs[i][0], pairs[i][1]) // warm: grow the frontiers
+		if i == 1 {
+			pairs[i][1] = pairs[i][0]
+		}
+		if sc.distance(g, pairs[i][0], pairs[i][1]) < 0 { // warm: grow the frontiers
+			unreachable++
+		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p := pairs[i%len(pairs)]
-		sc.distance(g, p[0], p[1])
-		i++
+	if unreachable == 0 {
+		t.Fatal("no unreachable pair")
+	}
+	// AllocsPerRun rounds the mean down, so every run takes every branch.
+	allocs := testing.AllocsPerRun(20, func() {
+		sc.gen = math.MaxUint32 // the first distance wraps the stamp
+		for _, p := range pairs {
+			sc.distance(g, p[0], p[1])
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm per-pair distance allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm distances over %d pairs allocate %.1f times per run, want 0", len(pairs), allocs)
 	}
 }

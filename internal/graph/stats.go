@@ -55,8 +55,6 @@ func (sc *distScratch) mark(b *bfsSide, n NodeID, depth int32) {
 // once the two searched depths cover the best meeting distance found. Once
 // the scratch's frontiers have grown to the largest level seen, a call
 // allocates nothing.
-//
-//wikisearch:hotpath
 func (sc *distScratch) distance(g *Graph, s, t NodeID) int {
 	if s == t {
 		return 0

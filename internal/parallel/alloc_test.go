@@ -6,45 +6,48 @@ import (
 )
 
 // These guards pin the primitives' steady-state allocation behavior, which
-// the engine's warm-query zero-allocation property (and wikilint's
-// //wikisearch:hotpath annotations) are built on. They measure the warm
-// state: pools after the helper spawn, bitsets and byte arrays after the
-// backing storage has grown to capacity.
+// the engine's warm-query zero-allocation property is built on. They
+// measure the warm state: pools after the helper spawn, bitsets and byte
+// arrays after the backing storage has grown to capacity.
 
 // TestPoolForAllocationFree: a warm pool dispatches For/ForWorker/ForChunks
 // phases without allocating — the phase descriptor is a reused field and the
-// bodies are prebound.
+// bodies are prebound — and so do empty phases and a one-worker pool's
+// plain loops.
 func TestPoolForAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
-	p := NewPool(4)
-	defer p.Close()
 	var sink atomic.Int64
 	fnIdx := func(i int) { sink.Add(int64(i)) }
 	fnIdxW := func(w, i int) { sink.Add(int64(w + i)) }
 	fnChunk := func(start, end int) { sink.Add(int64(end - start)) }
 	fnChunkW := func(w, start, end int) { sink.Add(int64(w + end - start)) }
-	p.For(256, fnIdx) // spawn the persistent helpers
-	allocs := testing.AllocsPerRun(100, func() {
-		p.For(256, fnIdx)
-		p.ForWorker(256, fnIdxW)
-		p.ForChunks(256, fnChunk)
-		p.ForChunksWorker(256, fnChunkW)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm pool phases allocate %.1f times per run, want 0", allocs)
+	for _, workers := range []int{4, 1} {
+		p := NewPool(workers)
+		defer p.Close()
+		p.For(256, fnIdx) // spawn the persistent helpers
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, n := range []int{256, 0, 1 << 16} { // 1<<16 meets the chunk-size cap
+				p.For(n, fnIdx)
+				p.ForWorker(n, fnIdxW)
+				p.ForChunks(n, fnChunk)
+				p.ForChunksWorker(n, fnChunkW)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %d-worker pool phases allocate %.1f times per run, want 0", workers, allocs)
+		}
 	}
 }
 
 // TestPoolRunAllocationFree: Run with a prebuilt thunk slice reuses the
-// descriptor and the spread slice — no per-dispatch allocation.
+// descriptor and the spread slice — no per-dispatch allocation — and runs
+// no, one, or a one-worker pool's thunks inline.
 func TestPoolRunAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
-	p := NewPool(4)
-	defer p.Close()
 	var sink atomic.Int64
 	thunks := []func(){
 		func() { sink.Add(1) },
@@ -54,12 +57,18 @@ func TestPoolRunAllocationFree(t *testing.T) {
 		func() { sink.Add(5) },
 		func() { sink.Add(6) },
 	}
-	p.Run(thunks...) // spawn the persistent helpers
-	allocs := testing.AllocsPerRun(100, func() {
-		p.Run(thunks...)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm Run allocates %.1f times per dispatch, want 0", allocs)
+	for _, workers := range []int{4, 1} {
+		p := NewPool(workers)
+		defer p.Close()
+		p.Run(thunks...) // spawn the persistent helpers
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Run(thunks...)
+			p.Run(thunks[:1]...)
+			p.Run()
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %d-worker Run allocates %.1f times per dispatch, want 0", workers, allocs)
+		}
 	}
 }
 

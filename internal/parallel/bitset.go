@@ -46,8 +46,6 @@ func NewBitset(n int) *Bitset {
 func (b *Bitset) Len() int { return b.n }
 
 // Set atomically sets bit i. Safe for concurrent use.
-//
-//wikisearch:hotpath
 func (b *Bitset) Set(i int) {
 	b.words[i/wordBits].Or(1 << (uint(i) % wordBits))
 }
@@ -59,8 +57,6 @@ func (b *Bitset) Set(i int) {
 // lists built from it partition the dirty words with no duplicates, letting
 // frontier extraction and reset skip clean words entirely. Safe for
 // concurrent use.
-//
-//wikisearch:hotpath
 func (b *Bitset) SetTouch(i int) (word int, first bool) {
 	wi := i / wordBits
 	bit := uint64(1) << (uint(i) % wordBits)
@@ -79,8 +75,6 @@ func (b *Bitset) SetTouch(i int) (word int, first bool) {
 // clears the word with a plain store rather than a locked exchange. Draining
 // exactly the touched words in ascending word order reproduces AppendSet's
 // canonical ascending frontier without scanning the whole set.
-//
-//wikisearch:hotpath
 func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
 	w := b.words[wi].Load()
 	clear(b.words[wi : wi+1])
@@ -96,8 +90,6 @@ func (b *Bitset) DrainWord(wi int, dst []int32) []int32 {
 // Get reports whether bit i is set. Safe for concurrent use with Set on
 // other bits; reads of a concurrently-written bit are linearized by the
 // atomic load.
-//
-//wikisearch:hotpath
 func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
 }

@@ -45,8 +45,6 @@ func NewByteArray(n int, fill byte) *ByteArray {
 func (a *ByteArray) Len() int { return a.n }
 
 // Get atomically loads cell i.
-//
-//wikisearch:hotpath
 func (a *ByteArray) Get(i int) byte {
 	w := a.data[i>>3].Load()
 	return byte(w >> (uint(i&7) * 8))
@@ -56,8 +54,6 @@ func (a *ByteArray) Get(i int) byte {
 // Concurrent Sets to the same cell must write the same value (which the
 // search guarantees); concurrent Sets to different cells in one word are
 // resolved by the CAS loop.
-//
-//wikisearch:hotpath
 func (a *ByteArray) Set(i int, v byte) {
 	shift := uint(i&7) * 8
 	mask := uint64(0xFF) << shift
@@ -77,8 +73,6 @@ func (a *ByteArray) Set(i int, v byte) {
 // which holds for the search's only write, the one-shot ∞ (0xFF) → level
 // transition — and is idempotent, so Theorem V.2's same-value concurrent
 // writes commute exactly as with Set.
-//
-//wikisearch:hotpath
 func (a *ByteArray) SetMonotone(i int, v byte) {
 	shift := uint(i&7) * 8
 	a.data[i>>3].And(uint64(v)<<shift | ^(uint64(0xFF) << shift))
@@ -87,8 +81,6 @@ func (a *ByteArray) SetMonotone(i int, v byte) {
 // SpreadFlags expands a low-8-bit flag mask into its byte mask: bit k set →
 // byte k = 0xFF, the inverse direction of compressFlags. Pure SWAR, no
 // branches or tables.
-//
-//wikisearch:hotpath
 func SpreadFlags(flags uint64) uint64 {
 	// Replicate the 8 flag bits into every byte, then isolate bit k in
 	// byte k, so byte k ∈ {0, 1<<k}.
@@ -105,8 +97,6 @@ func SpreadFlags(flags uint64) uint64 {
 // precondition (current value has every bit of v set); unselected cells are
 // untouched. The expansion kernel uses it to commit a whole visit — all
 // not-yet-hit columns of a neighbor — in one atomic operation.
-//
-//wikisearch:hotpath
 func (a *ByteArray) SetMonotoneFlags(wi int, flags uint64, v byte) {
 	bm := SpreadFlags(flags)
 	a.data[wi].And(broadcast(v)&bm | ^bm)
@@ -143,8 +133,6 @@ func (a *ByteArray) Resize(n int, fill byte) {
 // LoadRow copies cells [base, base+len(dst)) into dst using word-wide atomic
 // loads — one load per eight cells instead of one per cell. The expansion
 // kernel uses it to snapshot a node's matrix row once per adjacency pass.
-//
-//wikisearch:hotpath
 func (a *ByteArray) LoadRow(base int, dst []byte) {
 	n := len(dst)
 	i := 0
@@ -175,8 +163,6 @@ func compressFlags(z uint64) uint64 {
 // iff cell 8*wi+p equals v) with a single atomic load. Callers that keep
 // rows word-aligned (the matrix pads its row stride) test a whole row in one
 // call with no offset handling.
-//
-//wikisearch:hotpath
 func (a *ByteArray) MatchWord(wi int, v byte) uint64 {
 	return MatchFlags(a.data[wi].Load(), v)
 }
@@ -185,8 +171,6 @@ func (a *ByteArray) MatchWord(wi int, v byte) uint64 {
 // is the pure SWAR core of MatchWord, exported so hot loops that hold the
 // backing words (see Words) can test eight cells per load with everything
 // inlined.
-//
-//wikisearch:hotpath
 func MatchFlags(w uint64, v byte) uint64 {
 	return compressFlags(zeroBytes(w ^ broadcast(v)))
 }
@@ -194,6 +178,4 @@ func MatchFlags(w uint64, v byte) uint64 {
 // Words exposes the backing word slice (eight cells per word), whose
 // element type admits only atomic access; it exists so the expansion
 // kernel's inner loop can fold the word load into its own body.
-//
-//wikisearch:hotpath
 func (a *ByteArray) Words() []atomic.Uint64 { return a.data }

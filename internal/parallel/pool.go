@@ -114,8 +114,6 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // start spawns the persistent helpers. Called with p.mu held.
-//
-//wikisearch:coldpath one-time lazy spawn; every later phase reuses the workers
 func (p *Pool) start() {
 	p.started = true
 	p.work = make(chan *poolTask, p.workers-1)
@@ -231,8 +229,6 @@ func (p *Pool) prep(n int) int {
 // dynamic scheduling, then joins. fn must be safe for concurrent invocation
 // on distinct i. With one worker it degenerates to a plain loop (the paper's
 // Tnum=1 sequential baseline) with zero goroutine overhead.
-//
-//wikisearch:hotpath
 func (p *Pool) For(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -253,8 +249,6 @@ func (p *Pool) For(n int, fn func(i int)) {
 // ForWorker is For with the executing worker's identity (in [0, Workers()))
 // passed to fn, so bodies can index per-worker scratch without atomics. The
 // caller is always worker 0.
-//
-//wikisearch:hotpath
 func (p *Pool) ForWorker(n int, fn func(w, i int)) {
 	if n <= 0 {
 		return
@@ -274,8 +268,6 @@ func (p *Pool) ForWorker(n int, fn func(w, i int)) {
 
 // ForChunks runs fn(start, end) over contiguous chunks of [0, n) with
 // dynamic scheduling. Useful when per-chunk setup (scratch buffers) matters.
-//
-//wikisearch:hotpath
 func (p *Pool) ForChunks(n int, fn func(start, end int)) {
 	if n <= 0 {
 		return
@@ -294,8 +286,6 @@ func (p *Pool) ForChunks(n int, fn func(start, end int)) {
 // ForChunksWorker is ForChunks with the executing worker's identity passed
 // to fn — the expansion kernel uses it to reach its row scratch and local
 // touched-word buffer.
-//
-//wikisearch:hotpath
 func (p *Pool) ForChunksWorker(n int, fn func(w, start, end int)) {
 	if n <= 0 {
 		return
@@ -316,8 +306,6 @@ func (p *Pool) ForChunksWorker(n int, fn func(w, start, end int)) {
 // Thunks are fed through the persistent workers with the caller
 // participating, so dispatch never serializes behind running thunks even
 // when len(thunks) exceeds the worker count.
-//
-//wikisearch:hotpath
 func (p *Pool) Run(thunks ...func()) {
 	n := len(thunks)
 	if n == 0 {

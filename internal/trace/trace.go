@@ -20,8 +20,6 @@ var epoch = time.Now()
 
 // Now returns the current trace-clock time: monotonic nanoseconds since the
 // package epoch.
-//
-//wikisearch:hotpath
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // Kind identifies what a span measured.
@@ -104,7 +102,6 @@ type ring struct {
 
 // record appends one event, overwriting the oldest when full.
 //
-//wikisearch:hotpath
 //wikisearch:writer
 func (r *ring) record(e Event) {
 	r.ev[r.pos&uint64(len(r.ev)-1)] = e
@@ -123,8 +120,6 @@ type Buffer struct {
 
 // Ensure sizes the buffer for at least `workers` rings. Cold path: called
 // when the owning state's worker pool is (re)built.
-//
-//wikisearch:coldpath sized when the worker pool is rebuilt, never per search
 func (b *Buffer) Ensure(workers int) {
 	if workers < 1 {
 		workers = 1
@@ -140,15 +135,12 @@ func (b *Buffer) SetEnabled(on bool) { b.enabled = on }
 
 // On reports whether recording is live. Nil-safe, so un-traced states (the
 // one-shot core.Search path) cost one comparison.
-//
-//wikisearch:hotpath
 func (b *Buffer) On() bool { return b != nil && b.enabled }
 
 // Reset forgets all recorded events; called at the start of each search.
 // The search has not started, so the owner-only write discipline is
 // trivially satisfied.
 //
-//wikisearch:hotpath
 //wikisearch:writer
 func (b *Buffer) Reset() {
 	if b == nil {
@@ -162,8 +154,6 @@ func (b *Buffer) Reset() {
 // Record writes one completed span into worker w's ring. It is the only
 // hot-path entry point: lock-free, allocation-free, and a no-op when the
 // buffer is nil, disabled, or w is out of range.
-//
-//wikisearch:hotpath
 func (b *Buffer) Record(w int, k Kind, start, end int64, level int, a, bb int64) {
 	if b == nil || !b.enabled || w >= len(b.rings) {
 		return

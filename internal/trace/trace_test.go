@@ -37,6 +37,22 @@ func TestRecordAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ring overflow allocated %.1f times per run; want 0", allocs)
 	}
+	// Nil and disabled buffers: an un-traced state's record path.
+	var nilBuf *Buffer
+	var off Buffer
+	off.Ensure(1)
+	allocs = testing.AllocsPerRun(200, func() {
+		for _, b := range []*Buffer{nilBuf, &off} {
+			b.Reset()
+			if b.On() {
+				t.Fatal("recording on")
+			}
+			b.Record(0, KindLevel, 0, 0, 0, 0, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("nil and disabled buffers allocated %.1f times per run; want 0", allocs)
+	}
 }
 
 // TestBufferDrain: events recorded since Reset come back; overflow reports

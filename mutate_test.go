@@ -823,10 +823,12 @@ func TestMutateWhileSearchingStress(t *testing.T) {
 	}
 }
 
-// TestSearchAllocationFreeWithIdleMutator is the allocguard variant for the
-// live-mutation PR: with a mutator open and its delta empty, the warm
-// kernel path — epoch pin, snapshot term lookup, bottom-up search — still
-// allocates nothing.
+// TestSearchAllocationFreeWithIdleMutator is the allocguard variant for
+// live mutation: with a mutator open — its delta empty, then published as
+// an overlay epoch that adds a source node and adds and removes edges at
+// the query's sources — the warm kernel path (epoch pin, snapshot term
+// lookup, bottom-up search over the overlay's adjacency) still allocates
+// nothing.
 func TestSearchAllocationFreeWithIdleMutator(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -839,39 +841,64 @@ func TestSearchAllocationFreeWithIdleMutator(t *testing.T) {
 	}
 	defer m.Close()
 	q := Query{Text: "xml rdf sql", TopK: 5, Threads: 4}
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Search(context.Background(), q); err != nil {
+	check := func(epoch string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Search(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			ep := eng.pinEpoch()
+			if ep.snap.lookupTerm("xml") == nil {
+				t.Fatal("term lost")
+			}
+			ep.unpin()
+		})
+		if allocs != 0 {
+			t.Fatalf("%s epoch: pin + overlay-aware lookup allocates %.1f times, want 0", epoch, allocs)
+		}
+
+		in, _, err := eng.snap().prepare(q.Text)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		ep := eng.pinEpoch()
-		if ep.snap.lookupTerm("xml") == nil {
-			t.Fatal("term lost")
-		}
-		ep.unpin()
-	})
-	if allocs != 0 {
-		t.Fatalf("epoch pin + overlay-aware lookup allocates %.1f times, want 0", allocs)
-	}
-
-	in, _, err := eng.snap().prepare(q.Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := eng.snap().params(q)
-	in.Levels = eng.activationLevels(p.Alpha, p.Threads)
-	st := eng.acquireState()
-	defer eng.releaseState(st)
-	if _, err := st.BottomUp(in, p); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(50, func() {
+		p := eng.snap().params(q)
+		in.Levels = eng.activationLevels(p.Alpha, p.Threads)
+		st := eng.acquireState()
+		defer eng.releaseState(st)
 		if _, err := st.BottomUp(in, p); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm kernel path with idle mutator allocates %.1f times per query, want 0", allocs)
+		allocs = testing.AllocsPerRun(50, func() {
+			if _, err := st.BottomUp(in, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s epoch: warm kernel path allocates %.1f times per query, want 0", epoch, allocs)
+		}
 	}
+	check("idle")
+	// paperGraph: 1 SQL, 2 Query language, 6 XQuery, 8 XPath.
+	if err := m.AddEdge(1, 8, "related to"); err != nil {
+		t.Fatal(err)
+	}
+	added, err := m.AddNode("XML schema", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddEdge(added, 6, "related to"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveEdge(6, 2, "instance of"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.snap().g.HasOverlay() {
+		t.Fatal("published epoch has no overlay")
+	}
+	check("overlay")
 }
