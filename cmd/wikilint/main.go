@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	wikilint [-list] [-format text|json|sarif|github] [-nocache] [-cache-dir dir] [patterns ...]
+//	wikilint [-list] [-format text|github] [-nocache] [-cache-dir dir] [patterns ...]
 //
 // Patterns are directory paths relative to the current module, "./..." by
 // default. The command exits 0 when the tree is clean, 1 when any analyzer
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,12 +26,12 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json, sarif, or github (workflow annotations)")
+	format := flag.String("format", "text", "output format: text, or github (workflow annotations)")
 	nocache := flag.Bool("nocache", false, "bypass the result cache and re-analyze")
 	cacheDir := flag.String("cache-dir", analysis.DefaultCacheDir(), "result cache directory")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: wikilint [-list] [-format text|json|sarif|github] [-nocache] [-cache-dir dir] [patterns ...]\n")
+			"usage: wikilint [-list] [-format text|github] [-nocache] [-cache-dir dir] [patterns ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 	}
 	render, ok := formatters[*format]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "wikilint: unknown -format %q (text, json, sarif, github)\n", *format)
+		fmt.Fprintf(os.Stderr, "wikilint: unknown -format %q (text, github)\n", *format)
 		os.Exit(2)
 	}
 
@@ -102,8 +101,6 @@ func report(render func([]analysis.CachedDiagnostic), diags []analysis.CachedDia
 
 var formatters = map[string]func([]analysis.CachedDiagnostic){
 	"text":   renderText,
-	"json":   renderJSON,
-	"sarif":  renderSARIF,
 	"github": renderGitHub,
 }
 
@@ -111,15 +108,6 @@ func renderText(diags []analysis.CachedDiagnostic) {
 	for _, d := range diags {
 		fmt.Printf("%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	}
-}
-
-func renderJSON(diags []analysis.CachedDiagnostic) {
-	if diags == nil {
-		diags = []analysis.CachedDiagnostic{}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(diags)
 }
 
 // renderGitHub emits GitHub Actions workflow commands, which the runner
@@ -132,93 +120,4 @@ func renderGitHub(diags []analysis.CachedDiagnostic) {
 			escProp.Replace(d.File), d.Line, d.Col, escProp.Replace(d.Analyzer), esc.Replace(d.Message))
 	}
 	renderText(diags) // keep the log readable alongside the annotations
-}
-
-// SARIF 2.1.0, the minimal subset GitHub code scanning ingests.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string     `json:"id"`
-	ShortDescription sarifDText `json:"shortDescription"`
-}
-
-type sarifDText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifDText      `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func renderSARIF(diags []analysis.CachedDiagnostic) {
-	rules := []sarifRule{}
-	seen := map[string]bool{}
-	for _, a := range analysis.All() {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifDText{a.Doc}})
-		}
-	}
-	results := []sarifResult{}
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "error",
-			Message: sarifDText{d.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: d.File},
-				Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "wikilint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(log)
 }

@@ -200,13 +200,13 @@ func BenchmarkTopDown(b *testing.B) {
 			if n := len(s.gr.centrals); n < 500 {
 				b.Fatalf("%d centrals, want ≥ 500", n)
 			}
-			if _, err := s.topDown(); err != nil { // warm the scratch
+			if _, _, err := s.topDown(); err != nil { // warm the scratch
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.topDown(); err != nil {
+				if _, _, err := s.topDown(); err != nil {
 					b.Fatal(err)
 				}
 			}

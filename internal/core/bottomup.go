@@ -5,11 +5,9 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
-	"wikisearch/internal/trace"
 )
 
 // workerScratch is one worker's private expansion scratch: the frontier
@@ -43,10 +41,11 @@ const notCentral = 0xFF
 
 // state carries the shared structures of one two-stage search: the
 // lock-free arrays of §V-B (node-keyword matrix M, FIdentifier) plus
-// frontier bookkeeping and the query's group. A state is reusable: prepare
-// re-dimensions and resets every structure in place, so a pooled state
-// serves queries without allocating on the hot path (see SearchState). A
-// state must not be copied: a copy aliases every shared search structure.
+// frontier bookkeeping and the query's group; its methods are CPU-Par's
+// steps of Algorithm 1. A state is reusable: initialize re-dimensions and
+// resets every structure in place, so a pooled state serves queries without
+// allocating on the hot path (see SearchState). A state must not be copied:
+// a copy aliases every shared search structure.
 type state struct {
 	_    noCopy
 	in   Input
@@ -69,26 +68,15 @@ type state struct {
 	initFn     func(w, i int)
 	identifyFn func(i int)
 	expandFn   func(w, start, end int)
-
-	// buf is the owning SearchState's trace buffer (nil on the one-shot
-	// state path); the bottom-up loop records per-level phase spans into
-	// ring 0 — the loop runs on the calling goroutine, the pool records the
-	// helpers' spans itself.
-	buf *trace.Buffer
-
-	prof Profile
 }
 
-// prepareCommon re-dimensions and resets every search structure for a query
-// over in with p, reusing prior allocations whenever capacities suffice. It
-// performs no source initialization — the CPU path's prepare and the GPU
-// path's device kernel layer that on top.
-func (s *state) prepareCommon(in Input, p Params, pool *parallel.Pool) {
-	n := in.G.NumNodes()
-	q := len(in.Sources)
-	s.in, s.p, s.pool = in, p, pool
-	s.level = 0
-	s.prof = Profile{}
+// prepareCommon re-dimensions and resets every search structure for the
+// query in s.in with s.p on s.pool, reusing prior allocations whenever
+// capacities suffice. It performs no source initialization — the CPU path's
+// initialize and the GPU path's device kernel layer that on top.
+func (s *state) prepareCommon() {
+	n := s.in.G.NumNodes()
+	q := len(s.in.Sources)
 	if s.m == nil {
 		s.m = NewMatrix(n, q)
 	} else {
@@ -101,7 +89,7 @@ func (s *state) prepareCommon(in Input, p Params, pool *parallel.Pool) {
 	}
 	s.frontier = s.frontier[:0]
 	s.touchedWords = s.touchedWords[:0]
-	w := pool.Workers()
+	w := s.pool.Workers()
 	if cap(s.scratch) < w {
 		s.scratch = make([]workerScratch, w)
 	} else {
@@ -148,22 +136,15 @@ func fillBytes(b []uint8, v uint8) {
 	}
 }
 
-// prepare runs the Initialization phase of Algorithm 1 on a (re)used state:
-// reset M and FIdentifier, set m_ij = 0 for keyword nodes and flag them as
-// level-0 frontiers — one fork/join task per keyword, each writing disjoint
-// columns. The zero cells are the query's containment record from then on
-// (see Matrix.KeywordMask).
-func (s *state) prepare(in Input, p Params, pool *parallel.Pool) {
-	s.prepareCommon(in, p, pool)
+// initialize runs the Initialization phase of Algorithm 1 on a (re)used
+// state: reset M and FIdentifier, set m_ij = 0 for keyword nodes and flag
+// them as level-0 frontiers — one fork/join task per keyword, each writing
+// disjoint columns. The zero cells are the query's containment record from
+// then on (see Matrix.KeywordMask).
+func (s *state) initialize() int {
+	s.prepareCommon()
 	s.pool.ForWorker(len(s.in.Sources), s.initFn)
-}
-
-// newState allocates a fresh single-use state (tests and the one-shot Search
-// entry point; pooled serving goes through SearchState).
-func newState(in Input, p Params, pool *parallel.Pool) *state {
-	s := &state{}
-	s.prepare(in, p, pool)
-	return s
+	return len(s.in.Sources)
 }
 
 // initKeyword is the per-keyword initialization task run by worker w.
@@ -186,7 +167,7 @@ func (s *state) markFrontier(sc *workerScratch, v graph.NodeID) {
 	}
 }
 
-// enqueueFrontiers extracts the frontier queue from FIdentifier and resets
+// enqueue extracts the frontier queue from FIdentifier and resets
 // the flags — sequential on CPU, exactly as the paper found fastest (§V-B,
 // "on CPU locked writing is so expensive and the fastest way is to enqueue
 // frontiers in a sequential manner"). One joint frontier array serves all
@@ -194,7 +175,7 @@ func (s *state) markFrontier(sc *workerScratch, v graph.NodeID) {
 // the per-worker touched lists, sorting them and draining each word in
 // ascending order yields the same canonical ascending frontier as a full
 // bitset scan at O(frontier) instead of O(n) cost.
-func (s *state) enqueueFrontiers() {
+func (s *state) enqueue() int {
 	tw := s.touchedWords[:0]
 	for i := range s.scratch {
 		tw = append(tw, s.scratch[i].touched...)
@@ -206,47 +187,50 @@ func (s *state) enqueueFrontiers() {
 	for _, wi := range tw {
 		s.frontier = s.fid.DrainWord(int(wi), s.frontier)
 	}
-	s.prof.FrontierTotal += int64(len(s.frontier))
+	return len(s.frontier)
 }
 
-// identifyOne tests frontier entry i for the Central Node condition.
+// identifyOne tests frontier entry i for the Central Node condition. No
+// frontier entry is central already: a Central Node neither expands nor,
+// hit in every column, is hit again.
 func (s *state) identifyOne(i int) {
 	v := graph.NodeID(s.frontier[i])
-	gr := &s.gr
-	if gr.centralAt[v] != notCentral {
-		return
-	}
 	if s.m.AllHit(v) {
-		gr.centralAt[v] = uint8(s.level) // each frontier entry is unique: no race
+		s.gr.centralAt[v] = uint8(s.level) // each frontier entry is unique: no race
 	}
 }
 
-// identifyCentrals scans the frontier for nodes hit by every BFS instance
-// (Definition 3) that are not yet central, and records the
-// identification level, which by Lemma V.1 equals the depth of the Central
-// Graph. Collection runs sequentially in frontier order so results are
-// deterministic regardless of the number of threads.
-func (s *state) identifyCentrals() {
-	lvl := uint8(s.level)
+// identify scans the level-l frontier for nodes hit by every BFS instance
+// (Definition 3) and records the identification level, which by Lemma V.1
+// equals the depth of the Central Graph. Collection runs sequentially in
+// frontier order so results are deterministic regardless of the number of
+// threads.
+func (s *state) identify(l int) int {
+	s.level = l
 	s.pool.For(len(s.frontier), s.identifyFn)
 	gr := &s.gr
+	found := len(gr.centrals)
 	for _, f := range s.frontier {
-		if gr.centralAt[f] == lvl {
+		if gr.centralAt[f] == uint8(l) {
 			gr.centrals = append(gr.centrals, graph.NodeID(f))
 		}
 	}
+	return len(gr.centrals) - found
 }
 
-// expand runs Algorithm 2 (the Expansion procedure) for the current level:
-// every frontier not identified as central and active at this level expands
-// each BFS instance it belongs to into its bi-directed neighbors. All
-// writes are the idempotent lock-free writes of Theorem V.2.
-func (s *state) expand() {
+// expand runs Algorithm 2 (the Expansion procedure) for level l: every
+// frontier not identified as central and active at this level expands each
+// BFS instance it belongs to into its bi-directed neighbors. All writes are
+// the idempotent lock-free writes of Theorem V.2.
+func (s *state) expand(l int) int64 {
+	s.level = l
 	s.pool.ForChunksWorker(len(s.frontier), s.expandFn)
+	var edges int64
 	for i := range s.scratch {
-		s.prof.EdgesScanned += s.scratch[i].edges
+		edges += s.scratch[i].edges
 		s.scratch[i].edges = 0
 	}
+	return edges
 }
 
 // expandChunk is the flattened expansion kernel: each frontier
@@ -278,14 +262,12 @@ func (s *state) expandChunk(w, start, end int) {
 			continue
 		}
 		s.m.Row(vf, row)
+		// Every frontier entry holds a hit at or below l, so active ≠ 0.
 		var active uint64 // columns whose BFS frontier vf currently is (h ≤ l)
 		for i := 0; i < q; i++ {
 			if int(row[i]) <= l {
 				active |= 1 << uint(i)
 			}
-		}
-		if active == 0 {
-			continue
 		}
 		// One pass over the bi-directed adjacency, regardless of how many
 		// columns are active — this is the kernel's true edge-scan count.
@@ -390,59 +372,6 @@ func (s *state) visitTodo(sc *workerScratch, vn graph.NodeID, todo, kw uint64, l
 	s.markFrontier(sc, vn)
 	return false
 }
-
-// bottomUp runs stage one of Algorithm 1 and returns d — the smallest depth
-// at which at least k Central Nodes exist (Definition 4), or the level at
-// which the search exhausted the graph or hit MaxLevel. A cancelled context
-// aborts between levels.
-func (s *state) bottomUp() (int, error) {
-	gr := &s.gr
-	for {
-		if err := cancelled(s.p); err != nil {
-			return s.level, err
-		}
-		// lvl0 opens the level's trace span; phase timings share the trace
-		// clock so profile and spans can never disagree.
-		lvl0 := trace.Now()
-		s.enqueueFrontiers()
-		t1 := trace.Now()
-		s.prof.Phases[PhaseEnqueue] += time.Duration(t1 - lvl0)
-		front := int64(len(s.frontier))
-		s.buf.Record(0, trace.KindEnqueue, lvl0, t1, s.level, front, 0)
-		if len(s.frontier) == 0 {
-			// Graph exhausted: fewer than k Central Graphs exist.
-			s.buf.Record(0, trace.KindLevel, lvl0, trace.Now(), s.level, 0, 0)
-			break
-		}
-
-		t1 = trace.Now()
-		prevCentrals := len(gr.centrals)
-		s.identifyCentrals()
-		t2 := trace.Now()
-		s.prof.Phases[PhaseIdentify] += time.Duration(t2 - t1)
-		s.buf.Record(0, trace.KindIdentify, t1, t2, s.level, front, int64(len(gr.centrals)-prevCentrals))
-		s.prof.Levels++
-		if len(gr.centrals) >= s.p.TopK || s.level >= s.p.MaxLevel {
-			// d found.
-			s.buf.Record(0, trace.KindLevel, lvl0, trace.Now(), s.level, front, 0)
-			break
-		}
-
-		t2 = trace.Now()
-		prevEdges := s.prof.EdgesScanned
-		s.expand()
-		t3 := trace.Now()
-		s.prof.Phases[PhaseExpand] += time.Duration(t3 - t2)
-		edges := s.prof.EdgesScanned - prevEdges
-		s.buf.Record(0, trace.KindExpand, t2, t3, s.level, front, edges)
-		s.buf.Record(0, trace.KindLevel, lvl0, t3, s.level, front, edges)
-		s.level++
-	}
-	return s.level, nil
-}
-
-// cancelled reports the context error, if a context was set and fired.
-func cancelled(p Params) error { return ctxErr(p.Ctx) }
 
 // ctxErr is ctx.Err() for a context that may be nil (a detached search).
 func ctxErr(ctx context.Context) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 // buildInput assembles an Input with explicit activation levels (bypassing
@@ -51,9 +52,9 @@ func TestFig2HittingLevels(t *testing.T) {
 	g := fig2Graph(t)
 	in := buildInput(g, nil, nil, []graph.NodeID{0}, []graph.NodeID{1, 2})
 	p := Params{TopK: 100, Threads: 1}.Defaults()
-	pool := newSearchPool(1)
+	pool := parallel.NewPool(1)
 	s := newState(in, p, pool)
-	s.bottomUp()
+	runBottomUp(s, p)
 	check := func(v graph.NodeID, j int, want uint8) {
 		t.Helper()
 		if got := s.m.Get(v, j); got != want {

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sync"
-	"time"
 
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
@@ -48,6 +47,8 @@ func (d *dynNode) record() *dynRecord {
 	return d.rec
 }
 
+// dynState holds one CPU-Par-d search; its methods are CPU-Par-d's steps of
+// Algorithm 1.
 type dynState struct {
 	in   Input
 	p    Params
@@ -61,24 +62,19 @@ type dynState struct {
 	frontier  []int32
 	centralAt []int32
 	centrals  []graph.NodeID
-	level     int
-
-	prof Profile
 }
 
-func newDynState(in Input, p Params, pool *parallel.Pool) *dynState {
+// initialize allocates the per-node records and hits every keyword node at
+// level 0, one task per keyword.
+func (s *dynState) initialize() int {
+	in := s.in
 	n := in.G.NumNodes()
 	q := len(in.Sources)
-	s := &dynState{
-		in:        in,
-		p:         p,
-		pool:      pool,
-		nodes:     make([]dynNode, n),
-		fid:       parallel.NewBitset(n),
-		cid:       parallel.NewBitset(n),
-		contains:  make([]uint64, n),
-		centralAt: make([]int32, n),
-	}
+	s.nodes = make([]dynNode, n)
+	s.fid = parallel.NewBitset(n)
+	s.cid = parallel.NewBitset(n)
+	s.contains = make([]uint64, n)
+	s.centralAt = make([]int32, n)
 	for i := range s.centralAt {
 		s.centralAt[i] = -1
 	}
@@ -95,14 +91,14 @@ func newDynState(in Input, p Params, pool *parallel.Pool) *dynState {
 			}
 		}
 	}
-	pool.Run(thunks...)
+	s.pool.Run(thunks...)
 	for i := 0; i < q; i++ {
 		bit := uint64(1) << uint(i)
 		for _, v := range in.Sources[i] {
 			s.contains[v] |= bit
 		}
 	}
-	return s
+	return q
 }
 
 // hitLevel reads a node's hitting level for keyword i under its lock.
@@ -117,15 +113,15 @@ func (s *dynState) hitLevel(v graph.NodeID, i int) (uint8, bool) {
 	return h, ok
 }
 
-func (s *dynState) enqueueFrontiers() {
+func (s *dynState) enqueue() int {
 	s.frontier = s.fid.AppendSet(s.frontier[:0])
 	s.fid.Reset()
-	s.prof.FrontierTotal += int64(len(s.frontier))
+	return len(s.frontier)
 }
 
-func (s *dynState) identifyCentrals() {
+func (s *dynState) identify(l int) int {
 	q := len(s.in.Sources)
-	lvl := int32(s.level)
+	lvl := int32(l)
 	s.pool.For(len(s.frontier), func(i int) {
 		v := graph.NodeID(s.frontier[i])
 		if s.cid.Get(int(v)) {
@@ -140,19 +136,20 @@ func (s *dynState) identifyCentrals() {
 			s.centralAt[v] = lvl
 		}
 	})
+	found := len(s.centrals)
 	for _, f := range s.frontier {
 		if s.centralAt[f] == lvl {
 			s.centrals = append(s.centrals, graph.NodeID(f))
 		}
 	}
+	return len(s.centrals) - found
 }
 
 // expand mirrors Algorithm 2 but every hitting-level read and write goes
 // through the per-node mutex, and hitting-path parents are recorded inline
 // (this is what spares CPU-Par-d the extraction phase at the price of
-// locked traversal).
-func (s *dynState) expand() {
-	l := s.level
+// locked traversal). CPU-Par-d does not count the adjacency it walks.
+func (s *dynState) expand(l int) int64 {
 	q := len(s.in.Sources)
 	s.pool.ForChunks(len(s.frontier), func(start, end int) {
 		for fi := start; fi < end; fi++ {
@@ -196,36 +193,7 @@ func (s *dynState) expand() {
 			}
 		}
 	})
-}
-
-func (s *dynState) bottomUp() (int, error) {
-	k := s.p.TopK
-	for {
-		if err := cancelled(s.p); err != nil {
-			return s.level, err
-		}
-		t0 := time.Now()
-		s.enqueueFrontiers()
-		s.prof.Phases[PhaseEnqueue] += time.Since(t0)
-		if len(s.frontier) == 0 {
-			break
-		}
-		t0 = time.Now()
-		s.identifyCentrals()
-		s.prof.Phases[PhaseIdentify] += time.Since(t0)
-		s.prof.Levels++
-		if len(s.centrals) >= k {
-			break
-		}
-		if s.level >= s.p.MaxLevel {
-			break
-		}
-		t0 = time.Now()
-		s.expand()
-		s.prof.Phases[PhaseExpand] += time.Since(t0)
-		s.level++
-	}
-	return s.level, nil
+	return 0
 }
 
 // extract rebuilds the Central Graph at vc from the recorded parents — a
@@ -277,54 +245,15 @@ func (s *dynState) keywords(qc *tdQuery, v graph.NodeID) uint64 {
 
 // topDown ranks and assembles the recorded Central Graphs through the one
 // stage-two implementation (see tdRun); only the extraction differs.
-func (s *dynState) topDown() ([]*Answer, error) {
-	q := len(s.in.Sources)
+func (s *dynState) topDown() ([]*Answer, int, error) {
 	var r tdRun
-	r.qc = tdQuery{
-		src:          s,
-		q:            q,
-		all:          allMask(q),
-		weights:      s.in.Weights,
-		lambda:       s.p.Lambda,
-		noLevelCover: s.p.DisableLevelCover,
-		maxNodes:     s.p.MaxGraphNodes,
-		topK:         s.p.TopK,
-		ctx:          s.p.Ctx,
-	}
-	answers, capped, err := r.run(s.pool, s.centrals)
-	s.prof.TruncatedGraphs = capped
-	return answers, err
+	r.qc = newQuery(s, s.in, s.p, nil)
+	return r.run(s.pool, s.centrals)
 }
 
 // SearchDynamic runs the CPU-Par-d variant of the two-stage algorithm.
 func SearchDynamic(in Input, p Params) (*Result, error) {
-	p = p.Defaults()
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	pool := newSearchPool(p.Threads)
-	defer pool.Close()
-
-	t0 := time.Now()
-	s := newDynState(in, p, pool)
-	s.prof.Phases[PhaseInit] = time.Since(t0)
-
-	d, err := s.bottomUp()
-	if err != nil {
-		return nil, err
-	}
-
-	t0 = time.Now()
-	answers, err := s.topDown()
-	if err != nil {
-		return nil, err
-	}
-	s.prof.Phases[PhaseTopDown] = time.Since(t0)
-
-	return &Result{
-		Answers:           answers,
-		DepthD:            d,
-		CentralCandidates: len(s.centrals),
-		Profile:           s.prof,
-	}, nil
+	return searchOnce(in, p, func(p Params, pool *parallel.Pool) steps {
+		return &dynState{in: in, p: p, pool: pool}
+	})
 }

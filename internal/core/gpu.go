@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"wikisearch/internal/device"
 	"wikisearch/internal/graph"
@@ -19,92 +18,53 @@ import (
 //   - expansion launches one warp per (frontier, BFS instance) with lanes
 //     striding over the frontier's neighbors,
 //   - top-down processing runs on the CPU ("it not only needs dynamic
-//     memory allocation … but also diverges a lot", §V-C),
-//   - the matrix transfer back to the host is accounted by the device's
-//     bandwidth model.
-
-// GPUResult extends Result with the simulated device-transfer accounting.
-type GPUResult struct {
-	Result
-	// TransferSeconds is the simulated device→host time for the
-	// node-keyword matrix (the paper's ~25 ms for 300 MB arithmetic).
-	TransferSeconds float64
-	// MatrixBytes is the size of the transferred matrix.
-	MatrixBytes int64
-}
+//     memory allocation … but also diverges a lot", §V-C).
 
 // SearchGPU runs the two-stage algorithm with the bottom-up stage mapped
 // onto the simulated device and the top-down stage on p.Threads CPU
 // workers. Results are identical to Search.
-func SearchGPU(in Input, p Params, dev *device.Device) (*GPUResult, error) {
-	p = p.Defaults()
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	pool := newSearchPool(p.Threads)
-	defer pool.Close()
-
-	t0 := time.Now()
-	s := newGPUState(in, p, pool, dev)
-	s.prof.Phases[PhaseInit] = time.Since(t0)
-
-	d, err := s.bottomUpGPU()
-	if err != nil {
-		return nil, err
-	}
-
-	t0 = time.Now()
-	answers, err := s.topDown()
-	if err != nil {
-		return nil, err
-	}
-	s.prof.Phases[PhaseTopDown] = time.Since(t0)
-
-	return &GPUResult{
-		Result: Result{
-			Answers:           answers,
-			DepthD:            d,
-			CentralCandidates: len(s.gr.centrals),
-			Profile:           s.prof,
-		},
-		TransferSeconds: dev.TransferTime(s.m.ByteSize()),
-		MatrixBytes:     s.m.ByteSize(),
-	}, nil
+func SearchGPU(in Input, p Params, dev *device.Device) (*Result, error) {
+	return searchOnce(in, p, func(p Params, pool *parallel.Pool) steps {
+		return &gpuState{state: &state{in: in, p: p, pool: pool}, dev: dev}
+	})
 }
 
-// gpuState wraps the shared state with the device and its frontier queue.
+// gpuState wraps the shared state with the device and its frontier queue;
+// its methods are GPU-Par's steps of Algorithm 1, and stage two is the
+// state's own.
 type gpuState struct {
 	*state
 	dev   *device.Device
 	queue *device.Queue
 }
 
-func newGPUState(in Input, p Params, pool *parallel.Pool, dev *device.Device) *gpuState {
-	n := in.G.NumNodes()
+// initialize resets the shared state and runs the device-side
+// initialization kernel: one thread per source entry. The GPU variant flags
+// frontiers directly (its enqueue kernel scans the whole FIdentifier, so
+// touched-word tracking is not needed).
+func (s *gpuState) initialize() int {
+	in := s.in
 	q := len(in.Sources)
-	s := &state{}
-	s.prepareCommon(in, p, pool)
-	// Device-side initialization kernel: one thread per source entry. The
-	// GPU variant flags frontiers directly (its enqueue kernel scans the
-	// whole FIdentifier, so touched-word tracking is not needed).
+	s.prepareCommon()
 	offsets := make([]int, q+1)
 	for i, src := range in.Sources {
 		offsets[i+1] = offsets[i] + len(src)
 	}
 	total := offsets[q]
-	dev.Launch1D(total, func(t int) {
+	s.dev.Launch1D(total, func(t int) {
 		i := sort.SearchInts(offsets[1:], t+1)
 		v := in.Sources[i][t-offsets[i]]
 		s.m.Set(v, i, 0)
 		s.fid.Set(int(v))
 	})
-	return &gpuState{state: s, dev: dev, queue: device.NewQueue(n)}
+	s.queue = device.NewQueue(in.G.NumNodes())
+	return q
 }
 
-// enqueueFrontiersGPU parallelizes the FIdentifier scan with locked queue
+// enqueue parallelizes the FIdentifier scan with locked queue
 // appends, then sorts the queue: real GPU frontiers are order-free, but a
 // canonical order keeps results bit-identical to the CPU variants.
-func (s *gpuState) enqueueFrontiersGPU() {
+func (s *gpuState) enqueue() int {
 	n := s.in.G.NumNodes()
 	s.queue.Reset()
 	s.dev.Launch1D(n, func(v int) {
@@ -116,33 +76,33 @@ func (s *gpuState) enqueueFrontiersGPU() {
 	items := s.queue.Items()
 	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	s.frontier = append(s.frontier[:0], items...)
-	s.prof.FrontierTotal += int64(len(s.frontier))
+	return len(s.frontier)
 }
 
-// identifyCentralsGPU is a flat kernel over frontiers.
-func (s *gpuState) identifyCentralsGPU() {
+// identify is a flat kernel over frontiers; as on the CPU, no frontier
+// entry is central already.
+func (s *gpuState) identify(l int) int {
 	gr := &s.gr
-	lvl := uint8(s.level)
+	lvl := uint8(l)
 	s.dev.Launch1D(len(s.frontier), func(i int) {
 		v := graph.NodeID(s.frontier[i])
-		if gr.centralAt[v] != notCentral {
-			return
-		}
 		if s.m.AllHit(v) {
 			gr.centralAt[v] = lvl
 		}
 	})
+	found := len(gr.centrals)
 	for _, f := range s.frontier {
 		if gr.centralAt[f] == lvl {
 			gr.centrals = append(gr.centrals, graph.NodeID(f))
 		}
 	}
+	return len(gr.centrals) - found
 }
 
-// expandGPU launches one warp per (frontier, BFS instance); lanes stride
-// over the frontier's neighbors — the paper's GPU mapping of Algorithm 2.
-func (s *gpuState) expandGPU() {
-	l := s.level
+// expand launches one warp per (frontier, BFS instance); lanes stride over
+// the frontier's neighbors — the paper's GPU mapping of Algorithm 2. The
+// simulated device does not count the adjacency it walks.
+func (s *gpuState) expand(l int) int64 {
 	q := s.m.Q()
 	ws := s.dev.WarpSize
 	if ws <= 0 {
@@ -180,34 +140,5 @@ func (s *gpuState) expandGPU() {
 			s.fid.Set(int(vn))
 		}
 	})
-}
-
-func (s *gpuState) bottomUpGPU() (int, error) {
-	k := s.p.TopK
-	for {
-		if err := cancelled(s.p); err != nil {
-			return s.level, err
-		}
-		t0 := time.Now()
-		s.enqueueFrontiersGPU()
-		s.prof.Phases[PhaseEnqueue] += time.Since(t0)
-		if len(s.frontier) == 0 {
-			break
-		}
-		t0 = time.Now()
-		s.identifyCentralsGPU()
-		s.prof.Phases[PhaseIdentify] += time.Since(t0)
-		s.prof.Levels++
-		if len(s.gr.centrals) >= k {
-			break
-		}
-		if s.level >= s.p.MaxLevel {
-			break
-		}
-		t0 = time.Now()
-		s.expandGPU()
-		s.prof.Phases[PhaseExpand] += time.Since(t0)
-		s.level++
-	}
-	return s.level, nil
+	return 0
 }

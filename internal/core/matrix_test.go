@@ -9,6 +9,7 @@ import (
 
 	"wikisearch/internal/device"
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 func TestMatrixBasics(t *testing.T) {
@@ -256,26 +257,27 @@ func checkKeywordMasks(t *testing.T, label string, s *state) {
 // with one- and two-word rows, and after the GPU path's device-side
 // initialization.
 func TestKeywordMaskMatchesSources(t *testing.T) {
-	pool := newSearchPool(2)
+	pool := parallel.NewPool(2)
 	defer pool.Close()
 	for seed := int64(600); seed < 630; seed++ {
 		in, p := randomScenario(t, seed)
 		p = p.Defaults()
 		s := newState(in, p, pool)
-		if _, err := s.bottomUp(); err != nil {
+		if _, err := runBottomUp(s, p); err != nil {
 			t.Fatal(err)
 		}
 		checkKeywordMasks(t, fmt.Sprintf("seed %d solo", seed), s)
 
-		gs := newGPUState(in, p, pool, device.GTX1080Ti())
-		if _, err := gs.bottomUpGPU(); err != nil {
+		gs := &gpuState{state: newState(in, p, pool), dev: device.GTX1080Ti()}
+		if _, err := runBottomUp(gs, p); err != nil {
 			t.Fatal(err)
 		}
 		checkKeywordMasks(t, fmt.Sprintf("seed %d GPU", seed), gs.state)
 
 		win, wp := wideScenario(t, seed)
-		ws := newState(win, wp.Defaults(), pool)
-		if _, err := ws.bottomUp(); err != nil {
+		wp = wp.Defaults()
+		ws := newState(win, wp, pool)
+		if _, err := runBottomUp(ws, wp); err != nil {
 			t.Fatal(err)
 		}
 		checkKeywordMasks(t, fmt.Sprintf("seed %d wide", seed), ws)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 // modelState is the naive simulator's world: hitting levels per (node,
@@ -118,7 +119,7 @@ func (m *modelState) expand() {
 	m.frontier = next
 }
 
-// run executes the model with bottomUp's exact loop: enqueue/empty-check,
+// run executes the model with the driver's exact loop: enqueue/empty-check,
 // identify, k-check, maxLevel-check, expand, level++.
 func (m *modelState) run(k, maxLevel int) int {
 	for {
@@ -182,25 +183,25 @@ func testModelStageTwo(t *testing.T) {
 	for seed := int64(500); seed < 540; seed++ {
 		in, base := randomScenario(t, seed)
 		for _, threads := range stageTwoThreads() {
-			pool := newSearchPool(threads)
+			pool := parallel.NewPool(threads)
 			for _, k := range []int{1, 2, 20} {
 				for _, noCover := range []bool{false, true} {
 					for _, maxNodes := range []int{0, 4} {
 						p := Params{TopK: k, Threads: threads, MaxLevel: base.MaxLevel,
 							DisableLevelCover: noCover, MaxGraphNodes: maxNodes}.Defaults()
 						s := newState(in, p, pool)
-						if _, err := s.bottomUp(); err != nil {
+						if _, err := runBottomUp(s, p); err != nil {
 							t.Fatal(err)
 						}
 						label := fmt.Sprintf("seed %d T=%d k=%d noCover=%v cap=%d", seed, threads, k, noCover, maxNodes)
-						got, err := s.topDown()
+						got, gotTruncated, err := s.topDown()
 						if err != nil {
 							t.Fatal(err)
 						}
 						want, truncated := modelTopDown(s)
 						answersEqual(t, label, got, want)
-						if s.prof.TruncatedGraphs != truncated {
-							t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, s.prof.TruncatedGraphs, truncated)
+						if gotTruncated != truncated {
+							t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, gotTruncated, truncated)
 						}
 						if maxNodes == 0 && truncated != 0 {
 							t.Fatalf("%s: default cap truncated %d graphs", label, truncated)
@@ -224,24 +225,24 @@ func testModelStageTwoWide(t *testing.T) {
 	for seed := int64(400); seed < 424; seed++ {
 		in, base := wideScenario(t, seed)
 		for _, threads := range stageTwoThreads() {
-			pool := newSearchPool(threads)
+			pool := parallel.NewPool(threads)
 			for _, noCover := range []bool{false, true} {
 				for _, maxNodes := range []int{0, 4} {
 					p := Params{TopK: base.TopK, Threads: threads, MaxLevel: base.MaxLevel,
 						DisableLevelCover: noCover, MaxGraphNodes: maxNodes}.Defaults()
 					s := newState(in, p, pool)
-					if _, err := s.bottomUp(); err != nil {
+					if _, err := runBottomUp(s, p); err != nil {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("seed %d T=%d noCover=%v cap=%d", seed, threads, noCover, maxNodes)
-					got, err := s.topDown()
+					got, gotTruncated, err := s.topDown()
 					if err != nil {
 						t.Fatal(err)
 					}
 					want, truncated := modelTopDown(s)
 					answersEqual(t, label, got, want)
-					if s.prof.TruncatedGraphs != truncated {
-						t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, s.prof.TruncatedGraphs, truncated)
+					if gotTruncated != truncated {
+						t.Fatalf("%s: TruncatedGraphs = %d, model %d", label, gotTruncated, truncated)
 					}
 					capped += truncated
 				}
@@ -258,7 +259,7 @@ func testModelStageTwoDynamic(t *testing.T) {
 	for seed := int64(500); seed < 540; seed++ {
 		in, base := randomScenario(t, seed)
 		for _, threads := range stageTwoThreads() {
-			pool := newSearchPool(threads)
+			pool := parallel.NewPool(threads)
 			for _, maxNodes := range []int{0, 4} {
 				if maxNodes != 0 && threads > 1 {
 					// CPU-Par-d records parents in arrival order, so which
@@ -266,11 +267,11 @@ func testModelStageTwoDynamic(t *testing.T) {
 					continue
 				}
 				p := Params{TopK: base.TopK, Threads: threads, MaxLevel: base.MaxLevel, MaxGraphNodes: maxNodes}.Defaults()
-				s := newDynState(in, p, pool)
-				if _, err := s.bottomUp(); err != nil {
+				s := &dynState{in: in, p: p, pool: pool}
+				if _, err := runBottomUp(s, p); err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.topDown()
+				got, _, err := s.topDown()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -287,10 +288,11 @@ func testModelBottomUp(t *testing.T) {
 		p = p.Defaults()
 
 		// Run the real implementation's bottom-up stage.
-		pool := newSearchPool(4)
-		s := newState(in, Params{TopK: p.TopK, Threads: 4, MaxLevel: p.MaxLevel,
-			Alpha: p.Alpha, Lambda: p.Lambda}.Defaults(), pool)
-		d, err := s.bottomUp()
+		pool := parallel.NewPool(4)
+		sp := Params{TopK: p.TopK, Threads: 4, MaxLevel: p.MaxLevel,
+			Alpha: p.Alpha, Lambda: p.Lambda}.Defaults()
+		s := newState(in, sp, pool)
+		d, err := runBottomUp(s, sp)
 		if err != nil {
 			t.Fatal(err)
 		}

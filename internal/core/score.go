@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"wikisearch/internal/parallel"
-)
+import "math"
 
 // Score is the ranking function of Eq. 6: S(C) = d(C)^λ · Σ_{v∈C} w_v.
 // Weights are degrees of summary (penalties), so lower scores rank better:
@@ -12,9 +8,4 @@ import (
 // controlling how strongly depth widens the penalty.
 func Score(depth int, sumWeights, lambda float64) float64 {
 	return math.Pow(float64(depth), lambda) * sumWeights
-}
-
-// newSearchPool builds the fork/join pool for one search.
-func newSearchPool(threads int) *parallel.Pool {
-	return parallel.NewPool(threads)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"wikisearch/internal/parallel"
 	"wikisearch/internal/trace"
 )
@@ -21,6 +19,7 @@ import (
 type SearchState struct {
 	_    noCopy
 	st   state
+	dr   driver
 	pool *parallel.Pool
 
 	// buf is the state's trace buffer: one event ring per pool worker,
@@ -68,68 +67,49 @@ func (ss *SearchState) ensurePool(threads int) {
 	}
 }
 
-// BottomUp runs parameter resolution, state preparation and the bottom-up
+// start resolves the parameters, validates the query and binds the state
+// and a fresh driver to it.
+func (ss *SearchState) start(in Input, p Params) error {
+	p = p.Defaults()
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	ss.ensurePool(p.Threads)
+	ss.buf.Reset()
+	ss.st.in, ss.st.p, ss.st.pool = in, p, ss.pool
+	ss.dr = driver{p: p, buf: &ss.buf}
+	return nil
+}
+
+// BottomUp runs parameter resolution, Initialization and the bottom-up
 // stage only, returning the depth d of the top-(k,d) problem. This is the
 // part of the search that is allocation-free on a warm state — including
 // span recording when tracing is enabled; it exists for kernel benchmarks
 // and allocation guards — Search is the real entry point.
 func (ss *SearchState) BottomUp(in Input, p Params) (int, error) {
-	p = p.Defaults()
-	if err := in.Validate(); err != nil {
+	if err := ss.start(in, p); err != nil {
 		return 0, err
 	}
-	ss.ensurePool(p.Threads)
-	s := &ss.st
-	s.buf = &ss.buf
-	ss.buf.Reset()
-
-	t0 := trace.Now()
-	s.prepare(in, p, ss.pool)
-	t1 := trace.Now()
-	s.prof.Phases[PhaseInit] = time.Duration(t1 - t0)
-	ss.buf.Record(0, trace.KindInit, t0, t1, -1, int64(len(in.Sources)), 0)
-	d, err := s.bottomUp()
-	ss.buf.Record(0, trace.KindBottomUp, t0, trace.Now(), -1, s.prof.FrontierTotal, s.prof.EdgesScanned)
-	return d, err
+	return ss.dr.bottomUp(&ss.st)
 }
 
 // Profile returns the profile of the state's last (possibly partial)
 // search.
-func (ss *SearchState) Profile() Profile { return ss.st.prof }
+func (ss *SearchState) Profile() Profile { return ss.dr.prof }
 
 // Search runs the full two-stage algorithm on the reusable state: CPU-Par
 // when p.Threads > 1, the sequential baseline when p.Threads == 1. The
 // worker pool persists across calls and is only rebuilt when p.Threads
 // changes.
 func (ss *SearchState) Search(in Input, p Params) (*Result, error) {
-	p = p.Defaults()
-	d, err := ss.BottomUp(in, p)
-	s := &ss.st
-	if err != nil {
-		s.in = Input{}
+	if err := ss.start(in, p); err != nil {
 		return nil, err
 	}
-
-	t0 := trace.Now()
-	answers, err := s.topDown()
-	t1 := trace.Now()
-	if err != nil {
-		s.in = Input{}
-		return nil, err
-	}
-	s.prof.Phases[PhaseTopDown] = time.Duration(t1 - t0)
-	ss.buf.Record(0, trace.KindTopDown, t0, t1, -1, int64(len(answers)), int64(len(s.gr.centrals)))
-
-	res := &Result{
-		Answers:           answers,
-		DepthD:            d,
-		CentralCandidates: len(s.gr.centrals),
-		Profile:           s.prof,
-	}
+	res, err := ss.dr.search(&ss.st)
 	// Drop the query's input references so a pooled state does not pin the
 	// caller's graph and source slices between queries.
-	s.in = Input{}
-	return res, nil
+	ss.st.in = Input{}
+	return res, err
 }
 
 // noCopy makes go vet's copylocks check report any copy of a struct that

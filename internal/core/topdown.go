@@ -605,29 +605,30 @@ func (r *tdRun) run(pool *parallel.Pool, centrals []graph.NodeID) ([]*Answer, in
 	return r.out, capped, nil
 }
 
-// topDown runs stage two of Algorithm 1 and counts the truncated Central
-// Graphs into the profile.
-func (s *state) topDown() ([]*Answer, error) {
+// topDown runs stage two of Algorithm 1 on the state's retained memory.
+func (s *state) topDown() ([]*Answer, int, error) {
 	s.tdr.qc = s.queryOf()
-	answers, capped, err := s.tdr.run(s.pool, s.gr.centrals)
-	s.prof.TruncatedGraphs += capped
-	return answers, err
+	return s.tdr.run(s.pool, s.gr.centrals)
 }
 
 // queryOf is the query's view of the finished bottom-up stage.
-func (s *state) queryOf() tdQuery {
-	q := len(s.in.Sources)
+func (s *state) queryOf() tdQuery { return newQuery(s, s.in, s.p, s.gr.centralAt) }
+
+// newQuery is the view stage two takes of the query in with p, finished
+// bottom-up by src; centralAt is the matrix source's identification levels.
+func newQuery(src cgSource, in Input, p Params, centralAt []uint8) tdQuery {
+	q := len(in.Sources)
 	return tdQuery{
-		src:          s,
+		src:          src,
 		q:            q,
 		all:          allMask(q),
-		centralAt:    s.gr.centralAt,
-		weights:      s.in.Weights,
-		lambda:       s.p.Lambda,
-		noLevelCover: s.p.DisableLevelCover,
-		maxNodes:     s.p.MaxGraphNodes,
-		topK:         s.p.TopK,
-		ctx:          s.p.Ctx,
+		centralAt:    centralAt,
+		weights:      in.Weights,
+		lambda:       p.Lambda,
+		noLevelCover: p.DisableLevelCover,
+		maxNodes:     p.MaxGraphNodes,
+		topK:         p.TopK,
+		ctx:          p.Ctx,
 	}
 }
 

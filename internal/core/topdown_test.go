@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wikisearch/internal/graph"
+	"wikisearch/internal/parallel"
 )
 
 // footprint counts the scratch entries the extraction now in sc addressed:
@@ -22,13 +23,14 @@ func (sc *tdScratch) footprint() int {
 // touching exactly the entries a fresh scratch would — O(small), counted,
 // not timed — while its capacity stays at the giant's size.
 func TestTopDownScratchOnlyPaysForItself(t *testing.T) {
-	pool := newSearchPool(1)
+	pool := parallel.NewPool(1)
 	defer pool.Close()
 
 	var used tdScratch
 	gin, gp := giantScenario(t)
-	gs := newState(gin, gp.Defaults(), pool)
-	if _, err := gs.bottomUp(); err != nil {
+	gp = gp.Defaults()
+	gs := newState(gin, gp, pool)
+	if _, err := runBottomUp(gs, gp); err != nil {
 		t.Fatal(err)
 	}
 	gq := gs.queryOf()
@@ -45,8 +47,9 @@ func TestTopDownScratchOnlyPaysForItself(t *testing.T) {
 	checked := 0
 	for seed := int64(500); seed < 510; seed++ {
 		in, p := randomScenario(t, seed)
-		s := newState(in, p.Defaults(), pool)
-		if _, err := s.bottomUp(); err != nil {
+		p = p.Defaults()
+		s := newState(in, p, pool)
+		if _, err := runBottomUp(s, p); err != nil {
 			t.Fatal(err)
 		}
 		qc := s.queryOf()
@@ -185,7 +188,7 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 				s := &ss.st
 				gr := &s.gr
 				for i := 0; i < 3; i++ { // warm scratch, records and arenas
-					if _, err := s.topDown(); err != nil {
+					if _, _, err := s.topDown(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -223,7 +226,7 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 				s.tdr.end()
 
 				var answers []*Answer
-				allocs := testing.AllocsPerRun(10, func() { answers, _ = s.topDown() })
+				allocs := testing.AllocsPerRun(10, func() { answers, _, _ = s.topDown() })
 				if len(answers) != c.answers {
 					t.Fatalf("%d answers from %d centrals, want %d", len(answers), len(gr.centrals), c.answers)
 				}

@@ -147,7 +147,7 @@ type Profile struct {
 	FrontierTotal int64 // Σ frontier sizes over all levels
 	// EdgesScanned counts adjacency entries actually walked during
 	// expansion: each expanded frontier node's degree, charged once (one
-	// pass covers all columns).
+	// pass covers all columns). CPU-Par-d and GPU-Par do not count: 0.
 	EdgesScanned int64
 	// TruncatedGraphs counts Central Graphs whose extraction hit the
 	// MaxGraphNodes cap: their answers, if any survive, are built from a

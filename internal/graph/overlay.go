@@ -153,25 +153,11 @@ func NewDeltaBuilder(base *Graph) *DeltaBuilder {
 	return d
 }
 
-// Base returns the flat graph the builder is rooted at.
-func (d *DeltaBuilder) Base() *Graph { return d.base }
-
 // NumNodes returns the node count of the mutated graph.
 func (d *DeltaBuilder) NumNodes() int { return d.baseN + len(d.added) }
 
-// NumEdges returns the directed edge count of the mutated graph.
-func (d *DeltaBuilder) NumEdges() int { return d.edges }
-
 // Empty reports whether no mutations have been recorded.
 func (d *DeltaBuilder) Empty() bool { return d.ops == 0 }
-
-// Ops returns the number of mutations recorded since the builder was rooted.
-func (d *DeltaBuilder) Ops() int { return d.ops }
-
-// Stats mirrors Graph.DeltaStats for the pending (unpublished) delta.
-func (d *DeltaBuilder) Stats() (addedNodes, patchedNodes, edgeDelta int) {
-	return len(d.added), len(d.patch), d.edges - d.base.NumEdges()
-}
 
 // AddNode appends a node and returns its id. Ids are dense: the first added
 // node gets base.NumNodes(), matching a fresh Builder replaying the same ops.

@@ -255,8 +255,8 @@ func TestOverlayRemoveEdgeErrors(t *testing.T) {
 	if err := d.RemoveEdge(0, 1, r); err == nil {
 		t.Fatal("expected error removing edge twice")
 	}
-	if d.NumEdges() != base.NumEdges()-1 {
-		t.Fatalf("edges = %d, want %d", d.NumEdges(), base.NumEdges()-1)
+	if got := d.Overlay().NumEdges(); got != base.NumEdges()-1 {
+		t.Fatalf("edges = %d, want %d", got, base.NumEdges()-1)
 	}
 	if err := d.AddEdge(0, 99, r); err == nil {
 		t.Fatal("expected range error")

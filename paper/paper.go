@@ -29,11 +29,7 @@ func CPUParD(ctx context.Context, e *wikisearch.Engine, q wikisearch.Query) (*wi
 // Engine.Search's.
 func GPUPar(ctx context.Context, e *wikisearch.Engine, q wikisearch.Query) (*wikisearch.Result, error) {
 	return e.SearchWith(ctx, q, func(in core.Input, p core.Params) (*core.Result, error) {
-		gres, err := core.SearchGPU(in, p, device.GTX1080Ti())
-		if err != nil {
-			return nil, err
-		}
-		return &gres.Result, nil
+		return core.SearchGPU(in, p, device.GTX1080Ti())
 	})
 }
 
