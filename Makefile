@@ -18,13 +18,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# wikilint runs the engine-specific analyzers (ctxhandler, mmapview,
-# singlewriter, lifecycle, durability and the directives validator) over
-# the whole module; see internal/analysis and DESIGN.md §8/§11. Atomic-only
-# access, no-copy and the allocation-free search path need no analyzer:
-# typed atomics make a plain access fail to compile, vet's copylocks check
-# reports copies of the noCopy-holding types, and allocguard runs the warm
-# path. Warm runs replay from the content-hash result cache; lint-cold
+# wikilint runs the engine-specific analyzers (mmapview, singlewriter,
+# durability and the directives validator) over the whole module; see
+# internal/analysis and DESIGN.md §8/§11. Atomic-only access, no-copy, the
+# allocation-free search path, request-context threading and goroutine
+# shutdown need no analyzer: typed atomics make a plain access fail to
+# compile, vet's copylocks check reports copies of the noCopy-holding
+# types, allocguard runs the warm path, and internal/server's tests request
+# every route with a cancelled context and check that Close leaves no
+# goroutine behind. Warm runs replay from the content-hash result cache; lint-cold
 # forces a fresh analysis.
 lint:
 	$(GO) run ./cmd/wikilint ./...

@@ -133,8 +133,7 @@ func BenchmarkExp4VaryThreadsT8(b *testing.B) {
 	searchBench(b, 6, 20, 0.1, 8)
 }
 
-// BenchmarkTable4Storage — Table IV: storage accounting plus the §V-B
-// matrix-transfer arithmetic.
+// BenchmarkTable4Storage — Table IV: storage accounting.
 func BenchmarkTable4Storage(b *testing.B) {
 	e := env(b)
 	b.ResetTimer()

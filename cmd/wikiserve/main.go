@@ -96,7 +96,7 @@ func main() {
 		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() { //wikisearch:daemon debug listener intentionally serves for the process lifetime
+		go func() { // the debug listener serves for the process lifetime
 			log.Printf("wikiserve: pprof on %s/debug/pprof/", *debugAddr)
 			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
 				log.Printf("wikiserve: debug listener: %v", err)

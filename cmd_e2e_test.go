@@ -4,12 +4,15 @@ package wikisearch_test
 // drive the wikigen → wikisearch / wikiserve pipeline on a tiny dataset.
 
 import (
+	"context"
 	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTools compiles the named cmds (default: the pipeline's three) once
@@ -200,6 +203,33 @@ func TestCmdWikiserveCompactAfterNeedsMutate(t *testing.T) {
 		t.Fatalf("err = %v, want exit 2\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "-compact-after requires -mutate") {
+		t.Fatalf("output: %s", out)
+	}
+}
+
+// TestCmdWikiserveListenErrorExits: when the listen address is taken,
+// wikiserve reports the error and exits 1 instead of waiting for a signal
+// that will never come.
+func TestCmdWikiserveListenErrorExits(t *testing.T) {
+	bin := buildTools(t, "wikigen", "wikiserve")
+	dump := filepath.Join(t.TempDir(), "tiny.wskb")
+	if out, err := exec.Command(filepath.Join(bin, "wikigen"), "-preset", "tiny-sim", "-out", dump).CombinedOutput(); err != nil {
+		t.Fatalf("wikigen: %v\n%s", err, out)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, filepath.Join(bin, "wikiserve"),
+		"-kb", dump, "-addr", ln.Addr().String()).CombinedOutput()
+	var ee *exec.ExitError
+	if ctx.Err() != nil || !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err = %v (ctx %v), want exit 1\n%s", err, ctx.Err(), out)
+	}
+	if !strings.Contains(string(out), "address already in use") {
 		t.Fatalf("output: %s", out)
 	}
 }

@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := &http.Server{Handler: server.New(eng2), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln) //wikisearch:daemon shut down by the deferred srv.Close below
+	go srv.Serve(ln) // shut down by the deferred srv.Close below
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving on %s\n\n", base)

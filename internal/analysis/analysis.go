@@ -1,12 +1,16 @@
 // Package analysis is a self-contained static-analysis driver and analyzer
 // suite enforcing the engine's invariants that neither the compiler nor go
 // vet can see: mmap views must not outlive their mapping, single-writer
-// buffers need one owner, handlers thread their request context. The
+// buffers need one owner, durable writes sync before they rename. The
 // lock-free and no-copy rules need no analyzer here: the shared arrays hold
 // sync/atomic.Uint64 words, which admit no plain access, and the types that
 // must stay put carry a noCopy field that go vet's copylocks check reports
 // copies of. Nor does the allocation-free search kernel: the AllocationFree
 // tests (make allocguard) run every branch of it and count its allocations.
+// Two rules became tests that run the code: every route must stop its search
+// on a cancelled request (internal/server's TestRoutesHonorCancelledContext),
+// and nothing the engine, mutator, server or worker pool starts may outlive
+// its Close (TestCloseLeavesNoGoroutine).
 //
 // The driver is built on the standard library only (go/parser, go/types and
 // the go/importer source importer) — the repository's stdlib-only rule
@@ -20,8 +24,6 @@
 //	//wikisearch:writer       func: the owning writer of singlewriter fields
 //	//wikisearch:drain        func: blessed read-side accessor for
 //	                          singlewriter fields
-//	//wikisearch:daemon       func or line: goroutine intentionally lives
-//	                          for the process lifetime
 //	//wikisearch:volatile     line: file write intentionally non-durable
 package analysis
 
@@ -67,10 +69,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxHandlerAnalyzer,
 		MmapViewAnalyzer,
 		SingleWriterAnalyzer,
-		LifecycleAnalyzer,
 		DurabilityAnalyzer,
 		DirectivesAnalyzer,
 	}

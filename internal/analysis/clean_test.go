@@ -6,7 +6,7 @@ import "testing"
 // cmd/wikilint performs — and asserts the analyzer suite reports nothing:
 // the tree's //wikisearch annotations and the invariants they promise hold.
 // A finding here means an mmap view escaped, a single-writer field gained
-// a second writer, or a handler stopped threading its request context.
+// a second writer, or a durable write lost its sync.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

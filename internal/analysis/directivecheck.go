@@ -27,7 +27,6 @@ var directiveAttach = map[string][]string{
 	"mmapview":     {"func"},
 	"writer":       {"func"},
 	"drain":        {"func"},
-	"daemon":       {"func", "line"},
 	"viewholder":   {"type"},
 	"singlewriter": {"field"},
 	"volatile":     {"line"},

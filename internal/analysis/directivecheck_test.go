@@ -33,6 +33,7 @@ func TestDirectivesFixture(t *testing.T) {
 		"//wikisearch:nocopy":                        `unknown directive //wikisearch:nocopy`,
 		"//wikisearch:hotpath":                       `unknown directive //wikisearch:hotpath`,
 		"//wikisearch:coldpath":                      `unknown directive //wikisearch:coldpath`,
+		"go Cold() //wikisearch:daemon":              `unknown directive //wikisearch:daemon`,
 		"return make([]int, 8) //wikisearch:allocok": `unknown directive //wikisearch:allocok`,
 	}
 	diags := RunAnalyzers(prog, All())

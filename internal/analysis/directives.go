@@ -9,24 +9,14 @@ import (
 
 const directivePrefix = "//wikisearch:"
 
-// FuncInfo is one indexed function declaration with its directives.
-type FuncInfo struct {
-	Key        string // pkgpath.Recv.Name ("" receiver for plain functions)
-	Decl       *ast.FuncDecl
-	Pkg        *Package
-	Directives map[string]bool
-}
-
-// Index is the module-wide directive and declaration index shared by the
-// analyzers: lifecycle looks callees up across packages through Funcs,
+// Index is the module-wide directive index shared by the analyzers:
 // mmapview consults the view-minting functions and viewholder types,
-// singlewriter the annotated fields.
+// singlewriter the annotated fields and their writers and drains.
 type Index struct {
-	Funcs        map[string]*FuncInfo
-	ByDecl       map[*ast.FuncDecl]*FuncInfo
-	MmapView     map[string]bool // func keys with //wikisearch:mmapview
-	SingleWriter map[string]bool // "pkg.Type.field" with //wikisearch:singlewriter
-	ViewHolder   map[string]bool // "pkg.Type" with //wikisearch:viewholder
+	FuncDirs     map[*ast.FuncDecl]map[string]bool // each declaration's directives
+	MmapView     map[string]bool                   // func keys with //wikisearch:mmapview
+	SingleWriter map[string]bool                   // "pkg.Type.field" with //wikisearch:singlewriter
+	ViewHolder   map[string]bool                   // "pkg.Type" with //wikisearch:viewholder
 	// HolderFields maps a viewholder type key to the type keys of its
 	// same-package named field types (pointers/slices stripped), the edges
 	// the mmapview anchoring fixpoint walks toward a Close method.
@@ -35,7 +25,7 @@ type Index struct {
 }
 
 // LineDirective reports whether the line holding pos carries the given
-// line-scoped //wikisearch directive (daemon, volatile).
+// line-scoped //wikisearch directive (volatile).
 func (ix *Index) LineDirective(name string, fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	return ix.lines[name][p.Filename][p.Line]
@@ -44,7 +34,6 @@ func (ix *Index) LineDirective(name string, fset *token.FileSet, pos token.Pos) 
 // lineDirectives are the directives recorded by source line rather than by
 // declaration: they suppress or scope one finding at one site.
 var lineDirectives = map[string]bool{
-	"daemon":   true,
 	"volatile": true,
 }
 
@@ -109,8 +98,7 @@ func funcKey(pkgPath, recv, name string) string {
 // dependencies) for declarations and directives.
 func buildIndex(prog *Program) *Index {
 	ix := &Index{
-		Funcs:        map[string]*FuncInfo{},
-		ByDecl:       map[*ast.FuncDecl]*FuncInfo{},
+		FuncDirs:     map[*ast.FuncDecl]map[string]bool{},
 		MmapView:     map[string]bool{},
 		SingleWriter: map[string]bool{},
 		ViewHolder:   map[string]bool{},
@@ -157,16 +145,10 @@ func (ix *Index) scanFile(prog *Program, pkg *Package, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			fi := &FuncInfo{
-				Key:        funcKey(pkg.Path, recvBaseName(d), d.Name.Name),
-				Decl:       d,
-				Pkg:        pkg,
-				Directives: directivesOf(d.Doc),
-			}
-			ix.Funcs[fi.Key] = fi
-			ix.ByDecl[d] = fi
-			if fi.Directives["mmapview"] {
-				ix.MmapView[fi.Key] = true
+			dirs := directivesOf(d.Doc)
+			ix.FuncDirs[d] = dirs
+			if dirs["mmapview"] {
+				ix.MmapView[funcKey(pkg.Path, recvBaseName(d), d.Name.Name)] = true
 			}
 		case *ast.GenDecl:
 			if d.Tok != token.TYPE {
@@ -201,15 +183,6 @@ func (ix *Index) scanFile(prog *Program, pkg *Package, f *ast.File) {
 			}
 		}
 	}
-}
-
-// funcDirectives returns the directives of the declaration enclosing the
-// given FuncDecl, or nil.
-func (ix *Index) funcDirectives(decl *ast.FuncDecl) map[string]bool {
-	if fi := ix.ByDecl[decl]; fi != nil {
-		return fi.Directives
-	}
-	return nil
 }
 
 // calleeOf returns the *types.Func a call expression statically resolves to

@@ -39,7 +39,7 @@ func runMmapView(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c := &mmapChecker{pass: pass, minter: ix.funcDirectives(fd)["mmapview"]}
+			c := &mmapChecker{pass: pass, minter: ix.FuncDirs[fd]["mmapview"]}
 			c.gatherTaints(fd.Body)
 			inspectWithStack(fd.Body, c.check)
 		}

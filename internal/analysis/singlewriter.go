@@ -45,7 +45,7 @@ func runSingleWriter(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			dirs := ix.funcDirectives(fd)
+			dirs := ix.FuncDirs[fd]
 			if dirs["writer"] {
 				continue // the owning writer has full access
 			}

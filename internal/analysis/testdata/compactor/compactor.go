@@ -1,8 +1,7 @@
 // Package compactor is a wikilint test fixture for the live-mutation
 // writer/compactor discipline (mutate.go): delta state owned by annotated
-// //wikisearch:writer functions, and a background compact loop that must
-// be joined through a stop/done channel pair. Each want comment is an
-// expected finding on that line.
+// //wikisearch:writer functions, among them a background compact loop.
+// Each want comment is an expected finding on that line.
 package compactor
 
 // Compactor models the mutator: a delta only its writer methods may
@@ -16,12 +15,9 @@ type Compactor struct {
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
-
-	ticks int // plain field: fine to touch anywhere
 }
 
-// New starts the background compactor; the loop is tied to stop and
-// joined through done in Close, so lifecycle stays silent.
+// New starts the background compactor; Close stops and joins it.
 func New() *Compactor {
 	c := &Compactor{
 		wake: make(chan struct{}, 1),
@@ -80,18 +76,6 @@ func (c *Compactor) compact() {
 //wikisearch:drain
 func (c *Compactor) Pending() int {
 	return len(c.delta)
-}
-
-// LeakyNew forgets the stop/done tie: the loop spins forever with no
-// join or cancel signal in sight.
-func LeakyNew() *Compactor {
-	c := &Compactor{}
-	go func() { // want `goroutine is not tied to a shutdown mechanism`
-		for {
-			c.ticks++
-		}
-	}()
-	return c
 }
 
 // Rogue mutates the delta outside the annotated writers.

@@ -70,3 +70,9 @@ func Hot() []int {
 //
 //wikisearch:coldpath
 func Cold() {}
+
+// Serve carries the retired daemon directive: a goroutine-leak check that
+// runs each Close replaced it.
+func Serve() {
+	go Cold() //wikisearch:daemon
+}

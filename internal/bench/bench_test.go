@@ -270,18 +270,6 @@ func TestScaling(t *testing.T) {
 	}
 }
 
-func TestMatrixFootprint(t *testing.T) {
-	// §V-B example: 30M nodes × 10 keywords, with rows padded to whole
-	// words (stride 16): 480MB, ~40ms at 12GB/s.
-	bytes, sec := MatrixFootprint(30_000_000, 10, 12e9)
-	if bytes != 480_000_000 {
-		t.Fatalf("bytes = %d", bytes)
-	}
-	if sec < 0.035 || sec > 0.045 {
-		t.Fatalf("transfer = %v s", sec)
-	}
-}
-
 func TestTableString(t *testing.T) {
 	tbl := Table{ID: "x", Title: "t", Header: []string{"a", "b"}, Rows: [][]string{{"1", "22"}}}
 	s := tbl.String()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wikisearch/internal/core"
 	"wikisearch/internal/graph"
 	"wikisearch/internal/parallel"
 )
@@ -167,19 +166,4 @@ func joinWords(ws []string) string {
 		out += w
 	}
 	return out
-}
-
-// MatrixFootprint returns the §V-B storage arithmetic for an n-node,
-// q-keyword query: the matrix size and its simulated transfer time at the
-// given bandwidth. It reproduces the paper's "300MB in ~25ms" example with
-// one deviation: our rows are padded to whole 8-byte words (so the kernel
-// tests a row per atomic load), which rounds the 30M × 10 example up to
-// 480MB / ~40ms.
-func MatrixFootprint(n, q int, bandwidth float64) (bytes int64, seconds float64) {
-	m := core.NewMatrix(n, q)
-	bytes = m.ByteSize()
-	if bandwidth > 0 {
-		seconds = float64(bytes) / bandwidth
-	}
-	return bytes, seconds
 }

@@ -56,7 +56,6 @@ type dynState struct {
 
 	nodes []dynNode
 	fid   *parallel.Bitset
-	cid   *parallel.Bitset
 
 	contains  []uint64
 	frontier  []int32
@@ -72,7 +71,6 @@ func (s *dynState) initialize() int {
 	q := len(in.Sources)
 	s.nodes = make([]dynNode, n)
 	s.fid = parallel.NewBitset(n)
-	s.cid = parallel.NewBitset(n)
 	s.contains = make([]uint64, n)
 	s.centralAt = make([]int32, n)
 	for i := range s.centralAt {
@@ -124,15 +122,11 @@ func (s *dynState) identify(l int) int {
 	lvl := int32(l)
 	s.pool.For(len(s.frontier), func(i int) {
 		v := graph.NodeID(s.frontier[i])
-		if s.cid.Get(int(v)) {
-			return
-		}
 		nd := &s.nodes[v]
 		nd.mu.Lock()
 		all := nd.rec != nil && len(nd.rec.hit) == q
 		nd.mu.Unlock()
 		if all {
-			s.cid.Set(int(v))
 			s.centralAt[v] = lvl
 		}
 	})
@@ -154,7 +148,7 @@ func (s *dynState) expand(l int) int64 {
 	s.pool.ForChunks(len(s.frontier), func(start, end int) {
 		for fi := start; fi < end; fi++ {
 			vf := graph.NodeID(s.frontier[fi])
-			if s.cid.Get(int(vf)) {
+			if s.centralAt[vf] >= 0 {
 				continue
 			}
 			af := int(s.in.Levels[vf])

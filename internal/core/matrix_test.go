@@ -20,6 +20,12 @@ func TestMatrixBasics(t *testing.T) {
 	if m.ByteSize() != 80 { // 10 rows × stride 8 (q=3 padded to a word)
 		t.Fatalf("ByteSize = %d", m.ByteSize())
 	}
+	// §V-B's example, 30M nodes × 10 keywords, scaled down by 10^6: rows
+	// padded to whole words (stride 16) make it 480 MB where the paper's
+	// unpadded rows make 300 MB.
+	if b := NewMatrix(30, 10).ByteSize() * 1_000_000; b != 480_000_000 {
+		t.Fatalf("30M × 10 matrix = %d bytes, want 480 MB", b)
+	}
 	for v := graph.NodeID(0); v < 10; v++ {
 		for j := 0; j < 3; j++ {
 			if m.Get(v, j) != Infinity {

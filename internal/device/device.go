@@ -27,18 +27,14 @@ type Device struct {
 	// MemoryBytes is the device global-memory capacity (11 GiB on the
 	// paper's GTX 1080 Ti); used for the Table IV storage accounting.
 	MemoryBytes int64
-	// HostBandwidth is the device→host transfer bandwidth in bytes/second
-	// (the paper assumes ~12 GB/s for PCIe with DDR5X timings).
-	HostBandwidth float64
 }
 
 // GTX1080Ti returns the paper's evaluation GPU.
 func GTX1080Ti() *Device {
 	return &Device{
-		SMs:           28,
-		WarpSize:      32,
-		MemoryBytes:   11 << 30,
-		HostBandwidth: 12e9,
+		SMs:         28,
+		WarpSize:    32,
+		MemoryBytes: 11 << 30,
 	}
 }
 
@@ -100,15 +96,6 @@ func (d *Device) Launch1D(threads int, kernel func(i int)) {
 			kernel(i)
 		}
 	})
-}
-
-// TransferTime returns the simulated host↔device transfer duration in
-// seconds for n bytes.
-func (d *Device) TransferTime(n int64) float64 {
-	if d.HostBandwidth <= 0 {
-		return 0
-	}
-	return float64(n) / d.HostBandwidth
 }
 
 // Queue is the device-side frontier queue: appends use an atomic ticket

@@ -56,18 +56,6 @@ func TestLaunch1D(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	d := GTX1080Ti()
-	// The paper's §V-B example: a 300 MB matrix over ~12 GB/s ≈ 25 ms.
-	sec := d.TransferTime(300 << 20)
-	if sec < 0.02 || sec > 0.03 {
-		t.Fatalf("transfer of 300MB = %v s, want ≈ 0.025", sec)
-	}
-	if (&Device{}).TransferTime(1<<30) != 0 {
-		t.Fatal("zero-bandwidth device must report 0")
-	}
-}
-
 func TestQueueConcurrentAppend(t *testing.T) {
 	d := &Device{SMs: 8, WarpSize: 32}
 	q := NewQueue(32 * 64)

@@ -10,15 +10,21 @@ import (
 	"wikisearch"
 )
 
-// testMutableServer builds a server with live mutation enabled.
+// testMutableServer builds a server with live mutation enabled. The test's
+// cleanup closes the server and its engine, and then checks that no
+// goroutine either started is left.
 func testMutableServer(t testing.TB) *Server {
 	t.Helper()
+	checkNoLeak(t)
 	s := testServer(t)
 	if err := s.EnableMutation(wikisearch.MutatorOptions{CompactAfterOps: -1}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := s.eng.Close(); err != nil {
 			t.Error(err)
 		}
 	})

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,5 +115,72 @@ func TestRoutesServed(t *testing.T) {
 	// And an unregistered path still 404s.
 	if w := get(t, s, "/nope"); w.Code != 404 {
 		t.Errorf("unregistered path answered %d", w.Code)
+	}
+}
+
+// TestRoutesHonorCancelledContext requests every route with a context
+// cancelled before the request arrives, as when the client is already
+// gone, through the production middleware chain (deadline, limiter, cache).
+// The engine records a trace for every Search call: a search route must
+// run exactly one search and it must end in context.Canceled, which shows
+// the request's context reached the level loop; any other route must run
+// none. A search route answers nothing: /v1/search writes no byte and the
+// index page stops after its form. The table names every route, so a new
+// route needs a case here.
+func TestRoutesHonorCancelledContext(t *testing.T) {
+	cases := map[string]struct {
+		method, target, body string
+		search               bool
+	}{
+		"GET /v1/search":       {target: "/v1/search?q=xml+rdf+sql", search: true},
+		"GET /{$}":             {target: "/?q=xml+rdf+sql", search: true},
+		"GET /v1/stats":        {target: "/v1/stats"},
+		"GET /metrics":         {target: "/metrics"},
+		"GET /v1/debug/traces": {target: "/v1/debug/traces"},
+		"GET /v1/debug/trace":  {target: "/v1/debug/trace?id=1"},
+		"GET /healthz":         {target: "/healthz"},
+		"* /v1/mutate": {method: http.MethodPost, target: "/v1/mutate",
+			body: `{"ops":[{"op":"add_node","label":"zorblatt"}]}`},
+	}
+	for _, r := range testServer(t).Routes() {
+		key := r.Method + " " + r.Pattern
+		c, ok := cases[key]
+		if !ok {
+			t.Errorf("route %s has no case", key)
+			continue
+		}
+		delete(cases, key)
+		t.Run(key, func(t *testing.T) {
+			s := testMutableServer(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			method := c.method
+			if method == "" {
+				method = http.MethodGet
+			}
+			req := httptest.NewRequest(method, c.target, strings.NewReader(c.body)).WithContext(ctx)
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req)
+
+			traces := s.eng.Traces().Recent()
+			for _, qt := range traces {
+				if !strings.Contains(qt.Err, context.Canceled.Error()) {
+					t.Errorf("a search completed under the cancelled request (err %q, %d answers)", qt.Err, qt.Answers)
+				}
+			}
+			switch body := w.Body.String(); {
+			case !c.search && len(traces) != 0:
+				t.Errorf("route ran %d searches, want none", len(traces))
+			case c.search && len(traces) != 1:
+				t.Errorf("route ran %d searches, want 1", len(traces))
+			case key == "GET /v1/search" && body != "":
+				t.Errorf("wrote %q to a cancelled client", body)
+			case key == "GET /{$}" && !strings.HasSuffix(body, "</form>"):
+				t.Errorf("index page wrote past its form to a cancelled client: %q", body)
+			}
+		})
+	}
+	for key := range cases {
+		t.Errorf("case %s names no registered route", key)
 	}
 }
