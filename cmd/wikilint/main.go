@@ -3,35 +3,38 @@
 //
 // Usage:
 //
-//	wikilint [-list] [-format text|github] [-nocache] [-cache-dir dir] [patterns ...]
+//	wikilint [-list] [-format text|github] [patterns ...]
 //
 // Patterns are directory paths relative to the current module, "./..." by
 // default. The command exits 0 when the tree is clean, 1 when any analyzer
 // reports a finding, and 2 on load or usage errors.
-//
-// Results are cached under a content hash of the module source (every .go
-// file plus go.mod, the pattern list, the analyzer set and the Go version),
-// so a warm run skips loading and type-checking entirely; -nocache forces a
-// fresh analysis.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"wikisearch/internal/analysis"
 )
 
+// finding is one diagnostic with its position resolved, File relative to
+// the module root.
+type finding struct {
+	File      string
+	Line, Col int
+	Analyzer  string
+	Message   string
+}
+
 func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	format := flag.String("format", "text", "output format: text, or github (workflow annotations)")
-	nocache := flag.Bool("nocache", false, "bypass the result cache and re-analyze")
-	cacheDir := flag.String("cache-dir", analysis.DefaultCacheDir(), "result cache directory")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: wikilint [-list] [-format text|github] [-nocache] [-cache-dir dir] [patterns ...]\n")
+			"usage: wikilint [-list] [-format text|github] [patterns ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,20 +56,6 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	key := ""
-	if modDir, err := analysis.FindModuleDir("."); err == nil {
-		if k, err := analysis.CacheKey(modDir, patterns, analyzers); err == nil {
-			key = k
-		}
-	}
-	if !*nocache && key != "" {
-		if diags, hit := analysis.LookupCache(*cacheDir, key); hit {
-			report(render, diags)
-			return
-		}
-	}
-
 	prog, err := analysis.LoadPackages(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wikilint: %v\n", err)
@@ -83,28 +72,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := analysis.ResolveDiagnostics(prog, analysis.RunAnalyzers(prog, analyzers))
-	if key != "" {
-		analysis.SaveCache(*cacheDir, key, diags) // best-effort
+	var findings []finding
+	for _, d := range analysis.RunAnalyzers(prog, analyzers) {
+		p := prog.Fset.Position(d.Pos)
+		file := p.Filename
+		if rel, err := filepath.Rel(prog.ModuleDir, file); err == nil && !strings.HasPrefix(rel, "..") {
+			file = filepath.ToSlash(rel)
+		}
+		findings = append(findings, finding{file, p.Line, p.Column, d.Analyzer, d.Message})
 	}
-	report(render, diags)
-}
-
-// report renders the findings and exits 1 when there are any.
-func report(render func([]analysis.CachedDiagnostic), diags []analysis.CachedDiagnostic) {
-	render(diags)
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "wikilint: %d finding(s)\n", len(diags))
+	render(findings)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "wikilint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
 
-var formatters = map[string]func([]analysis.CachedDiagnostic){
+var formatters = map[string]func([]finding){
 	"text":   renderText,
 	"github": renderGitHub,
 }
 
-func renderText(diags []analysis.CachedDiagnostic) {
+func renderText(diags []finding) {
 	for _, d := range diags {
 		fmt.Printf("%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	}
@@ -112,7 +101,7 @@ func renderText(diags []analysis.CachedDiagnostic) {
 
 // renderGitHub emits GitHub Actions workflow commands, which the runner
 // turns into inline PR annotations.
-func renderGitHub(diags []analysis.CachedDiagnostic) {
+func renderGitHub(diags []finding) {
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
 	escProp := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A", ":", "%3A", ",", "%2C")
 	for _, d := range diags {

@@ -97,7 +97,7 @@ func main() {
 			}
 		}
 		if *dotOut != "" && len(res.Answers) > 0 {
-			f, err := os.Create(*dotOut) //wikisearch:volatile best-effort visualization output, not engine state
+			f, err := os.Create(*dotOut) // best-effort visualization output, not engine state: no fsync
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				return

@@ -171,7 +171,9 @@ func NewEngine(g *Graph, o EngineOptions) (*Engine, error) {
 // prepares an engine over it. The dump carries the inverted index and the
 // sampled distance statistics, so loading recomputes neither; a positive
 // o.AvgDistance overrides the stored A. A dump without an index, or without
-// a positive A and no override, is rejected.
+// a positive A and no override, is rejected. Where the platform has mmap
+// (LoadInfo().Mode == "mmap"), the graph, weights and index are zero-copy
+// views of the file until Close; a Result never aliases them.
 func LoadEngine(path string, o EngineOptions) (*Engine, error) {
 	d, err := storage.LoadDumpFile(path)
 	if err != nil {
@@ -268,10 +270,11 @@ func (e *Engine) LoadInfo() LoadInfo {
 
 // Close stops the mutator's compactor, closes the idle search states (and
 // with them their worker goroutines) and releases the memory mapping backing
-// a loaded engine. The caller must guarantee no search is in flight —
-// after Close, the graph, weights and index views of a loaded engine are
-// invalid; an in-memory engine keeps serving, without state reuse. Close is
-// idempotent.
+// a loaded engine. The caller must guarantee no search is in flight. A
+// Result returned before Close stays valid: its strings are copies. What
+// Graph and Weights returned does not — on a loaded engine they alias the
+// mapping — and a loaded engine must not search again; an in-memory engine
+// keeps serving, without state reuse. Close is idempotent.
 func (e *Engine) Close() error {
 	// Stop the mutator's compactor first (no-op when none is active).
 	e.mu.Lock()
@@ -302,6 +305,7 @@ func (e *Engine) Name() string { return e.name }
 // Graph returns the current epoch's graph. During live mutation the view
 // changes on publish; hold the result rather than re-reading it when a
 // consistent view matters (or pin via Search, which does this per query).
+// On a loaded engine it is a view of the mapping, invalid after Close.
 func (e *Engine) Graph() *Graph { return e.snap().g }
 
 // AvgDistance returns the sampled (or configured) average shortest
@@ -324,7 +328,8 @@ func (e *Engine) KeywordFrequency(raw string) int { return len(e.snap().lookup(r
 func (e *Engine) Weight(v NodeID) float64 { return e.snap().weights[v] }
 
 // Weights returns the current epoch's weight vector; the slice aliases
-// snapshot state and must not be modified.
+// snapshot state and must not be modified. On a loaded engine it is a view
+// of the mapping, invalid after Close.
 func (e *Engine) Weights() []float64 { return e.snap().weights }
 
 // activationLevels returns the current snapshot's per-node minimum

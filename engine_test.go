@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -594,4 +595,37 @@ func TestActivationLevelsEvictionSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentSaveSamePath: two Saves to one path at once both succeed,
+// and the file they leave loads.
+func TestConcurrentSaveSamePath(t *testing.T) {
+	eng := newTestEngine(t)
+	path := filepath.Join(t.TempDir(), "kb.v3")
+	for round := range 20 {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = eng.Save(path)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+	loaded, err := LoadEngine(path, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Close()
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want only the dump, found %v (%v)", entries, err)
+	}
 }

@@ -2,6 +2,7 @@ package wikisearch
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +33,9 @@ type snapshot struct {
 	weights []float64
 	avgDist float64
 	stddev  float64
+	// rels are g's relation names copied off a loaded dump's mapping,
+	// which resolve hands out: a Result outlives Engine.Close.
+	rels []string
 
 	mu         sync.Mutex
 	levelCache map[float64]*levelEntry // α → per-node activation levels
@@ -39,9 +43,13 @@ type snapshot struct {
 }
 
 func newSnapshot(g *Graph, ix *text.Index, ixo *text.Overlay, w []float64, avgDist, stddev float64) *snapshot {
+	rels := make([]string, g.NumRels())
+	for r := range rels {
+		rels[r] = strings.Clone(g.RelName(graph.RelID(r)))
+	}
 	return &snapshot{
 		g: g, ix: ix, ixo: ixo, weights: w,
-		avgDist: avgDist, stddev: stddev,
+		avgDist: avgDist, stddev: stddev, rels: rels,
 		levelCache: map[float64]*levelEntry{},
 	}
 }

@@ -51,3 +51,24 @@ func TestServingBinaryImports(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyStorageImportsUnsafe: internal/storage, whose v3 loader hands
+// out zero-copy views of the mapped dump, is the only package of this
+// module whose non-test code imports unsafe, so no other package can mint
+// a view that outlives the mapping.
+func TestOnlyStorageImportsUnsafe(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		if slices.Contains(fields[1:], "unsafe") {
+			got = append(got, fields[0])
+		}
+	}
+	if want := []string{"wikisearch/internal/storage"}; !slices.Equal(got, want) {
+		t.Fatalf("packages importing unsafe: %v, want %v", got, want)
+	}
+}

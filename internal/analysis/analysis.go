@@ -1,30 +1,28 @@
 // Package analysis is a self-contained static-analysis driver and analyzer
-// suite enforcing the engine's invariants that neither the compiler nor go
-// vet can see: mmap views must not outlive their mapping, single-writer
-// buffers need one owner, durable writes sync before they rename. The
-// lock-free and no-copy rules need no analyzer here: the shared arrays hold
-// sync/atomic.Uint64 words, which admit no plain access, and the types that
-// must stay put carry a noCopy field that go vet's copylocks check reports
-// copies of. Nor does the allocation-free search kernel: the AllocationFree
-// tests (make allocguard) run every branch of it and count its allocations.
-// Two rules became tests that run the code: every route must stop its search
-// on a cancelled request (internal/server's TestRoutesHonorCancelledContext),
-// and nothing the engine, mutator, server or worker pool starts may outlive
-// its Close (TestCloseLeavesNoGoroutine).
+// suite enforcing the engine invariant that neither the compiler nor the
+// tests can see: single-writer buffers need one owner. Every other rule the
+// suite once held became a check that runs the code. Typed atomics admit
+// no plain access, and go vet's copylocks check reports copies of the
+// noCopy-holding types. The AllocationFree tests (make allocguard) run
+// every branch of the search kernel and count its allocations.
+// internal/server's TestRoutesHonorCancelledContext stops every route's
+// search on a cancelled request, and TestCloseLeavesNoGoroutine finds
+// what outlives a Close. internal/storage's TestAtomicWriteFaults and
+// TestAtomicWriteCrash fail, or crash, every file-system call of every
+// durable writer. The root package's TestResultOutlivesEngineClose reads
+// every string of a search result after its mmap'd dump is unmapped, and
+// TestOnlyStorageImportsUnsafe keeps unsafe views in internal/storage.
 //
 // The driver is built on the standard library only (go/parser, go/types and
 // the go/importer source importer) — the repository's stdlib-only rule
 // excludes golang.org/x/tools. Source directives recognized by the suite
 // are documented in DESIGN.md §8 and §11:
 //
-//	//wikisearch:mmapview     func: may mint unsafe views over a mapping
-//	//wikisearch:viewholder   type: may hold mmap views; must reach a Close
 //	//wikisearch:singlewriter struct field: one annotated writer, reads via
 //	                          annotated drain accessors
 //	//wikisearch:writer       func: the owning writer of singlewriter fields
 //	//wikisearch:drain        func: blessed read-side accessor for
 //	                          singlewriter fields
-//	//wikisearch:volatile     line: file write intentionally non-durable
 package analysis
 
 import (
@@ -69,9 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MmapViewAnalyzer,
 		SingleWriterAnalyzer,
-		DurabilityAnalyzer,
 		DirectivesAnalyzer,
 	}
 }

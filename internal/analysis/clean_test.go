@@ -5,8 +5,8 @@ import "testing"
 // TestRepositoryClean loads every package of this module — the same walk
 // cmd/wikilint performs — and asserts the analyzer suite reports nothing:
 // the tree's //wikisearch annotations and the invariants they promise hold.
-// A finding here means an mmap view escaped, a single-writer field gained
-// a second writer, or a durable write lost its sync.
+// A finding here means a single-writer field gained a second writer or a
+// //wikisearch directive is unknown or misplaced.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

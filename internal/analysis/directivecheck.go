@@ -22,12 +22,11 @@ var DirectivesAnalyzer = &Analyzer{
 
 // directiveAttach maps each known directive to the declaration kinds it may
 // annotate. "line" means a free-standing or trailing comment scoping one
-// statement.
+// statement. No analyzer reads volatile; it stays known only because the
+// two report writers in benchmark/ still carry it.
 var directiveAttach = map[string][]string{
-	"mmapview":     {"func"},
 	"writer":       {"func"},
 	"drain":        {"func"},
-	"viewholder":   {"type"},
 	"singlewriter": {"field"},
 	"volatile":     {"line"},
 }

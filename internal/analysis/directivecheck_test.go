@@ -23,11 +23,13 @@ func TestDirectivesFixture(t *testing.T) {
 		}
 	}
 	expected := map[string]string{
-		"//wikisearch:mmapview":                      `misplaced directive //wikisearch:mmapview: applies to func declarations, found on a field`,
-		"//wikisearch:mmapvew":                       `unknown directive //wikisearch:mmapvew`,
-		"// wikisearch:mmapview":                     `malformed directive "// wikisearch:mmapview"`,
+		"//wikisearch:drain":                         `misplaced directive //wikisearch:drain: applies to func declarations, found on a field`,
+		"//wikisearch:drian":                         `unknown directive //wikisearch:drian`,
+		"// wikisearch:drain":                        `malformed directive "// wikisearch:drain"`,
 		"//wikisearch:volatile":                      `misplaced directive //wikisearch:volatile: applies to line declarations, found on a type`,
-		"//wikisearch:viewholder":                    `misplaced directive //wikisearch:viewholder: applies to type declarations, found on a field`,
+		"//wikisearch:writer left on a field":        `misplaced directive //wikisearch:writer: applies to func declarations, found on a field`,
+		"//wikisearch:mmapview":                      `unknown directive //wikisearch:mmapview`,
+		"//wikisearch:viewholder":                    `unknown directive //wikisearch:viewholder`,
 		"//wikisearch:writer":                        `misplaced directive //wikisearch:writer: applies to func declarations, found on a type`,
 		"//wikisearch:atomic":                        `unknown directive //wikisearch:atomic`,
 		"//wikisearch:nocopy":                        `unknown directive //wikisearch:nocopy`,

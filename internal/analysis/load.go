@@ -30,8 +30,7 @@ type Package struct {
 }
 
 // Program is a loaded set of packages sharing one FileSet plus the
-// module-wide directive index the cross-package analyzers (mmapview's
-// minter lookup) need.
+// module-wide directive index.
 type Program struct {
 	Fset       *token.FileSet
 	ModulePath string // empty for fixture loads

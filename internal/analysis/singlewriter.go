@@ -9,10 +9,11 @@ import (
 
 // shortFieldName renders "pkg/path.Type.field" as "Type.field".
 func shortFieldName(key string) string {
-	if i := strings.LastIndex(key, "."); i >= 0 {
-		return shortTypeName(key[:i]) + key[i:]
+	i := strings.LastIndex(key, ".")
+	if i < 0 {
+		return key
 	}
-	return key
+	return key[strings.LastIndex(key[:i], ".")+1:]
 }
 
 // SingleWriterAnalyzer encodes the per-worker buffer discipline the trace

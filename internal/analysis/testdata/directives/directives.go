@@ -11,27 +11,27 @@ import "sync/atomic"
 type Counter struct {
 	//wikisearch:singlewriter
 	hits uint64
-	//wikisearch:mmapview
-	miss uint64 // BAD: mmapview is a func directive, found on a field
+	//wikisearch:drain
+	miss uint64 // BAD: drain is a func directive, found on a field
 	//wikisearch:atomic
 	errs uint64 // BAD: retired directive
 }
 
 // Incr bumps the counter.
 //
-//wikisearch:mmapview
+//wikisearch:drain
 func Incr(c *Counter) {
 	atomic.AddUint64(&c.miss, 1)
 }
 
 // Typo carries a misspelled directive name.
 //
-//wikisearch:mmapvew
+//wikisearch:drian
 func Typo() {}
 
 // Spaced carries a directive detached by whitespace.
 //
-// wikisearch:mmapview
+// wikisearch:drain
 func Spaced() {}
 
 // Stray puts a line-only directive on a type.
@@ -39,9 +39,9 @@ func Spaced() {}
 //wikisearch:volatile
 type Stray struct{}
 
-// Field-level viewholder is stale: the directive applies to types.
+// Field-level writer is stale: the directive applies to funcs.
 type Holder struct {
-	//wikisearch:viewholder
+	//wikisearch:writer left on a field
 	mu int
 }
 
@@ -76,3 +76,14 @@ func Cold() {}
 func Serve() {
 	go Cold() //wikisearch:daemon
 }
+
+// Mint carries the retired mmapview directive: TestResultOutlivesEngineClose
+// and TestOnlyStorageImportsUnsafe, which run the code, replaced it.
+//
+//wikisearch:mmapview
+func Mint() {}
+
+// Mapped carries the retired viewholder directive.
+//
+//wikisearch:viewholder
+type Mapped struct{}

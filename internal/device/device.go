@@ -24,17 +24,13 @@ type Device struct {
 	SMs int
 	// WarpSize is the number of lanes per warp (32 on NVIDIA hardware).
 	WarpSize int
-	// MemoryBytes is the device global-memory capacity (11 GiB on the
-	// paper's GTX 1080 Ti); used for the Table IV storage accounting.
-	MemoryBytes int64
 }
 
 // GTX1080Ti returns the paper's evaluation GPU.
 func GTX1080Ti() *Device {
 	return &Device{
-		SMs:         28,
-		WarpSize:    32,
-		MemoryBytes: 11 << 30,
+		SMs:      28,
+		WarpSize: 32,
 	}
 }
 

@@ -195,7 +195,7 @@ func loadDelta(r io.Reader, size int64) (*DeltaLog, error) {
 // SaveDeltaFile writes the delta segment to path atomically and durably
 // (temp file + fsync + rename + parent-directory fsync).
 func SaveDeltaFile(path string, l *DeltaLog) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return SaveDelta(w, l) })
+	return atomicWriteFile(disk, path, func(w io.Writer) error { return SaveDelta(w, l) })
 }
 
 // LoadDeltaFile reads a delta segment from path.

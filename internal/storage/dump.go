@@ -17,8 +17,6 @@ import (
 // everything the engine needs to start serving without recomputation.
 // It is stored in the mmap-able version-3 section format (v3.go), whose
 // loaded arrays alias the file mapping.
-//
-//wikisearch:viewholder
 type Dump struct {
 	Name      string
 	Graph     *graph.Graph

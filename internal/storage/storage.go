@@ -32,37 +32,82 @@ const (
 	allocChunk = 1 << 16
 )
 
-// atomicWriteFile writes path through a sibling temp file so readers never
-// observe a partial dump, and makes the result durable: the temp file is
-// fsynced before the rename and the parent directory after it — otherwise
-// a crash right after os.Rename can leave the "atomically written" target
-// empty or truncated. The temp file never survives a failed write.
-func atomicWriteFile(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// fileSystem is what an atomic write needs from the operating system.
+// SaveDumpFileV3 and SaveDeltaFile write through disk, the OS
+// implementation; the crash tests substitute a fake that fails, or loses
+// everything not yet synced, after any one call.
+type fileSystem interface {
+	// CreateTemp creates a new file in dir whose name matches pattern, as
+	// os.CreateTemp does.
+	CreateTemp(dir, pattern string) (tempFile, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// SyncDir makes dir's entries (a rename into it) durable.
+	SyncDir(dir string) error
+}
+
+// tempFile is the open temp file of an atomic write.
+type tempFile interface {
+	io.Writer
+	Name() string
+	Sync() error
+	Close() error
+}
+
+// disk is the fileSystem every exported writer uses.
+var disk fileSystem = osFS{}
+
+type osFS struct{}
+
+func (osFS) CreateTemp(dir, pattern string) (tempFile, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	// os.CreateTemp makes the file 0600; a dump is for other users'
+	// processes to load too.
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+func (osFS) SyncDir(dir string) error             { return syncDir(dir) }
+
+// atomicWriteFile writes path through a temp file of its own in the same
+// directory, so readers never observe a partial file and concurrent writers
+// of one path never share a temp file, and makes the result durable: the
+// temp file is fsynced before the rename and the directory after it —
+// otherwise a crash right after the rename can leave the target empty or
+// truncated. Every error is returned, and the temp file never survives a
+// failed write. Only a failed directory sync comes after the commit: the
+// target then holds the new file, which a crash may still roll back.
+func atomicWriteFile(fsys fileSystem, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		f.Close() //wikisearch:volatile error path: the write already failed and the temp file is removed
-		os.Remove(tmp)
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
 		return err
 	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return fsys.SyncDir(dir)
 }
 
 // inputSize reports the total remaining bytes of r when it is a

@@ -158,8 +158,8 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := SaveDumpFileV3(path, sampleDump(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("want only the dump in %s, found %v (%v)", dir, entries, err)
 	}
 	missing := filepath.Join(dir, "missing.wskb")
 	if _, err := LoadDumpFile(missing); err == nil {

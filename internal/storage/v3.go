@@ -98,8 +98,6 @@ func hostLittleEndian() bool {
 // leBytes returns the little-endian byte image of a fixed-width word
 // slice. On little-endian hosts this is a zero-copy unsafe view of the
 // slice's backing array; on big-endian hosts it converts element-wise.
-//
-//wikisearch:mmapview
 func leBytes[T int64 | int32 | uint64 | float64](s []T) []byte {
 	if len(s) == 0 {
 		return nil
@@ -132,8 +130,6 @@ func leBytes[T int64 | int32 | uint64 | float64](s []T) []byte {
 // view reinterprets count elements of T at the start of b. The caller has
 // verified length, 8-byte alignment of the base and little-endianness of
 // the host, so this is the zero-copy read path.
-//
-//wikisearch:mmapview
 func view[T int64 | int32 | float64](b []byte, count int) []T {
 	if count == 0 {
 		return []T{}
@@ -147,8 +143,6 @@ func view[T int64 | int32 | float64](b []byte, count int) []T {
 // not be unmapped while any of them is still reachable; Dump.Close (and
 // Engine.Close above it) is the single release point. A mapping must not
 // be copied: a copy could hand out views after the original is closed.
-//
-//wikisearch:viewholder
 type mapping struct {
 	_      noCopy
 	data   []byte
@@ -343,7 +337,7 @@ func (p *padWriter) padTo(target uint64) {
 // SaveDumpFileV3 writes a version-3 dump to path atomically and durably
 // (temp file, fsync, rename, parent-directory fsync).
 func SaveDumpFileV3(path string, d *Dump) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return SaveDumpV3(w, d) })
+	return atomicWriteFile(disk, path, func(w io.Writer) error { return SaveDumpV3(w, d) })
 }
 
 // v3Header is the parsed header page.
@@ -451,8 +445,6 @@ func (h *v3Header) section(data []byte, kind uint32, elemSize int, wantCount int
 // pair, validating that offsets start at 0, never decrease, and end
 // exactly at the blob length. The strings are zero-copy views into the
 // mapping (unsafe.String), valid until the mapping closes.
-//
-//wikisearch:mmapview
 func stringViews(offs []int64, blob []byte) ([]string, error) {
 	n := len(offs) - 1
 	if offs[0] != 0 || offs[n] != int64(len(blob)) {

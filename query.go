@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"wikisearch/internal/core"
@@ -276,7 +277,9 @@ func (sn *snapshot) prepare(raw string) (core.Input, []string, error) {
 	}, terms, nil
 }
 
-// resolve converts a core result into the public, text-resolved form.
+// resolve converts a core result into the public, text-resolved form. Its
+// strings are copies: none aliases a loaded dump's mapping, so a Result
+// stays valid after Engine.Close.
 func (sn *snapshot) resolve(terms []string, res *core.Result) *Result {
 	out := &Result{
 		Terms:           terms,
@@ -292,7 +295,7 @@ func (sn *snapshot) resolve(terms []string, res *core.Result) *Result {
 	for _, a := range res.Answers {
 		pa := Answer{
 			Central:      a.Central,
-			CentralLabel: sn.g.Label(a.Central),
+			CentralLabel: strings.Clone(sn.g.Label(a.Central)),
 			Depth:        a.Depth,
 			Score:        a.Score,
 			PrunedNodes:  a.PrunedNodes,
@@ -300,8 +303,8 @@ func (sn *snapshot) resolve(terms []string, res *core.Result) *Result {
 		for _, n := range a.Nodes {
 			an := AnswerNode{
 				ID:          n.ID,
-				Label:       sn.g.Label(n.ID),
-				Description: sn.g.Description(n.ID),
+				Label:       strings.Clone(sn.g.Label(n.ID)),
+				Description: strings.Clone(sn.g.Description(n.ID)),
 				Weight:      sn.weights[n.ID],
 				IsCentral:   n.ID == a.Central,
 			}
@@ -324,7 +327,7 @@ func (sn *snapshot) resolve(terms []string, res *core.Result) *Result {
 			pe := AnswerEdge{
 				From:    ed.From,
 				To:      ed.To,
-				Rel:     sn.g.RelName(ed.Rel),
+				Rel:     sn.rels[ed.Rel],
 				Forward: ed.Forward,
 			}
 			for i, t := range terms {
