@@ -479,9 +479,9 @@ func cmpAnswerEdge(a, b AnswerEdge) int {
 type tdRun struct {
 	_ noCopy
 	// td is sliced per worker: worker w touches only td[w], so the slots
-	// need no synchronization beyond the pool's fork/join barrier.
-	//
-	//wikisearch:singlewriter
+	// need no synchronization beyond the pool's fork/join barrier. A slot
+	// two workers share fails the variant equivalence tests, and -race
+	// reports it.
 	td    []tdScratch
 	recs  []tdRecord // recs[i] scores centrals[i]
 	order []int32    // selectTopK: record indices, ranked
@@ -494,8 +494,6 @@ type tdRun struct {
 }
 
 // begin opens a run over centrals for the query already set in r.qc.
-//
-//wikisearch:writer
 func (r *tdRun) begin(pool *parallel.Pool, centrals []graph.NodeID) {
 	if w := pool.Workers(); cap(r.td) < w {
 		r.td = make([]tdScratch, w)
@@ -516,8 +514,6 @@ func (r *tdRun) begin(pool *parallel.Pool, centrals []graph.NodeID) {
 // every Central Graph it scored, so a query with tens of thousands of
 // centrals grows them by megabytes that an ordinary query (hundreds of
 // centrals, tens of ids each) never touches again.
-//
-//wikisearch:writer
 func (r *tdRun) end() {
 	r.qc = tdQuery{}
 	r.centrals, r.out = nil, nil
@@ -536,8 +532,6 @@ func (r *tdRun) end() {
 }
 
 // scoreOne extracts, prunes and scores centrals[i] on worker w's scratch.
-//
-//wikisearch:writer
 func (r *tdRun) scoreOne(w, i int) {
 	if ctxErr(r.qc.ctx) != nil {
 		return // drained quickly; the zero record covers nothing, so selectTopK skips it
@@ -551,8 +545,6 @@ func (r *tdRun) scoreOne(w, i int) {
 // scored in parallel with dynamic scheduling ("we let one thread recover
 // one or more Central Graphs", §V-C), each worker on its own scratch. On a
 // warm state it allocates nothing.
-//
-//wikisearch:writer
 func (r *tdRun) scoreAll(pool *parallel.Pool) {
 	for w := range r.td {
 		r.td[w].arena = r.td[w].arena[:0]
@@ -563,8 +555,6 @@ func (r *tdRun) scoreAll(pool *parallel.Pool) {
 // assembleOne re-extracts the j-th selected Central Graph — the walk is
 // deterministic, so it recovers exactly what was scored — and builds its
 // Answer.
-//
-//wikisearch:writer
 func (r *tdRun) assembleOne(w, j int) {
 	if ctxErr(r.qc.ctx) != nil {
 		return
@@ -578,8 +568,6 @@ func (r *tdRun) assembleOne(w, j int) {
 // run is stage two of Algorithm 1 for the query in r.qc: score every
 // Central Graph, select the top-k, assemble the winners. It returns the
 // answers and the number of Central Graphs the MaxGraphNodes cap truncated.
-//
-//wikisearch:writer
 func (r *tdRun) run(pool *parallel.Pool, centrals []graph.NodeID) ([]*Answer, int, error) {
 	r.begin(pool, centrals)
 	defer r.end()

@@ -136,6 +136,8 @@ func poolWorker(w int, work <-chan *poolTask, done chan<- struct{}) {
 			t.run(w)
 			// The ring is the helper's own and the done token below
 			// publishes the write to the drain: single-writer, race-free.
+			// The root package's TestTraceAssemblyConcurrent checks the
+			// lane of every helper span at Tnum 4, under -race in CI.
 			t.tr.Record(w, trace.KindPoolWork, t0, trace.Now(), -1, int64(t.n), 0)
 		} else {
 			t.run(w)

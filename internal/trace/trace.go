@@ -4,8 +4,8 @@
 // timestamps — into its own single-writer ring buffer; after the search, a
 // cold-path drain hands the events to a Collector that assembles per-query
 // trace trees keyed by request ID. The record path takes no locks and
-// performs no allocations (machine-checked by wikilint's hotpathalloc pass
-// and the AllocationFree guards), so tracing stays on in production.
+// performs no allocations (TestRecordAllocationFree runs it under
+// make allocguard), so tracing stays on in production.
 //
 // Timestamps are nanoseconds since the package epoch (process start), read
 // from the monotonic clock. All rings of one search share that clock, so
@@ -93,19 +93,35 @@ const ringEvents = 1024
 // ring belongs to) records into it, so a write is one slice store and one
 // position increment — no atomics, no locks. The fork/join barriers of the
 // owning search provide the happens-before edges the cold-path drain needs.
+// Only its three methods touch its fields. TestTraceRingPerWorker records
+// from every worker at once and checks each ring holds its own worker's
+// events; under -race a ring two goroutines share is a reported race.
 type ring struct {
-	//wikisearch:singlewriter
-	ev []Event // len ringEvents
-	//wikisearch:singlewriter
-	pos uint64 // events recorded since Reset; wraps the ring when > len
+	ev  []Event // len ringEvents
+	pos uint64  // events recorded since reset; wraps the ring when > len
 }
 
 // record appends one event, overwriting the oldest when full.
-//
-//wikisearch:writer
 func (r *ring) record(e Event) {
 	r.ev[r.pos&uint64(len(r.ev)-1)] = e
 	r.pos++
+}
+
+// reset forgets the ring's events.
+func (r *ring) reset() { r.pos = 0 }
+
+// drain appends the ring's events since reset to dst in record order and
+// returns the extended slice plus the number lost to overflow.
+func (r *ring) drain(dst []Event) ([]Event, int) {
+	n, lo := r.pos, uint64(0)
+	if n > uint64(len(r.ev)) {
+		lo = n - uint64(len(r.ev))
+	}
+	mask := uint64(len(r.ev) - 1)
+	for j := lo; j < n; j++ {
+		dst = append(dst, r.ev[j&mask])
+	}
+	return dst, int(lo)
 }
 
 // Buffer is one search state's set of per-worker rings. It is owned by a
@@ -137,17 +153,14 @@ func (b *Buffer) SetEnabled(on bool) { b.enabled = on }
 // one-shot core.Search path) cost one comparison.
 func (b *Buffer) On() bool { return b != nil && b.enabled }
 
-// Reset forgets all recorded events; called at the start of each search.
-// The search has not started, so the owner-only write discipline is
-// trivially satisfied.
-//
-//wikisearch:writer
+// Reset forgets all recorded events; called at the start of each search,
+// before any worker records.
 func (b *Buffer) Reset() {
 	if b == nil {
 		return
 	}
 	for i := range b.rings {
-		b.rings[i].pos = 0
+		b.rings[i].reset()
 	}
 }
 
@@ -169,25 +182,15 @@ func (b *Buffer) Record(w int, k Kind, start, end int64, level int, a, bb int64)
 // ring overflow. Cold path: the caller sorts and owns the result, and the
 // fork/join barrier of the finished search orders the reads after the
 // workers' writes.
-//
-//wikisearch:drain
 func (b *Buffer) Drain(dst []Event) ([]Event, int) {
 	if b == nil {
 		return dst, 0
 	}
 	dropped := 0
 	for i := range b.rings {
-		r := &b.rings[i]
-		n := r.pos
-		lo := uint64(0)
-		if n > uint64(len(r.ev)) {
-			dropped += int(n - uint64(len(r.ev)))
-			lo = n - uint64(len(r.ev))
-		}
-		mask := uint64(len(r.ev) - 1)
-		for j := lo; j < n; j++ {
-			dst = append(dst, r.ev[j&mask])
-		}
+		var n int
+		dst, n = b.rings[i].drain(dst)
+		dropped += n
 	}
 	return dst, dropped
 }

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -96,6 +98,55 @@ func TestBufferDrain(t *testing.T) {
 	nb.Reset()
 	if ev, _ := nb.Drain(nil); len(ev) != 0 {
 		t.Fatal("nil buffer drained events")
+	}
+}
+
+// TestTraceRingPerWorker: workers that record at the same time each write
+// only their own ring. After each of two searches, ring w holds exactly
+// worker w's events of that search, in order, and a second Drain returns
+// the same events as the first. Under -race (CI's trace step) a ring that
+// two goroutines share is also a reported race.
+func TestTraceRingPerWorker(t *testing.T) {
+	const workers = 4
+	var b Buffer
+	b.Ensure(workers)
+	b.SetEnabled(true)
+	// The second search records fewer events than the first, so a ring
+	// that Reset skipped still shows the first search's tail.
+	for search, per := range []int{300, 100} {
+		b.Reset()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < per; i++ {
+					b.Record(w, KindPoolWork, int64(search), int64(search), -1, int64(i), 0)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		for w := range b.rings {
+			ev, dropped := b.rings[w].drain(nil)
+			if len(ev) != per || dropped != 0 {
+				t.Fatalf("search %d: ring %d holds %d events, %d dropped; want %d, 0", search, w, len(ev), dropped, per)
+			}
+			for i, e := range ev {
+				if int(e.Worker) != w || e.A != int64(i) || e.Start != int64(search) {
+					t.Fatalf("search %d: ring %d event %d is worker %d's event %d of search %d",
+						search, w, i, e.Worker, e.A, e.Start)
+				}
+			}
+		}
+		first, _ := b.Drain(nil)
+		again, _ := b.Drain(nil)
+		if len(first) != workers*per || !reflect.DeepEqual(first, again) {
+			t.Fatalf("search %d: Drain returned %d then %d events; want %d twice", search, len(first), len(again), workers*per)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,7 +191,10 @@ func TestSoloTraceCollected(t *testing.T) {
 // TestTraceAssemblyConcurrent: a randomized concurrent workload (run under
 // -race in CI) always yields well-formed traces — monotone span intervals,
 // level spans nested under a bottom-up ancestor, per-level phases nested
-// under their level, and no span escaping the synthetic root.
+// under their level, and no span escaping the synthetic root — and each
+// pool helper records into its own ring (checkPoolLanes). The Tnum 4
+// queries put up to three helpers in one phase, so under -race two
+// helpers writing one ring is a reported race.
 func TestTraceAssemblyConcurrent(t *testing.T) {
 	eng := newTestEngine(t)
 
@@ -209,6 +213,9 @@ func TestTraceAssemblyConcurrent(t *testing.T) {
 		{Text: "xml xpath", TopK: 4, Threads: 2},
 		{Text: "sql query language", TopK: 1, Threads: 2},
 		{Text: "xml rdf sql", TopK: 3, Threads: 2}, // twin of pool[0]
+		{Text: "xml rdf sql", TopK: 3, Threads: 4},
+		{Text: "sql query language", TopK: 4, Threads: 4},
+		{Text: "sparql rdf xml", TopK: 2, Threads: 4},
 	}
 	const clients, iters = 6, 12
 	var wg sync.WaitGroup
@@ -229,6 +236,7 @@ func TestTraceAssemblyConcurrent(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
+	widest := 0
 	if len(collected) != clients*iters {
 		t.Fatalf("collected %d traces for %d searches", len(collected), clients*iters)
 	}
@@ -250,7 +258,69 @@ func TestTraceAssemblyConcurrent(t *testing.T) {
 		}
 		root := qt.Tree()
 		walkSpans(t, qt.ID, root, nil)
+		if n := checkPoolLanes(t, qt, 4); n > widest {
+			widest = n
+		}
 	}
+	if widest < 2 {
+		t.Fatalf("no pool phase woke two helpers; the widest woke %d", widest)
+	}
+}
+
+// checkPoolLanes checks the pool's spans in one trace against the rule that
+// each worker records only into its own ring. The coordinator records its
+// own work (B = helpers woken) and its join in lane 0; each helper records
+// one work span (B = 0) per phase token it took, in its own lane in
+// [1, tnum). A phase is closed by its join span, and its helpers' spans end
+// before the join does, so a helper span belongs to the first join that ends
+// after it: each phase must hold exactly as many helper spans as it woke
+// helpers. One lane is one goroutine, so its work spans never overlap in
+// time. (A helper that finishes early may take a second token of the same
+// phase, so two helper spans of one phase can share a lane — one after the
+// other, never at once.) It returns the most helpers any phase woke.
+func checkPoolLanes(t *testing.T, qt *QueryTrace, tnum int) int {
+	t.Helper()
+	var joins, helpers []trace.Event
+	lastEnd := map[uint8]int64{}
+	for _, ev := range qt.Events { // sorted by start
+		switch {
+		case ev.Kind == trace.KindPoolJoin:
+			if ev.Worker != 0 {
+				t.Fatalf("trace %d: pool join recorded in lane %d, not the coordinator's", qt.ID, ev.Worker)
+			}
+			joins = append(joins, ev)
+			continue
+		case ev.Kind != trace.KindPoolWork:
+			continue
+		case ev.B > 0 && ev.Worker != 0:
+			t.Fatalf("trace %d: coordinator work recorded in lane %d", qt.ID, ev.Worker)
+		case ev.B == 0 && (ev.Worker == 0 || int(ev.Worker) >= tnum):
+			t.Fatalf("trace %d: helper work recorded in lane %d, outside [1,%d)", qt.ID, ev.Worker, tnum)
+		case ev.B == 0:
+			helpers = append(helpers, ev)
+		}
+		if end, ok := lastEnd[ev.Worker]; ok && ev.Start < end {
+			t.Fatalf("trace %d: lane %d holds two work spans at once", qt.ID, ev.Worker)
+		}
+		lastEnd[ev.Worker] = ev.End
+	}
+	sort.Slice(joins, func(i, j int) bool { return joins[i].End < joins[j].End })
+	woken := make([]int64, len(joins))
+	for _, h := range helpers {
+		p := sort.Search(len(joins), func(i int) bool { return joins[i].End >= h.End })
+		if p == len(joins) {
+			t.Fatalf("trace %d: helper span in lane %d ends after the last join", qt.ID, h.Worker)
+		}
+		woken[p]++
+	}
+	widest := 0
+	for i, j := range joins {
+		if woken[i] != j.B {
+			t.Fatalf("trace %d: a phase woke %d helpers and holds %d helper spans", qt.ID, j.B, woken[i])
+		}
+		widest = max(widest, int(j.B))
+	}
+	return widest
 }
 
 // walkSpans checks structural invariants of an assembled trace tree:
