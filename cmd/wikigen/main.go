@@ -9,7 +9,7 @@
 //	wikigen -import wikidata-dump.json.gz -out wikidata.wskb
 //	wikigen -import-nt export.nt -out kb.wskb
 //
-// The dump is always in the mmap-able v3 format.
+// The dump is always in the mmap-able layout (file version 4).
 package main
 
 import (

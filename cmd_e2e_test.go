@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wikisearch"
 )
 
 // buildTools compiles the named cmds (default: the pipeline's three) once
@@ -230,6 +232,26 @@ func TestCmdWikiserveListenErrorExits(t *testing.T) {
 		t.Fatalf("err = %v (ctx %v), want exit 1\n%s", err, ctx.Err(), out)
 	}
 	if !strings.Contains(string(out), "address already in use") {
+		t.Fatalf("output: %s", out)
+	}
+}
+
+// TestCmdWikiserveRejectsV3Dump: a dump in the retired version-3 layout
+// stops wikiserve at startup with exit 1 and the loader's error naming
+// the version, before anything listens.
+func TestCmdWikiserveRejectsV3Dump(t *testing.T) {
+	bin := buildTools(t, "wikigen", "wikiserve")
+	dump := filepath.Join(t.TempDir(), "tiny.wskb")
+	if out, err := exec.Command(filepath.Join(bin, "wikigen"), "-preset", "tiny-sim", "-out", dump).CombinedOutput(); err != nil {
+		t.Fatalf("wikigen: %v\n%s", err, out)
+	}
+	wikisearch.MarkVersion3(t, dump)
+	out, err := exec.Command(filepath.Join(bin, "wikiserve"), "-kb", dump, "-addr", "127.0.0.1:0").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "not a v4 dump (version 3)") {
 		t.Fatalf("output: %s", out)
 	}
 }

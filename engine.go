@@ -119,13 +119,14 @@ type Engine struct {
 // DumpFormat names the on-disk format for Engine.SaveFormat.
 type DumpFormat int
 
-// FormatV3 is the mmap-able section format: page-aligned arrays loaded as
-// zero-copy views for near-instant startup. It is the only format.
+// FormatV3 names the current mmap-able section layout (file version 4):
+// page-aligned arrays loaded as zero-copy views for near-instant startup.
+// It is the only format; its value is kept for the callers that pass it.
 const FormatV3 DumpFormat = 3
 
 // LoadInfo describes how a loaded engine's dump got into memory.
 type LoadInfo struct {
-	// Format is the on-disk version read (always 3); 0 for engines built
+	// Format is the on-disk version read (always 4); 0 for engines built
 	// in memory by NewEngine.
 	Format int
 	// Mode is "mmap" (zero-copy) or "read" (the image read into memory
@@ -223,7 +224,7 @@ func newEngineFrom(name string, g *Graph, w []float64, o EngineOptions, pool *pa
 	return e, nil
 }
 
-// Save writes the engine's dump to path in the mmap-able v3 layout —
+// Save writes the engine's dump to path in the mmap-able layout —
 // graph, weights, distance statistics and the inverted index — so
 // LoadEngine starts without recomputation and, on platforms with mmap,
 // without even reading the arrays up front. An unmerged mutation delta is

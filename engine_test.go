@@ -135,6 +135,39 @@ func TestLoadEngineErrors(t *testing.T) {
 	}
 }
 
+// TestLoadEngineRejectsV3Dump: a dump in the retired version-3 layout is
+// refused with an error naming the version, never mapped or read.
+func TestLoadEngineRejectsV3Dump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.wskb")
+	if err := newTestEngine(t).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	MarkVersion3(t, path)
+	eng, err := LoadEngine(path, EngineOptions{})
+	if err == nil || !strings.Contains(err.Error(), "storage: not a v4 dump (version 3)") {
+		if eng != nil {
+			eng.Close()
+		}
+		t.Fatalf("err = %v, want the version refusal", err)
+	}
+}
+
+// MarkVersion3 rewrites the version field of the dump at path to 3, the
+// retired layout with int64 offsets and int32 relation ids. The loaders
+// refuse on the version before they read a section. It is exported for
+// the command tests in package wikisearch_test.
+func MarkVersion3(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{3, 0, 0, 0}, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineBasics(t *testing.T) {
 	eng := newTestEngine(t)
 	if eng.Graph().NumNodes() != 10 {

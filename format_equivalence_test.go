@@ -39,7 +39,7 @@ func TestFormatEquivalence(t *testing.T) {
 	defer e3.Close()
 
 	info := e3.LoadInfo()
-	if info.Format != 3 {
+	if info.Format != 4 {
 		t.Fatalf("v3 load info = %+v", info)
 	}
 	if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {

@@ -156,7 +156,10 @@ func TestTopDownScoringAllocationFree(t *testing.T) {
 		{"sources=3/overlay", func(tb testing.TB) (Input, Params) {
 			in, p := benchScenarioSized(tb, 3)
 			d := graph.NewDeltaBuilder(in.G)
-			r := d.Rel("a")
+			r, err := d.Rel("a")
+			if err != nil {
+				tb.Fatal(err)
+			}
 			for v := 0; v < in.G.NumNodes(); v += 8 {
 				dst, rel := in.G.OutEdges(graph.NodeID(v))
 				if len(dst) > 0 {

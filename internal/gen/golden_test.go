@@ -22,19 +22,27 @@ var goldenDigests = map[string]string{
 
 // kbDigest hashes a generated KB: labels, descriptions, relation names,
 // both CSR directions, and the Classes/Topics/Venues/Planted lists, each
-// length-prefixed so no two different KBs share a byte stream.
+// length-prefixed so no two different KBs share a byte stream. Offsets are
+// hashed as 8-byte words and relation ids as 4-byte words, the widths the
+// graph held when the digests were taken, so a narrower in-memory layout
+// hashes the same bytes.
 func kbDigest(kb *KB) string {
 	h := sha256.New()
-	outOff, outDst, outRel, inOff, inSrc, inRel, labels, descs, relNames := kb.Graph.Parts()
-	for _, ss := range [][]string{labels, descs, relNames} {
+	g := kb.Graph
+	p := g.Parts()
+	labels, descs := make([]string, g.NumNodes()), make([]string, g.NumNodes())
+	for v := range labels {
+		labels[v], descs[v] = g.Label(graph.NodeID(v)), g.Description(graph.NodeID(v))
+	}
+	for _, ss := range [][]string{labels, descs, p.RelNames} {
 		putStrings(h, ss)
 	}
-	putI64s(h, outOff)
-	putI32s(h, outDst)
-	putI32s(h, outRel)
-	putI64s(h, inOff)
-	putI32s(h, inSrc)
-	putI32s(h, inRel)
+	putOffsets(h, p.OutOff)
+	putI32s(h, p.OutDst)
+	putRels(h, p.OutRel)
+	putOffsets(h, p.InOff)
+	putI32s(h, p.InSrc)
+	putRels(h, p.InRel)
 	putI32s(h, kb.Classes)
 	putI32s(h, kb.Topics)
 	putI32s(h, kb.Venues)
@@ -72,13 +80,21 @@ func putI32s(h hash.Hash, xs []int32) {
 	h.Write(b)
 }
 
-func putI64s(h hash.Hash, xs []int64) {
+func putOffsets(h hash.Hash, xs []uint32) {
 	putLen(h, len(xs))
 	b := make([]byte, 8*len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 	h.Write(b)
+}
+
+func putRels(h hash.Hash, rs []graph.RelID) {
+	xs := make([]int32, len(rs))
+	for i, r := range rs {
+		xs[i] = int32(r)
+	}
+	putI32s(h, xs)
 }
 
 // TestGenerateDeterministic checks every preset against its golden digest:

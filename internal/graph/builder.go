@@ -2,9 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 
 	"wikisearch/internal/parallel"
 )
@@ -52,7 +54,8 @@ func (b *Builder) NumNodes() int { return len(b.labels) }
 // NumEdges returns the number of edges added so far.
 func (b *Builder) NumEdges() int { return len(b.from) }
 
-// Rel interns a relationship type name and returns its id.
+// Rel interns a relationship type name and returns its id. Past MaxRels
+// names the ids wrap around, and Build refuses the graph.
 func (b *Builder) Rel(name string) RelID {
 	if id, ok := b.relIDs[name]; ok {
 		return id
@@ -79,7 +82,9 @@ func (b *Builder) AddEdgeNamed(from, to NodeID, rel string) {
 // Build constructs the CSR graph. Every adjacency list is sorted by
 // (neighbor, relation), so traversal order — and therefore every search
 // result in the engine — is deterministic. The build is linear in the graph
-// and runs its passes on GOMAXPROCS workers; see buildCSR.
+// and runs its passes on GOMAXPROCS workers; see buildCSR. It refuses more
+// than MaxRels relation types and more than MaxTextBytes bytes of labels or
+// of descriptions.
 func (b *Builder) Build() (*Graph, error) {
 	return b.build(max(1, min(runtime.GOMAXPROCS(0), len(b.from)/minEdgesPerWorker)))
 }
@@ -91,21 +96,60 @@ const minEdgesPerWorker = 1 << 16
 func (b *Builder) build(workers int) (*Graph, error) {
 	n := len(b.labels)
 	m := len(b.from)
+	if len(b.relNames) > MaxRels {
+		return nil, fmt.Errorf("graph: %d relation types exceed the limit of %d", len(b.relNames), MaxRels)
+	}
+	if int64(m) > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d edges exceed the limit of %d", m, int64(math.MaxUint32))
+	}
 	for i := 0; i < m; i++ {
 		if int(b.from[i]) >= n || b.from[i] < 0 || int(b.to[i]) >= n || b.to[i] < 0 {
 			return nil, fmt.Errorf("graph: edge %d endpoints (%d,%d) out of range [0,%d)", i, b.from[i], b.to[i], n)
 		}
 	}
-	g := &Graph{
-		labels:   b.labels,
-		descs:    b.descs,
-		relNames: b.relNames,
-	}
+	g := &Graph{relNames: b.relNames}
 	if g.relNames == nil {
 		g.relNames = []string{}
 	}
+	var err error
+	if g.labels, g.labelOff, err = PackText("label", b.labels); err != nil {
+		return nil, err
+	}
+	if g.descs, g.descOff, err = PackText("description", b.descs); err != nil {
+		return nil, err
+	}
 	g.outOff, g.outDst, g.outRel, g.inOff, g.inSrc, g.inRel = buildCSR(n, b.from, b.to, b.rel, workers)
 	return g, nil
+}
+
+// PackText lays ss out back to back in one exactly sized string with
+// len(ss)+1 offsets delimiting each entry: the layout of a Graph's labels
+// and descriptions, which the storage package also writes for relation
+// names and index terms. It refuses more than MaxTextBytes in total.
+func PackText(what string, ss []string) (string, []uint32, error) {
+	var total int64
+	for _, s := range ss {
+		total += int64(len(s))
+	}
+	if err := textLimit(what, total); err != nil {
+		return "", nil, err
+	}
+	var sb strings.Builder
+	sb.Grow(int(total))
+	off := make([]uint32, len(ss)+1)
+	for i, s := range ss {
+		sb.WriteString(s)
+		off[i+1] = uint32(sb.Len())
+	}
+	return sb.String(), off, nil
+}
+
+// textLimit refuses a total of text that uint32 offsets cannot address.
+func textLimit(what string, total int64) error {
+	if total > MaxTextBytes {
+		return fmt.Errorf("graph: %d bytes of %s text exceed the limit of %d", total, what, int64(MaxTextBytes))
+	}
+	return nil
 }
 
 // buildCSR builds both adjacency directions, each list sorted by (neighbor,
@@ -125,8 +169,8 @@ func (b *Builder) build(workers int) (*Graph, error) {
 // its own range, so the writes never contend and each worker's cursors stay
 // in a narrower slice of memory.
 func buildCSR(n int, from, to []NodeID, rel []RelID, workers int) (
-	outOff []int64, outDst []NodeID, outRel []RelID,
-	inOff []int64, inSrc []NodeID, inRel []RelID) {
+	outOff []uint32, outDst []NodeID, outRel []RelID,
+	inOff []uint32, inSrc []NodeID, inRel []RelID) {
 	m := len(from)
 	pool := parallel.NewPool(workers)
 	defer pool.Close()
@@ -137,7 +181,7 @@ func buildCSR(n int, from, to []NodeID, rel []RelID, workers int) (
 	)
 	outDst, outRel = make([]NodeID, m), make([]RelID, m)
 	inSrc, inRel = make([]NodeID, m), make([]RelID, m)
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 
 	outParts, inParts := partition(outOff, workers), partition(inOff, workers)
 	copy(cursor, inOff)
@@ -169,8 +213,8 @@ func buildCSR(n int, from, to []NodeID, rel []RelID, workers int) (
 
 // offsets returns the CSR offsets of lists keyed by key: off[v+1]-off[v] is
 // the number of entries with key v.
-func offsets(n int, key []NodeID) []int64 {
-	off := make([]int64, n+1)
+func offsets(n int, key []NodeID) []uint32 {
+	off := make([]uint32, n+1)
 	for _, k := range key {
 		off[k+1]++
 	}
@@ -182,11 +226,11 @@ func offsets(n int, key []NodeID) []int64 {
 
 // partition splits the lists of off into parts contiguous ranges of about
 // equal entry counts: part w is the lists [bounds[w], bounds[w+1]).
-func partition(off []int64, parts int) []int {
-	n, m := len(off)-1, off[len(off)-1]
+func partition(off []uint32, parts int) []int {
+	n, m := len(off)-1, int64(off[len(off)-1])
 	bounds := make([]int, parts+1)
 	for w := 1; w < parts; w++ {
-		want := m * int64(w) / int64(parts)
+		want := uint32(m * int64(w) / int64(parts))
 		bounds[w] = sort.Search(n, func(v int) bool { return off[v] >= want })
 	}
 	bounds[parts] = n
@@ -212,8 +256,8 @@ func sortParallelEdges(nbr []NodeID, rel []RelID) {
 // transpose appends, for every list u of the source CSR (sOff, sNode, sRel)
 // in order and every entry (x, r) of it with x in [lo, hi), the entry
 // (u, r) to list x of the destination at cursor[x].
-func transpose(sOff []int64, sNode []NodeID, sRel []RelID, dNode []NodeID, dRel []RelID,
-	cursor []int64, lo, hi NodeID) {
+func transpose(sOff []uint32, sNode []NodeID, sRel []RelID, dNode []NodeID, dRel []RelID,
+	cursor []uint32, lo, hi NodeID) {
 	for u := 0; u+1 < len(sOff); u++ {
 		for i := sOff[u]; i < sOff[u+1]; i++ {
 			x := sNode[i]
@@ -227,26 +271,48 @@ func transpose(sOff []int64, sNode []NodeID, sRel []RelID, dNode []NodeID, dRel 
 	}
 }
 
-// FromParts assembles a Graph directly from CSR arrays. It is used by the
-// storage loader; Validate is the caller's responsibility.
-func FromParts(outOff []int64, outDst []NodeID, outRel []RelID,
-	inOff []int64, inSrc []NodeID, inRel []RelID,
-	labels, descs, relNames []string) *Graph {
+// Parts is a flat Graph's representation, array by array: the two CSR
+// directions, the label and description text with their offsets (see
+// Graph), and the relation names. The storage package writes and maps
+// exactly these arrays.
+type Parts struct {
+	OutOff   []uint32
+	OutDst   []NodeID
+	OutRel   []RelID
+	InOff    []uint32
+	InSrc    []NodeID
+	InRel    []RelID
+	Labels   string
+	LabelOff []uint32
+	Descs    string
+	DescOff  []uint32
+	RelNames []string
+}
+
+// FromParts assembles a Graph directly from its arrays, which it keeps. It
+// is used by the storage loader; Validate is the caller's responsibility.
+func FromParts(p Parts) *Graph {
 	return &Graph{
-		outOff: outOff, outDst: outDst, outRel: outRel,
-		inOff: inOff, inSrc: inSrc, inRel: inRel,
-		labels: labels, descs: descs, relNames: relNames,
+		outOff: p.OutOff, outDst: p.OutDst, outRel: p.OutRel,
+		inOff: p.InOff, inSrc: p.InSrc, inRel: p.InRel,
+		labels: p.Labels, labelOff: p.LabelOff,
+		descs: p.Descs, descOff: p.DescOff,
+		relNames: p.RelNames,
 	}
 }
 
-// Parts returns the underlying CSR arrays for serialization. The slices
-// alias internal storage and must not be modified. A derived overlay view
-// is materialized first so serialization always sees flat CSR arrays.
-func (g *Graph) Parts() (outOff []int64, outDst []NodeID, outRel []RelID,
-	inOff []int64, inSrc []NodeID, inRel []RelID,
-	labels, descs, relNames []string) {
+// Parts returns the underlying arrays for serialization. The slices alias
+// internal storage and must not be modified. A derived overlay view is
+// materialized first so serialization always sees flat CSR arrays.
+func (g *Graph) Parts() Parts {
 	if g.ov != nil {
 		g = g.Materialize()
 	}
-	return g.outOff, g.outDst, g.outRel, g.inOff, g.inSrc, g.inRel, g.labels, g.descs, g.relNames
+	return Parts{
+		OutOff: g.outOff, OutDst: g.outDst, OutRel: g.outRel,
+		InOff: g.inOff, InSrc: g.inSrc, InRel: g.inRel,
+		Labels: g.labels, LabelOff: g.labelOff,
+		Descs: g.descs, DescOff: g.descOff,
+		RelNames: g.relNames,
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ import (
 // construction, kept as the oracle for buildCSR: a counting scatter on the
 // key endpoint, then one comparison sort per list by (value endpoint,
 // relation).
-func referenceBuildCSR(n, m int, key, val []NodeID, rel []RelID) ([]int64, []NodeID, []RelID) {
-	off := make([]int64, n+1)
+func referenceBuildCSR(n, m int, key, val []NodeID, rel []RelID) ([]uint32, []NodeID, []RelID) {
+	off := make([]uint32, n+1)
 	for _, k := range key {
 		off[k+1]++
 	}
@@ -23,7 +24,7 @@ func referenceBuildCSR(n, m int, key, val []NodeID, rel []RelID) ([]int64, []Nod
 	}
 	dst := make([]NodeID, m)
 	rl := make([]RelID, m)
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, off[:n])
 	for i := 0; i < m; i++ {
 		k := key[i]
@@ -141,5 +142,36 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBuildLimits: Build refuses more relation types than a RelID holds and
+// more text than uint32 offsets address, naming the limit, and accepts
+// exactly the limit of relation types. The text check is on the size
+// alone, so the test allocates nothing near 4 GiB.
+func TestBuildLimits(t *testing.T) {
+	b := NewBuilder()
+	a := b.AddNode("a", "")
+	for r := 0; r < MaxRels; r++ {
+		b.AddEdge(a, a, b.Rel(fmt.Sprintf("r%d", r)))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("%d relation types refused: %v", MaxRels, err)
+	}
+	if g.NumRels() != MaxRels || g.RelName(MaxRels-1) != fmt.Sprintf("r%d", MaxRels-1) {
+		t.Fatalf("NumRels = %d, last = %q", g.NumRels(), g.RelName(MaxRels-1))
+	}
+	b.Rel("one too many")
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "65536 relation types exceed the limit of 65535") {
+		t.Fatalf("err = %v, want the relation type limit", err)
+	}
+
+	if err := textLimit("label", MaxTextBytes); err != nil {
+		t.Fatalf("4 GiB - 1 of labels refused: %v", err)
+	}
+	err = textLimit("description", MaxTextBytes+1)
+	if err == nil || !strings.Contains(err.Error(), "description text exceed the limit of 4294967295") {
+		t.Fatalf("err = %v, want the text limit", err)
 	}
 }

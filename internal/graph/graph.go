@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -19,22 +20,39 @@ import (
 type NodeID = int32
 
 // RelID identifies a relationship (edge label / Wikidata property).
-type RelID = int32
+type RelID = uint16
+
+// The limits of the representation. Every offset array is []uint32, so a
+// graph holds at most MaxTextBytes bytes of labels and as many of
+// descriptions; a RelID is 16 bits wide, so a graph names at most MaxRels
+// relation types. Builder.Build and DeltaBuilder refuse input past either
+// limit instead of narrowing it. Builder.Build also refuses more edges than
+// uint32 CSR offsets address; a loadable dump holds at most 2^28.
+const (
+	MaxRels      = math.MaxUint16
+	MaxTextBytes = math.MaxUint32
+)
 
 // Graph is an immutable CSR knowledge graph. Build one with a Builder or
 // load one with the storage package.
 type Graph struct {
 	// Out-CSR: outOff[v]..outOff[v+1] index into outDst/outRel.
-	outOff []int64
+	outOff []uint32
 	outDst []NodeID
 	outRel []RelID
 	// In-CSR (reverse adjacency), same layout.
-	inOff []int64
+	inOff []uint32
 	inSrc []NodeID
 	inRel []RelID
 
-	labels   []string // node display label (entity name)
-	descs    []string // node description text
+	// Every node's display label (entity name), back to back in one
+	// string: v's label is labels[labelOff[v]:labelOff[v+1]]. Descriptions
+	// are laid out the same way. A node costs 4 bytes of offset per text,
+	// not a 16-byte string header.
+	labels   string
+	labelOff []uint32
+	descs    string
+	descOff  []uint32
 	relNames []string // relationship type names, indexed by RelID
 
 	// ov, when non-nil, makes this Graph a derived live-mutation view: the
@@ -77,7 +95,7 @@ func (g *Graph) Label(v NodeID) string {
 			return p.label
 		}
 	}
-	return g.labels[v]
+	return g.labels[g.labelOff[v]:g.labelOff[v+1]]
 }
 
 // Description returns the description text of v (may be empty).
@@ -90,7 +108,7 @@ func (g *Graph) Description(v NodeID) string {
 			return p.desc
 		}
 	}
-	return g.descs[v]
+	return g.descs[g.descOff[v]:g.descOff[v+1]]
 }
 
 // RelName returns the name of relationship type r.
@@ -200,13 +218,12 @@ func (g *Graph) Neighbor(v NodeID, j int) (NodeID, RelID, bool) {
 			return p.inSrc[j], p.inRel[j], false
 		}
 	}
-	lo, hi := g.outOff[v], g.outOff[v+1]
-	if int64(j) < hi-lo {
-		return g.outDst[lo+int64(j)], g.outRel[lo+int64(j)], true
+	lo, deg := int(g.outOff[v]), int(g.outOff[v+1]-g.outOff[v])
+	if j < deg {
+		return g.outDst[lo+j], g.outRel[lo+j], true
 	}
-	j -= int(hi - lo)
-	lo = g.inOff[v]
-	return g.inSrc[lo+int64(j)], g.inRel[lo+int64(j)], false
+	lo = int(g.inOff[v]) + j - deg
+	return g.inSrc[lo], g.inRel[lo], false
 }
 
 // HasEdge reports whether a directed edge (from, to) exists with any label.
@@ -228,11 +245,9 @@ func (g *Graph) Validate() error {
 	if n < 0 {
 		return fmt.Errorf("graph: negative node count")
 	}
-	if len(g.labels) != n || len(g.descs) != n {
-		return fmt.Errorf("graph: label/desc arrays sized %d/%d, want %d", len(g.labels), len(g.descs), n)
-	}
-	if len(g.inOff) != n+1 {
-		return fmt.Errorf("graph: inOff len %d, want %d", len(g.inOff), n+1)
+	if len(g.inOff) != n+1 || len(g.labelOff) != n+1 || len(g.descOff) != n+1 {
+		return fmt.Errorf("graph: inOff/labelOff/descOff sized %d/%d/%d, want %d",
+			len(g.inOff), len(g.labelOff), len(g.descOff), n+1)
 	}
 	if len(g.outDst) != len(g.outRel) || len(g.inSrc) != len(g.inRel) {
 		return fmt.Errorf("graph: dst/rel length mismatch")
@@ -240,24 +255,35 @@ func (g *Graph) Validate() error {
 	if len(g.outDst) != len(g.inSrc) {
 		return fmt.Errorf("graph: out edges %d != in edges %d", len(g.outDst), len(g.inSrc))
 	}
-	if g.outOff[0] != 0 || g.inOff[0] != 0 {
-		return fmt.Errorf("graph: offsets must start at 0")
-	}
-	if g.outOff[n] != int64(len(g.outDst)) || g.inOff[n] != int64(len(g.inSrc)) {
-		return fmt.Errorf("graph: final offset mismatch")
-	}
-	for v := 0; v < n; v++ {
-		if g.outOff[v] > g.outOff[v+1] || g.inOff[v] > g.inOff[v+1] {
-			return fmt.Errorf("graph: non-monotone offsets at node %d", v)
+	for _, off := range []struct {
+		name string
+		off  []uint32
+		end  int
+	}{
+		{"out", g.outOff, len(g.outDst)},
+		{"in", g.inOff, len(g.inSrc)},
+		{"label", g.labelOff, len(g.labels)},
+		{"description", g.descOff, len(g.descs)},
+	} {
+		if off.off[0] != 0 || int(off.off[n]) != off.end {
+			return fmt.Errorf("graph: %s offsets span [%d,%d], want [0,%d]", off.name, off.off[0], off.off[n], off.end)
+		}
+		for v := 0; v < n; v++ {
+			if off.off[v] > off.off[v+1] {
+				return fmt.Errorf("graph: non-monotone %s offsets at node %d", off.name, v)
+			}
 		}
 	}
-	nr := int32(len(g.relNames))
+	nr := len(g.relNames)
+	if nr > MaxRels {
+		return fmt.Errorf("graph: %d relation types, limit %d", nr, MaxRels)
+	}
 	check := func(ids []NodeID, rels []RelID) error {
 		for i, d := range ids {
 			if d < 0 || int(d) >= n {
 				return fmt.Errorf("graph: edge endpoint %d out of range", d)
 			}
-			if rels[i] < 0 || rels[i] >= nr {
+			if int(rels[i]) >= nr {
 				return fmt.Errorf("graph: relation id %d out of range", rels[i])
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // This file implements live-mutation support for the otherwise immutable CSR
@@ -89,23 +90,28 @@ func (g *Graph) Materialize() *Graph {
 	}
 	n := g.NumNodes()
 	out := &Graph{
-		outOff:   make([]int64, n+1),
-		inOff:    make([]int64, n+1),
-		labels:   make([]string, n),
-		descs:    make([]string, n),
+		outOff:   make([]uint32, n+1),
+		inOff:    make([]uint32, n+1),
+		labelOff: make([]uint32, n+1),
+		descOff:  make([]uint32, n+1),
 		relNames: slices.Clone(g.ov.relNames),
 	}
+	// DeltaBuilder kept the text totals within MaxTextBytes, so no offset
+	// below wraps.
 	for v := 0; v < n; v++ {
-		out.outOff[v+1] = out.outOff[v] + int64(g.OutDegree(NodeID(v)))
-		out.inOff[v+1] = out.inOff[v] + int64(g.InDegree(NodeID(v)))
-		out.labels[v] = g.Label(NodeID(v))
-		out.descs[v] = g.Description(NodeID(v))
+		out.outOff[v+1] = out.outOff[v] + uint32(g.OutDegree(NodeID(v)))
+		out.inOff[v+1] = out.inOff[v] + uint32(g.InDegree(NodeID(v)))
+		out.labelOff[v+1] = out.labelOff[v] + uint32(len(g.Label(NodeID(v))))
+		out.descOff[v+1] = out.descOff[v] + uint32(len(g.Description(NodeID(v))))
 	}
 	m := out.outOff[n]
 	out.outDst = make([]NodeID, m)
 	out.outRel = make([]RelID, m)
 	out.inSrc = make([]NodeID, out.inOff[n])
 	out.inRel = make([]RelID, out.inOff[n])
+	var labels, descs strings.Builder
+	labels.Grow(int(out.labelOff[n]))
+	descs.Grow(int(out.descOff[n]))
 	for v := 0; v < n; v++ {
 		dst, rel := g.OutEdges(NodeID(v))
 		copy(out.outDst[out.outOff[v]:], dst)
@@ -113,7 +119,10 @@ func (g *Graph) Materialize() *Graph {
 		src, rel2 := g.InEdges(NodeID(v))
 		copy(out.inSrc[out.inOff[v]:], src)
 		copy(out.inRel[out.inOff[v]:], rel2)
+		labels.WriteString(g.Label(NodeID(v)))
+		descs.WriteString(g.Description(NodeID(v)))
 	}
+	out.labels, out.descs = labels.String(), descs.String()
 	return out
 }
 
@@ -133,6 +142,9 @@ type DeltaBuilder struct {
 	relIDs   map[string]RelID
 	edges    int
 	ops      int
+	// labelBytes and descBytes are the text totals of the mutated graph,
+	// kept within MaxTextBytes so Materialize's offsets never wrap.
+	labelBytes, descBytes int64
 }
 
 // NewDeltaBuilder returns a builder rooted at base. A base that itself
@@ -146,6 +158,9 @@ func NewDeltaBuilder(base *Graph) *DeltaBuilder {
 		relNames: slices.Clone(base.relNames),
 		relIDs:   make(map[string]RelID, base.NumRels()),
 		edges:    base.NumEdges(),
+
+		labelBytes: int64(len(base.labels)),
+		descBytes:  int64(len(base.descs)),
 	}
 	for i, name := range d.relNames {
 		d.relIDs[name] = RelID(i)
@@ -161,23 +176,46 @@ func (d *DeltaBuilder) Empty() bool { return d.ops == 0 }
 
 // AddNode appends a node and returns its id. Ids are dense: the first added
 // node gets base.NumNodes(), matching a fresh Builder replaying the same ops.
-func (d *DeltaBuilder) AddNode(label, desc string) NodeID {
+// It refuses text that would take the graph past MaxTextBytes.
+func (d *DeltaBuilder) AddNode(label, desc string) (NodeID, error) {
+	if err := d.retext("", "", label, desc); err != nil {
+		return 0, err
+	}
 	d.added = append(d.added, &nodePatch{adj: true, text: true, label: label, desc: desc})
 	d.ops++
-	return NodeID(d.baseN + len(d.added) - 1)
+	return NodeID(d.baseN + len(d.added) - 1), nil
+}
+
+// retext accounts for one node's text changing from (oldLabel, oldDesc) to
+// (label, desc), refusing the change if a total would pass MaxTextBytes.
+func (d *DeltaBuilder) retext(oldLabel, oldDesc, label, desc string) error {
+	lb := d.labelBytes - int64(len(oldLabel)) + int64(len(label))
+	db := d.descBytes - int64(len(oldDesc)) + int64(len(desc))
+	if err := textLimit("label", lb); err != nil {
+		return err
+	}
+	if err := textLimit("description", db); err != nil {
+		return err
+	}
+	d.labelBytes, d.descBytes = lb, db
+	return nil
 }
 
 // Rel interns a relationship type name and returns its id. Base relation ids
 // are preserved; new names are appended in first-use order, matching a fresh
-// Builder that replays the base edges then the delta.
-func (d *DeltaBuilder) Rel(name string) RelID {
+// Builder that replays the base edges then the delta. A name past MaxRels
+// is refused.
+func (d *DeltaBuilder) Rel(name string) (RelID, error) {
 	if id, ok := d.relIDs[name]; ok {
-		return id
+		return id, nil
+	}
+	if len(d.relNames) >= MaxRels {
+		return 0, fmt.Errorf("graph: relation %q would exceed the limit of %d relation types", name, MaxRels)
 	}
 	id := RelID(len(d.relNames))
 	d.relNames = append(d.relNames, name)
 	d.relIDs[name] = id
-	return id
+	return id, nil
 }
 
 // RelByName looks up an interned relation without adding it.
@@ -254,7 +292,7 @@ func (d *DeltaBuilder) AddEdge(from, to NodeID, r RelID) error {
 	if err := d.checkNode(to); err != nil {
 		return err
 	}
-	if r < 0 || int(r) >= len(d.relNames) {
+	if int(r) >= len(d.relNames) {
 		return fmt.Errorf("graph: relation id %d out of range [0,%d)", r, len(d.relNames))
 	}
 	fp := d.adjPatch(from)
@@ -275,7 +313,7 @@ func (d *DeltaBuilder) RemoveEdge(from, to NodeID, r RelID) error {
 	if err := d.checkNode(to); err != nil {
 		return err
 	}
-	if r < 0 || int(r) >= len(d.relNames) {
+	if int(r) >= len(d.relNames) {
 		return fmt.Errorf("graph: relation id %d out of range [0,%d)", r, len(d.relNames))
 	}
 	fp := d.adjPatch(from)
@@ -294,9 +332,13 @@ func (d *DeltaBuilder) RemoveEdge(from, to NodeID, r RelID) error {
 }
 
 // SetText replaces the label and description of v (the node's keyword
-// source). Adjacency is untouched.
+// source). Adjacency is untouched. It refuses text that would take the
+// graph past MaxTextBytes.
 func (d *DeltaBuilder) SetText(v NodeID, label, desc string) error {
 	if err := d.checkNode(v); err != nil {
+		return err
+	}
+	if err := d.retext(d.Label(v), d.Description(v), label, desc); err != nil {
 		return err
 	}
 	if int(v) >= d.baseN {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,12 +12,32 @@ import (
 // comparable across the delta and fresh-build graphs.
 var relVocab = []string{"next", "linked to", "part of", "instance of", "near"}
 
+// mustRel interns name in d, failing the test on an error.
+func mustRel(t testing.TB, d *DeltaBuilder, name string) RelID {
+	t.Helper()
+	r, err := d.Rel(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustAddNode adds a node to d, failing the test on an error.
+func mustAddNode(t testing.TB, d *DeltaBuilder, label, desc string) NodeID {
+	t.Helper()
+	v, err := d.AddNode(label, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // graphFingerprint captures everything a traversal can observe: node text,
 // relation table, and per-node bi-directed adjacency in iteration order.
 func graphFingerprint(t *testing.T, g *Graph) string {
 	t.Helper()
 	s := fmt.Sprintf("n=%d m=%d r=%d\n", g.NumNodes(), g.NumEdges(), g.NumRels())
-	for r := int32(0); int(r) < g.NumRels(); r++ {
+	for r := RelID(0); int(r) < g.NumRels(); r++ {
 		s += fmt.Sprintf("rel %d=%s\n", r, g.RelName(r))
 	}
 	for v := 0; v < g.NumNodes(); v++ {
@@ -140,11 +161,11 @@ func applyToDelta(t *testing.T, d *DeltaBuilder, ops []op) {
 		var err error
 		switch o.kind {
 		case "add_node":
-			d.AddNode(o.label, o.desc)
+			mustAddNode(t, d, o.label, o.desc)
 		case "add_edge":
-			err = d.AddEdge(o.from, o.to, d.Rel(o.rel))
+			err = d.AddEdge(o.from, o.to, mustRel(t, d, o.rel))
 		case "remove_edge":
-			err = d.RemoveEdge(o.from, o.to, d.Rel(o.rel))
+			err = d.RemoveEdge(o.from, o.to, mustRel(t, d, o.rel))
 		case "set_text":
 			err = d.SetText(o.from, o.label, o.desc)
 		}
@@ -216,7 +237,7 @@ func TestOverlayIsolation(t *testing.T) {
 	if d.Overlay() != base {
 		t.Fatal("empty builder should hand back the base graph")
 	}
-	r := d.Rel("next")
+	r := mustRel(t, d, "next")
 	if err := d.AddEdge(0, 5, r); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +249,7 @@ func TestOverlayIsolation(t *testing.T) {
 	if err := d.SetText(0, "mutated", "changed"); err != nil {
 		t.Fatal(err)
 	}
-	d.AddNode("seven", "new node")
+	mustAddNode(t, d, "seven", "new node")
 	if got := graphFingerprint(t, v1); got != fp1 {
 		t.Errorf("published view changed after later mutations:\nbefore:\n%s\nafter:\n%s", fp1, got)
 	}
@@ -245,7 +266,7 @@ func TestOverlayIsolation(t *testing.T) {
 func TestOverlayRemoveEdgeErrors(t *testing.T) {
 	base := buildPath(t, 3)
 	d := NewDeltaBuilder(base)
-	r := d.Rel("next")
+	r := mustRel(t, d, "next")
 	if err := d.RemoveEdge(0, 2, r); err == nil {
 		t.Fatal("expected error removing missing edge")
 	}
@@ -268,18 +289,57 @@ func TestOverlayRemoveEdgeErrors(t *testing.T) {
 func TestOverlayPartsMaterializes(t *testing.T) {
 	base := buildPath(t, 4)
 	d := NewDeltaBuilder(base)
-	d.AddNode("four", "tail")
-	if err := d.AddEdge(3, 4, d.Rel("next")); err != nil {
+	mustAddNode(t, d, "four", "tail")
+	if err := d.AddEdge(3, 4, mustRel(t, d, "next")); err != nil {
 		t.Fatal(err)
 	}
 	view := d.Overlay()
-	oo, od, orl, io, is, ir, lb, ds, rn := view.Parts()
-	mo, md, mrl, mi, ms, mr, mlb, mds, mrn := view.Materialize().Parts()
-	for i, pair := range []struct{ a, b any }{
-		{oo, mo}, {od, md}, {orl, mrl}, {io, mi}, {is, ms}, {ir, mr}, {lb, mlb}, {ds, mds}, {rn, mrn},
-	} {
-		if !reflect.DeepEqual(pair.a, pair.b) {
-			t.Fatalf("Parts() component %d differs from materialized", i)
-		}
+	if !reflect.DeepEqual(view.Parts(), view.Materialize().Parts()) {
+		t.Fatal("Parts() differs from the materialized graph's")
+	}
+}
+
+// TestDeltaBuilderLimits: a mutation past a limit is refused with an error
+// naming it and leaves the delta as it was, so the overlay never holds a
+// relation id that wrapped or text Materialize cannot offset.
+func TestDeltaBuilderLimits(t *testing.T) {
+	b := NewBuilder()
+	b.AddNode("a", "first")
+	for r := 0; r < MaxRels; r++ {
+		b.Rel(fmt.Sprintf("r%d", r))
+	}
+	base, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDeltaBuilder(base)
+	if r := mustRel(t, d, "r7"); r != 7 {
+		t.Fatalf("existing relation r7 = %d", r)
+	}
+	if _, err := d.Rel("new"); err == nil || !strings.Contains(err.Error(), "limit of 65535 relation types") {
+		t.Fatalf("err = %v, want the relation type limit", err)
+	}
+	if _, ok := d.RelByName("new"); ok || !d.Empty() {
+		t.Fatal("a refused relation was interned")
+	}
+
+	// Stand the text totals just below the limit instead of allocating it.
+	d.labelBytes, d.descBytes = MaxTextBytes-2, MaxTextBytes
+	if _, err := d.AddNode("abc", ""); err == nil || !strings.Contains(err.Error(), "label text exceed") {
+		t.Fatalf("AddNode err = %v, want the label text limit", err)
+	}
+	v := mustAddNode(t, d, "ab", "")
+	if err := d.SetText(0, "", "first+"); err == nil || !strings.Contains(err.Error(), "description text exceed") {
+		t.Fatalf("SetText err = %v, want the description text limit", err)
+	}
+	// Shrinking one node's text makes room for another's.
+	if err := d.SetText(0, "", "f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetText(v, "ab", "four"); err != nil {
+		t.Fatal(err)
+	}
+	if d.NumNodes() != 2 || d.Label(v) != "ab" || d.Description(0) != "f" {
+		t.Fatalf("delta = %d nodes, label %q, desc %q", d.NumNodes(), d.Label(v), d.Description(0))
 	}
 }

@@ -58,9 +58,9 @@ func TestSampleAverageDistanceMatchesReferenceOverlay(t *testing.T) {
 	base := componentsGraph(t, 7)
 	d := NewDeltaBuilder(base)
 	rng := rand.New(rand.NewSource(7))
-	r := d.Rel("added")
+	r := mustRel(t, d, "added")
 	for i := 0; i < 40; i++ {
-		v := d.AddNode(fmt.Sprintf("new %d", i), "added node")
+		v := mustAddNode(t, d, fmt.Sprintf("new %d", i), "added node")
 		if err := d.AddEdge(v, NodeID(rng.Intn(base.NumNodes())), r); err != nil {
 			t.Fatal(err)
 		}

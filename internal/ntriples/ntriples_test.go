@@ -1,8 +1,11 @@
 package ntriples
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"wikisearch/internal/graph"
 )
 
 const sample = `# a tiny Wikidata-flavored export
@@ -94,7 +97,7 @@ func TestRelationNamesFromPredicates(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for r := 0; r < g.NumRels(); r++ {
-		names[g.RelName(int32(r))] = true
+		names[g.RelName(graph.RelID(r))] = true
 	}
 	if !names["instanceOf"] || !names["relatedTo"] {
 		t.Fatalf("relation names = %v", names)
@@ -169,5 +172,22 @@ func TestLocalName(t *testing.T) {
 		if got := localName(in); got != want {
 			t.Errorf("localName(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestImportRelationLimit: a stream with more distinct predicates than a
+// relation id holds is refused with an error naming the limit, not
+// narrowed.
+func TestImportRelationLimit(t *testing.T) {
+	var sb strings.Builder
+	for p := 0; p <= graph.MaxRels; p++ {
+		fmt.Fprintf(&sb, "<http://example.org/a> <http://example.org/p%d> <http://example.org/b> .\n", p)
+	}
+	im := NewImporter()
+	if err := im.Read(strings.NewReader(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := im.Build(); err == nil || !strings.Contains(err.Error(), "relation types exceed the limit of 65535") {
+		t.Fatalf("err = %v, want the relation type limit", err)
 	}
 }

@@ -2,12 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"wikisearch"
+	"wikisearch/internal/graph"
 )
 
 // testMutableServer builds a server with live mutation enabled. The test's
@@ -242,5 +244,52 @@ func TestMutateMetrics(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("metrics:\n%s", out)
+	}
+}
+
+// TestV1MutateRelationLimit: on a graph that already names the most
+// relation types a relation id holds, an edge under a new relation name is
+// refused as unprocessable (422), naming the limit, while edges under the
+// existing names still apply.
+func TestV1MutateRelationLimit(t *testing.T) {
+	checkNoLeak(t)
+	b := wikisearch.NewBuilder()
+	sql := b.AddNode("SQL", "query language")
+	hub := b.AddNode("Query language", "")
+	b.AddEdgeNamed(sql, hub, "instance of")
+	for r := 1; r < graph.MaxRels; r++ {
+		b.Rel(fmt.Sprintf("r%d", r))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := wikisearch.NewEngine(g, wikisearch.EngineOptions{DistanceSamplePairs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithConfig(eng, quietConfig())
+	if err := s.EnableMutation(wikisearch.MutatorOptions{CompactAfterOps: -1}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		s.Close()
+		eng.Close()
+	})
+
+	w := post(t, s, "/v1/mutate", `{"ops": [{"op": "add_edge", "from": 1, "to": 0, "rel": "new relation"}]}`)
+	var resp V1SearchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusUnprocessableEntity || resp.Error == nil || resp.Error.Code != "unprocessable" ||
+		!strings.Contains(resp.Error.Message, "limit of 65535 relation types") {
+		t.Fatalf("status %d, body %s: want 422 naming the relation type limit", w.Code, w.Body)
+	}
+	if w := post(t, s, "/v1/mutate", `{"ops": [{"op": "add_edge", "from": 1, "to": 0, "rel": "r65534"}]}`); w.Code != http.StatusOK {
+		t.Fatalf("edge under an existing relation: status %d, body %s", w.Code, w.Body)
+	}
+	if got := eng.Graph().NumRels(); got != graph.MaxRels {
+		t.Fatalf("NumRels = %d after the refused relation, want %d", got, graph.MaxRels)
 	}
 }

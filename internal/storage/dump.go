@@ -15,7 +15,7 @@ import (
 // Dump is an on-disk engine snapshot: graph, weights, the sampled
 // average-distance statistics, and the inverted keyword index —
 // everything the engine needs to start serving without recomputation.
-// It is stored in the mmap-able version-3 section format (v3.go), whose
+// It is stored in the mmap-able version-4 section format (v3.go), whose
 // loaded arrays alias the file mapping.
 type Dump struct {
 	Name      string
@@ -30,14 +30,14 @@ type Dump struct {
 	// memory for saving).
 	Source LoadSource
 
-	// src owns the v3 mapping (or heap image) the arrays alias; nil for
+	// src owns the mapping (or heap image) the arrays alias; nil for
 	// dumps built in memory.
 	src *mapping
 }
 
 // LoadSource describes the provenance of a loaded dump.
 type LoadSource struct {
-	// Format is the on-disk version that was read (always 3).
+	// Format is the on-disk version that was read (always 4).
 	Format int
 	// Mode is how the bytes got into memory: LoadModeMmap (zero-copy
 	// mapping) or LoadModeRead (image read into a heap buffer).
@@ -67,8 +67,9 @@ func (d *Dump) Close() error {
 }
 
 // checkHeader validates the magic and version every dump starts with, so a
-// file of an older dump generation (v1/v2 record streams) gets a defined
-// error before anything is read or mapped.
+// file of an older dump generation (the v1/v2 record streams, the v3 layout
+// with wider offsets) gets a defined error before anything is read or
+// mapped.
 func checkHeader(head []byte) error {
 	if len(head) < 8 {
 		return fmt.Errorf("storage: dump header truncated (%d bytes)", len(head))
@@ -76,13 +77,13 @@ func checkHeader(head []byte) error {
 	if m := binary.LittleEndian.Uint32(head); m != magic {
 		return fmt.Errorf("storage: bad magic %#x", m)
 	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != version3 {
-		return fmt.Errorf("storage: not a v3 dump (version %d)", v)
+	if v := binary.LittleEndian.Uint32(head[4:]); v != dumpVersion {
+		return fmt.Errorf("storage: not a v%d dump (version %d)", dumpVersion, v)
 	}
 	return nil
 }
 
-// LoadDump reads a v3 dump from r fully into memory and parses it in place;
+// LoadDump reads a dump from r fully into memory and parses it in place;
 // use LoadDumpFile for the zero-copy mmap path.
 func LoadDump(r io.Reader) (*Dump, error) {
 	br := bufio.NewReader(r)
@@ -95,7 +96,7 @@ func LoadDump(r io.Reader) (*Dump, error) {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if int64(len(data)) > int64(maxV3Bytes) {
-		return nil, fmt.Errorf("storage: v3 dump exceeds size limit")
+		return nil, fmt.Errorf("storage: dump exceeds size limit")
 	}
 	d, err := parseV3(alignedImage(data), nil)
 	if err != nil {
@@ -106,7 +107,7 @@ func LoadDump(r io.Reader) (*Dump, error) {
 }
 
 // alignedImage returns data, copied to a fresh buffer in the (practically
-// impossible) case its base is not 8-byte aligned, so the v3 word views
+// impossible) case its base is not 8-byte aligned, so the word views
 // are always safe.
 func alignedImage(data []byte) []byte {
 	if len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))%8 == 0 {
@@ -131,7 +132,7 @@ func openDump(path string) (*os.File, int64, error) {
 		err = checkHeader(head[:n])
 	}
 	if err == nil && st.Size() > int64(maxV3Bytes) {
-		err = fmt.Errorf("storage: v3 dump of %d bytes exceeds limit", st.Size())
+		err = fmt.Errorf("storage: dump of %d bytes exceeds limit", st.Size())
 	}
 	if err != nil {
 		f.Close()
@@ -140,7 +141,7 @@ func openDump(path string) (*os.File, int64, error) {
 	return f, st.Size(), nil
 }
 
-// LoadDumpFile reads a v3 dump from path and parses it in place. It is
+// LoadDumpFile reads a dump from path and parses it in place. It is
 // memory-mapped where the platform supports it (check Dump.Source.Mode), so
 // loading is near-instant and the caller must keep the returned Dump's
 // mapping alive — see Dump.Close.

@@ -46,12 +46,26 @@ func legacyImage(version uint32) []byte {
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// TestLoadDumpRejectsLegacyVersions: v1 and v2 dumps get a defined error
-// naming their version from every loader, never a panic.
+// v3Image is a current dump image whose version field reads 3, the layout
+// with int64 offsets and int32 relation ids: the loaders refuse on the
+// version before they read a section, so the header is all a v3 file
+// needs to be recognised by.
+func v3Image(t *testing.T) []byte {
+	t.Helper()
+	img := saveImage(t, sampleDump(t))
+	binary.LittleEndian.PutUint32(img[4:], 3)
+	return img
+}
+
+// TestLoadDumpRejectsLegacyVersions: v1, v2 and v3 dumps get a defined
+// error naming their version from every loader, never a panic.
 func TestLoadDumpRejectsLegacyVersions(t *testing.T) {
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		img := legacyImage(v)
-		want := fmt.Sprintf("storage: not a v3 dump (version %d)", v)
+		if v == 3 {
+			img = v3Image(t)
+		}
+		want := fmt.Sprintf("storage: not a v4 dump (version %d)", v)
 		check := func(via string, err error) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), want) {
@@ -164,7 +178,7 @@ func TestDumpFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Source.Format != version3 || d2.Source.Mode != LoadModeRead || d2.Source.Bytes != int64(len(img)) {
+	if d2.Source.Format != dumpVersion || d2.Source.Mode != LoadModeRead || d2.Source.Bytes != int64(len(img)) {
 		t.Fatalf("source = %+v", d2.Source)
 	}
 	assertDumpsEqual(t, d, d2)

@@ -10,11 +10,12 @@ import (
 	"wikisearch/internal/text"
 )
 
-// FuzzLoadDump throws arbitrary bytes at the v3 loader, in memory via
+// FuzzLoadDump throws arbitrary bytes at the dump loader, in memory via
 // LoadDump and through the file-backed mmap path via LoadDumpFile, and at
 // the verifiers: none may panic, over-allocate against a tiny input, or
-// accept a corrupted image whose header lies. Seeds cover a valid dump,
-// hand-built v1/v2 images, and characteristic mutations of each.
+// accept a corrupted image whose header lies. Seeds cover a valid dump in
+// the current layout (uint32 offsets, uint16 relation ids), hand-built
+// v1/v2 images, and characteristic mutations of each.
 func FuzzLoadDump(f *testing.F) {
 	var v3 bytes.Buffer
 	if err := SaveDumpV3(&v3, sampleDumpForFuzz(f)); err != nil {

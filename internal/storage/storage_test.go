@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,6 +113,19 @@ func TestSaveRejectsMismatchedWeights(t *testing.T) {
 	long := &Dump{Name: strings.Repeat("n", v3MaxName+1), Graph: g, Weights: w}
 	if err := SaveDumpV3(&bytes.Buffer{}, long); err == nil {
 		t.Fatal("SaveDumpV3 accepted a name past the header limit")
+	}
+}
+
+// TestSaveTextLimit: the writer refuses text its uint32 offsets cannot
+// address. The check is on the size alone, so the test allocates nothing
+// near 4 GiB.
+func TestSaveTextLimit(t *testing.T) {
+	if err := offsetLimit("bytes of label text", math.MaxUint32); err != nil {
+		t.Fatalf("4 GiB - 1 refused: %v", err)
+	}
+	err := offsetLimit("bytes of label text", math.MaxUint32+1)
+	if err == nil || !strings.Contains(err.Error(), "label text exceed the limit of 4294967295") {
+		t.Fatalf("err = %v, want the label text limit", err)
 	}
 }
 

@@ -14,33 +14,38 @@ import (
 	"wikisearch/internal/text"
 )
 
-// Version 3 is the mmap-able dump format: the on-disk layout IS the
-// in-memory layout. A fixed little-endian header page carries the graph
-// shape, the dataset metadata and a section table; every section is a
-// page-aligned run of fixed-width words (int64/int32/float64) or a raw
-// byte blob addressed by an offset array, each guarded by its own CRC32.
-// The loader hands graph.FromParts and text.FromParts zero-copy slice
-// views straight into the mapping (unsafe.Slice / unsafe.String), so
-// startup cost is O(validation) instead of O(decode), and cold sections
-// of a graph larger than RAM page in on demand.
+// The dump is mmap-able: the on-disk layout IS the in-memory layout. A
+// fixed little-endian header page carries the graph shape, the dataset
+// metadata and a section table; every section is a page-aligned run of
+// fixed-width words or a raw byte blob addressed by an offset array, each
+// guarded by its own CRC32. The loader hands graph.FromParts and
+// text.FromParts zero-copy views straight into the mapping (unsafe.Slice /
+// unsafe.String), so startup cost is O(validation) instead of O(decode),
+// and cold sections of a graph larger than RAM page in on demand.
 //
-// Layout (all integers little-endian):
+// Layout (all integers little-endian; the element width follows each
+// section):
 //
-//	page 0   header: magic, version=3, page size, section count,
+//	page 0   header: magic, version=4, page size, section count,
 //	         n/m/nr/terms, avgDist, deviation, flags, file size,
 //	         name string, section table, header CRC32
 //	page 1+  sections, each starting on a page boundary:
-//	         outOff inOff outDst outRel inSrc inRel weights
-//	         labelOff labelBlob descOff descBlob relOff relBlob
-//	         termOff termBlob postOff postIDs
+//	         outOff inOff (uint32)  outDst (int32)  outRel (uint16)
+//	         inSrc (int32)  inRel (uint16)  weights (float64)
+//	         labelOff (uint32) labelBlob  descOff (uint32) descBlob
+//	         relOff (uint32) relBlob  termOff (uint32) termBlob
+//	         postOff (uint32) postIDs (int32)
 //
 // Offset arrays (labelOff &c.) have count+1 entries delimiting their blob,
 // exactly like CSR offsets delimit adjacency — so a string i is
-// blob[off[i]:off[i+1]] with no per-record framing to decode. See
-// DESIGN.md §9 for the alignment and endianness rules and the mapping
-// lifecycle.
+// blob[off[i]:off[i+1]] with no per-record framing to decode. The label and
+// description blobs are each mapped as one string the graph slices per
+// node. See DESIGN.md §9 for the alignment and endianness rules, the
+// limits and the mapping lifecycle. Version 3, the same layout with int64
+// offsets and int32 relation ids, is refused: wikigen regenerates a file
+// from its seed.
 const (
-	version3 = 3
+	dumpVersion = 4
 	// v3Page is the section alignment. It matches the common OS page size;
 	// any multiple of 8 would satisfy the word-alignment requirement of
 	// unsafe.Slice, but page alignment keeps section boundaries friendly to
@@ -88,7 +93,7 @@ type sectionEntry struct {
 const sectionEntrySize = 32
 
 // hostLittleEndian reports whether this machine stores integers
-// little-endian. The v3 zero-copy loader requires it; every supported
+// little-endian. The zero-copy loader requires it; every supported
 // target is (DESIGN.md §9).
 func hostLittleEndian() bool {
 	var x uint16 = 1
@@ -98,7 +103,7 @@ func hostLittleEndian() bool {
 // leBytes returns the little-endian byte image of a fixed-width word
 // slice. On little-endian hosts this is a zero-copy unsafe view of the
 // slice's backing array; on big-endian hosts it converts element-wise.
-func leBytes[T int64 | int32 | uint64 | float64](s []T) []byte {
+func leBytes[T uint16 | uint32 | int32 | float64](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
@@ -107,21 +112,17 @@ func leBytes[T int64 | int32 | uint64 | float64](s []T) []byte {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*size)
 	}
 	out := make([]byte, len(s)*size)
+	le := binary.LittleEndian
 	for i, v := range s {
-		switch size {
-		case 4:
-			binary.LittleEndian.PutUint32(out[i*4:], uint32(any(v).(int32)))
-		default:
-			var bits uint64
-			switch v := any(v).(type) {
-			case int64:
-				bits = uint64(v)
-			case uint64:
-				bits = v
-			case float64:
-				bits = math.Float64bits(v)
-			}
-			binary.LittleEndian.PutUint64(out[i*8:], bits)
+		switch v := any(v).(type) {
+		case uint16:
+			le.PutUint16(out[i*2:], v)
+		case uint32:
+			le.PutUint32(out[i*4:], v)
+		case int32:
+			le.PutUint32(out[i*4:], uint32(v))
+		case float64:
+			le.PutUint64(out[i*8:], math.Float64bits(v))
 		}
 	}
 	return out
@@ -130,14 +131,14 @@ func leBytes[T int64 | int32 | uint64 | float64](s []T) []byte {
 // view reinterprets count elements of T at the start of b. The caller has
 // verified length, 8-byte alignment of the base and little-endianness of
 // the host, so this is the zero-copy read path.
-func view[T int64 | int32 | float64](b []byte, count int) []T {
+func view[T uint16 | uint32 | int32 | float64](b []byte, count int) []T {
 	if count == 0 {
 		return []T{}
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), count)
 }
 
-// mapping owns one loaded v3 dump image — either an OS memory mapping or
+// mapping owns one loaded dump image — either an OS memory mapping or
 // a heap buffer on platforms without mmap. Everything the loader returned
 // (graph arrays, labels, index postings) aliases this memory, so it must
 // not be unmapped while any of them is still reachable; Dump.Close (and
@@ -163,24 +164,24 @@ func (m *mapping) Close() error {
 	return nil
 }
 
-// blobAndOffsets flattens strings into one blob plus a count+1 offset
-// array delimiting each string, the on-disk string representation.
-func blobAndOffsets(ss []string) ([]byte, []int64) {
-	var total int
-	for _, s := range ss {
-		total += len(s)
+// offsetLimit refuses a section whose uint32 offsets cannot address total
+// bytes or elements.
+func offsetLimit(what string, total int64) error {
+	if total > math.MaxUint32 {
+		return fmt.Errorf("storage: %d %s exceed the limit of %d", total, what, int64(math.MaxUint32))
 	}
-	blob := make([]byte, 0, total)
-	offs := make([]int64, len(ss)+1)
-	for i, s := range ss {
-		blob = append(blob, s...)
-		offs[i+1] = int64(len(blob))
-	}
-	return blob, offs
+	return nil
 }
 
-// SaveDumpV3 writes a version-3 dump to w. The writer receives the exact
-// mmap-able image: header page, then page-aligned sections.
+// stringBytes is the zero-copy byte view of s, for writing a blob.
+func stringBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
+// SaveDumpV3 writes a dump in the current mmap layout (file version 4) to
+// w. The writer receives the exact mmap-able image: header page, then
+// page-aligned sections. It refuses label, description, relation-name or
+// term text past 4 GiB, which the uint32 offsets cannot address.
 func SaveDumpV3(w io.Writer, d *Dump) error {
 	if d.Graph == nil {
 		return fmt.Errorf("storage: nil graph")
@@ -191,16 +192,22 @@ func SaveDumpV3(w io.Writer, d *Dump) error {
 	if len(d.Name) > v3MaxName {
 		return fmt.Errorf("storage: dataset name of %d bytes exceeds limit %d", len(d.Name), v3MaxName)
 	}
-	outOff, outDst, outRel, inOff, inSrc, inRel, labels, descs, relNames := d.Graph.Parts()
-
-	labelBlob, labelOff := blobAndOffsets(labels)
-	descBlob, descOff := blobAndOffsets(descs)
-	relBlob, relOff := blobAndOffsets(relNames)
+	p := d.Graph.Parts()
+	if err := offsetLimit("bytes of label text", int64(len(p.Labels))); err != nil {
+		return err
+	}
+	if err := offsetLimit("bytes of description text", int64(len(p.Descs))); err != nil {
+		return err
+	}
+	relText, relOff, err := graph.PackText("relation name", p.RelNames)
+	if err != nil {
+		return err
+	}
 
 	var (
-		termBlob []byte
-		termOff  []int64
-		postOff  []int64
+		termText string
+		termOff  []uint32
+		postOff  []uint32
 		postIDs  []graph.NodeID
 		nTerms   int
 		flags    uint64
@@ -209,16 +216,21 @@ func SaveDumpV3(w io.Writer, d *Dump) error {
 		flags |= flagHasIndex
 		names, postings := d.Index.Export()
 		nTerms = len(names)
-		termBlob, termOff = blobAndOffsets(names)
-		postOff = make([]int64, nTerms+1)
-		var total int
-		for i, p := range postings {
-			total += len(p)
-			postOff[i+1] = int64(total)
+		if termText, termOff, err = graph.PackText("index term", names); err != nil {
+			return err
 		}
-		postIDs = make([]graph.NodeID, 0, total)
+		var total int64
 		for _, p := range postings {
+			total += int64(len(p))
+		}
+		if err := offsetLimit("postings", total); err != nil {
+			return err
+		}
+		postOff = make([]uint32, nTerms+1)
+		postIDs = make([]graph.NodeID, 0, total)
+		for i, p := range postings {
 			postIDs = append(postIDs, p...)
+			postOff[i+1] = uint32(len(postIDs))
 		}
 	}
 
@@ -227,21 +239,21 @@ func SaveDumpV3(w io.Writer, d *Dump) error {
 		data  []byte
 		count uint64
 	}{
-		{secOutOff, leBytes(outOff), uint64(len(outOff))},
-		{secInOff, leBytes(inOff), uint64(len(inOff))},
-		{secOutDst, leBytes(outDst), uint64(len(outDst))},
-		{secOutRel, leBytes(outRel), uint64(len(outRel))},
-		{secInSrc, leBytes(inSrc), uint64(len(inSrc))},
-		{secInRel, leBytes(inRel), uint64(len(inRel))},
+		{secOutOff, leBytes(p.OutOff), uint64(len(p.OutOff))},
+		{secInOff, leBytes(p.InOff), uint64(len(p.InOff))},
+		{secOutDst, leBytes(p.OutDst), uint64(len(p.OutDst))},
+		{secOutRel, leBytes(p.OutRel), uint64(len(p.OutRel))},
+		{secInSrc, leBytes(p.InSrc), uint64(len(p.InSrc))},
+		{secInRel, leBytes(p.InRel), uint64(len(p.InRel))},
 		{secWeights, leBytes(d.Weights), uint64(len(d.Weights))},
-		{secLabelOff, leBytes(labelOff), uint64(len(labelOff))},
-		{secLabelBlob, labelBlob, uint64(len(labelBlob))},
-		{secDescOff, leBytes(descOff), uint64(len(descOff))},
-		{secDescBlob, descBlob, uint64(len(descBlob))},
+		{secLabelOff, leBytes(p.LabelOff), uint64(len(p.LabelOff))},
+		{secLabelBlob, stringBytes(p.Labels), uint64(len(p.Labels))},
+		{secDescOff, leBytes(p.DescOff), uint64(len(p.DescOff))},
+		{secDescBlob, stringBytes(p.Descs), uint64(len(p.Descs))},
 		{secRelOff, leBytes(relOff), uint64(len(relOff))},
-		{secRelBlob, relBlob, uint64(len(relBlob))},
+		{secRelBlob, stringBytes(relText), uint64(len(relText))},
 		{secTermOff, leBytes(termOff), uint64(len(termOff))},
-		{secTermBlob, termBlob, uint64(len(termBlob))},
+		{secTermBlob, stringBytes(termText), uint64(len(termText))},
 		{secPostOff, leBytes(postOff), uint64(len(postOff))},
 		{secPostIDs, leBytes(postIDs), uint64(len(postIDs))},
 	}
@@ -266,12 +278,12 @@ func SaveDumpV3(w io.Writer, d *Dump) error {
 	// Assemble the header page.
 	hdr := make([]byte, 0, v3Page)
 	hdr = binary.LittleEndian.AppendUint32(hdr, magic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, version3)
+	hdr = binary.LittleEndian.AppendUint32(hdr, dumpVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, v3Page)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sections)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(d.Graph.NumNodes()))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(d.Graph.NumEdges()))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(relNames)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(p.RelNames)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(nTerms))
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(d.AvgDist))
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(d.Deviation))
@@ -288,7 +300,7 @@ func SaveDumpV3(w io.Writer, d *Dump) error {
 	}
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
 	if len(hdr) > v3Page {
-		return fmt.Errorf("storage: v3 header of %d bytes exceeds one page", len(hdr))
+		return fmt.Errorf("storage: dump header of %d bytes exceeds one page", len(hdr))
 	}
 
 	bw := &padWriter{w: w}
@@ -334,8 +346,8 @@ func (p *padWriter) padTo(target uint64) {
 	}
 }
 
-// SaveDumpFileV3 writes a version-3 dump to path atomically and durably
-// (temp file, fsync, rename, parent-directory fsync).
+// SaveDumpFileV3 writes a dump in the current layout to path atomically
+// and durably (temp file, fsync, rename, parent-directory fsync).
 func SaveDumpFileV3(path string, d *Dump) error {
 	return atomicWriteFile(disk, path, func(w io.Writer) error { return SaveDumpV3(w, d) })
 }
@@ -357,7 +369,7 @@ type v3Header struct {
 // slice view or an allocation beyond the real file size.
 func parseV3Header(data []byte) (*v3Header, error) {
 	if len(data) < 96 {
-		return nil, fmt.Errorf("storage: v3 header truncated (%d bytes)", len(data))
+		return nil, fmt.Errorf("storage: dump header truncated (%d bytes)", len(data))
 	}
 	if err := checkHeader(data); err != nil {
 		return nil, err
@@ -391,13 +403,13 @@ func parseV3Header(data []byte) (*v3Header, error) {
 	}
 	nameLen := int(u32(80))
 	if nameLen > v3MaxName || 84+nameLen+nSec*sectionEntrySize+4 > min(v3Page, len(data)) {
-		return nil, fmt.Errorf("storage: v3 header overruns its page")
+		return nil, fmt.Errorf("storage: dump header overruns its page")
 	}
 	h.name = string(data[84 : 84+nameLen])
 	tab := 84 + nameLen
 	crcPos := tab + nSec*sectionEntrySize
 	if got, want := crc32.ChecksumIEEE(data[:crcPos]), u32(crcPos); got != want {
-		return nil, fmt.Errorf("storage: v3 header CRC mismatch (file %#x, computed %#x)", want, got)
+		return nil, fmt.Errorf("storage: dump header CRC mismatch (file %#x, computed %#x)", want, got)
 	}
 	h.sections = make(map[uint32]sectionEntry, nSec)
 	for i := 0; i < nSec; i++ {
@@ -426,28 +438,28 @@ func parseV3Header(data []byte) (*v3Header, error) {
 // section returns the bytes of one section after checking that its element
 // count and byte size agree (elemSize 1 for blobs) and that the count is
 // what the header's shape demands (wantCount < 0 skips that check).
-func (h *v3Header) section(data []byte, kind uint32, elemSize int, wantCount int) ([]byte, sectionEntry, error) {
+func (h *v3Header) section(data []byte, kind uint32, elemSize int, wantCount int) ([]byte, error) {
 	e, ok := h.sections[kind]
 	if !ok {
-		return nil, e, fmt.Errorf("storage: missing section %d", kind)
+		return nil, fmt.Errorf("storage: missing section %d", kind)
 	}
 	if e.size != e.count*uint64(elemSize) {
-		return nil, e, fmt.Errorf("storage: section %d: %d bytes for %d elements of %d",
+		return nil, fmt.Errorf("storage: section %d: %d bytes for %d elements of %d",
 			kind, e.size, e.count, elemSize)
 	}
 	if wantCount >= 0 && e.count != uint64(wantCount) {
-		return nil, e, fmt.Errorf("storage: section %d has %d elements, want %d", kind, e.count, wantCount)
+		return nil, fmt.Errorf("storage: section %d has %d elements, want %d", kind, e.count, wantCount)
 	}
-	return data[e.off : e.off+e.size], e, nil
+	return data[e.off : e.off+e.size], nil
 }
 
 // stringViews builds the []string for one (offset array, blob) section
 // pair, validating that offsets start at 0, never decrease, and end
 // exactly at the blob length. The strings are zero-copy views into the
 // mapping (unsafe.String), valid until the mapping closes.
-func stringViews(offs []int64, blob []byte) ([]string, error) {
+func stringViews(offs []uint32, blob []byte) ([]string, error) {
 	n := len(offs) - 1
-	if offs[0] != 0 || offs[n] != int64(len(blob)) {
+	if offs[0] != 0 || int(offs[n]) != len(blob) {
 		return nil, fmt.Errorf("storage: string offsets [%d,%d] do not span blob of %d", offs[0], offs[n], len(blob))
 	}
 	out := make([]string, n)
@@ -463,6 +475,14 @@ func stringViews(offs []int64, blob []byte) ([]string, error) {
 	return out, nil
 }
 
+// blobString is the zero-copy string view of a whole blob section.
+func blobString(blob []byte) string {
+	if len(blob) == 0 {
+		return ""
+	}
+	return unsafe.String(&blob[0], len(blob))
+}
+
 // parseV3 builds a Dump whose arrays alias data. src, when non-nil, is
 // the mapping that owns data and becomes the dump's closer; parseV3 does
 // NOT close it on error — the caller does.
@@ -474,93 +494,60 @@ func stringViews(offs []int64, blob []byte) ([]string, error) {
 // every page and forfeit the instant-startup property.
 func parseV3(data []byte, src *mapping) (*Dump, error) {
 	if !hostLittleEndian() {
-		return nil, fmt.Errorf("storage: v3 dumps require a little-endian host")
+		return nil, fmt.Errorf("storage: dumps require a little-endian host")
 	}
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
 		// Heap buffers of this size are always 8-aligned in practice; a
 		// misaligned base would make the word views fault on some
 		// architectures, so refuse rather than risk it.
-		return nil, fmt.Errorf("storage: v3 image base is not 8-byte aligned")
+		return nil, fmt.Errorf("storage: dump image base is not 8-byte aligned")
 	}
 	h, err := parseV3Header(data)
 	if err != nil {
 		return nil, err
 	}
 
-	want := func(kind uint32, elemSize, count int) ([]byte, error) {
-		b, _, err := h.section(data, kind, elemSize, count)
-		return b, err
+	// Every section with its element width and the element count the
+	// header's shape demands (-1: only its byte size is known).
+	var sec [numSections + 1][]byte
+	for _, want := range []struct {
+		kind         uint32
+		width, count int
+	}{
+		{secOutOff, 4, h.n + 1}, {secInOff, 4, h.n + 1},
+		{secOutDst, 4, h.m}, {secOutRel, 2, h.m}, {secInSrc, 4, h.m}, {secInRel, 2, h.m},
+		{secWeights, 8, h.n},
+		{secLabelOff, 4, h.n + 1}, {secLabelBlob, 1, -1},
+		{secDescOff, 4, h.n + 1}, {secDescBlob, 1, -1},
+		{secRelOff, 4, h.nr + 1}, {secRelBlob, 1, -1},
+		{secTermOff, 4, h.terms + 1}, {secTermBlob, 1, -1},
+		{secPostOff, 4, h.terms + 1}, {secPostIDs, 4, -1},
+	} {
+		if want.kind >= secTermOff && h.flags&flagHasIndex == 0 {
+			break
+		}
+		b, err := h.section(data, want.kind, want.width, want.count)
+		if err != nil {
+			return nil, err
+		}
+		sec[want.kind] = b
 	}
-	outOffB, err := want(secOutOff, 8, h.n+1)
-	if err != nil {
-		return nil, err
-	}
-	inOffB, err := want(secInOff, 8, h.n+1)
-	if err != nil {
-		return nil, err
-	}
-	outDstB, err := want(secOutDst, 4, h.m)
-	if err != nil {
-		return nil, err
-	}
-	outRelB, err := want(secOutRel, 4, h.m)
-	if err != nil {
-		return nil, err
-	}
-	inSrcB, err := want(secInSrc, 4, h.m)
-	if err != nil {
-		return nil, err
-	}
-	inRelB, err := want(secInRel, 4, h.m)
-	if err != nil {
-		return nil, err
-	}
-	weightsB, err := want(secWeights, 8, h.n)
-	if err != nil {
-		return nil, err
-	}
-	labelOffB, err := want(secLabelOff, 8, h.n+1)
-	if err != nil {
-		return nil, err
-	}
-	labelBlob, _, err := h.section(data, secLabelBlob, 1, -1)
-	if err != nil {
-		return nil, err
-	}
-	descOffB, err := want(secDescOff, 8, h.n+1)
-	if err != nil {
-		return nil, err
-	}
-	descBlob, _, err := h.section(data, secDescBlob, 1, -1)
-	if err != nil {
-		return nil, err
-	}
-	relOffB, err := want(secRelOff, 8, h.nr+1)
-	if err != nil {
-		return nil, err
-	}
-	relBlob, _, err := h.section(data, secRelBlob, 1, -1)
+	relNames, err := stringViews(view[uint32](sec[secRelOff], h.nr+1), sec[secRelBlob])
 	if err != nil {
 		return nil, err
 	}
 
-	labels, err := stringViews(view[int64](labelOffB, h.n+1), labelBlob)
-	if err != nil {
-		return nil, err
-	}
-	descs, err := stringViews(view[int64](descOffB, h.n+1), descBlob)
-	if err != nil {
-		return nil, err
-	}
-	relNames, err := stringViews(view[int64](relOffB, h.nr+1), relBlob)
-	if err != nil {
-		return nil, err
-	}
-
-	g := graph.FromParts(
-		view[int64](outOffB, h.n+1), view[int32](outDstB, h.m), view[int32](outRelB, h.m),
-		view[int64](inOffB, h.n+1), view[int32](inSrcB, h.m), view[int32](inRelB, h.m),
-		labels, descs, relNames)
+	// Validate checks the label and description offsets against their
+	// blobs along with the CSR arrays.
+	g := graph.FromParts(graph.Parts{
+		OutOff: view[uint32](sec[secOutOff], h.n+1), OutDst: view[int32](sec[secOutDst], h.m),
+		OutRel: view[uint16](sec[secOutRel], h.m),
+		InOff:  view[uint32](sec[secInOff], h.n+1), InSrc: view[int32](sec[secInSrc], h.m),
+		InRel:  view[uint16](sec[secInRel], h.m),
+		Labels: blobString(sec[secLabelBlob]), LabelOff: view[uint32](sec[secLabelOff], h.n+1),
+		Descs: blobString(sec[secDescBlob]), DescOff: view[uint32](sec[secDescOff], h.n+1),
+		RelNames: relNames,
+	})
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -568,39 +555,23 @@ func parseV3(data []byte, src *mapping) (*Dump, error) {
 	d := &Dump{
 		Name:      h.name,
 		Graph:     g,
-		Weights:   view[float64](weightsB, h.n),
+		Weights:   view[float64](sec[secWeights], h.n),
 		AvgDist:   h.avgDist,
 		Deviation: h.deviation,
 		src:       src,
 	}
-	d.Source.Format = version3
+	d.Source.Format = dumpVersion
 	d.Source.Bytes = int64(len(data))
 
 	if h.flags&flagHasIndex != 0 {
-		termOffB, err := want(secTermOff, 8, h.terms+1)
+		names, err := stringViews(view[uint32](sec[secTermOff], h.terms+1), sec[secTermBlob])
 		if err != nil {
 			return nil, err
 		}
-		termBlob, _, err := h.section(data, secTermBlob, 1, -1)
-		if err != nil {
-			return nil, err
-		}
-		postOffB, err := want(secPostOff, 8, h.terms+1)
-		if err != nil {
-			return nil, err
-		}
-		postB, postE, err := h.section(data, secPostIDs, 4, -1)
-		if err != nil {
-			return nil, err
-		}
-		names, err := stringViews(view[int64](termOffB, h.terms+1), termBlob)
-		if err != nil {
-			return nil, err
-		}
-		postOff := view[int64](postOffB, h.terms+1)
-		postIDs := view[int32](postB, int(postE.count))
-		if postOff[0] != 0 || postOff[h.terms] != int64(postE.count) {
-			return nil, fmt.Errorf("storage: posting offsets do not span %d ids", postE.count)
+		postOff := view[uint32](sec[secPostOff], h.terms+1)
+		postIDs := view[int32](sec[secPostIDs], len(sec[secPostIDs])/4)
+		if postOff[0] != 0 || int(postOff[h.terms]) != len(postIDs) {
+			return nil, fmt.Errorf("storage: posting offsets do not span %d ids", len(postIDs))
 		}
 		postings := make([][]graph.NodeID, h.terms)
 		for i := 0; i < h.terms; i++ {
@@ -624,7 +595,7 @@ func parseV3(data []byte, src *mapping) (*Dump, error) {
 	return d, nil
 }
 
-// VerifyDump checks every per-section CRC32 of a v3 image against its
+// VerifyDump checks every per-section CRC32 of a dump image against its
 // section table (the header CRC was already checked by the parse). It
 // reads every byte, so it is for tests and offline integrity checks — not
 // the serving startup path.
@@ -668,7 +639,7 @@ func VerifyDump(data []byte) error {
 	return checkZero(pos, uint64(len(data)))
 }
 
-// VerifyDumpFile fully verifies a v3 dump file: every section CRC, the
+// VerifyDumpFile fully verifies a dump file: every section CRC, the
 // zero padding between sections, and the structure a load checks.
 func VerifyDumpFile(path string) error {
 	f, size, err := openDump(path)

@@ -60,7 +60,7 @@ func TestV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Source.Format != version3 || d2.Source.Mode != LoadModeRead {
+	if d2.Source.Format != dumpVersion || d2.Source.Mode != LoadModeRead {
 		t.Fatalf("source = %+v", d2.Source)
 	}
 	assertDumpsEqual(t, d, d2)

@@ -2,6 +2,7 @@ package wikidata
 
 import (
 	"compress/gzip"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -180,4 +181,19 @@ func FuzzImportJSON(f *testing.F) {
 			t.Fatalf("accepted input produced invalid graph: %v", err)
 		}
 	})
+}
+
+// TestImportRelationLimit: a dump naming more properties than a relation id
+// holds is refused with an error naming the limit, not narrowed.
+func TestImportRelationLimit(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("[\n")
+	for p := 0; p <= graph.MaxRels; p++ {
+		fmt.Fprintf(&sb, "{\"type\":\"property\",\"id\":\"P%d\"},\n", p)
+	}
+	sb.WriteString("]\n")
+	_, _, err := ImportJSON(strings.NewReader(sb.String()))
+	if err == nil || !strings.Contains(err.Error(), "relation types exceed the limit of 65535") {
+		t.Fatalf("err = %v, want the relation type limit", err)
+	}
 }

@@ -253,7 +253,10 @@ func (m *Mutator) AddNode(label, desc string) (NodeID, error) {
 	if err := m.checkOpen(); err != nil {
 		return 0, err
 	}
-	v := m.db.AddNode(label, desc)
+	v, err := m.db.AddNode(label, desc)
+	if err != nil {
+		return 0, err
+	}
 	m.tb.NodeAdded(v, label, desc)
 	m.raw = append(m.raw, 0)
 	m.dirty = append(m.dirty, v)
@@ -269,7 +272,11 @@ func (m *Mutator) AddEdge(from, to NodeID, rel string) error {
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	if err := m.db.AddEdge(from, to, m.db.Rel(rel)); err != nil {
+	r, err := m.db.Rel(rel)
+	if err != nil {
+		return err
+	}
+	if err := m.db.AddEdge(from, to, r); err != nil {
 		return err
 	}
 	m.dirty = append(m.dirty, to)
